@@ -13,7 +13,6 @@ from .averaging import (
     averaging_error,
     decompose_error,
     default_rate_bound,
-    eval_rate_bounds,
     fit_rate_exponent,
     leaf_average,
     make_partition,

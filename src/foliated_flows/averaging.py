@@ -8,10 +8,20 @@ averages of the perturbing field.  The averaging defect per vertical component
 
 is split over a partition of [0, t/eps] into four terms A1..A4 (fresh-restart
 mismatch, per-interval ergodic error, Riemann-sum error, and the unpartitioned
-tail), each with a pathwise bound.  All time integrals for the cylinder model
-are computed from prefix arrays over one recorded grid, so sums of interval
-integrals telescope exactly and |delta| <= sum |A_i| holds to rounding on
-every realization.
+tail), each with a pathwise bound.
+
+For the cylinder model every integral in the decomposition is exact and is
+needed only at the partition times t_0..t_N and t/eps: the theta-integrals are
+closed form (``AngularJumpPath.cos_integral_prefix``), z solves z' = eps k3(z)
+in closed form, so eps times the integral of k3(z) over an interval is the z
+increment, and the leafwise dynamics do not see (r, z), so one invariant
+measure on the circle serves every leaf.  Interval integrals are differences
+of values at those N+2 times, so their sums telescope and |delta| <= sum |A_i|
+holds to rounding on every realization.  Three terms vanish identically and
+are reported as exact zeros: A1 of the radial component (the restart shares
+the rotation and jumps, and dpi_1(K) sees only theta), and A2 and delta of
+the vertical component (dpi_2(K) = k3(z) does not see theta, so it equals its
+own leaf average).
 """
 
 from __future__ import annotations
@@ -53,10 +63,14 @@ MEASURE_MODES = ("analytic-uniform", "empirical")
 class InvariantMeasureSpec:
     """How leaf averages Q^g are computed.
 
+    The leafwise dynamics (unit rotation plus antipodal jumps) do not depend
+    on the leaf, so one measure on the circle serves every leaf.
     ``analytic-uniform`` integrates against the normalized Lebesgue measure of
     the circle with an equispaced rule (exact for trigonometric polynomials of
-    degree < quadrature_points).  ``empirical`` takes the time average of a
-    long unperturbed rotation-jump run with the leading burn-in discarded.
+    degree < quadrature_points).  ``empirical`` takes the time average of one
+    long unperturbed rotation-jump run with the leading burn-in discarded; an
+    ``AveragedField`` draws that run from the stream
+    ``key.with_role("independent")``.
     """
 
     mode: str = "analytic-uniform"
@@ -104,9 +118,14 @@ def leaf_average(
     for its jump clock and reports a batch-means standard error.
     """
     r, z = leaf
+    return _circle_average(lambda th: g(th, r, z), measure, key)
+
+
+def _circle_average(g, measure: InvariantMeasureSpec, key: StreamKey | None) -> LeafAverage:
+    """Average of g(theta) against the invariant measure on the circle."""
     if measure.mode == "analytic-uniform":
         angles = TWO_PI * np.arange(measure.quadrature_points) / measure.quadrature_points
-        return LeafAverage(value=float(np.mean(g(angles, r, z))), std_error=0.0)
+        return LeafAverage(value=float(np.mean(g(angles))), std_error=0.0)
 
     if measure.horizon <= 0.0:
         raise ValueError("empirical leaf average needs a positive horizon")
@@ -115,7 +134,7 @@ def leaf_average(
     driver = sample_jump_driver(key, measure.horizon, measure.dt, rate=CYLINDER_JUMP_RATE)
     grid = np.unique(np.concatenate((driver.times, driver.jump_times)))
     theta_left, theta_right = _segment_nodes(0.0, driver.jump_times, grid)
-    seg = 0.5 * (g(theta_left, r, z) + g(theta_right, r, z)) * np.diff(grid)
+    seg = 0.5 * (g(theta_left) + g(theta_right)) * np.diff(grid)
     mids = 0.5 * (grid[:-1] + grid[1:])
     t0 = measure.burn_in_fraction * measure.horizon
     keep = mids >= t0
@@ -135,10 +154,11 @@ def leaf_average(
 class AveragedField:
     """The vector field v -> (Q^{dpi_1(K)}(v), Q^{dpi_2(K)}(v)) on V.
 
-    With the analytic uniform measure the components are available in closed
-    form: the angular modulation integrates to zero, so the radial component
-    is the constant lambda0, and the vertical component is k3(z).  The
-    empirical mode evaluates (and caches) a time-average per leaf.
+    One invariant measure serves every leaf, so the radial component is the
+    single constant lambda0 + Q(cos theta) (just lambda0 without the angular
+    modulation), and the vertical component is k3(z) itself, exactly, because
+    k3 does not see theta.  The empirical measure is one long run drawn from
+    the stream ``key.with_role("independent")``.
     """
 
     def __init__(
@@ -148,39 +168,13 @@ class AveragedField:
         key: StreamKey | None = None,
     ):
         self.perturbation = perturbation
-        self.measure = measure
-        self.key = key
-        self._cache: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def _empirical(self, leaf: tuple[float, float]) -> tuple[float, float]:
-        if leaf not in self._cache:
-            if self.key is None:
-                raise ValueError("empirical averaged field needs a StreamKey")
-            sub = self.key.point(hash(leaf) & 0x7FFFFFFF).with_role(ROLE_INDEPENDENT)
-            k = self.perturbation
-            radial = leaf_average(lambda th, r, z: k.radial_rate(th) + 0.0 * th, leaf, self.measure, sub)
-            vertical = leaf_average(
-                lambda th, r, z: k.vertical_rate(z) + 0.0 * th, leaf, self.measure, sub
-            )
-            self._cache[leaf] = (radial.value, vertical.value)
-        return self._cache[leaf]
-
-    def radial(self, r, z):
-        if self.measure.mode == "analytic-uniform":
-            return self.perturbation.lambda0 + 0.0 * np.asarray(r, dtype=float)
-        return np.array([self._empirical((float(rr), float(zz)))[0] for rr, zz in np.broadcast(r, z)])
-
-    def vertical(self, r, z):
-        if self.measure.mode == "analytic-uniform":
-            return self.perturbation.vertical_rate(np.asarray(z, dtype=float))
-        return np.array([self._empirical((float(rr), float(zz)))[1] for rr, zz in np.broadcast(r, z)])
+        self.radial = perturbation.lambda0
+        if perturbation.has_angular:
+            sub = key.with_role(ROLE_INDEPENDENT) if key is not None else None
+            self.radial += _circle_average(np.cos, measure, sub).value
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        r, z = float(v[0]), float(v[1])
-        if self.measure.mode == "analytic-uniform":
-            return np.array([self.perturbation.lambda0, float(self.perturbation.vertical_rate(z))])
-        qr, qv = self._empirical((r, z))
-        return np.array([qr, qv])
+        return np.array([self.radial, float(self.perturbation.vertical_rate(float(v[1])))])
 
     def lipschitz_constant(self) -> float:
         """Gronwall constant: sum of the catalog Lipschitz constants of the components."""
@@ -359,88 +353,48 @@ class DecompositionResult:
     exit_time: float | None = None
 
 
-def _cumtrapz(y: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    out = np.empty(ts.size)
-    out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(ts), out=out[1:])
-    return out
-
-
 def _decompose_from_path(
     path: PerturbedCylinderPath,
     perturbation: PerturbationField,
     field: AveragedField,
     partition: PartitionScheme,
 ) -> tuple[ErrorDecomposition, ...]:
-    ts = path.times
     eps = path.eps
-    horizon = partition.horizon
-    angular = 1.0 if perturbation.has_angular else 0.0
+    # Every integral below is a difference of exact values at t_0..t_N, t/eps.
+    ts = np.append(partition.boundaries, partition.horizon)
+    steps, tail = np.diff(ts)[:-1], float(ts[-1] - ts[-2])
 
-    # Prefix integrals over the shared recorded grid: every interval integral
-    # below is a difference of prefix values, so interval sums telescope
-    # exactly and the triangle identity holds pathwise to rounding.
-    cos_prefix = path.angular.cos_integral_prefix(ts) if perturbation.has_angular else None
-
-    lam = np.full(ts.size, perturbation.lambda0)
-    q1 = np.asarray(field.radial(path.r, path.z), dtype=float) + 0.0 * ts
-    g2 = np.asarray(perturbation.vertical_rate(path.z), dtype=float) + 0.0 * ts
-    q2 = np.asarray(field.vertical(path.r, path.z), dtype=float) + 0.0 * ts
-
-    lam_prefix = _cumtrapz(lam, ts)
-    q1_prefix = _cumtrapz(q1, ts)
-    g2_prefix = _cumtrapz(g2, ts)
-    q2_prefix = _cumtrapz(q2, ts)
-    d1_prefix = _cumtrapz(lam - q1, ts)  # identically zero for the analytic measure
-    d2_prefix = _cumtrapz(g2 - q2, ts)
-
-    def g1_int(i: int, j: int) -> float:
-        out = lam_prefix[j] - lam_prefix[i]
-        if cos_prefix is not None:
-            out += angular * (cos_prefix[j] - cos_prefix[i])
-        return out
-
-    bounds = partition.boundaries
-    idx = [path.index_of(b) for b in bounds]
-    i_end = ts.size - 1
-
-    # delta_i: rescaled-time integral of the pointwise difference g_i - Q_i.
-    delta1 = eps * (d1_prefix[i_end] + (angular * (cos_prefix[i_end] - cos_prefix[0]) if cos_prefix is not None else 0.0))
-    delta2 = eps * (g2_prefix[i_end] - q2_prefix[i_end])
-
-    a1_1 = a1_2 = a2_1 = a2_2 = 0.0
-    sum_q1 = sum_q2 = 0.0
-    n = partition.n_intervals
-    for k in range(n):
-        i, j = idx[k], idx[k + 1]
-        dt_k = ts[j] - ts[i]
-        # The unperturbed restart from y_{t_k} shares the rotation and jumps
-        # pathwise, so its angular integrals coincide with the perturbed
-        # path's; its (r, z) are frozen at their restart values.
-        g1_pert = g1_int(i, j)
-        g1_restart = g1_int(i, j)
-        a1_1 += g1_pert - g1_restart
-        g2_pert = g2_prefix[j] - g2_prefix[i]
-        g2_restart = g2[i] * dt_k
-        a1_2 += g2_pert - g2_restart
-        a2_1 += g1_restart - q1[i] * dt_k
-        a2_2 += g2_restart - q2[i] * dt_k
-        sum_q1 += q1[i] * dt_k
-        sum_q2 += q2[i] * dt_k
-    a1_1 *= eps
-    a1_2 *= eps
-    a2_1 *= eps
-    a2_2 *= eps
-    a3_1 = eps * (sum_q1 - q1_prefix[i_end])
-    a3_2 = eps * (sum_q2 - q2_prefix[i_end])
-    i_tail = idx[-1]
-    a4_1 = eps * g1_int(i_tail, i_end)
-    a4_2 = eps * (g2_prefix[i_end] - g2_prefix[i_tail])
-
-    return (
-        ErrorDecomposition(component=1, a1=a1_1, a2=a2_1, a3=a3_1, a4=a4_1, delta=delta1),
-        ErrorDecomposition(component=2, a1=a1_2, a2=a2_2, a3=a3_2, a4=a4_2, delta=delta2),
+    # Radial: g1 = lambda0 [+ cos theta] against the constant average q1.  The
+    # unperturbed restart from y_{t_k} shares the rotation and jumps
+    # pathwise, so its g1-integrals equal the perturbed path's and A1 = 0.
+    g1_prefix = perturbation.lambda0 * ts
+    if perturbation.has_angular:
+        g1_prefix = g1_prefix + path.angular.cos_integral_prefix(ts)
+    g1_int = np.diff(g1_prefix)
+    q1 = field.radial
+    radial = ErrorDecomposition(
+        component=1,
+        a1=0.0,
+        a2=eps * float(np.sum(g1_int[:-1] - q1 * steps)),
+        a3=-eps * q1 * tail,
+        a4=eps * float(g1_int[-1]),
+        delta=eps * float(g1_prefix[-1] - q1 * ts[-1]),
     )
+
+    # Vertical: eps * integral of k3(z) is the z increment; the restart
+    # freezes z at z(t_k), whose rate k3(z(t_k)) is also the leaf average.
+    z = perturbation.vertical_flow(path.start.z, eps * ts)
+    dz = np.diff(z)
+    riemann = eps * perturbation.vertical_rate(z[:-2]) * steps
+    vertical = ErrorDecomposition(
+        component=2,
+        a1=float(np.sum(dz[:-1] - riemann)),
+        a2=0.0,
+        a3=float(np.sum(riemann) - (z[-1] - z[0])),
+        a4=float(dz[-1]),
+        delta=0.0,
+    )
+    return radial, vertical
 
 
 def decompose_error(
@@ -472,9 +426,7 @@ def decompose_error(
         field = AveragedField(perturbation, measure, key)
     driver = sample_jump_driver(key, partition.horizon, dt, rate=CYLINDER_JUMP_RATE)
     try:
-        path = perturbed_cylinder_path(
-            start, driver, partition.horizon, eps, perturbation, extra_times=partition.boundaries
-        )
+        path = perturbed_cylinder_path(start, driver, partition.horizon, eps, perturbation)
     except ManifoldExit as exc:
         return DecompositionResult(
             components=(), pi_end=None, partition=partition, exited=True, exit_time=exc.exit_time
@@ -547,13 +499,6 @@ def default_rate_bound(
         c3=c3,
         sup_k=sup_k,
     )
-
-
-def eval_rate_bounds(rb: RateBound, eps: float, t: float) -> tuple[float, float]:
-    """Pointwise (H, G) evaluation; negative inputs rejected."""
-    if eps < 0.0 or t < 0.0:
-        raise ValueError("eps and t must be >= 0")
-    return rb.H(eps, t), rb.G(eps, t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
-closed form (no quadrature error).
+closed form (no quadrature error).  The vertical coordinate z solves the
+autonomous ODE z' = eps * k3(z), the same for every replica, and is also
+evaluated in closed form at any time.
 """
 
 from __future__ import annotations
@@ -194,31 +196,11 @@ def evolve_cylinder(start: CylPoint, driver: DriverPath, t: float) -> CylPoint:
     return CylPoint(theta=theta, r=start.r, z=start.z)
 
 
-def _rk4_path(rate, z0: float, ts: np.ndarray) -> np.ndarray:
-    """Classical 4th-order steps of z' = rate(z) along the (possibly nonuniform) grid ts."""
-    out = np.empty(ts.size)
-    out[0] = z0
-    z = z0
-    for k in range(ts.size - 1):
-        h = ts[k + 1] - ts[k]
-        k1 = rate(z)
-        k2 = rate(z + 0.5 * h * k1)
-        k3 = rate(z + 0.5 * h * k2)
-        k4 = rate(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = z
-    return out
-
-
-def _record_grid(driver: DriverPath, t: float, extra_times=None) -> np.ndarray:
-    """dt grid up to t, plus jump times and any extra breakpoints, sorted unique."""
+def _record_grid(driver: DriverPath, t: float) -> np.ndarray:
+    """dt grid up to t, plus t and the jump times, sorted unique."""
     n_full = int(math.floor(t / driver.dt + _TIME_TOL))
     grid = np.arange(n_full + 1) * driver.dt
-    parts = [grid, np.array([t]), driver.jump_times[driver.jump_times <= t]]
-    if extra_times is not None:
-        extra = np.asarray(extra_times, dtype=float)
-        parts.append(extra[extra <= t + _TIME_TOL])
-    ts = np.unique(np.concatenate(parts))
+    ts = np.unique(np.concatenate((grid, [t], driver.jump_times[driver.jump_times <= t])))
     # collapse near-duplicates (e.g. a jump landing within tolerance of a grid point)
     keep = np.concatenate(([True], np.diff(ts) > _TIME_TOL * max(1.0, t)))
     ts = ts[keep]
@@ -232,8 +214,9 @@ class PerturbedCylinderPath:
     """eps-perturbed cylinder path recorded on the dt grid plus jump times.
 
     theta equals the unperturbed flow's angle pathwise; r integrates
-    eps * (lambda0 [+ cos theta]) exactly piecewise, z integrates
-    eps * k3(z) with RK4 on the recorded grid.
+    eps * (lambda0 [+ cos theta]) exactly piecewise, and z is the closed-form
+    solution of z' = eps * k3(z) (``PerturbationField.vertical_flow``), which
+    no noise touches.
     """
 
     start: CylPoint
@@ -245,9 +228,7 @@ class PerturbedCylinderPath:
     z: np.ndarray
 
     def state_at(self, t: float) -> CylPoint:
-        k = int(np.searchsorted(self.times, t))
-        if k >= self.times.size or abs(self.times[k] - t) > _TIME_TOL * max(1.0, t):
-            raise ValueError(f"time {t} not on the recorded grid")
+        k = self.index_of(t)
         return CylPoint.from_angle(float(self.angular.theta(t)), float(self.r[k]), float(self.z[k]))
 
     def index_of(self, t: float) -> int:
@@ -277,7 +258,6 @@ def perturbed_cylinder_path(
     t: float,
     eps: float,
     perturbation: PerturbationField,
-    extra_times=None,
 ) -> PerturbedCylinderPath:
     """Simulate the perturbed flow up to time t (t <= driver horizon)."""
     if t > driver.horizon + _TIME_TOL:
@@ -285,17 +265,14 @@ def perturbed_cylinder_path(
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0: {eps}")
     angular = AngularJumpPath(theta0=start.theta, jumps=driver.jump_times)
-    ts = _record_grid(driver, t, extra_times)
+    ts = _record_grid(driver, t)
 
     if perturbation.has_angular:
         r = start.r + eps * (perturbation.lambda0 * ts + angular.cos_integral_prefix(ts))
     else:
         r = start.r + eps * perturbation.lambda0 * ts
 
-    if perturbation.k3 == "zero" or eps == 0.0:
-        z = np.full(ts.size, start.z)
-    else:
-        z = _rk4_path(lambda zz: eps * perturbation.vertical_rate(zz), start.z, ts)
+    z = perturbation.vertical_flow(start.z, eps * ts)
 
     bad = np.flatnonzero(r <= 0.0)
     if bad.size:

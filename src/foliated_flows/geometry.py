@@ -283,6 +283,21 @@ class PerturbationField:
         """dpi_2(K) = k3(z)."""
         return _K3_FUNCS[self.k3](z)
 
+    def vertical_flow(self, z0: float, s):
+        """Closed-form solution at time s of z' = k3(z), z(0) = z0.
+
+        For sine, tan(z/2) grows like e^s on the branch |z - 2 pi n| <= pi
+        holding z0, so z tends to the nearest odd multiple of pi.
+        """
+        s = np.asarray(s, dtype=float)
+        if self.k3 == "zero":
+            return z0 + 0.0 * s
+        if self.k3 == "negate":
+            return z0 * np.exp(-s)
+        n = round(z0 / TWO_PI)
+        half = 0.5 * (z0 - TWO_PI * n)
+        return 2.0 * np.arctan2(math.sin(half) * np.exp(s), math.cos(half)) + TWO_PI * n
+
     def k3_lipschitz(self) -> float:
         return _K3_LIPSCHITZ[self.k3]
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,14 +12,14 @@ from foliated_flows.averaging import (
     averaging_error,
     decompose_error,
     default_rate_bound,
-    eval_rate_bounds,
     fit_rate_exponent,
     leaf_average,
     make_partition,
     measured_lipschitz,
     solve_averaged_ode,
 )
-from foliated_flows.drivers import StreamKey
+from foliated_flows.drivers import StreamKey, sample_jump_driver
+from foliated_flows.flows import perturbed_cylinder_path
 from foliated_flows.geometry import (
     CylPoint,
     PerturbationField,
@@ -103,6 +104,17 @@ def test_averaged_field_empirical_matches_analytic_within_clt():
     assert abs(v[1] - math.sin(1.0)) <= 1e-12  # vertical rate has no angular part
 
 
+def test_empirical_averaged_field_is_leaf_independent():
+    # one measure serves every leaf, so leaves that differ only in (r, z)
+    # see the same radial average and the same noise
+    measure = InvariantMeasureSpec(mode="empirical", horizon=200.0, dt=0.01)
+    K = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
+    field = AveragedField(K, measure, StreamKey(SEED))
+    assert field(np.array([1.0, 0.0]))[0] == field(np.array([3.0, 2.0]))[0]
+    flat = AveragedField(PerturbationField(lambda0=1.0, k3="zero", angular="cosine"), measure, StreamKey(SEED))
+    assert measured_lipschitz(flat, [(1.0, 0.0), (2.0, 0.0), (3.5, 0.0)]) == 0.0
+
+
 def test_measured_lipschitz_reported():
     K = PerturbationField(lambda0=0.0, k3="sine", angular="none")
     field = AveragedField(K, ANALYTIC)
@@ -154,6 +166,25 @@ def test_averaged_ode_rejects_outside_start():
     K = PerturbationField(lambda0=1.0, k3="zero", angular="none")
     with pytest.raises(ValueError):
         solve_averaged_ode(K, ANALYTIC, (0.1, 0.0), T=1.0, step=0.01)
+
+
+@pytest.mark.parametrize("k3", ["zero", "negate", "sine"])
+def test_vertical_flow_matches_averaged_ode_rk4(k3):
+    # the RK4 of solve_averaged_ode is an independent check of the closed form,
+    # including starts with |z0| > pi on other branches of the sine flow
+    K = PerturbationField(lambda0=0.0, k3=k3, angular="none")
+    for z0 in (-4.9, -math.pi, -1.0, 0.0, 0.3, math.pi, 3.5, 4.9):
+        out = solve_averaged_ode(K, ANALYTIC, (1.0, z0), T=1.0, step=1e-3)
+        assert out.exit_time is None
+        assert abs(out.final[1] - K.vertical_flow(z0, 1.0)) <= 1e-12
+
+
+def test_perturbed_path_z_is_vertical_flow():
+    K = PerturbationField(lambda0=0.5, k3="sine", angular="cosine")
+    eps, z0 = 0.1, 3.5
+    driver = sample_jump_driver(StreamKey(SEED, 3), 10.0, 0.01)
+    path = perturbed_cylinder_path(CylPoint(0.0, 1.0, z0), driver, 10.0, eps, K)
+    np.testing.assert_array_equal(path.z, K.vertical_flow(z0, eps * path.times))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +286,50 @@ def test_decompose_vertical_delta_zero_under_analytic_measure():
     assert res.components[1].delta == 0.0
 
 
+def _reference_decomposition(path, K, part):
+    # the definitions, one interval at a time: cos integrals from
+    # cos_integral, k3(z) integrals by 20-point Gauss-Legendre (z is smooth)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    eps, z0 = path.eps, path.start.z
+
+    def g1_int(a, b):
+        return K.lambda0 * (b - a) + path.angular.cos_integral(a, b)
+
+    def g2_int(a, b):
+        s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        return 0.5 * (b - a) * float(np.dot(weights, K.vertical_rate(K.vertical_flow(z0, eps * s))))
+
+    q1 = K.lambda0  # analytic measure: Q(cos) = 0
+    bounds = list(part.boundaries)
+    horizon = part.horizon
+    a2_1 = a1_2 = riemann1 = riemann2 = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rate = K.vertical_rate(K.vertical_flow(z0, eps * a))
+        a2_1 += g1_int(a, b) - q1 * (b - a)
+        a1_2 += g2_int(a, b) - rate * (b - a)
+        riemann1 += q1 * (b - a)
+        riemann2 += rate * (b - a)
+    g2_total = sum(g2_int(a, b) for a, b in zip(bounds, bounds[1:] + [horizon]))
+    radial = (0.0, a2_1, riemann1 - q1 * horizon, g1_int(bounds[-1], horizon), g1_int(0.0, horizon) - q1 * horizon)
+    vertical = (a1_2, 0.0, riemann2 - g2_total, g2_int(bounds[-1], horizon), 0.0)
+    return [eps * np.array(radial), eps * np.array(vertical)]
+
+
+@pytest.mark.parametrize("f_choice", ["sqrt", "log"])
+def test_decompose_matches_interval_reference(f_choice):
+    K = PerturbationField(lambda0=0.5, k3="sine", angular="cosine")
+    eps, t, start = 0.05, 1.0, CylPoint(0.0, 1.0, 1.0)
+    part = make_partition(eps, t, f_choice)
+    for rep in range(3):
+        key = StreamKey(SEED, rep)
+        res = decompose_error(MODEL, K, eps, t, key, f_choice=f_choice, start=start)
+        driver = sample_jump_driver(key, part.horizon, 0.01)
+        path = perturbed_cylinder_path(start, driver, part.horizon, eps, K)
+        for comp, ref in zip(res.components, _reference_decomposition(path, K, part)):
+            got = np.array([comp.a1, comp.a2, comp.a3, comp.a4, comp.delta])
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
 def test_decompose_flags_manifold_exit():
     K = PerturbationField(lambda0=-2.0, k3="zero", angular="none")
     res = decompose_error(MODEL, K, 0.5, 2.0, StreamKey(SEED, 9))
@@ -284,7 +359,7 @@ def test_rate_bound_vanishes_on_axes():
     with pytest.raises(ValueError):
         rb.H(-0.1, 1.0)
     with pytest.raises(ValueError):
-        eval_rate_bounds(rb, 0.1, -1.0)
+        rb.H(0.1, -1.0)
 
 
 def test_rate_bound_matches_min_of_branches_on_grid():
@@ -297,7 +372,7 @@ def test_rate_bound_matches_min_of_branches_on_grid():
                 4.0 * math.sqrt(eps) * t ** 1.5,
                 2.0 * math.sqrt(eps * t),
             ]
-            H, G = eval_rate_bounds(rb, eps, t)
+            H, G = rb.H(eps, t), rb.G(eps, t)
             assert H == pytest.approx(min(branches), rel=1e-15)
             assert G == pytest.approx(math.sqrt(t) * math.exp(0.3 * t) * H, rel=1e-15)
     # at large t for fixed eps only the C1 branch stays bounded
@@ -372,6 +447,33 @@ def test_averaging_error_decreases_with_eps():
     doubled = averaging_error(MODEL, K, 0.2, 1.0, 2.0, 400, StreamKey(SEED))
     joint = 3.0 * (results[0].std_error + doubled.std_error)
     assert abs(doubled.estimate - results[0].estimate) <= joint
+
+
+def _cos_integral_second_moment(horizon: float) -> float:
+    """E[(int_0^T cos theta_s ds)^2] for theta_s = s + pi N_s, N a rate-1 Poisson clock.
+
+    With E[cos theta_s cos theta_u] = 1/2 [cos(u - s) + cos(u + s)] e^{-2(u - s)}
+    for s < u, the double integral is 2 Re int_0^T int_0^{T-s} of
+    1/2 (1 + e^{2is}) e^{(i-2)d} dd ds, and both integrals are closed form.
+    """
+    c = complex(-2.0, 1.0)
+    ect = cmath.exp(c * horizon)
+    plain = ((ect - 1.0) / c - horizon) / c
+    rotating = (
+        ect * (cmath.exp((2j - c) * horizon) - 1.0) / (2j - c) - (cmath.exp(2j * horizon) - 1.0) / 2j
+    ) / c
+    return (plain + rotating).real
+
+
+def test_averaging_error_matches_exact_law():
+    # K = (0, 1 + cos theta, 0): the endpoint error is exactly eps |F(t/eps)|
+    # with F the cos integral, so its L2 norm is eps sqrt(E[F^2])
+    K = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
+    t = 1.0
+    for eps in (0.2, 0.05):
+        res = averaging_error(MODEL, K, eps, t, 2.0, 4000, StreamKey(SEED), start=CylPoint(0.0, 1.0, 0.0))
+        oracle = eps * math.sqrt(_cos_integral_second_moment(t / eps))
+        assert abs(res.estimate - oracle) <= 3.0 * res.std_error
 
 
 def test_averaging_error_threads_reproduce_serial():
