@@ -67,6 +67,7 @@ from .kernels import (
     cyclic_walk_kernel,
     function_pair_degeneracy_gap,
     independent_product_kernel,
+    kernel_distance,
     product_kernel_flow,
 )
 

@@ -340,9 +340,6 @@ class ErrorDecomposition:
     def abs_sum(self) -> float:
         return abs(self.a1) + abs(self.a2) + abs(self.a3) + abs(self.a4)
 
-    def triangle_ok(self, tol: float = TRIANGLE_TOL) -> bool:
-        return abs(self.delta) <= self.abs_sum + tol
-
 
 @dataclass(frozen=True)
 class DecompositionResult:

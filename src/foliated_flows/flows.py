@@ -100,9 +100,6 @@ class NPointSeries:
     def n_points(self) -> int:
         return self.states.shape[1]
 
-    def partition_at(self, index: int) -> np.ndarray:
-        return self.class_ids[index]
-
 
 # ---------------------------------------------------------------------------
 # Torus winding flow

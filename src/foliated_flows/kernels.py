@@ -2,8 +2,10 @@
 
 A ``LeafGrid`` is a finite discretization of the circle foliation: m equally
 spaced angular sites on each of a list of (r, z)-labeled leaves.  Kernels are
-dense row-stochastic matrices; every check below is an exact max-norm over the
-complete basis of grid indicator functions, not a sampled estimate.
+row-sparse (targets, weights) arrays: a rotation-jump kernel stores two pairs
+per row, so its 2-point kernel never forms an n^2 x n^2 matrix.  Every check
+below is an exact max-norm over the complete basis of grid indicator
+functions, computed on these arrays, not a sampled estimate.
 
 Checks cover: compatibility of a 2-point kernel with its 1-point marginal,
 diagonal preservation, the foliated (off-leaf mass zero) property with its
@@ -49,18 +51,13 @@ class LeafGrid:
     def n_states(self) -> int:
         return self.m * len(self.leaves)
 
-    @property
-    def angles(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.m) / self.m
-
     def index(self, leaf_i: int, site: int) -> int:
         return leaf_i * self.m + site % self.m
 
-    def leaf_of(self, state: int) -> int:
-        return state // self.m
-
-    def site_of(self, state: int) -> int:
-        return state % self.m
+    def rotated(self, steps) -> np.ndarray:
+        """(n_states, len(steps)): every state rotated by each step count within its leaf."""
+        states = np.arange(self.n_states)[:, np.newaxis]
+        return states - states % self.m + (states + np.asarray(steps)) % self.m
 
     def leaf_labels(self) -> np.ndarray:
         """Leaf index of every state."""
@@ -77,76 +74,106 @@ class PairGrid:
     def n_states(self) -> int:
         return self.base.n_states ** 2
 
-    def index(self, s1: int, s2: int) -> int:
-        return s1 * self.base.n_states + s2
-
-    def split(self, state: int) -> tuple[int, int]:
-        return divmod(state, self.base.n_states)
-
     def diagonal_indices(self) -> np.ndarray:
         n = self.base.n_states
         return np.arange(n) * n + np.arange(n)
 
+    def leaf_labels(self) -> np.ndarray:
+        """Index of the (leaf of s1, leaf of s2) pair of every state."""
+        labels = self.base.leaf_labels()
+        return (labels[:, np.newaxis] * len(self.base.leaves) + labels).ravel()
+
+
+def _flat(grid, t: float, targets: np.ndarray, weights: np.ndarray) -> "TransitionKernel":
+    """Kernel whose row x holds every (target, weight) in targets[x, ...], weights[x, ...]."""
+    n = grid.n_states
+    return TransitionKernel(grid=grid, t=t, targets=targets.reshape(n, -1), weights=weights.reshape(n, -1))
+
+
+def _dense(targets: np.ndarray, weights: np.ndarray, n_cols: int) -> np.ndarray:
+    """Dense (rows, n_cols) array with weights[x, j] added at (x, targets[x, j])."""
+    out = np.zeros((targets.shape[0], n_cols))
+    np.add.at(out, (np.arange(targets.shape[0])[:, np.newaxis], targets), weights)
+    return out
+
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Row-stochastic matrix representing a discretized P_t on a labeled grid."""
+    """Discretized P_t on a labeled grid, stored row-sparse.
+
+    Row x is the law sum_j weights[x, j] * delta(targets[x, j]), with int
+    targets and nonnegative weights of shape (n_states, width).  Repeated
+    targets in a row add up; zero-weight padding is allowed.  ``matrix``
+    builds the dense row-stochastic matrix on each call (small grids only).
+    """
 
     grid: LeafGrid | PairGrid
     t: float
-    matrix: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = self.grid.n_states
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {self.matrix.shape} != grid size {n}")
-        if np.any(self.matrix < 0.0):
+        n, targets = self.grid.n_states, self.targets
+        if targets.ndim != 2 or targets.shape[0] != n or self.weights.shape != targets.shape:
+            raise ValueError(f"targets {targets.shape} and weights {self.weights.shape} must be ({n}, width)")
+        if targets.dtype.kind not in "iu" or (targets.size and not 0 <= targets.min() <= targets.max() < n):
+            raise ValueError(f"targets must be integer state indices in [0, {n})")
+        if np.any(self.weights < 0.0):
             raise ValueError("kernel entries must be nonnegative")
-        row_sums = self.matrix.sum(axis=1)
-        worst = float(np.max(np.abs(row_sums - 1.0)))
-        if worst > ROW_SUM_TOL:
+        worst = float(np.max(np.abs(self.weights.sum(axis=1) - 1.0)))
+        if not worst <= ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; worst defect {worst}")
         if self.t < 0.0:
             raise ValueError(f"t must be >= 0: {self.t}")
+
+    @classmethod
+    def from_dense(cls, grid: LeafGrid | PairGrid, t: float, matrix) -> "TransitionKernel":
+        """The kernel of a dense row-stochastic matrix: its nonzero entries, in column order."""
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (grid.n_states, grid.n_states):
+            raise ValueError(f"matrix shape {matrix.shape} != grid size {grid.n_states}")
+        width = max(1, int(np.count_nonzero(matrix, axis=1).max()))  # nonzeros first, in column order
+        targets = np.argsort(matrix == 0.0, axis=1, kind="stable")[:, :width]
+        return cls(grid=grid, t=t, targets=targets, weights=np.take_along_axis(matrix, targets, axis=1))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _dense(self.targets, self.weights, self.grid.n_states)
 
     def power(self, n: int) -> np.ndarray:
         return np.linalg.matrix_power(self.matrix, n)
 
     def compose(self, other: "TransitionKernel") -> "TransitionKernel":
+        """self then other: row x sends weight W_A[x,i]*W_B[T_A[x,i],j] to T_B[T_A[x,i],j]."""
         if self.grid != other.grid:
             raise ValueError("cannot compose kernels on different grids")
-        return TransitionKernel(grid=self.grid, t=self.t + other.t, matrix=self.matrix @ other.matrix)
+        weights = self.weights[:, :, np.newaxis] * other.weights[self.targets]
+        return _flat(self.grid, self.t + other.t, other.targets[self.targets], weights)
 
 
 def build_cylinder_kernel(grid: LeafGrid, t: float) -> TransitionKernel:
     """Discretized rotation-jump semigroup at a grid-aligned time.
 
     From each state the kernel moves mass (1+e^{-2t})/2 to the site rotated by
-    t and (1-e^{-2t})/2 to the rotated antipodal site, on the same leaf.  t
-    must be a multiple of 2*pi/m with m even, so both targets are grid-exact;
-    off-grid rotations are an error (no interpolation).
+    t (column 0) and (1-e^{-2t})/2 to the rotated antipodal site (column 1),
+    on the same leaf.  t must be a multiple of 2*pi/m with m even, so both
+    targets are grid-exact; off-grid rotations are an error (no interpolation).
     """
     if grid.m % 2 != 0:
         raise ValueError(f"antipodal map needs an even number of sites, got m={grid.m}")
     step = TWO_PI / grid.m
     k = round(t / step)
     if abs(t - k * step) > _ALIGN_TOL:
-        raise ValueError(
-            f"t={t} does not align with the grid: must be a multiple of 2*pi/{grid.m}"
-        )
+        raise ValueError(f"t={t} does not align with the grid: must be a multiple of 2*pi/{grid.m}")
     p_jump = 0.5 * (1.0 - math.exp(-2.0 * t))
     p_stay = 0.5 * (1.0 + math.exp(-2.0 * t))
-    n = grid.n_states
-    matrix = np.zeros((n, n))
-    half = grid.m // 2
-    for leaf_i in range(len(grid.leaves)):
-        for site in range(grid.m):
-            row = grid.index(leaf_i, site)
-            matrix[row, grid.index(leaf_i, site + k)] += p_stay
-            matrix[row, grid.index(leaf_i, site + k + half)] += p_jump
     return TransitionKernel(
-        grid=grid, t=float(t), matrix=matrix, meta={"rotation_steps": int(k), "jump_prob": p_jump}
+        grid=grid,
+        t=float(t),
+        targets=grid.rotated([k, k + grid.m // 2]),
+        weights=np.tile([p_stay, p_jump], (grid.n_states, 1)),
+        meta={"rotation_steps": int(k), "jump_prob": p_jump},
     )
 
 
@@ -155,37 +182,44 @@ def product_kernel_flow(k1: TransitionKernel) -> TransitionKernel:
 
     Both coordinates receive the SAME rotation and the SAME jump outcome:
     mass (1+e^{-2t})/2 on (both rotated) and (1-e^{-2t})/2 on (both rotated
-    antipodal).
+    antipodal), i.e. column j of k1 applied to both coordinates.
     """
     if "rotation_steps" not in k1.meta:
         raise ValueError("product_kernel_flow needs a kernel built by build_cylinder_kernel")
-    grid = k1.grid
-    if not isinstance(grid, LeafGrid):
+    if not isinstance(k1.grid, LeafGrid):
         raise ValueError("k1 must live on a single-point LeafGrid")
-    k = k1.meta["rotation_steps"]
+    n = k1.grid.n_states
     p_jump = k1.meta["jump_prob"]
-    pair = PairGrid(base=grid)
-    n = grid.n_states
-    matrix = np.zeros((pair.n_states, pair.n_states))
-    half = grid.m // 2
-
-    def moved(state: int, extra: int) -> int:
-        return grid.index(grid.leaf_of(state), grid.site_of(state) + k + extra)
-
-    for s1 in range(n):
-        for s2 in range(n):
-            row = pair.index(s1, s2)
-            matrix[row, pair.index(moved(s1, 0), moved(s2, 0))] += 1.0 - p_jump
-            matrix[row, pair.index(moved(s1, half), moved(s2, half))] += p_jump
-    return TransitionKernel(grid=pair, t=k1.t, matrix=matrix)
+    targets = k1.targets[:, np.newaxis, :] * n + k1.targets
+    return _flat(PairGrid(base=k1.grid), k1.t, targets, np.tile([1.0 - p_jump, p_jump], (n, n, 1)))
 
 
 def independent_product_kernel(k1: TransitionKernel) -> TransitionKernel:
     """Tensor square of a 1-point kernel (two independent copies)."""
     if not isinstance(k1.grid, LeafGrid):
         raise ValueError("k1 must live on a single-point LeafGrid")
-    pair = PairGrid(base=k1.grid)
-    return TransitionKernel(grid=pair, t=k1.t, matrix=np.kron(k1.matrix, k1.matrix))
+    t, w = k1.targets[:, np.newaxis, :, np.newaxis], k1.weights[:, np.newaxis, :, np.newaxis]
+    targets = t * k1.grid.n_states + k1.targets[:, np.newaxis, :]
+    return _flat(PairGrid(base=k1.grid), k1.t, targets, w * k1.weights[:, np.newaxis, :])
+
+
+def _law_gap(targets_a, weights_a, targets_b, weights_b) -> float:
+    """Max over rows x, states y of |law_a(x){y} - law_b(x){y}|, summing the signed
+    weights of the columns that share a target one column at a time (no sort)."""
+    targets = np.hstack((targets_a, targets_b))
+    weights = np.hstack((weights_a, -weights_b))
+    worst = 0.0
+    for j in range(targets.shape[1]):
+        mass = np.where(targets == targets[:, j : j + 1], weights, 0.0).sum(axis=1)
+        worst = max(worst, float(np.max(np.abs(mass))))
+    return worst
+
+
+def kernel_distance(a: TransitionKernel, b: TransitionKernel) -> float:
+    """Max-norm distance max_{x,y} |a(x, y) - b(x, y)| of two kernels on one grid."""
+    if a.grid != b.grid:
+        raise ValueError("kernels live on different grids")
+    return _law_gap(a.targets, a.weights, b.targets, b.weights)
 
 
 def _require_pair_over(k2: TransitionKernel, k1: TransitionKernel) -> int:
@@ -200,13 +234,11 @@ def check_compatibility(k2: TransitionKernel, k1: TransitionKernel) -> float:
     """Max defect of the first-coordinate marginal of k2 against k1.
 
     Test functions are f(x1, x2) = g(x1) over all grid indicators g, so this
-    is the exact max-norm marginal defect (Def-style compatibility).
+    is the exact max-norm marginal defect (Def-style compatibility): row
+    (x1, x2) of k2, projected to its first coordinate, against row x1 of k1.
     """
-    n = _require_pair_over(k2, k1)
-    m4 = k2.matrix.reshape(n, n, n, n)
-    marginal = m4.sum(axis=3)  # (x1, x2, z)
-    defect = np.abs(marginal - k1.matrix[:, np.newaxis, :])
-    return float(np.max(defect))
+    n = _require_pair_over(k2, k1)  # pair row x1*n + x2 meets k1's row x1, repeated n times
+    return _law_gap(k2.targets // n, k2.weights, k1.targets.repeat(n, axis=0), k1.weights.repeat(n, axis=0))
 
 
 def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> float:
@@ -216,34 +248,24 @@ def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> flo
     1-point transition x -> z.
     """
     n = _require_pair_over(k2, k1)
-    m4 = k2.matrix.reshape(n, n, n, n)
-    diag_block = m4[np.arange(n), np.arange(n)][:, np.arange(n), np.arange(n)]  # (x, z)
-    return float(np.max(np.abs(diag_block - k1.matrix)))
+    diag = k2.grid.diagonal_indices()
+    y1, y2 = np.divmod(k2.targets[diag], n)
+    return _law_gap(y1, np.where(y1 == y2, k2.weights[diag], 0.0), k1.targets, k1.weights)
 
 
 def check_foliated(k: TransitionKernel) -> float:
     """Max over rows of the total mass sent to states with a different leaf label.
 
     Zero iff the kernel is foliated on the grid (the discrete statement that
-    the support of every transition measure stays inside the leaf).
+    the support of every transition measure stays inside the leaf); on a
+    PairGrid a state's label is the pair of its coordinates' leaves.
     """
-    if isinstance(k.grid, LeafGrid):
-        labels = k.grid.leaf_labels()
-        off = labels[np.newaxis, :] != labels[:, np.newaxis]
-        return float(np.max(np.where(off, k.matrix, 0.0).sum(axis=1)))
-    base = k.grid.base
-    labels = base.leaf_labels()
-    n = base.n_states
-    m4 = k.matrix.reshape(n, n, n, n)
-    off1 = labels[np.newaxis, :] != labels[:, np.newaxis]  # (x1, y1)
-    off2 = off1  # same grid on the second coordinate
-    mask = off1[:, np.newaxis, :, np.newaxis] | off2[np.newaxis, :, np.newaxis, :]
-    return float(np.max(np.where(mask, m4, 0.0).sum(axis=(2, 3))))
+    labels = k.grid.leaf_labels()
+    off = labels[k.targets] != labels[:, np.newaxis]
+    return float(np.max(np.where(off, k.weights, 0.0).sum(axis=1)))
 
 
-def function_pair_degeneracy_gap(
-    k: TransitionKernel, f: np.ndarray, g: np.ndarray, leaf_i: int
-) -> float:
+def function_pair_degeneracy_gap(k: TransitionKernel, f: np.ndarray, g: np.ndarray, leaf_i: int) -> float:
     """Max over states x on the given leaf of |P_t f(x) - P_t g(x)|.
 
     f and g must agree on the leaf; for a foliated kernel the gap is 0 (the
@@ -257,20 +279,20 @@ def function_pair_degeneracy_gap(
         raise ValueError(f"no such leaf index {leaf_i}")
     if np.max(np.abs(f[on_leaf] - g[on_leaf])) > 0.0:
         raise ValueError("test functions must agree on the leaf")
-    action = k.matrix @ (f - g)
+    action = (k.weights * (f - g)[k.targets]).sum(axis=1)
     return float(np.max(np.abs(action[on_leaf])))
 
 
-def _is_irreducible(matrix: np.ndarray) -> bool:
-    reach = matrix > 0.0
-    n = matrix.shape[0]
-    closure = reach | np.eye(n, dtype=bool)
-    for _ in range(n):
-        nxt = closure | (closure @ closure)
-        if np.array_equal(nxt, closure):
-            break
-        closure = nxt
-    return bool(np.all(closure))
+def _is_irreducible(k: TransitionKernel) -> bool:
+    """State 0 reaches every state and every state reaches 0 along positive weights."""
+    edge = k.weights > 0.0
+    fwd = bwd = np.arange(k.grid.n_states) == 0
+    while True:
+        nxt_fwd = fwd | (np.bincount(k.targets[edge & fwd[:, np.newaxis]], minlength=fwd.size) > 0)
+        nxt_bwd = bwd | np.any(edge & bwd[k.targets], axis=1)
+        if np.array_equal(nxt_fwd, fwd) and np.array_equal(nxt_bwd, bwd):
+            return bool(np.all(fwd) and np.all(bwd))
+        fwd, bwd = nxt_fwd, nxt_bwd
 
 
 def coalesce_two_point(k1: TransitionKernel) -> TransitionKernel:
@@ -285,17 +307,16 @@ def coalesce_two_point(k1: TransitionKernel) -> TransitionKernel:
         raise ValueError("k1 must live on a LeafGrid")
     if len(k1.grid.leaves) != 1:
         raise ValueError("the coalescing construction expects a single-leaf kernel")
-    if not _is_irreducible(k1.matrix):
+    if not _is_irreducible(k1):
         warnings.warn("1-point kernel is not irreducible; coalescence may never occur")
-    pair = PairGrid(base=k1.grid)
-    n = k1.grid.n_states
-    matrix = np.kron(k1.matrix, k1.matrix)
-    diag = pair.diagonal_indices()
-    for z in range(n):
-        row = np.zeros(pair.n_states)
-        row[diag] = k1.matrix[z]
-        matrix[diag[z]] = row
-    return TransitionKernel(grid=pair, t=k1.t, matrix=matrix)
+    indep = independent_product_kernel(k1)
+    targets, weights = indep.targets, indep.weights
+    diag, width = indep.grid.diagonal_indices(), k1.targets.shape[1]
+    # diagonal row (z, z): k1's row z mapped to the diagonal, zero-weight padded
+    targets[diag] = diag[k1.targets[:, np.arange(width * width) % width]]
+    weights[diag] = 0.0
+    weights[diag, :width] = k1.weights
+    return TransitionKernel(grid=indep.grid, t=k1.t, targets=targets, weights=weights)
 
 
 def cyclic_walk_kernel(m: int, p_left: float, leaf=(1.0, 0.0), t: float = 1.0) -> TransitionKernel:
@@ -303,34 +324,26 @@ def cyclic_walk_kernel(m: int, p_left: float, leaf=(1.0, 0.0), t: float = 1.0) -
     if not 0.0 <= p_left <= 1.0:
         raise ValueError(f"p_left must be a probability: {p_left}")
     grid = LeafGrid(m=m, leaves=(tuple(leaf),))
-    matrix = np.zeros((m, m))
-    for s in range(m):
-        matrix[s, (s - 1) % m] += p_left
-        matrix[s, (s + 1) % m] += 1.0 - p_left
-    return TransitionKernel(grid=grid, t=t, matrix=matrix)
+    weights = np.tile([p_left, 1.0 - p_left], (m, 1))
+    return TransitionKernel(grid=grid, t=t, targets=grid.rotated([-1, 1]), weights=weights)
 
 
 def first_marginal(k2: TransitionKernel) -> np.ndarray:
-    """First-coordinate marginal matrix of a pair kernel."""
+    """First-coordinate marginal of a pair kernel as a dense (x1, x2, y1) array."""
     n = k2.grid.base.n_states
-    return k2.matrix.reshape(n, n, n, n).sum(axis=3)
+    return _dense(k2.targets // n, k2.weights, n).reshape(n, n, n)
 
 
 def kernel_to_json(k: TransitionKernel) -> dict:
-    if isinstance(k.grid, LeafGrid):
-        grid = {"kind": "leaf", "m": k.grid.m, "leaves": [list(l) for l in k.grid.leaves]}
-    else:
-        grid = {
-            "kind": "pair",
-            "m": k.grid.base.m,
-            "leaves": [list(l) for l in k.grid.base.leaves],
-        }
+    base = k.grid if isinstance(k.grid, LeafGrid) else k.grid.base
+    kind = "leaf" if base is k.grid else "pair"
+    grid = {"kind": kind, "m": base.m, "leaves": [list(l) for l in base.leaves]}
     return {"grid": grid, "t": k.t, "matrix": k.matrix.tolist()}
 
 
 def write_kernel_json(k: TransitionKernel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(kernel_to_json(k), fh)
+        fh.write(json.dumps(kernel_to_json(k)))
 
 
 def defect_record(check: str, t: float, defect: float) -> dict:

@@ -28,7 +28,7 @@ TWO_LEAVES = ((1.0, 0.0), (2.0, 0.0))
 
 def _uniform_kernel(grid: LeafGrid) -> TransitionKernel:
     n = grid.n_states
-    return TransitionKernel(grid=grid, t=1.0, matrix=np.full((n, n), 1.0 / n))
+    return TransitionKernel.from_dense(grid, 1.0, np.full((n, n), 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,9 @@ def test_kernel_alignment_errors():
 def test_kernel_rejects_bad_matrix():
     grid = LeafGrid(m=2, leaves=((1.0, 0.0),))
     with pytest.raises(ValueError):
-        TransitionKernel(grid=grid, t=0.0, matrix=np.array([[0.5, 0.4], [0.0, 1.0]]))
+        TransitionKernel.from_dense(grid, 0.0, np.array([[0.5, 0.4], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        TransitionKernel(grid=grid, t=0.0, matrix=np.array([[1.5, -0.5], [0.0, 1.0]]))
+        TransitionKernel.from_dense(grid, 0.0, np.array([[1.5, -0.5], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +117,15 @@ def test_compatibility_detects_corruption():
     dst = np.argmin(corrupted[row])
     corrupted[row, src] -= 0.1
     corrupted[row, dst] += 0.1
-    bad = TransitionKernel(grid=k2.grid, t=k2.t, matrix=corrupted)
+    bad = TransitionKernel.from_dense(k2.grid, k2.t, corrupted)
     assert check_compatibility(bad, k1) >= 0.05
 
 
 def test_compatibility_identity_kernels():
     grid = LeafGrid(m=4, leaves=((1.0, 0.0),))
-    k1 = TransitionKernel(grid=grid, t=0.0, matrix=np.eye(grid.n_states))
+    k1 = TransitionKernel.from_dense(grid, 0.0, np.eye(grid.n_states))
     pair = PairGrid(base=grid)
-    k2 = TransitionKernel(grid=pair, t=0.0, matrix=np.eye(pair.n_states))
+    k2 = TransitionKernel.from_dense(pair, 0.0, np.eye(pair.n_states))
     assert check_compatibility(k2, k1) == 0.0
     assert check_diagonal_preserving(k2, k1) == 0.0
 
@@ -157,7 +157,7 @@ def test_uniform_kernel_off_leaf_mass():
 
 def test_identity_kernel_is_foliated():
     grid = LeafGrid(m=4, leaves=TWO_LEAVES)
-    k = TransitionKernel(grid=grid, t=0.0, matrix=np.eye(grid.n_states))
+    k = TransitionKernel.from_dense(grid, 0.0, np.eye(grid.n_states))
     assert check_foliated(k) == 0.0
 
 
@@ -276,7 +276,7 @@ def test_coalesce_diagonal_mass_nondecreasing():
 
 def test_coalesce_warns_on_reducible_chain():
     grid = LeafGrid(m=2, leaves=((1.0, 0.0),))
-    k1 = TransitionKernel(grid=grid, t=1.0, matrix=np.eye(2))
+    k1 = TransitionKernel.from_dense(grid, 1.0, np.eye(2))
     with pytest.warns(UserWarning):
         coalesce_two_point(k1)
 
