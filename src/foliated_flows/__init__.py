@@ -21,8 +21,6 @@ from .averaging import (
 from .drivers import (
     DriverPath,
     StreamKey,
-    dump_driver,
-    load_driver,
     sample_brownian,
     sample_driver,
     sample_jump_driver,
@@ -34,6 +32,7 @@ from .flows import (
     NPointSeries,
     Trajectory,
     check_leaf_invariance,
+    coalescence_times,
     cylinder_trajectory,
     evolve_coalescing_circle,
     evolve_cylinder,

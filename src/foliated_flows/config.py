@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .averaging import F_CHOICES, InvariantMeasureSpec, MEASURE_MODES
+from .drivers import _GRID_TOL
 from .geometry import MODEL_NAMES, PerturbationField, VerticalRegion
 
 EXPERIMENT_KINDS = ("simulate", "kernel-check", "average", "rates", "coalesce")
@@ -415,6 +416,8 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
                                "need at least 2 curve points"),
     )
     csec.finish()
+    if abs(co.horizon / co.dt - round(co.horizon / co.dt)) > _GRID_TOL:
+        problems.append(f"config.coalesce.horizon: must be a multiple of dt={co.dt} (got {co.horizon!r})")
     if not co.starts:
         co = CoalesceConfig(
             horizon=co.horizon, dt=co.dt, replicas=co.replicas, curve_points=co.curve_points

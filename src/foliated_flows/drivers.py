@@ -11,7 +11,6 @@ n-point motion, consume one and the same path.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -213,41 +212,3 @@ def sample_jump_driver(key: StreamKey, horizon: float, dt: float, rate: float = 
     jumps = sample_poisson_jumps(key, rate, horizon) if horizon > 0.0 else np.empty(0)
     return DriverPath(key=key, horizon=float(horizon), dt=float(dt), jump_times=jumps)
 
-
-_DUMP_MAGIC = b"FFDRIVER"
-
-
-def dump_driver(path: DriverPath, fileobj) -> None:
-    """Binary dump: key/horizon/dt header + little-endian float64 arrays."""
-    k = path.key
-    header = struct.pack(
-        "<8sqqqqddqq",
-        _DUMP_MAGIC,
-        k.experiment_seed,
-        k.replica_id,
-        k.point_id,
-        _ROLE_CODES[k.role],
-        path.horizon,
-        path.dt,
-        path.brownian_increments.size,
-        path.jump_times.size,
-    )
-    fileobj.write(header)
-    fileobj.write(path.brownian_increments.astype("<f8").tobytes())
-    fileobj.write(path.jump_times.astype("<f8").tobytes())
-
-
-def load_driver(fileobj) -> DriverPath:
-    header = fileobj.read(struct.calcsize("<8sqqqqddqq"))
-    magic, seed, replica, point, role_code, horizon, dt, n_inc, n_jump = struct.unpack(
-        "<8sqqqqddqq", header
-    )
-    if magic != _DUMP_MAGIC:
-        raise ValueError("not a driver dump")
-    role = {v: k for k, v in _ROLE_CODES.items()}[role_code]
-    increments = np.frombuffer(fileobj.read(8 * n_inc), dtype="<f8").copy()
-    jumps = np.frombuffer(fileobj.read(8 * n_jump), dtype="<f8").copy()
-    key = StreamKey(experiment_seed=seed, replica_id=replica, point_id=point, role=role)
-    return DriverPath(
-        key=key, horizon=horizon, dt=dt, brownian_increments=increments, jump_times=jumps
-    )

@@ -7,7 +7,9 @@
   keeps the exact same rotation and jumps (common noise).
 * Coalescing circle: each point follows an independent leafwise Brownian
   motion; same-leaf trajectories merge when they meet and move together
-  afterwards.  Points on different leaves can never meet.
+  afterwards.  Points on different leaves can never meet.  When only the hit
+  times are wanted, ``coalescence_times`` draws the paths in blocks and stops
+  once every leaf is one class; a point alone on its leaf draws nothing.
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
@@ -25,9 +27,12 @@ from functools import cached_property
 import numpy as np
 
 from .drivers import (
+    _DOMAIN_BROWNIAN,
     ROLE_INDEPENDENT,
     DriverPath,
     StreamKey,
+    _n_steps,
+    _validate_horizon_dt,
     sample_brownian,
     sample_jump_driver,
 )
@@ -47,6 +52,9 @@ from .geometry import (
 CYLINDER_JUMP_RATE = 1.0
 
 _TIME_TOL = 1e-9
+
+# Steps of Brownian increments that coalescence_times draws per point at a time.
+_DRAW_BLOCK = 512
 
 
 class ManifoldExit(RuntimeError):
@@ -328,7 +336,8 @@ def cylinder_trajectory(
 # n-point motions
 
 
-def _initial_partition(starts: list, same_point) -> list[int]:
+def _initial_partition(starts: list, same_point) -> tuple[list[int], dict]:
+    """Class ids (lowest member index) of equal starts, and hit time 0.0 for their pairs."""
     n = len(starts)
     ids = list(range(n))
     for j in range(n):
@@ -336,7 +345,7 @@ def _initial_partition(starts: list, same_point) -> list[int]:
             if ids[i] == i and same_point(starts[i], starts[j]):
                 ids[j] = ids[i]
                 break
-    return ids
+    return ids, {(i, j): 0.0 for j in range(n) for i in range(j) if ids[i] == ids[j]}
 
 
 def n_point_motion(
@@ -374,14 +383,8 @@ def n_point_motion(
 
     times = trajs[0].times
     states = np.stack([tr.states for tr in trajs], axis=1)
-    ids0 = _initial_partition(starts, same)
+    ids0, hit_times = _initial_partition(starts, same)
     class_ids = np.tile(np.array(ids0, dtype=int), (times.size, 1))
-    hit_times = {
-        (i, j): 0.0
-        for j in range(len(starts))
-        for i in range(j)
-        if ids0[i] == ids0[j]
-    }
     return NPointSeries(
         model=model,
         times=times,
@@ -392,106 +395,140 @@ def n_point_motion(
     )
 
 
-def evolve_coalescing_circle(
-    starts: list[CylPoint],
-    key: StreamKey,
-    horizon: float,
-    dt: float,
-    sigma: float | None = None,
-) -> NPointSeries:
-    """Independent leafwise Brownian points with merge-on-meeting.
-
-    Each point consumes its own stream (point_id = index, role independent).
-    Two same-leaf points merge when their signed circular gap changes sign
-    within a step (a true zero crossing, not an antipodal wrap) or its
-    magnitude drops below sigma*sqrt(dt)/10; the merged class adopts the
-    lowest-index driver.  Cross-leaf pairs never merge.
-    """
-    model = CoalescingCircle(sigma=1.0 if sigma is None else sigma)
-    sig = model.sigma
-    n = len(starts)
-    if n == 0:
+def _coalescing_start(starts: list[CylPoint], sigma: float | None):
+    """Validated sigma, initial class ids and hit times (0.0 for identical starts)."""
+    sig = CoalescingCircle(sigma=1.0 if sigma is None else sigma).sigma
+    if not starts:
         raise ValueError("need at least one start point")
     for p in starts:
         if not isinstance(p, CylPoint):
             raise ValueError("coalescing circle starts must be CylPoints")
-
-    paths = [
-        sample_brownian(key.point(i).with_role(ROLE_INDEPENDENT), horizon, dt) for i in range(n)
-    ]
-    times = paths[0].times
-    n_times = times.size
-    theta = np.empty((n_times, n))
-    for i, p in enumerate(paths):
-        theta[:, i] = starts[i].theta + sig * p.brownian
-
-    leaves = [p.leaf for p in starts]
-    delta_c = sig * math.sqrt(dt) / 10.0
-
-    ids = _initial_partition(
+    ids, hit_times = _initial_partition(
         starts, lambda p, q: p.leaf == q.leaf and wrap_angle(p.theta - q.theta) == 0.0
     )
-    ids0 = list(ids)
-    hit_times: dict[tuple[int, int], float] = {
-        (i, j): 0.0 for j in range(n) for i in range(j) if ids[i] == ids[j]
-    }
-    for j in range(n):
-        if ids[j] != j:
-            theta[:, j] = theta[:, ids[j]]
+    return sig, ids, hit_times
 
-    merge_events: list[tuple[int, int, int]] = []  # (step, absorbed_rep, surviving_rep)
 
-    def first_meeting(a: int, b: int) -> int | None:
-        g = np.mod(theta[:, a] - theta[:, b] + math.pi, TWO_PI) - math.pi
-        step = np.abs(np.diff(g))
-        crossing = (g[:-1] * g[1:] <= 0.0) & (step <= math.pi)
-        close = np.abs(g[1:]) < delta_c
-        hits = np.flatnonzero(crossing | close)
-        return int(hits[0]) + 1 if hits.size else None
+def _live_pairs(ids: list[int], leaves: list) -> list[tuple[int, int]]:
+    """Pairs a < b of class representatives on one leaf: the pairs that can still merge."""
+    reps = [i for i, c in enumerate(ids) if c == i]
+    return [(a, b) for bi, b in enumerate(reps) for a in reps[:bi] if leaves[a] == leaves[b]]
 
-    while True:
-        best: tuple[int, int, int] | None = None
-        reps = sorted(set(ids))
-        for bi in range(len(reps)):
-            for ai in range(bi):
-                a, b = reps[ai], reps[bi]
-                if leaves[a] != leaves[b]:
-                    continue
-                k = first_meeting(a, b)
-                if k is not None and (best is None or k < best[0]):
-                    best = (k, b, a)  # lower index survives
-        if best is None:
-            break
-        k, absorbed, survivor = best
-        members_a = [i for i in range(n) if ids[i] == absorbed]
-        members_s = [i for i in range(n) if ids[i] == survivor]
+
+def _merge_meetings(
+    theta: np.ndarray, k0: int, pairs: list, ids: list[int], dt: float, delta_c: float, hit_times: dict
+) -> list[tuple[int, int, int]]:
+    """Merge the classes whose representatives meet on the rows of theta.
+
+    Row r holds the angles at step k0 + r; row 0 was scanned before (or is the
+    start).  Meetings apply in order of (step, b, a): b's class joins a's
+    unless either was absorbed earlier, and each pair across the two classes
+    gets the step's time.  Updates ids and hit_times; returns the merges as
+    (step, absorbed, survivor).
+    """
+    if not pairs or len(theta) < 2:
+        return []
+    a, b = np.array(pairs).T
+    g = np.mod(theta[:, a] - theta[:, b] + math.pi, TWO_PI) - math.pi
+    crossing = (g[:-1] * g[1:] <= 0.0) & (np.abs(np.diff(g, axis=0)) <= math.pi)
+    hit = crossing | (np.abs(g[1:]) < delta_c)
+    first = hit.argmax(axis=0)
+    events = sorted(
+        (k0 + 1 + int(first[p]), pairs[p][1], pairs[p][0]) for p in np.flatnonzero(hit.any(axis=0))
+    )
+    merges = []
+    for k, absorbed, survivor in events:
+        if ids[absorbed] != absorbed or ids[survivor] != survivor:
+            continue
+        members_a = [i for i, c in enumerate(ids) if c == absorbed]
+        members_s = [i for i, c in enumerate(ids) if c == survivor]
         for i in members_a:
             ids[i] = survivor
-            theta[k:, i] = theta[k:, survivor]
-        t_hit = float(times[k])
-        for i in members_a:
             for j in members_s:
-                hit_times[(min(i, j), max(i, j))] = t_hit
-        merge_events.append((k, absorbed, survivor))
+                hit_times[(min(i, j), max(i, j))] = k * dt
+        merges.append((k, absorbed, survivor))
+    return merges
 
-    class_ids = np.tile(np.array(ids0, dtype=int), (n_times, 1))
-    for k, absorbed, survivor in merge_events:
+
+def evolve_coalescing_circle(
+    starts: list[CylPoint], key: StreamKey, horizon: float, dt: float, sigma: float | None = None
+) -> NPointSeries:
+    """Independent leafwise Brownian points with merge-on-meeting.
+
+    Each point consumes its own stream (point_id = index, role independent)
+    over the whole horizon.  Two same-leaf points merge when their signed
+    circular gap changes sign within a step (a true zero crossing, not an
+    antipodal wrap) or its magnitude drops below sigma*sqrt(dt)/10; the merged
+    class adopts the lowest-index driver.  Cross-leaf pairs never merge.
+    ``coalescence_times`` gives the same ``hit_times`` from the same merge
+    scan, drawing only until every leaf is one class and never for a point
+    alone on its leaf.
+    """
+    sig, ids, hit_times = _coalescing_start(starts, sigma)
+    paths = [
+        sample_brownian(key.point(i).with_role(ROLE_INDEPENDENT), horizon, dt)
+        for i in range(len(starts))
+    ]
+    times = paths[0].times
+    # identical starts share their representative's path from time 0
+    theta = np.column_stack([starts[c].theta + sig * paths[c].brownian for c in ids])
+    class_ids = np.tile(np.array(ids, dtype=int), (times.size, 1))
+    pairs = _live_pairs(ids, [p.leaf for p in starts])
+    for k, absorbed, survivor in _merge_meetings(
+        theta, 0, pairs, ids, dt, sig * math.sqrt(dt) / 10.0, hit_times
+    ):
         mask = class_ids[k] == absorbed
         class_ids[k:, mask] = survivor
+        theta[k:, mask] = theta[k:, [survivor]]
 
-    states = np.empty((n_times, n, 3))
+    states = np.empty((times.size, len(starts), 3))
     states[:, :, 0] = np.mod(theta, TWO_PI)
-    for i in range(n):
-        states[:, i, 1] = starts[i].r
-        states[:, i, 2] = starts[i].z
+    states[:, :, 1] = [p.r for p in starts]
+    states[:, :, 2] = [p.z for p in starts]
     return NPointSeries(
-        model=model,
-        times=times,
-        states=states,
-        columns=("theta", "r", "z"),
-        class_ids=class_ids,
-        hit_times=hit_times,
+        model=CoalescingCircle(sigma=sig), times=times, states=states,
+        columns=("theta", "r", "z"), class_ids=class_ids, hit_times=hit_times,
     )
+
+
+def coalescence_times(
+    starts: list[CylPoint], key: StreamKey, horizon: float, dt: float, sigma: float | None = None
+) -> dict[tuple[int, int], float]:
+    """The ``hit_times`` of ``evolve_coalescing_circle`` with the same arguments, bit for bit.
+
+    Only representatives sharing their leaf with another class draw, each
+    from its stream in ``evolve_coalescing_circle``, _DRAW_BLOCK steps at a
+    time, and each block goes through the same merge scan.  Normals drawn in
+    blocks are the numbers of one call, and each block's Brownian sum starts
+    from the last value of the one before, so the angles are the full path's
+    to the bit.  Drawing stops once every leaf is one class; a point alone on
+    its leaf opens no stream.
+    """
+    sig, ids, hit_times = _coalescing_start(starts, sigma)
+    _validate_horizon_dt(horizon, dt)
+    n_steps = _n_steps(horizon, dt)
+    leaves = [p.leaf for p in starts]
+    rngs: dict[int, np.random.Generator] = {}
+    brownian = np.zeros(len(starts))  # B at the last drawn step
+    theta = np.array([[p.theta for p in starts]])  # the last row scanned
+    for k0 in range(0, n_steps, _DRAW_BLOCK):
+        pairs = _live_pairs(ids, leaves)
+        if not pairs:
+            break
+        rows = min(_DRAW_BLOCK, n_steps - k0)
+        block = np.empty((rows + 1, len(starts)))  # columns that do not draw are never read
+        block[0] = theta[-1]
+        for i in sorted({i for pq in pairs for i in pq}):
+            if i not in rngs:
+                rngs[i] = key.point(i).with_role(ROLE_INDEPENDENT).generator(_DOMAIN_BROWNIAN)
+            increments = rngs[i].normal(0.0, math.sqrt(dt), size=rows)
+            increments[0] += brownian[i]
+            np.cumsum(increments, out=increments)
+            brownian[i] = increments[-1]
+            block[1:, i] = starts[i].theta + sig * increments
+        _merge_meetings(block, k0, pairs, ids, dt, sig * math.sqrt(dt) / 10.0, hit_times)
+        theta = block
+    return hit_times
 
 
 # ---------------------------------------------------------------------------

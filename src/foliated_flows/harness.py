@@ -30,6 +30,7 @@ from .flows import (
     CYLINDER_JUMP_RATE,
     Trajectory,
     check_leaf_invariance,
+    coalescence_times,
     cylinder_trajectory,
     evolve_coalescing_circle,
     max_defect_over_series,
@@ -297,10 +298,8 @@ def _run_coalesce(cfg: ExperimentConfig, threads: int) -> dict:
     same_leaf = {pq: starts[pq[0]].leaf == starts[pq[1]].leaf for pq in pairs}
 
     def one(i: int):
-        series = evolve_coalescing_circle(
-            starts, base.replica(i), co.horizon, co.dt, sigma=cfg.model.sigma
-        )
-        return {pq: series.hit_times.get(pq) for pq in pairs}
+        hits = coalescence_times(starts, base.replica(i), co.horizon, co.dt, sigma=cfg.model.sigma)
+        return {pq: hits.get(pq) for pq in pairs}
 
     rows = map_indexed(one, co.replicas, threads)
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliated_flows.drivers import (
+    _DOMAIN_BROWNIAN,
     DriverPath,
     StreamKey,
-    dump_driver,
-    load_driver,
     sample_brownian,
     sample_driver,
     sample_jump_driver,
@@ -167,17 +165,22 @@ def test_distinct_roles_and_domains_differ():
     np.testing.assert_array_equal(j1, j2)
 
 
-def test_binary_dump_round_trip_bit_exact():
-    key = StreamKey(SEED, replica_id=9, point_id=2, role="independent")
-    path = sample_driver(key, horizon=3.0, dt=0.1, jump_rate=1.0)
-    buf = io.BytesIO()
-    dump_driver(path, buf)
-    buf.seek(0)
-    back = load_driver(buf)
-    assert back.key == key
-    assert back.horizon == path.horizon and back.dt == path.dt
-    assert back.brownian_increments.tobytes() == path.brownian_increments.tobytes()
-    assert back.jump_times.tobytes() == path.jump_times.tobytes()
+def test_block_draws_and_carried_sum_equal_one_call():
+    # coalescence_times draws each stream in blocks; this is the identity it relies on
+    key = StreamKey(SEED, replica_id=5, point_id=1, role="independent")
+    horizon, dt = 7.3, 0.01
+    path = sample_brownian(key, horizon, dt)
+    rng = key.generator(_DOMAIN_BROWNIAN)
+    draws, sums, last = [], [], 0.0
+    for size in (1, 7, 300, 2, 64, path.n_steps - 374):
+        block = rng.normal(0.0, math.sqrt(dt), size=size)
+        draws.append(block.copy())
+        block[0] += last
+        np.cumsum(block, out=block)
+        last = block[-1]
+        sums.append(block)
+    assert np.concatenate(draws).tobytes() == path.brownian_increments.tobytes()
+    assert np.concatenate([[0.0]] + sums).tobytes() == path.brownian.tobytes()
 
 
 def test_jump_driver_has_no_brownian_component():

@@ -5,7 +5,7 @@ import yaml
 
 from foliated_flows.averaging import averaging_error
 from foliated_flows.cli import main as cli_main
-from foliated_flows.config import ConfigError, parse_config
+from foliated_flows.config import ConfigError, load_config, parse_config
 from foliated_flows.drivers import StreamKey
 from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder
 from foliated_flows.harness import emit_plotdata, run
@@ -91,6 +91,17 @@ def test_config_defaults_fill_in():
     assert cfg.kernel_check.m == 8
     assert cfg.kernel_check.leaves == ((1.0, 0.0), (2.0, 0.0))
     assert cfg.region.r_min == 0.5
+
+
+def test_config_rejects_coalesce_horizon_off_the_dt_grid(tmp_path):
+    # the grid would end at 1.01, so a hit could be stamped after the horizon
+    data = {"experiment": "coalesce", "coalesce": {"horizon": 1.005, "dt": 0.01}}
+    with pytest.raises(ConfigError) as info:
+        load_config(_write_cfg(tmp_path, data))
+    assert any(p.startswith("config.coalesce.horizon") for p in info.value.problems)
+    for horizon, dt in [(0.3, 0.1), (50.0, 0.01), (0.0, 0.01)]:
+        data["coalesce"] = {"horizon": horizon, "dt": dt}
+        assert load_config(_write_cfg(tmp_path, data)).coalesce.horizon == horizon
 
 
 # ---------------------------------------------------------------------------
