@@ -590,7 +590,8 @@ def averaging_error(
     Each replica simulates one perturbed path under its own keyed stream,
     computes the endpoint error against the averaged-ODE solution, and runs
     the pathwise A1..A4 bound checks.  Requires t < T0 (the ODE must not
-    leave V before t).
+    leave V before t).  Replicas run serially in index order; ``threads``
+    has no effect.
     """
     if p < 1.0:
         raise ValueError(f"p must be in [1, inf): {p}")
@@ -631,7 +632,7 @@ def averaging_error(
         checks = check_pathwise_bounds(res, perturbation, region, replica_id=i)
         return err, checks, res.components
 
-    rows = map_indexed(one_replica, n_replicas, threads)
+    rows = map_indexed(one_replica, n_replicas)
 
     errors = np.full(n_replicas, np.nan)
     violations: list[BoundViolation] = []

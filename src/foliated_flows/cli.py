@@ -4,8 +4,8 @@
         --config <path> [--seed <int>] [--out <dir>] [--replicas <int>] [--quiet]
 
 Validation failures exit with status 2 and a machine-readable JSON record on
-stderr; runtime failures exit with status 1.  Thread count comes from the
-FOLIATED_FLOWS_THREADS environment variable only.
+stderr; runtime failures exit with status 1.  Replicas run serially in index
+order; no environment variable changes a run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 
 from .config import EXPERIMENT_KINDS, ConfigError, load_config
 from .harness import run
-from .parallel import thread_count_from_env
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        report = run(cfg, threads=thread_count_from_env())
+        report = run(cfg)
     except Exception as exc:  # noqa: BLE001 - reported as a machine-readable record
         print(_error_record("runtime", exc), file=sys.stderr)
         return 1

@@ -221,17 +221,31 @@ class ExperimentConfig:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
-def _parse_starts(sec: _Section, problems: list[str], path: str):
-    raw = sec.take("starts", [], list)
+def _parse_starts(sec: _Section, problems: list[str], path: str, coords: tuple[str, ...]):
+    """One dict per start holding only the coordinates given: finite floats, r > 0."""
     out = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(sec.take("starts", [], list)):
         s = _Section(item, f"{path}.starts[{i}]", problems)
-        theta = s.take("theta", 0.0, float)
-        r = s.take("r", 1.0, float, lambda x: x > 0.0, "r must be positive (excluded z-axis)")
-        z = s.take("z", 0.0, float)
+        given = {}
+        for c in coords:
+            value = s.take(c, None, float, lambda x: c != "r" or x > 0.0,
+                           "r must be positive (excluded z-axis)")
+            if value is not None:
+                given[c] = value
         s.finish()
-        out.append((theta, r, z))
-    return tuple(out)
+        out.append(given)
+    return out
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_on_grid(problems: list[str], path: str, horizon: float, dt: float) -> None:
+    """A Brownian grid of step dt ends at horizon only if horizon is a multiple of dt."""
+    steps = horizon / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > _GRID_TOL:
+        problems.append(f"{path}.horizon: must be a multiple of dt={dt} (got {horizon!r})")
 
 
 def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
@@ -270,7 +284,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     v_raw = msec.take("v", None, list)
     v = None
     if v_raw is not None:
-        if len(v_raw) == 2 and all(isinstance(x, (int, float)) for x in v_raw):
+        if len(v_raw) == 2 and all(_is_finite_number(x) for x in v_raw):
             v = (float(v_raw[0]), float(v_raw[1]))
             if abs(math.hypot(*v) - 1.0) > 1e-9:
                 problems.append("config.model.v: winding direction must be a unit vector")
@@ -310,20 +324,8 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     bounds = BoundsConfig(c1=c1, c2=c2)
 
     ssec = root.sub("simulate")
-    sim_starts_raw = ssec.take("starts", [], list)
-    sim_starts: list[dict] = []
-    allowed = {"a", "b"} if name == "torus-winding" else {"theta", "r", "z"}
-    for i, item in enumerate(sim_starts_raw):
-        if not isinstance(item, dict):
-            problems.append(f"config.simulate.starts[{i}]: expected a mapping")
-            continue
-        extra = set(item) - allowed
-        if extra:
-            problems.append(
-                f"config.simulate.starts[{i}]: unknown keys {sorted(extra)} for model {name}"
-            )
-            continue
-        sim_starts.append({k: float(v) for k, v in item.items()})
+    coords = ("a", "b") if name == "torus-winding" else ("theta", "r", "z")
+    sim_starts = _parse_starts(ssec, problems, "config.simulate", coords)
     sim = SimulateConfig(
         horizon=ssec.take("horizon", 10.0, float, lambda x: x >= 0.0, "horizon must be >= 0"),
         dt=ssec.take("dt", 1e-3, float, lambda x: x > 0.0, "dt must be positive"),
@@ -332,6 +334,8 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         starts=tuple(sim_starts),
     )
     ssec.finish()
+    if name != "rotation-jump-cylinder":  # the cylinder's record grid ends exactly at horizon
+        _check_on_grid(problems, "config.simulate", sim.horizon, sim.dt)
     if sim.eps > 0.0 and name != "rotation-jump-cylinder":
         problems.append(
             "config.simulate.eps: perturbed simulation is defined for the rotation-jump-cylinder only"
@@ -343,15 +347,15 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     leaves_raw = ksec.take("leaves", [[1.0, 0.0], [2.0, 0.0]], list)
     leaves: list[tuple[float, float]] = []
     for i, lf in enumerate(leaves_raw):
-        if isinstance(lf, list) and len(lf) == 2:
+        if isinstance(lf, list) and len(lf) == 2 and all(map(_is_finite_number, lf)) and lf[0] > 0:
             leaves.append((float(lf[0]), float(lf[1])))
         else:
-            problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z]")
+            problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
     times_raw = ksec.take("times", [math.pi / 4.0, math.pi / 2.0], list)
     times: list[float] = []
     step = 2.0 * math.pi / m if m else 1.0
     for i, tv in enumerate(times_raw):
-        if isinstance(tv, (int, float)):
+        if _is_finite_number(tv):
             tv = float(tv)
             if abs(tv / step - round(tv / step)) > 1e-9:
                 problems.append(
@@ -359,7 +363,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
                 )
             times.append(tv)
         else:
-            problems.append(f"config.kernel_check.times[{i}]: expected a number")
+            problems.append(f"config.kernel_check.times[{i}]: expected a finite number")
     ksec.finish()
     kernel_check = KernelCheckConfig(m=m, leaves=tuple(leaves), times=tuple(times))
 
@@ -411,13 +415,15 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         horizon=csec.take("horizon", 50.0, float, lambda x: x >= 0.0, "horizon must be >= 0"),
         dt=csec.take("dt", 0.01, float, lambda x: x > 0.0, "dt must be positive"),
         replicas=csec.take("replicas", 1000, int, lambda x: x >= 1, "need at least one replica"),
-        starts=_parse_starts(csec, problems, "config.coalesce"),
+        starts=tuple(
+            (s.get("theta", 0.0), s.get("r", 1.0), s.get("z", 0.0))
+            for s in _parse_starts(csec, problems, "config.coalesce", ("theta", "r", "z"))
+        ),
         curve_points=csec.take("curve_points", 200, int, lambda x: x >= 2,
                                "need at least 2 curve points"),
     )
     csec.finish()
-    if abs(co.horizon / co.dt - round(co.horizon / co.dt)) > _GRID_TOL:
-        problems.append(f"config.coalesce.horizon: must be a multiple of dt={co.dt} (got {co.horizon!r})")
+    _check_on_grid(problems, "config.coalesce", co.horizon, co.dt)
     if not co.starts:
         co = CoalesceConfig(
             horizon=co.horizon, dt=co.dt, replicas=co.replicas, curve_points=co.curve_points

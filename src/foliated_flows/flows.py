@@ -108,6 +108,10 @@ class NPointSeries:
     def n_points(self) -> int:
         return self.states.shape[1]
 
+    def trajectory(self, i: int, start) -> Trajectory:
+        """Point i's path as a single-point Trajectory from ``start``."""
+        return Trajectory(self.model, start, self.times, self.states[:, i, :], self.columns)
+
 
 # ---------------------------------------------------------------------------
 # Torus winding flow
@@ -354,19 +358,24 @@ def n_point_motion(
     key: StreamKey,
     horizon: float,
     dt: float,
+    perturbation: PerturbationField | None = None,
+    eps: float = 0.0,
 ) -> NPointSeries:
     """n points driven by one common DriverPath (flow-induced joint motion).
 
     This is the pathwise realization of the n-point kernels: every point sees
     the same noise.  For n = 1 it reduces pathwise to the single-point
     evolve; points with identical starts stay identical forever (diagonal
-    preservation).
+    preservation).  On the rotation-jump cylinder, eps > 0 moves every point
+    by the eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).
     """
     if isinstance(model, CoalescingCircle):
         raise UnsupportedModel(
             "the coalescing circle model uses independent leafwise drivers; "
             "use evolve_coalescing_circle"
         )
+    if eps > 0.0 and not isinstance(model, RotationJumpCylinder):
+        raise UnsupportedModel("the eps-perturbed motion is defined on the rotation-jump cylinder only")
     if not starts:
         raise ValueError("need at least one start point")
 
@@ -377,7 +386,7 @@ def n_point_motion(
         same = lambda p, q: p.lift == q.lift
     else:
         driver = sample_jump_driver(key, horizon, dt, rate=CYLINDER_JUMP_RATE)
-        trajs = [cylinder_trajectory(p, driver) for p in starts]
+        trajs = [cylinder_trajectory(p, driver, perturbation, eps) for p in starts]
         columns = ("theta", "r", "z")
         same = lambda p, q: (p.theta, p.r, p.z) == (q.theta, q.r, q.z)
 
@@ -551,12 +560,5 @@ def max_defect_over_series(series: NPointSeries, starts: list) -> float:
     """Max leaf defect over all points of an n-point series."""
     worst = 0.0
     for i, start in enumerate(starts):
-        tr = Trajectory(
-            model=series.model,
-            start=start,
-            times=series.times,
-            states=series.states[:, i, :],
-            columns=series.columns,
-        )
-        worst = max(worst, check_leaf_invariance(tr))
+        worst = max(worst, check_leaf_invariance(series.trajectory(i, start)))
     return worst

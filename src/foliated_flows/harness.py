@@ -1,9 +1,9 @@
-"""Experiment orchestration: dispatch, deterministic replica fan-out, artifacts.
+"""Experiment orchestration: dispatch, replica fan-out in index order, artifacts.
 
 ``run`` executes one declarative config and returns a RunReport whose numeric
-payload is reproducible to the bit for a fixed seed, serial or threaded
-(replica results are collected by index and reduced in a fixed order).
-Wall-clock time lives in its own field so reports stay comparable.
+payload is reproducible to the bit for a fixed seed (replicas run serially
+and are reduced in index order).  Wall-clock time lives in its own field so
+reports stay comparable.
 """
 
 from __future__ import annotations
@@ -25,17 +25,12 @@ from .averaging import (
     solve_averaged_ode,
 )
 from .config import ExperimentConfig
-from .drivers import StreamKey, sample_jump_driver
+from .drivers import StreamKey
 from .flows import (
-    CYLINDER_JUMP_RATE,
-    Trajectory,
-    check_leaf_invariance,
     coalescence_times,
-    cylinder_trajectory,
     evolve_coalescing_circle,
     max_defect_over_series,
     n_point_motion,
-    torus_trajectory,
 )
 from .geometry import CylPoint, TorusPoint, leaf_defect, make_model
 from .kernels import (
@@ -49,7 +44,7 @@ from .kernels import (
     product_kernel_flow,
     write_kernel_json,
 )
-from .parallel import map_indexed, thread_count_from_env
+from .parallel import map_indexed
 
 REPORT_SCHEMA = "foliated-flows/run-report-v1"
 
@@ -101,7 +96,7 @@ def _write_trajectory_csv(path: Path, traj_rows: list[tuple], columns: tuple[str
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _run_simulate(cfg: ExperimentConfig, threads: int, out: Path | None) -> dict:
+def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
     model_params = {}
     if cfg.model.name == "torus-winding" and cfg.model.v is not None:
         model_params["v"] = cfg.model.v
@@ -116,48 +111,26 @@ def _run_simulate(cfg: ExperimentConfig, threads: int, out: Path | None) -> dict
         key = base.replica(i)
         if cfg.model.name == "coalescing-circle":
             series = evolve_coalescing_circle(starts, key, sim.horizon, sim.dt, sigma=cfg.model.sigma)
-            return series, max_defect_over_series(series, starts)
-        if sim.eps > 0.0 and cfg.model.name == "rotation-jump-cylinder":
-            driver = sample_jump_driver(key, sim.horizon, sim.dt, rate=CYLINDER_JUMP_RATE)
-            trajs = [
-                cylinder_trajectory(p, driver, perturbation=cfg.perturbation, eps=sim.eps)
-                for p in starts
-            ]
-            worst = max(check_leaf_invariance(tr) for tr in trajs)
-            return trajs, worst
-        series = n_point_motion(model, starts, key, sim.horizon, sim.dt)
+        else:
+            series = n_point_motion(
+                model, starts, key, sim.horizon, sim.dt, cfg.perturbation, sim.eps
+            )
         return series, max_defect_over_series(series, starts)
 
-    rows = map_indexed(one, sim.replicas, threads)
+    rows = map_indexed(one, sim.replicas)
     defects = np.array([r[1] for r in rows])
 
     if out is not None:
         first = rows[0][0]
         csv_rows = []
-        if isinstance(first, list):  # perturbed per-point trajectories
-            columns = first[0].columns
-            for pid, tr in enumerate(first):
-                for k, tk in enumerate(tr.times):
-                    d = leaf_defect(tr.model, tr.start, tr.point_at(k))
-                    csv_rows.append((float(tk), pid) + tuple(tr.states[k]) + (pid, d))
-        else:
-            columns = first.columns
-            for pid in range(first.states.shape[1]):
-                tr = Trajectory(
-                    model=first.model,
-                    start=starts[pid],
-                    times=first.times,
-                    states=first.states[:, pid, :],
-                    columns=first.columns,
+        for pid, start in enumerate(starts):
+            tr = first.trajectory(pid, start)
+            for k, tk in enumerate(first.times):
+                d = leaf_defect(first.model, start, tr.point_at(k))
+                csv_rows.append(
+                    (float(tk), pid) + tuple(tr.states[k]) + (int(first.class_ids[k, pid]), d)
                 )
-                for k, tk in enumerate(first.times):
-                    d = leaf_defect(first.model, starts[pid], tr.point_at(k))
-                    csv_rows.append(
-                        (float(tk), pid)
-                        + tuple(first.states[k, pid])
-                        + (int(first.class_ids[k, pid]), d)
-                    )
-        _write_trajectory_csv(out / "trajectory.csv", csv_rows, columns)
+        _write_trajectory_csv(out / "trajectory.csv", csv_rows, first.columns)
 
     return {
         "max_leaf_defect": float(np.max(defects)),
@@ -201,7 +174,7 @@ def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> dict:
     }
 
 
-def _run_averaging(cfg: ExperimentConfig, threads: int, fit: bool) -> dict:
+def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
     av = cfg.averaging
     base = StreamKey(cfg.seed)
     start = CylPoint.from_angle(*av.start)
@@ -227,7 +200,6 @@ def _run_averaging(cfg: ExperimentConfig, threads: int, fit: bool) -> dict:
             f_choice=av.f_choice,
             start=start,
             rate_bound=rb,
-            threads=threads,
             keep_decompositions=True,
         )
         n_violations += len(res.violations)
@@ -289,7 +261,7 @@ def _run_averaging(cfg: ExperimentConfig, threads: int, fit: bool) -> dict:
     return results
 
 
-def _run_coalesce(cfg: ExperimentConfig, threads: int) -> dict:
+def _run_coalesce(cfg: ExperimentConfig) -> dict:
     co = cfg.coalesce
     base = StreamKey(cfg.seed)
     starts = [CylPoint.from_angle(*s) for s in co.starts]
@@ -301,7 +273,7 @@ def _run_coalesce(cfg: ExperimentConfig, threads: int) -> dict:
         hits = coalescence_times(starts, base.replica(i), co.horizon, co.dt, sigma=cfg.model.sigma)
         return {pq: hits.get(pq) for pq in pairs}
 
-    rows = map_indexed(one, co.replicas, threads)
+    rows = map_indexed(one, co.replicas)
 
     hit_matrix = {pq: np.array([np.inf if r[pq] is None else r[pq] for r in rows]) for pq in pairs}
     curve_times = np.linspace(0.0, co.horizon, co.curve_points)
@@ -338,10 +310,9 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
     """Execute one experiment config; returns the in-memory report.
 
     Artifacts (report.json, CSV series, kernel dumps) are written under the
-    config's output directory unless write_artifacts is False.
+    config's output directory unless write_artifacts is False.  Replicas run
+    serially in index order; ``threads`` has no effect.
     """
-    if threads is None:
-        threads = thread_count_from_env()
     out: Path | None = None
     if write_artifacts:
         out = Path(cfg.output_dir)
@@ -350,19 +321,19 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
     t0 = time.perf_counter()
     kind = cfg.experiment
     if kind == "simulate":
-        results = _run_simulate(cfg, threads, out)
+        results = _run_simulate(cfg, out)
         replicas = cfg.simulate.replicas
     elif kind == "kernel-check":
         results = _run_kernel_check(cfg, out)
         replicas = 0
     elif kind == "average":
-        results = _run_averaging(cfg, threads, fit=False)
+        results = _run_averaging(cfg, fit=False)
         replicas = cfg.averaging.replicas
     elif kind == "rates":
-        results = _run_averaging(cfg, threads, fit=True)
+        results = _run_averaging(cfg, fit=True)
         replicas = cfg.averaging.replicas
     elif kind == "coalesce":
-        results = _run_coalesce(cfg, threads)
+        results = _run_coalesce(cfg)
         replicas = cfg.coalesce.replicas
     else:
         raise ValueError(f"unknown experiment kind {kind!r}")

@@ -1,38 +1,14 @@
-"""Deterministic replica fan-out.
+"""Replica fan-out in index order.
 
-Per-replica results are written into an index-ordered list, so every
-reduction downstream sees the same operand order regardless of how many
-worker threads ran the replicas; reports are reproducible bit-for-bit.
+Replicas run serially, so every reduction downstream sees its operands in
+index order and reports are reproducible bit-for-bit.  Every replica loop
+goes through ``map_indexed``, which gives a tracer one name to time the
+fan-out and each replica by.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-THREADS_ENV_VAR = "FOLIATED_FLOWS_THREADS"
-
-
-def thread_count_from_env(default: int = 1) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def map_indexed(fn, n: int, threads: int = 1) -> list:
-    """[fn(0), ..., fn(n-1)], optionally computed by a thread pool."""
-    if threads <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    out = [None] * n
-
-    def run(i: int) -> None:
-        out[i] = fn(i)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(n)))
-    return out
+def map_indexed(fn, n: int) -> list:
+    """[fn(0), ..., fn(n-1)]."""
+    return [fn(i) for i in range(n)]

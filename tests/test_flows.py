@@ -271,6 +271,37 @@ def test_n_point_rejects_coalescing_model():
         )
 
 
+def test_n_point_perturbed_matches_per_point_trajectories():
+    k = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
+    starts = [CylPoint(0.3, 1.0, 0.5), CylPoint(2.0, 2.0, -1.0), CylPoint(0.3, 1.0, 0.5)]
+    key = StreamKey(SEED, 25)
+    series = n_point_motion(RotationJumpCylinder(), starts, key, 2.0, 0.01, k, 0.1)
+    driver = sample_jump_driver(key, 2.0, 0.01)
+    for i, p in enumerate(starts):
+        traj = cylinder_trajectory(p, driver, k, 0.1)
+        np.testing.assert_array_equal(series.times, traj.times)
+        np.testing.assert_array_equal(series.states[:, i, :], traj.states)
+    assert np.ptp(series.states[:, 0, 1]) > 0.0  # the perturbation moved r
+
+
+def test_n_point_perturbed_repeated_start_shares_class():
+    k = PerturbationField(lambda0=1.0, k3="negate", angular="cosine")
+    starts = [CylPoint(0.3, 1.0, 0.5), CylPoint(1.0, 1.5, 0.0), CylPoint(0.3, 1.0, 0.5)]
+    series = n_point_motion(RotationJumpCylinder(), starts, StreamKey(SEED, 26), 2.0, 0.01, k, 0.2)
+    assert np.all(series.class_ids == [0, 1, 0])
+    assert series.hit_times == {(0, 2): 0.0}
+    np.testing.assert_array_equal(series.states[:, 0, :], series.states[:, 2, :])
+
+
+def test_n_point_rejects_perturbation_on_torus():
+    k = PerturbationField(lambda0=1.0)
+    starts = [TorusPoint.from_coords(0.1, 0.2)]
+    with pytest.raises(UnsupportedModel):
+        n_point_motion(TorusWinding.dense_default(), starts, StreamKey(SEED), 1.0, 0.1, k, 0.1)
+    series = n_point_motion(TorusWinding.dense_default(), starts, StreamKey(SEED), 1.0, 0.1, k, 0.0)
+    assert series.states.shape[1] == 1
+
+
 # ---------------------------------------------------------------------------
 # coalescing circle
 

@@ -104,6 +104,21 @@ def test_config_rejects_coalesce_horizon_off_the_dt_grid(tmp_path):
         assert load_config(_write_cfg(tmp_path, data)).coalesce.horizon == horizon
 
 
+def test_config_rejects_simulate_horizon_off_the_dt_grid(tmp_path):
+    # the Brownian grid of the torus and the coalescing circle would end at 1.01
+    for model in ("torus-winding", "coalescing-circle"):
+        data = {"experiment": "simulate", "model": {"name": model},
+                "simulate": {"horizon": 1.005, "dt": 0.01}}
+        with pytest.raises(ConfigError) as info:
+            load_config(_write_cfg(tmp_path, data))
+        assert any(p.startswith("config.simulate.horizon") for p in info.value.problems)
+        data["simulate"]["horizon"] = 0.3
+        assert load_config(_write_cfg(tmp_path, data)).simulate.horizon == 0.3
+    # the cylinder's record grid ends exactly at the horizon
+    data = {"experiment": "simulate", "simulate": {"horizon": 1.005, "dt": 0.01}}
+    assert load_config(_write_cfg(tmp_path, data)).simulate.horizon == 1.005
+
+
 # ---------------------------------------------------------------------------
 # harness runs
 
@@ -124,6 +139,26 @@ def test_simulate_torus_writes_trajectory_and_defect(tmp_path):
     assert csv[0] == "time,point_id,a,b,lift_a,lift_b,class_id,leaf_defect"
     assert len(csv) > 100
     assert (tmp_path / "report.json").exists()
+
+
+def test_simulate_perturbed_cylinder_repeated_start_shares_class(tmp_path):
+    start = {"theta": 0.3, "r": 1.0, "z": 0.5}
+    cfg = parse_config(
+        {
+            "experiment": "simulate",
+            "seed": SEED,
+            "output_dir": str(tmp_path),
+            "perturbation": {"lambda0": 1.0, "k3": "sine", "angular": "cosine"},
+            "simulate": {"horizon": 1.005, "dt": 0.01, "replicas": 2, "eps": 0.1,
+                         "starts": [start, {"theta": 1.0, "r": 2.0}, start]},
+        }
+    )
+    report = run(cfg)
+    assert report.results["max_leaf_defect"] > 0.0
+    rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+    class_of = {pid: {r[5] for r in rows if r[1] == pid} for pid in ("0", "1", "2")}
+    assert class_of == {"0": {"0"}, "1": {"1"}, "2": {"0"}}
+    assert max(float(r[0]) for r in rows) == 1.005
 
 
 def test_rates_run_matches_manual_composition(tmp_path):
@@ -302,6 +337,38 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
     code = cli_main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--quiet"])
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "kind, section, field",
+    [
+        ("simulate", {"simulate": {"starts": [{"theta": "abc"}]}}, "config.simulate.starts[0].theta"),
+        ("simulate", {"simulate": {"starts": [{"r": -1.0}]}}, "config.simulate.starts[0].r"),
+        ("simulate", {"simulate": {"starts": [{"r": float("nan")}]}}, "config.simulate.starts[0].r"),
+        ("simulate", {"simulate": {"starts": [{"theta": 0.0, "w": 1.0}]}}, "config.simulate.starts[0].w"),
+        ("simulate", {"model": {"name": "torus-winding"}, "simulate": {"starts": [{"theta": 0.0}]}},
+         "config.simulate.starts[0].theta"),
+        ("simulate", {"simulate": {"starts": [[0.0, 1.0]]}}, "config.simulate.starts[0]"),
+        ("simulate", {"model": {"name": "torus-winding", "v": [float("nan"), 1.0]}}, "config.model.v"),
+        ("kernel-check", {"kernel_check": {"leaves": [["one", 0.0]]}}, "config.kernel_check.leaves[0]"),
+        ("kernel-check", {"kernel_check": {"leaves": [[float("inf"), 0.0]]}}, "config.kernel_check.leaves[0]"),
+        ("kernel-check", {"kernel_check": {"leaves": [[1.0, 0.0], [-1.0, 0.0]]}}, "config.kernel_check.leaves[1]"),
+        ("kernel-check", {"kernel_check": {"times": [float("nan")]}}, "config.kernel_check.times[0]"),
+    ],
+)
+def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):
+    path = _write_cfg(tmp_path, {"experiment": kind, "output_dir": str(tmp_path / "out"), **section})
+    assert cli_main([kind, "--config", path, "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert any(f.startswith(field + ":") for f in record["fields"])
+
+
+def test_config_simulate_starts_keep_only_given_keys():
+    data = {"experiment": "simulate", "simulate": {"starts": [{"theta": 1, "z": 0.5}, {}]}}
+    cfg = parse_config(data)
+    assert cfg.simulate.starts == ({"theta": 1.0, "z": 0.5}, {})
+    assert cfg.to_dict()["simulate"]["starts"] == [{"theta": 1.0, "z": 0.5}, {}]
 
 
 def test_cli_mismatched_subcommand_exit_2(tmp_path, capsys):
