@@ -22,6 +22,17 @@ are reported as exact zeros: A1 of the radial component (the restart shares
 the rotation and jumps, and dpi_1(K) sees only theta), and A2 and delta of
 the vertical component (dpi_2(K) = k3(z) does not see theta, so it equals its
 own leaf average).
+
+The replicas of one eps are one batch (``decompose_batch``).  Each replica
+draws only its jump times, from its own keyed stream; the jump times of all
+replicas, padded into one array, give every replica's cos integrals at the
+N+2 times, its decomposition, its end point r0 + eps (lambda0 t/eps + F(t/eps))
+and the bound checks as row reductions, and z, which no noise touches, is one
+closed-form evaluation shared by all.  The manifold exit is exact
+(``flows.manifold_exit_times``): r is monotone between the jump times and the
+times where cos theta = -lambda0, so its minimum over [0, t/eps] is found
+there, with no time grid.  The one-replica ``decompose_error`` and
+``check_pathwise_bounds`` run the same code on a batch of one.
 """
 
 from __future__ import annotations
@@ -31,14 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import ROLE_INDEPENDENT, StreamKey, sample_jump_driver
+from .drivers import ROLE_INDEPENDENT, StreamKey, sample_jump_driver, sample_poisson_jumps
 from .parallel import map_indexed
-from .flows import (
-    CYLINDER_JUMP_RATE,
-    ManifoldExit,
-    PerturbedCylinderPath,
-    perturbed_cylinder_path,
-)
+from .flows import CYLINDER_JUMP_RATE, JumpClocks, manifold_exit_times, radius
 from .geometry import (
     TWO_PI,
     CylPoint,
@@ -350,48 +356,75 @@ class DecompositionResult:
     exit_time: float | None = None
 
 
-def _decompose_from_path(
-    path: PerturbedCylinderPath,
+@dataclass(frozen=True)
+class DecompositionBatch:
+    """A1..A4, delta and end points of many replicas under one partition.
+
+    ``terms[i, c]`` holds (a1, a2, a3, a4, delta) of component c + 1 (radial,
+    then vertical) for replica i.  ``exit_times`` is inf for a replica that
+    stays on the manifold; the terms and end point of one that exits mean
+    nothing and are read only where ``stayed``.
+    """
+
+    partition: PartitionScheme
+    terms: np.ndarray  # (replicas, 2, 5)
+    r_end: np.ndarray  # (replicas,)
+    z_end: float
+    exit_times: np.ndarray  # (replicas,)
+
+    @property
+    def stayed(self) -> np.ndarray:
+        return np.isinf(self.exit_times)
+
+
+def decompose_batch(
     perturbation: PerturbationField,
     field: AveragedField,
     partition: PartitionScheme,
-) -> tuple[ErrorDecomposition, ...]:
-    eps = path.eps
+    start: CylPoint,
+    jumps: list[np.ndarray],
+) -> DecompositionBatch:
+    """The decomposition of every replica, from its jump times on [0, t/eps], as array passes."""
+    eps = partition.eps
     # Every integral below is a difference of exact values at t_0..t_N, t/eps.
     ts = np.append(partition.boundaries, partition.horizon)
     steps, tail = np.diff(ts)[:-1], float(ts[-1] - ts[-2])
+    clocks = JumpClocks.pad(start.theta, jumps)
+    terms = np.zeros((len(jumps), 2, 5))
 
     # Radial: g1 = lambda0 [+ cos theta] against the constant average q1.  The
     # unperturbed restart from y_{t_k} shares the rotation and jumps
     # pathwise, so its g1-integrals equal the perturbed path's and A1 = 0.
     g1_prefix = perturbation.lambda0 * ts
+    prefix = None
     if perturbation.has_angular:
-        g1_prefix = g1_prefix + path.angular.cos_integral_prefix(ts)
-    g1_int = np.diff(g1_prefix)
+        prefix = clocks.cos_integral_prefix(ts)
+        g1_prefix = g1_prefix + prefix
+    g1_int = np.diff(g1_prefix, axis=-1)
     q1 = field.radial
-    radial = ErrorDecomposition(
-        component=1,
-        a1=0.0,
-        a2=eps * float(np.sum(g1_int[:-1] - q1 * steps)),
-        a3=-eps * q1 * tail,
-        a4=eps * float(g1_int[-1]),
-        delta=eps * float(g1_prefix[-1] - q1 * ts[-1]),
-    )
+    terms[:, 0, 1] = eps * np.sum(g1_int[..., :-1] - q1 * steps, axis=-1)
+    terms[:, 0, 2] = -eps * q1 * tail
+    terms[:, 0, 3] = eps * g1_int[..., -1]
+    terms[:, 0, 4] = eps * (g1_prefix[..., -1] - q1 * ts[-1])
+    r_end = radius(start.r, eps, perturbation, ts[-1], None if prefix is None else prefix[:, -1])
 
     # Vertical: eps * integral of k3(z) is the z increment; the restart
     # freezes z at z(t_k), whose rate k3(z(t_k)) is also the leaf average.
-    z = perturbation.vertical_flow(path.start.z, eps * ts)
+    # No noise touches z, so these terms are the same for every replica.
+    z = perturbation.vertical_flow(start.z, eps * ts)
     dz = np.diff(z)
     riemann = eps * perturbation.vertical_rate(z[:-2]) * steps
-    vertical = ErrorDecomposition(
-        component=2,
-        a1=float(np.sum(dz[:-1] - riemann)),
-        a2=0.0,
-        a3=float(np.sum(riemann) - (z[-1] - z[0])),
-        a4=float(dz[-1]),
-        delta=0.0,
+    terms[:, 1, 0] = np.sum(dz[:-1] - riemann)
+    terms[:, 1, 2] = np.sum(riemann) - (z[-1] - z[0])
+    terms[:, 1, 3] = dz[-1]
+
+    return DecompositionBatch(
+        partition=partition,
+        terms=terms,
+        r_end=np.broadcast_to(r_end, (len(jumps),)),
+        z_end=float(z[-1]),
+        exit_times=manifold_exit_times(clocks, start.r, eps, perturbation, partition.horizon),
     )
-    return radial, vertical
 
 
 def decompose_error(
@@ -409,10 +442,12 @@ def decompose_error(
 ) -> DecompositionResult:
     """Realized averaging-error decomposition for one replica.
 
-    Simulates one perturbed path to the rescaled horizon t/eps, restarts the
-    unperturbed flow at each partition point on the same driver segment, and
-    returns A1..A4 and delta per vertical component.  A manifold exit before
-    the horizon yields a flagged partial result.
+    Draws the replica's jump clock on the rescaled horizon t/eps from key,
+    restarts the unperturbed flow at each partition point on the same driver
+    segment, and returns A1..A4 and delta per vertical component: it is
+    ``decompose_batch`` on one replica.  A manifold exit before the horizon
+    yields a flagged partial result.  Every quantity is exact, so ``dt``
+    has no effect.
     """
     if not isinstance(model, RotationJumpCylinder):
         raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
@@ -421,16 +456,19 @@ def decompose_error(
     partition = make_partition(eps, t, f_choice, p)
     if field is None:
         field = AveragedField(perturbation, measure, key)
-    driver = sample_jump_driver(key, partition.horizon, dt, rate=CYLINDER_JUMP_RATE)
-    try:
-        path = perturbed_cylinder_path(start, driver, partition.horizon, eps, perturbation)
-    except ManifoldExit as exc:
+    jumps = sample_poisson_jumps(key, CYLINDER_JUMP_RATE, partition.horizon)
+    batch = decompose_batch(perturbation, field, partition, start, [jumps])
+    if not batch.stayed[0]:
         return DecompositionResult(
-            components=(), pi_end=None, partition=partition, exited=True, exit_time=exc.exit_time
+            components=(), pi_end=None, partition=partition, exited=True,
+            exit_time=float(batch.exit_times[0]),
         )
-    comps = _decompose_from_path(path, perturbation, field, partition)
-    pi_end = np.array([path.r[-1], path.z[-1]])
-    return DecompositionResult(components=comps, pi_end=pi_end, partition=partition)
+    comps = tuple(
+        ErrorDecomposition(c + 1, *(float(x) for x in batch.terms[0, c])) for c in range(2)
+    )
+    return DecompositionResult(
+        components=comps, pi_end=np.array([batch.r_end[0], batch.z_end]), partition=partition
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +571,31 @@ def _a4_bound_term(partition: PartitionScheme) -> float:
     return partition.f_value
 
 
+def _bound_checks(
+    terms: np.ndarray,
+    replica_ids: np.ndarray,
+    partition: PartitionScheme,
+    perturbation: PerturbationField,
+    region: VerticalRegion,
+) -> tuple[list[BoundViolation], float, float]:
+    """Triangle and tail (A4) checks on the (replicas, components, 5) terms, as row reductions."""
+    a = np.abs(terms)
+    slack = a[..., 4] - (a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3])
+    sup_g = np.array([perturbation.sup_radial(), perturbation.sup_vertical(region)])
+    # an exited replica has no components
+    limit = sup_g[: terms.shape[1]] * partition.t * _a4_bound_term(partition)
+    ratio = np.divide(a[..., 3], limit, out=np.zeros(a.shape[:-1]), where=limit > 0.0)
+    failed = np.stack((slack > TRIANGLE_TOL, a[..., 3] > limit + TRIANGLE_TOL), axis=-1)
+    amount = np.stack((slack, a[..., 3] - limit), axis=-1)
+    violations = [
+        BoundViolation(int(replica_ids[i]), int(c) + 1, ("triangle", "a4")[k], float(amount[i, c, k]))
+        for i, c, k in np.argwhere(failed)
+    ]
+    worst_slack = float(slack.max()) if slack.size else -math.inf
+    worst_ratio = max(0.0, float(ratio.max())) if ratio.size else 0.0
+    return violations, worst_slack, worst_ratio
+
+
 def check_pathwise_bounds(
     result: DecompositionResult,
     perturbation: PerturbationField,
@@ -544,27 +607,30 @@ def check_pathwise_bounds(
     Returns the violations plus the worst triangle slack |delta|-sum|A_i| and
     the worst ratio |A4| / (sup|g| t f-term) seen, for reporting.
     """
-    violations: list[BoundViolation] = []
-    worst_slack = -math.inf
-    worst_ratio = 0.0
-    part = result.partition
-    f_term = _a4_bound_term(part)
-    sup_g = {1: perturbation.sup_radial(), 2: perturbation.sup_vertical(region)}
-    for comp in result.components:
-        slack = abs(comp.delta) - comp.abs_sum
-        worst_slack = max(worst_slack, slack)
-        if slack > TRIANGLE_TOL:
-            violations.append(
-                BoundViolation(replica_id, comp.component, "triangle", slack)
-            )
-        limit = sup_g[comp.component] * part.t * f_term
-        if limit > 0.0:
-            worst_ratio = max(worst_ratio, abs(comp.a4) / limit)
-        if abs(comp.a4) > limit + TRIANGLE_TOL:
-            violations.append(
-                BoundViolation(replica_id, comp.component, "a4", abs(comp.a4) - limit)
-            )
-    return violations, worst_slack, worst_ratio
+    terms = np.array(
+        [[c.a1, c.a2, c.a3, c.a4, c.delta] for c in result.components], dtype=float
+    ).reshape(1, -1, 5)
+    return _bound_checks(terms, np.array([replica_id]), result.partition, perturbation, region)
+
+
+def _averaged_ode(
+    perturbation: PerturbationField,
+    measure: InvariantMeasureSpec,
+    start: CylPoint,
+    t: float,
+    ode_step: float,
+    region: VerticalRegion,
+    key: StreamKey,
+) -> AveragedTrajectory:
+    """The averaged ODE from pi(start) up to t, which it must not leave V before."""
+    ode = solve_averaged_ode(
+        perturbation, measure, np.array([start.r, start.z]), t, ode_step, region, key
+    )
+    if ode.exit_time is not None:
+        raise ValueError(
+            f"t={t} is not before the averaged ODE's boundary exit T0={ode.exit_time}"
+        )
+    return ode
 
 
 def averaging_error(
@@ -587,12 +653,15 @@ def averaging_error(
 ) -> AveragingErrorResult:
     """Monte Carlo estimate of [E |pi(y_{t/eps}) - v(t)|^p]^(1/p) with its G bound.
 
-    Each replica simulates one perturbed path under its own keyed stream,
-    computes the endpoint error against the averaged-ODE solution, and runs
-    the pathwise A1..A4 bound checks.  Requires t < T0 (the ODE must not
-    leave V before t).  Replicas run serially in index order; ``threads``
-    has no effect.
+    Each replica draws its jump clock from its own keyed stream
+    (``key.replica(i)``, in index order); then one array pass over all
+    replicas gives their end points, their A1..A4 decompositions, their
+    exact manifold exits and the pathwise A1..A4 bound checks.  Requires
+    t < T0 (the ODE must not leave V before t).  Every quantity is exact, so
+    ``dt`` has no effect, and ``threads`` has none either.
     """
+    if not isinstance(model, RotationJumpCylinder):
+        raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
     if p < 1.0:
         raise ValueError(f"p must be in [1, inf): {p}")
     if n_replicas < 1:
@@ -600,60 +669,60 @@ def averaging_error(
     measure = measure or InvariantMeasureSpec()
     region = region or VerticalRegion()
     start = start or CylPoint(theta=0.0, r=1.0, z=1.0)
-    rb = rate_bound or default_rate_bound(perturbation, region)
-
-    ode = solve_averaged_ode(
-        perturbation, measure, np.array([start.r, start.z]), t, ode_step, region, key
+    ode = _averaged_ode(perturbation, measure, start, t, ode_step, region, key)
+    return _averaging_error_at(
+        perturbation,
+        AveragedField(perturbation, measure, key),
+        ode.final,
+        eps,
+        t,
+        p,
+        n_replicas,
+        key,
+        region,
+        f_choice,
+        start,
+        rate_bound or default_rate_bound(perturbation, region),
+        keep_decompositions,
     )
-    if ode.exit_time is not None:
-        raise ValueError(
-            f"t={t} is not before the averaged ODE's boundary exit T0={ode.exit_time}"
-        )
-    v_t = ode.final
-    field = AveragedField(perturbation, measure, key)
 
-    def one_replica(i: int):
-        res = decompose_error(
-            model,
-            perturbation,
-            eps,
-            t,
-            key.replica(i),
-            measure=measure,
-            f_choice=f_choice,
-            p=p,
-            dt=dt,
-            start=start,
-            field=field,
-        )
-        if res.exited:
-            return None
-        err = float(np.hypot(res.pi_end[0] - v_t[0], res.pi_end[1] - v_t[1]))
-        checks = check_pathwise_bounds(res, perturbation, region, replica_id=i)
-        return err, checks, res.components
 
-    rows = map_indexed(one_replica, n_replicas)
-
+def _averaging_error_at(
+    perturbation: PerturbationField,
+    field: AveragedField,
+    v_t: np.ndarray,
+    eps: float,
+    t: float,
+    p: float,
+    n_replicas: int,
+    key: StreamKey,
+    region: VerticalRegion,
+    f_choice: str,
+    start: CylPoint,
+    rb: RateBound,
+    keep_decompositions: bool,
+) -> AveragingErrorResult:
+    """``averaging_error`` at one eps, given the field and the averaged ODE's v(t)."""
+    partition = make_partition(eps, t, f_choice, p)
+    jumps = map_indexed(
+        lambda i: sample_poisson_jumps(key.replica(i), CYLINDER_JUMP_RATE, partition.horizon),
+        n_replicas,
+    )
+    batch = decompose_batch(perturbation, field, partition, start, jumps)
+    stayed = np.flatnonzero(batch.stayed)
+    valid = np.hypot(batch.r_end[stayed] - v_t[0], batch.z_end - v_t[1])
     errors = np.full(n_replicas, np.nan)
-    violations: list[BoundViolation] = []
-    decomp_rows: list[list[float]] = []
-    worst_slack = -math.inf
-    worst_ratio = 0.0
-    n_exited = 0
-    for i, row in enumerate(rows):
-        if row is None:
-            n_exited += 1
-            continue
-        err, (viol, slack, ratio), comps = row
-        errors[i] = err
-        violations.extend(viol)
-        worst_slack = max(worst_slack, slack)
-        worst_ratio = max(worst_ratio, ratio)
-        if keep_decompositions:
-            for c in comps:
-                decomp_rows.append([float(i), float(c.component), c.a1, c.a2, c.a3, c.a4, c.delta])
+    errors[stayed] = valid
+    terms = batch.terms[stayed]
+    violations, worst_slack, worst_ratio = _bound_checks(terms, stayed, partition, perturbation, region)
+    decomp_rows = None
+    if keep_decompositions:
+        rows = np.empty((stayed.size, 2, 7))
+        rows[:, :, 0] = stayed[:, None]
+        rows[:, :, 1] = (1.0, 2.0)
+        rows[:, :, 2:] = terms
+        decomp_rows = rows.reshape(-1, 7)
 
-    valid = errors[~np.isnan(errors)]
     if valid.size == 0:
         raise RuntimeError("all replicas exited the manifold; no estimate")
     powers = valid ** p
@@ -675,11 +744,11 @@ def averaging_error(
         v_final=v_t,
         errors=errors,
         n_replicas=n_replicas,
-        n_exited=n_exited,
+        n_exited=n_replicas - stayed.size,
         violations=tuple(violations),
         max_triangle_slack=worst_slack,
         max_a4_ratio=worst_ratio,
-        decomp_rows=np.array(decomp_rows) if keep_decompositions else None,
+        decomp_rows=decomp_rows,
     )
 
 

@@ -123,9 +123,9 @@ class AveragingConfig:
     eps_grid: tuple[float, ...] = (0.1, 0.01)
     f_choice: str = "sqrt"
     replicas: int = 100
-    dt: float = 0.01
+    dt: float = 0.01  # no effect: averaging needs no time grid; kept in configs and payloads
     ode_step: float = 1e-3
-    start: tuple[float, float, float] = (0.0, 1.0, 1.0)  # (theta, r, z)
+    start: tuple[float, float, float] = (0.0, 1.0, 1.0)  # (theta, r, z), inside the region
     measure: InvariantMeasureSpec = field(default_factory=InvariantMeasureSpec)
 
     def to_dict(self) -> dict:
@@ -348,7 +348,10 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     leaves: list[tuple[float, float]] = []
     for i, lf in enumerate(leaves_raw):
         if isinstance(lf, list) and len(lf) == 2 and all(map(_is_finite_number, lf)) and lf[0] > 0:
-            leaves.append((float(lf[0]), float(lf[1])))
+            leaf = (float(lf[0]), float(lf[1]))
+            if leaf in leaves:
+                problems.append(f"config.kernel_check.leaves[{i}]: repeats leaf {list(leaf)}")
+            leaves.append(leaf)
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
     times_raw = ksec.take("times", [math.pi / 4.0, math.pi / 2.0], list)
@@ -391,6 +394,11 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         stsec.take("z", 1.0, float),
     )
     stsec.finish()
+    if kind in ("average", "rates") and not region.contains(a_start[1:]):
+        problems.append(
+            f"config.averaging.start: (r, z) = {a_start[1:]} lies outside the region "
+            f"(r_min, r_max) x (z_min, z_max) = ({r_min}, {r_max}) x ({z_min}, {z_max})"
+        )
     mssec = asec.sub("measure")
     measure = InvariantMeasureSpec(
         mode=mssec.take("mode", "analytic-uniform", str, lambda s: s in MEASURE_MODES,

@@ -13,9 +13,12 @@
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
-closed form (no quadrature error).  The vertical coordinate z solves the
-autonomous ODE z' = eps * k3(z), the same for every replica, and is also
-evaluated in closed form at any time.
+closed form (no quadrature error), for one path (``AngularJumpPath``) or for
+many paths at shared times (``JumpClocks``).  The vertical coordinate z solves
+the autonomous ODE z' = eps * k3(z), the same for every replica, and is also
+evaluated in closed form at any time.  The perturbed radius is closed form
+too, so a manifold exit (r reaching 0) is located exactly, not on a time grid
+(``manifold_exit_times``).
 """
 
 from __future__ import annotations
@@ -148,6 +151,29 @@ def torus_trajectory(model: TorusWinding, start: TorusPoint, driver: DriverPath)
 # Rotation-jump cylinder flow
 
 
+def _jump_prefix(theta0: float, nodes: np.ndarray) -> np.ndarray:
+    """F at 0 and at each jump time; nodes[..., 0] = 0 is followed by the jump times.
+
+    Along the last axis, so one row of a batch is the 1-D computation.  NaN
+    padding after a row's jumps yields NaN there, after every value read.
+    """
+    out = np.zeros(nodes.shape)
+    m = nodes.shape[-1] - 1
+    if m:
+        signs = (-1.0) ** np.arange(m)
+        seg = np.sin(theta0 + nodes[..., 1:]) - np.sin(theta0 + nodes[..., :-1])
+        np.cumsum(signs * seg, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _cos_prefix(theta0: float, nodes: np.ndarray, prefix: np.ndarray, counts: np.ndarray, ts):
+    """F(ts) from the jump prefix, given the number of jumps <= ts along the last axis."""
+    last_jump = np.take_along_axis(nodes, counts, axis=-1)
+    return np.take_along_axis(prefix, counts, axis=-1) + (-1.0) ** counts * (
+        np.sin(theta0 + ts) - np.sin(theta0 + last_jump)
+    )
+
+
 @dataclass(frozen=True)
 class AngularJumpPath:
     """theta(s) = theta0 + s + pi * N_s, piecewise linear between jump times.
@@ -168,31 +194,140 @@ class AngularJumpPath:
         return np.mod(raw, TWO_PI)
 
     @cached_property
+    def _nodes(self) -> np.ndarray:
+        return np.concatenate(([0.0], self.jumps))
+
+    @cached_property
     def _jump_prefix(self) -> np.ndarray:
-        # F(tau_c) for c = 0..m where F is the cos integral from time 0
-        m = self.jumps.size
-        out = np.empty(m + 1)
-        out[0] = 0.0
-        if m:
-            nodes = np.concatenate(([0.0], self.jumps))
-            signs = (-1.0) ** np.arange(m)
-            seg = np.sin(self.theta0 + nodes[1:]) - np.sin(self.theta0 + nodes[:-1])
-            np.cumsum(signs * seg, out=out[1:])
-        return out
+        return _jump_prefix(self.theta0, self._nodes)
 
     def cos_integral_prefix(self, ts) -> np.ndarray:
         """F(ts) = integral of cos(theta(s)) ds over [0, ts], exact."""
         ts = np.asarray(ts, dtype=float)
-        c = self.counts(ts)
-        last_jump = np.concatenate(([0.0], self.jumps))[c]
-        signs = (-1.0) ** c
-        return self._jump_prefix[c] + signs * (
-            np.sin(self.theta0 + ts) - np.sin(self.theta0 + last_jump)
-        )
+        c = self.counts(ts).ravel()
+        return _cos_prefix(self.theta0, self._nodes, self._jump_prefix, c, ts.ravel()).reshape(ts.shape)
 
     def cos_integral(self, a: float, b: float) -> float:
         pref = self.cos_integral_prefix(np.array([a, b]))
         return float(pref[1] - pref[0])
+
+
+@dataclass(frozen=True)
+class JumpClocks:
+    """The angular paths of many replicas from one theta0, as one array.
+
+    Row i of ``jumps`` holds replica i's jump times, padded with NaN to a
+    common width.  ``cos_integral_prefix`` evaluates every row at the same
+    times with array operations only; each row's values are those of its
+    ``AngularJumpPath`` to the bit.
+    """
+
+    theta0: float
+    jumps: np.ndarray  # (replicas, width)
+
+    @classmethod
+    def pad(cls, theta0: float, rows: list[np.ndarray]) -> "JumpClocks":
+        sizes = np.array([r.size for r in rows])
+        jumps = np.full((len(rows), sizes.max(initial=0)), np.nan)
+        jumps[np.arange(jumps.shape[1]) < sizes[:, None]] = np.concatenate(rows)
+        return cls(theta0, jumps)
+
+    def row(self, i: int) -> AngularJumpPath:
+        jumps = self.jumps[i]
+        return AngularJumpPath(self.theta0, jumps[~np.isnan(jumps)])
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        return np.concatenate((np.zeros((self.jumps.shape[0], 1)), self.jumps), axis=1)
+
+    @cached_property
+    def jump_prefix(self) -> np.ndarray:
+        """(replicas, width + 1): F at 0 and at each jump time, NaN on padding."""
+        return _jump_prefix(self.theta0, self._nodes)
+
+    def counts(self, ts: np.ndarray) -> np.ndarray:
+        """(replicas, len(ts)): the number of jumps <= ts[k] in each row; ts sorted.
+
+        A jump lies at or before ts[k] exactly when fewer than k + 1 of the
+        ts are below it, so one search of the jumps in ts and a per-row
+        histogram give every count, with no float offset that could round.
+        """
+        n_rows, n_ts = self.jumps.shape[0], ts.size
+        below = np.searchsorted(ts, self.jumps, side="left")  # NaN padding lands at n_ts
+        flat = (below + (n_ts + 1) * np.arange(n_rows)[:, None]).ravel()
+        hist = np.bincount(flat, minlength=n_rows * (n_ts + 1)).reshape(n_rows, n_ts + 1)
+        return np.cumsum(hist[:, :n_ts], axis=1)
+
+    def cos_integral_prefix(self, ts) -> np.ndarray:
+        """(replicas, len(ts)): F(ts) of every row, exact; ts sorted."""
+        ts = np.asarray(ts, dtype=float)
+        return _cos_prefix(self.theta0, self._nodes, self.jump_prefix, self.counts(ts), ts)
+
+
+def radius(r0: float, eps: float, perturbation: PerturbationField, s, cos_prefix=None):
+    """r(s) = r0 + eps (lambda0 s + F(s)), F the cos integral at s (angular modulation only)."""
+    if perturbation.has_angular:
+        return r0 + eps * (perturbation.lambda0 * s + cos_prefix)
+    return r0 + eps * perturbation.lambda0 * s
+
+
+def _critical_times(theta0: float, lambda0: float, horizon: float) -> np.ndarray:
+    """Times in (0, horizon) where cos(theta0 + s + pi c) = -lambda0 for c even or odd.
+
+    That is theta0 + s = +-arccos(-lambda0) mod pi; needs |lambda0| < 1.
+    """
+    a = math.acos(-lambda0)
+    first = np.mod(np.array([a, -a]) - theta0, math.pi)
+    s = (first[:, None] + math.pi * np.arange(int(horizon / math.pi) + 2)).ravel()
+    return np.sort(s[(s > 0.0) & (s < horizon)])
+
+
+def manifold_exit_times(
+    clocks: JumpClocks, r0: float, eps: float, perturbation: PerturbationField, horizon: float
+) -> np.ndarray:
+    """First time each row's r reaches 0 on [0, horizon], exactly; inf where it never does.
+
+    Every jump of ``clocks`` must lie in [0, horizon].
+
+    Between jumps r' = eps (lambda0 + cos theta) changes sign only where
+    cos theta = -lambda0, and r' keeps its sign everywhere unless there are
+    angular modulation and |lambda0| < 1.  So r is monotone between
+    consecutive candidates (0, the jumps, those critical times and the
+    horizon, or just 0 and the horizon when r is monotone), the first
+    candidate with r <= 0 brackets the first exit, and bisection on the
+    exact r finds it.  Rows that reach 0 nowhere are found with array
+    operations; only rows that exit are searched one at a time.
+    """
+    exits = np.full(clocks.jumps.shape[0], np.inf)
+    shared = np.array([horizon])
+    with_jumps = perturbation.has_angular and abs(perturbation.lambda0) < 1.0
+    if with_jumps:
+        shared = np.append(_critical_times(clocks.theta0, perturbation.lambda0, horizon), horizon)
+    prefix = clocks.cos_integral_prefix(shared) if perturbation.has_angular else None
+    hit = np.any(radius(r0, eps, perturbation, shared, prefix) <= 0.0, axis=-1)
+    if with_jumps:
+        at_jumps = radius(r0, eps, perturbation, clocks.jumps, clocks.jump_prefix[:, 1:])
+        hit |= np.any(at_jumps <= 0.0, axis=1)  # NaN padding compares False
+    for i in np.flatnonzero(np.broadcast_to(hit, exits.shape)):
+        angular = clocks.row(i)
+        candidates = np.sort(np.concatenate((angular.jumps, shared))) if with_jumps else shared
+
+        def r_at(s):
+            return radius(r0, eps, perturbation, s, angular.cos_integral_prefix(s))
+
+        below = np.flatnonzero(r_at(candidates) <= 0.0)
+        if not below.size:
+            continue
+        k = int(below[0])
+        lo, hi = (float(candidates[k - 1]) if k else 0.0), float(candidates[k])
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if r_at(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        exits[i] = hi
+    return exits
 
 
 def evolve_cylinder(start: CylPoint, driver: DriverPath, t: float) -> CylPoint:
@@ -274,31 +409,14 @@ def perturbed_cylinder_path(
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0: {eps}")
     angular = AngularJumpPath(theta0=start.theta, jumps=driver.jump_times)
+    clock = JumpClocks(start.theta, angular.jumps[None, angular.jumps <= t])
+    exit_time = float(manifold_exit_times(clock, start.r, eps, perturbation, t)[0])
+    if math.isfinite(exit_time):
+        raise ManifoldExit(exit_time=exit_time)
     ts = _record_grid(driver, t)
-
-    if perturbation.has_angular:
-        r = start.r + eps * (perturbation.lambda0 * ts + angular.cos_integral_prefix(ts))
-    else:
-        r = start.r + eps * perturbation.lambda0 * ts
-
+    prefix = angular.cos_integral_prefix(ts) if perturbation.has_angular else None
+    r = radius(start.r, eps, perturbation, ts, prefix)
     z = perturbation.vertical_flow(start.z, eps * ts)
-
-    bad = np.flatnonzero(r <= 0.0)
-    if bad.size:
-        k = int(bad[0])
-        lo, hi = ts[k - 1], ts[k]
-        radial = (
-            (lambda s: start.r + eps * (perturbation.lambda0 * s + angular.cos_integral(0.0, s)))
-            if perturbation.has_angular
-            else (lambda s: start.r + eps * perturbation.lambda0 * s)
-        )
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if radial(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        raise ManifoldExit(exit_time=hi)
 
     return PerturbedCylinderPath(
         start=start, eps=eps, perturbation=perturbation, angular=angular, times=ts, r=r, z=z

@@ -476,6 +476,42 @@ def test_averaging_error_matches_exact_law():
         assert abs(res.estimate - oracle) <= 3.0 * res.std_error
 
 
+def test_averaging_error_matches_exact_law_at_1e5_replicas():
+    # K = (0, lambda0 + cos theta, 0) with lambda0 >= 1: r is nondecreasing, so
+    # no replica exits, and the endpoint error is exactly eps |F(t/eps)|
+    K = PerturbationField(lambda0=1.5, k3="zero", angular="cosine")
+    eps, t, n = 0.2, 1.0, 100_000
+    res = averaging_error(MODEL, K, eps, t, 2.0, n, StreamKey(SEED), start=CylPoint(0.0, 1.0, 0.0))
+    assert res.n_exited == 0
+    oracle = eps * math.sqrt(_cos_integral_second_moment(t / eps))
+    assert abs(res.estimate - oracle) <= 3.0 * res.std_error
+    assert 3.0 * res.std_error <= 0.015 * oracle  # the window is narrow at this size
+
+
+def test_averaging_error_rows_are_decompose_error_per_replica():
+    # the batch over replicas gives each replica's one-replica decomposition,
+    # end point and exit flag to the bit, exits included
+    K = PerturbationField(lambda0=-0.4, k3="sine", angular="cosine")
+    eps, t, n = 0.9, 0.5, 60
+    start = CylPoint(1.0, 0.25, 0.5)
+    region = VerticalRegion(r_min=0.01)
+    res = averaging_error(
+        MODEL, K, eps, t, 2.0, n, StreamKey(SEED), region=region, start=start, keep_decompositions=True
+    )
+    assert 0 < res.n_exited < n
+    rows = iter(res.decomp_rows)
+    for i in range(n):
+        one = decompose_error(MODEL, K, eps, t, StreamKey(SEED).replica(i), start=start)
+        assert one.exited == np.isnan(res.errors[i])
+        if one.exited:
+            continue
+        err = np.hypot(one.pi_end[0] - res.v_final[0], one.pi_end[1] - res.v_final[1])
+        assert res.errors[i] == err
+        for comp in one.components:
+            expected = [i, comp.component, comp.a1, comp.a2, comp.a3, comp.a4, comp.delta]
+            np.testing.assert_array_equal(next(rows), expected)
+
+
 def test_averaging_error_threads_reproduce_serial():
     K = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
     serial = averaging_error(MODEL, K, 0.1, 1.0, 2.0, 16, StreamKey(SEED), threads=1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from foliated_flows.drivers import DriverPath, StreamKey, sample_brownian, sample_jump_driver
 from foliated_flows.flows import (
     AngularJumpPath,
+    JumpClocks,
     ManifoldExit,
     check_leaf_invariance,
     cylinder_trajectory,
@@ -14,8 +15,10 @@ from foliated_flows.flows import (
     evolve_cylinder,
     evolve_cylinder_perturbed,
     evolve_torus,
+    manifold_exit_times,
     n_point_motion,
     perturbed_cylinder_path,
+    radius,
     torus_trajectory,
 )
 from foliated_flows.geometry import (
@@ -204,6 +207,73 @@ def test_perturbed_manifold_exit_carries_time():
     with pytest.raises(ManifoldExit) as info:
         evolve_cylinder_perturbed(CylPoint(0.0, 1.0, 0.0), driver, 10.0, 0.5, K)
     assert info.value.exit_time == pytest.approx(2.0, abs=1e-6)
+
+
+def _dip_within_one_step():
+    # lambda0 = -1/2 and one jump at 0.5: r' = eps (-1/2 - cos s) after the
+    # jump, so on [0, 4] r has one local minimum, at s* = 2 pi / 3.  r0 puts
+    # it 1e-6 (relative) below 0, so r < 0 only within about 1.5e-3 of s*,
+    # strictly between the dt grid points 2.09 and 2.10.
+    K = PerturbationField(lambda0=-0.5, k3="zero", angular="cosine")
+    eps, s_star = 0.1, 2.0 * math.pi / 3.0
+    g_min = -0.5 * s_star + 2.0 * math.sin(0.5) - math.sin(s_star)
+    start = CylPoint(0.0, -eps * g_min * (1.0 - 1e-6), 0.0)
+    driver = _manual_driver(np.zeros(400), dt=0.01, jumps=[0.5])
+    return K, eps, start, driver
+
+
+def test_perturbed_exit_found_inside_one_dt_step():
+    K, eps, start, driver = _dip_within_one_step()
+    angular = AngularJumpPath(start.theta, driver.jump_times)
+    grid = driver.times
+    assert np.all(radius(start.r, eps, K, grid, angular.cos_integral_prefix(grid)) > 0.0)
+    with pytest.raises(ManifoldExit) as info:
+        perturbed_cylinder_path(start, driver, 4.0, eps, K)
+    exit_time = info.value.exit_time
+    assert 2.09 < exit_time < 2.0 * math.pi / 3.0 < 2.10
+    assert abs(radius(start.r, eps, K, exit_time, angular.cos_integral_prefix(exit_time))) <= 1e-15
+    with pytest.raises(ManifoldExit) as info:
+        cylinder_trajectory(start, driver, K, eps)
+    assert info.value.exit_time == exit_time
+
+
+def test_manifold_exit_times_match_a_dense_grid():
+    # independent oracle: r on a 1e-4 grid plus the jump times; an exit is
+    # flagged where that grid reaches 0, and r is 0 at the exit time
+    K = PerturbationField(lambda0=-0.4, k3="zero", angular="cosine")
+    eps, horizon, r0, theta0 = 0.5, 1.6, 0.35, 1.0
+    rows = [sample_jump_driver(StreamKey(SEED, i), horizon, 0.1).jump_times for i in range(120)]
+    exits = manifold_exit_times(JumpClocks.pad(theta0, rows), r0, eps, K, horizon)
+    fine = np.linspace(0.0, horizon, 16001)
+    n_exits = 0
+    for jumps, exit_time in zip(rows, exits):
+        angular = AngularJumpPath(theta0, jumps)
+        ts = np.union1d(fine, jumps)
+        r = radius(r0, eps, K, ts, angular.cos_integral_prefix(ts))
+        if np.any(r <= 0.0):
+            n_exits += 1
+            first = ts[np.argmax(r <= 0.0)]
+            assert first - 1e-4 <= exit_time <= first
+            assert abs(radius(r0, eps, K, exit_time, angular.cos_integral_prefix(exit_time))) <= 1e-15
+        else:
+            assert exit_time == np.inf
+        single = manifold_exit_times(JumpClocks(theta0, jumps[None, :]), r0, eps, K, horizon)
+        assert single[0] == exit_time
+    assert 10 <= n_exits <= 110
+
+
+def test_jump_clocks_rows_equal_their_angular_paths():
+    rows = [sample_jump_driver(StreamKey(SEED, i), 30.0, 1.0).jump_times for i in range(40)]
+    rows += [np.empty(0), np.array([0.25, 0.5])]
+    ts = np.concatenate(([0.0, 0.25], np.linspace(0.1, 30.0, 57), [30.0, 30.0]))
+    ts.sort()
+    clocks = JumpClocks.pad(0.3, rows)
+    prefix = clocks.cos_integral_prefix(ts)
+    for i, jumps in enumerate(rows):
+        angular = AngularJumpPath(0.3, jumps)
+        np.testing.assert_array_equal(clocks.counts(ts)[i], angular.counts(ts))
+        np.testing.assert_array_equal(prefix[i], angular.cos_integral_prefix(ts))
+        np.testing.assert_array_equal(clocks.jump_prefix[i, 1 : jumps.size + 1], angular.cos_integral_prefix(jumps))
 
 
 def test_perturbation_continuity_pathwise_bound():

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -280,6 +283,25 @@ def test_parallel_run_reproduces_serial(tmp_path):
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "name, replicas, sha256",
+    [
+        ("rates-cosine", 200, "b53fc9f49df9c2cdb6da4e7b84ccff6008319839ab7bd3dc1ed673f467fb04f4"),
+        ("average-commuting", 40, "33b57b81c03c9422e6a57232b2ce2898c63ecbc81a725b514668194eed9f3db8"),
+    ],
+)
+def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
+    # sha256 of the payload that the per-replica implementation (a record
+    # grid and one decomposition per replica) gave on this config
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    cfg = dataclasses.replace(cfg, averaging=dataclasses.replace(cfg.averaging, replicas=replicas))
+    body = json.dumps(run(cfg, write_artifacts=False).payload(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == sha256
+
+
 def test_different_seed_changes_results(tmp_path):
     a = run(parse_config(_rates_config(seed=1, out=str(tmp_path / "a"))))
     b = run(parse_config(_rates_config(seed=2, out=str(tmp_path / "b"))))
@@ -354,6 +376,10 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ("kernel-check", {"kernel_check": {"leaves": [[float("inf"), 0.0]]}}, "config.kernel_check.leaves[0]"),
         ("kernel-check", {"kernel_check": {"leaves": [[1.0, 0.0], [-1.0, 0.0]]}}, "config.kernel_check.leaves[1]"),
         ("kernel-check", {"kernel_check": {"times": [float("nan")]}}, "config.kernel_check.times[0]"),
+        ("kernel-check", {"kernel_check": {"leaves": [[1.0, 0.0], [1.0, 0.0]]}}, "config.kernel_check.leaves[1]"),
+        ("rates", {"averaging": {"start": {"z": 9.0}}}, "config.averaging.start"),
+        ("average", {"averaging": {"start": {"r": 0.2}}}, "config.averaging.start"),
+        ("average", {"region": {"z_max": 0.5}}, "config.averaging.start"),
     ],
 )
 def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):
@@ -362,6 +388,32 @@ def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert any(f.startswith(field + ":") for f in record["fields"])
+
+
+def test_config_checks_averaging_start_only_for_averaging_kinds():
+    # the default averaging start (r, z) = (1, 1) lies outside this region
+    for kind in ("simulate", "kernel-check", "coalesce"):
+        parse_config({"experiment": kind, "region": {"z_max": 0.5}})
+
+
+def test_cli_summary_counts_violations_and_exits(tmp_path, capsys):
+    # lambda0 < 0 near r = 0: some replicas leave the manifold at eps = 0.9
+    data = {
+        "experiment": "average",
+        "seed": SEED,
+        "output_dir": str(tmp_path / "out"),
+        "perturbation": {"lambda0": -0.4, "k3": "sine", "angular": "cosine"},
+        "region": {"r_min": 0.01},
+        "averaging": {
+            "t": 0.5, "eps_grid": [0.9, 0.5], "replicas": 40,
+            "start": {"theta": 1.0, "r": 0.25, "z": 0.5},
+        },
+    }
+    assert cli_main(["average", "--config", _write_cfg(tmp_path, data)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert summary["n_exited"] == sum(row["n_exited"] for row in report["per_eps"]) > 0
+    assert summary["pathwise_bound_violations"] == report["pathwise_bound_violations"] == 0
 
 
 def test_config_simulate_starts_keep_only_given_keys():
