@@ -14,7 +14,6 @@ from .averaging import (
     decompose_error,
     default_rate_bound,
     fit_rate_exponent,
-    leaf_average,
     make_partition,
     solve_averaged_ode,
 )

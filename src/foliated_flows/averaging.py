@@ -23,6 +23,12 @@ the rotation and jumps, and dpi_1(K) sees only theta), and A2 and delta of
 the vertical component (dpi_2(K) = k3(z) does not see theta, so it equals its
 own leaf average).
 
+The averaged side is closed form too.  The only leaf average ever taken is
+Q(cos theta): exactly 0 under the uniform measure, and (F(T) - F(T0)) / (T - T0)
+on one long jump clock under the empirical one.  So the averaged field is
+(lambda0 + Q(cos theta), k3(z)), and its ODE is solved by v(s) = (r0 + q1 s,
+z(s)) with the same vertical flow as the replicas.
+
 The replicas of one eps are one batch (``decompose_batch``).  Each replica
 draws only its jump times, from its own keyed stream; the jump times of all
 replicas, padded into one array, give every replica's cos integrals at the
@@ -42,11 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import ROLE_INDEPENDENT, StreamKey, sample_jump_driver, sample_poisson_jumps
+from .drivers import ROLE_INDEPENDENT, StreamKey, sample_poisson_jumps
 from .parallel import map_indexed
-from .flows import CYLINDER_JUMP_RATE, JumpClocks, manifold_exit_times, radius
+from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, manifold_exit_times, radius
 from .geometry import (
-    TWO_PI,
     CylPoint,
     PerturbationField,
     RotationJumpCylinder,
@@ -67,94 +72,45 @@ MEASURE_MODES = ("analytic-uniform", "empirical")
 
 @dataclass(frozen=True)
 class InvariantMeasureSpec:
-    """How leaf averages Q^g are computed.
+    """The invariant measure on the circle that leaf averages Q^g are taken against.
 
     The leafwise dynamics (unit rotation plus antipodal jumps) do not depend
-    on the leaf, so one measure on the circle serves every leaf.
-    ``analytic-uniform`` integrates against the normalized Lebesgue measure of
-    the circle with an equispaced rule (exact for trigonometric polynomials of
-    degree < quadrature_points).  ``empirical`` takes the time average of one
-    long unperturbed rotation-jump run with the leading burn-in discarded; an
-    ``AveragedField`` draws that run from the stream
-    ``key.with_role("independent")``.
+    on the leaf, so one measure serves every leaf, and the only average the
+    model needs is Q(cos theta).  ``analytic-uniform`` is the normalized
+    Lebesgue measure of the circle, under which Q(cos theta) is exactly 0.
+    ``empirical`` is the time average along one long unperturbed
+    rotation-jump run of length ``horizon``, with the leading
+    ``burn_in_fraction`` discarded; an ``AveragedField`` draws that run's jump
+    clock from the stream ``key.with_role("independent")``.
     """
 
     mode: str = "analytic-uniform"
-    quadrature_points: int = 64
     horizon: float = 200.0
-    dt: float = 0.01
     burn_in_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.mode not in MEASURE_MODES:
             raise ValueError(f"measure mode must be one of {MEASURE_MODES}: {self.mode!r}")
-        if self.quadrature_points < 2:
-            raise ValueError("need at least 2 quadrature points")
+        if not self.horizon > 0.0:
+            raise ValueError(f"the empirical measure needs a positive horizon: {self.horizon!r}")
         if not 0.0 <= self.burn_in_fraction < 1.0:
             raise ValueError("burn-in fraction must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class LeafAverage:
-    value: float
-    std_error: float
+def _cos_average(measure: InvariantMeasureSpec, key: StreamKey | None) -> float:
+    """Q(cos theta) against the measure, exactly.
 
-
-def _segment_nodes(theta0: float, jumps: np.ndarray, ts: np.ndarray):
-    """Left values and right limits of theta on each recorded segment.
-
-    theta is discontinuous at jump times; the right limit of a segment ending
-    at a jump keeps the pre-jump count, which is what the integral sees.
+    On one run theta(s) = s + pi N_s it is (F(T) - F(T0)) / (T - T0), with F
+    the exact cos integral, T the horizon and T0 the end of the burn-in.
     """
-    counts = np.searchsorted(jumps, ts[:-1], side="right")
-    theta_left = theta0 + ts[:-1] + math.pi * counts
-    theta_right = theta0 + ts[1:] + math.pi * counts
-    return theta_left, theta_right
-
-
-def leaf_average(
-    g,
-    leaf: tuple[float, float],
-    measure: InvariantMeasureSpec,
-    key: StreamKey | None = None,
-) -> LeafAverage:
-    """Average of g(theta, r, z) over the circle leaf (r, z).
-
-    g must accept array-valued theta.  The empirical mode needs a StreamKey
-    for its jump clock and reports a batch-means standard error.
-    """
-    r, z = leaf
-    return _circle_average(lambda th: g(th, r, z), measure, key)
-
-
-def _circle_average(g, measure: InvariantMeasureSpec, key: StreamKey | None) -> LeafAverage:
-    """Average of g(theta) against the invariant measure on the circle."""
     if measure.mode == "analytic-uniform":
-        angles = TWO_PI * np.arange(measure.quadrature_points) / measure.quadrature_points
-        return LeafAverage(value=float(np.mean(g(angles))), std_error=0.0)
-
-    if measure.horizon <= 0.0:
-        raise ValueError("empirical leaf average needs a positive horizon")
+        return 0.0
     if key is None:
-        raise ValueError("empirical leaf average needs a StreamKey for its jump clock")
-    driver = sample_jump_driver(key, measure.horizon, measure.dt, rate=CYLINDER_JUMP_RATE)
-    grid = np.unique(np.concatenate((driver.times, driver.jump_times)))
-    theta_left, theta_right = _segment_nodes(0.0, driver.jump_times, grid)
-    seg = 0.5 * (g(theta_left) + g(theta_right)) * np.diff(grid)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+        raise ValueError("the empirical measure needs a StreamKey for its jump clock")
+    jumps = sample_poisson_jumps(key, CYLINDER_JUMP_RATE, measure.horizon)
     t0 = measure.burn_in_fraction * measure.horizon
-    keep = mids >= t0
-    length = float(np.sum(np.diff(grid)[keep]))  # weights sum to exactly 1
-    value = float(np.sum(seg[keep]) / length)
-
-    n_batches = 16
-    edges = t0 + length * np.arange(n_batches + 1) / n_batches
-    batch_idx = np.clip(np.searchsorted(edges, mids[keep], side="right") - 1, 0, n_batches - 1)
-    sums = np.bincount(batch_idx, weights=seg[keep], minlength=n_batches)
-    lens = np.bincount(batch_idx, weights=np.diff(grid)[keep], minlength=n_batches)
-    means = sums / np.where(lens > 0, lens, 1.0)
-    std_error = float(np.std(means, ddof=1) / math.sqrt(n_batches))
-    return LeafAverage(value=value, std_error=std_error)
+    f0, f1 = AngularJumpPath(0.0, jumps).cos_integral_prefix([t0, measure.horizon])
+    return float(f1 - f0) / (measure.horizon - t0)
 
 
 class AveragedField:
@@ -177,7 +133,7 @@ class AveragedField:
         self.radial = perturbation.lambda0
         if perturbation.has_angular:
             sub = key.with_role(ROLE_INDEPENDENT) if key is not None else None
-            self.radial += _circle_average(np.cos, measure, sub).value
+            self.radial += _cos_average(measure, sub)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return np.array([self.radial, float(self.perturbation.vertical_rate(float(v[1])))])
@@ -223,10 +179,12 @@ def solve_averaged_ode(
     region: VerticalRegion | None = None,
     key: StreamKey | None = None,
 ) -> AveragedTrajectory:
-    """Integrate dv/dt = (Q^{dpi_1(K)}, Q^{dpi_2(K)})(v) with classical RK4.
+    """dv/dt = (Q^{dpi_1(K)}, Q^{dpi_2(K)})(v) in closed form, recorded every T/ceil(T/step).
 
-    Stops at T or at the first exit from the vertical region V (the exit time
-    T0 is located by bisection on the final step and reported).
+    v(s) = (r0 + q1 s, z(s)), with q1 = lambda0 + Q(cos theta) and z the flow
+    of z' = k3(z).  Each coordinate is monotone in s, so v leaves the vertical
+    region V before T exactly when v(T) lies outside it; the exit time T0 is
+    then found by bisection on the closed form, and the record stops there.
     """
     region = region or VerticalRegion()
     v0 = np.asarray(v0, dtype=float)
@@ -234,43 +192,25 @@ def solve_averaged_ode(
         raise ValueError(f"v0={v0} lies outside the vertical region")
     if T <= 0.0 or step <= 0.0:
         raise ValueError("T and step must be positive")
-    field = AveragedField(perturbation, measure, key)
+    q1 = AveragedField(perturbation, measure, key).radial
 
-    n = max(1, int(math.ceil(T / step - _FLOOR_TOL)))
-    h = T / n
-    times = [0.0]
-    values = [v0]
+    def v(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack((v0[0] + q1 * s, perturbation.vertical_flow(v0[1], s)), axis=-1)
 
-    def rk4_step(v: np.ndarray, hh: float) -> np.ndarray:
-        k1 = field(v)
-        k2 = field(v + 0.5 * hh * k1)
-        k3 = field(v + 0.5 * hh * k2)
-        k4 = field(v + hh * k3)
-        return v + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    v = v0
-    t = 0.0
-    for _ in range(n):
-        v_next = rk4_step(v, h)
-        if not region.contains(v_next):
-            lo, hi = 0.0, h
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if region.contains(rk4_step(v, mid)):
-                    lo = mid
-                else:
-                    hi = mid
-            t_exit = t + hi
-            times.append(t_exit)
-            values.append(rk4_step(v, hi))
-            return AveragedTrajectory(
-                times=np.array(times), values=np.array(values), exit_time=t_exit
-            )
-        v = v_next
-        t += h
-        times.append(t)
-        values.append(v)
-    return AveragedTrajectory(times=np.array(times), values=np.array(values), exit_time=None)
+    times = np.linspace(0.0, T, max(1, int(math.ceil(T / step - _FLOOR_TOL))) + 1)
+    exit_time = None
+    if not region.contains(v(T)):
+        lo, hi = 0.0, T
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if region.contains(v(mid)):
+                lo = mid
+            else:
+                hi = mid
+        exit_time = hi
+        times = np.append(times[times < hi], hi)
+    return AveragedTrajectory(times=times, values=v(times), exit_time=exit_time)
 
 
 # ---------------------------------------------------------------------------
@@ -613,26 +553,6 @@ def check_pathwise_bounds(
     return _bound_checks(terms, np.array([replica_id]), result.partition, perturbation, region)
 
 
-def _averaged_ode(
-    perturbation: PerturbationField,
-    measure: InvariantMeasureSpec,
-    start: CylPoint,
-    t: float,
-    ode_step: float,
-    region: VerticalRegion,
-    key: StreamKey,
-) -> AveragedTrajectory:
-    """The averaged ODE from pi(start) up to t, which it must not leave V before."""
-    ode = solve_averaged_ode(
-        perturbation, measure, np.array([start.r, start.z]), t, ode_step, region, key
-    )
-    if ode.exit_time is not None:
-        raise ValueError(
-            f"t={t} is not before the averaged ODE's boundary exit T0={ode.exit_time}"
-        )
-    return ode
-
-
 def averaging_error(
     model: RotationJumpCylinder,
     perturbation: PerturbationField,
@@ -658,7 +578,8 @@ def averaging_error(
     replicas gives their end points, their A1..A4 decompositions, their
     exact manifold exits and the pathwise A1..A4 bound checks.  Requires
     t < T0 (the ODE must not leave V before t).  Every quantity is exact, so
-    ``dt`` has no effect, and ``threads`` has none either.
+    ``dt`` has no effect, ``ode_step`` only spaces the averaged ODE's record,
+    and ``threads`` has no effect either.
     """
     if not isinstance(model, RotationJumpCylinder):
         raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
@@ -669,45 +590,18 @@ def averaging_error(
     measure = measure or InvariantMeasureSpec()
     region = region or VerticalRegion()
     start = start or CylPoint(theta=0.0, r=1.0, z=1.0)
-    ode = _averaged_ode(perturbation, measure, start, t, ode_step, region, key)
-    return _averaging_error_at(
-        perturbation,
-        AveragedField(perturbation, measure, key),
-        ode.final,
-        eps,
-        t,
-        p,
-        n_replicas,
-        key,
-        region,
-        f_choice,
-        start,
-        rate_bound or default_rate_bound(perturbation, region),
-        keep_decompositions,
-    )
+    rb = rate_bound or default_rate_bound(perturbation, region)
+    ode = solve_averaged_ode(perturbation, measure, (start.r, start.z), t, ode_step, region, key)
+    if ode.exit_time is not None:
+        raise ValueError(f"t={t} is not before the averaged ODE's boundary exit T0={ode.exit_time}")
+    v_t = ode.final
 
-
-def _averaging_error_at(
-    perturbation: PerturbationField,
-    field: AveragedField,
-    v_t: np.ndarray,
-    eps: float,
-    t: float,
-    p: float,
-    n_replicas: int,
-    key: StreamKey,
-    region: VerticalRegion,
-    f_choice: str,
-    start: CylPoint,
-    rb: RateBound,
-    keep_decompositions: bool,
-) -> AveragingErrorResult:
-    """``averaging_error`` at one eps, given the field and the averaged ODE's v(t)."""
     partition = make_partition(eps, t, f_choice, p)
     jumps = map_indexed(
         lambda i: sample_poisson_jumps(key.replica(i), CYLINDER_JUMP_RATE, partition.horizon),
         n_replicas,
     )
+    field = AveragedField(perturbation, measure, key)
     batch = decompose_batch(perturbation, field, partition, start, jumps)
     stayed = np.flatnonzero(batch.stayed)
     valid = np.hypot(batch.r_end[stayed] - v_t[0], batch.z_end - v_t[1])

@@ -59,9 +59,10 @@ def main(argv: list[str] | None = None) -> int:
                 "rates": "averaging",
                 "coalesce": "coalesce",
             }.get(args.experiment)
-            if section is not None:
-                inner = dataclasses.replace(getattr(cfg, section), replicas=args.replicas)
-                cfg = dataclasses.replace(cfg, **{section: inner})
+            if section is None:
+                raise ConfigError([f"--replicas: {args.experiment} runs no replicas"])
+            inner = dataclasses.replace(getattr(cfg, section), replicas=args.replicas)
+            cfg = dataclasses.replace(cfg, **{section: inner})
     except (ConfigError, OSError) as exc:
         print(_error_record("config", exc), file=sys.stderr)
         return 2

@@ -140,9 +140,7 @@ class AveragingConfig:
             "start": {"theta": self.start[0], "r": self.start[1], "z": self.start[2]},
             "measure": {
                 "mode": self.measure.mode,
-                "quadrature_points": self.measure.quadrature_points,
                 "horizon": self.measure.horizon,
-                "dt": self.measure.dt,
                 "burn_in_fraction": self.measure.burn_in_fraction,
             },
         }
@@ -292,6 +290,10 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             problems.append(f"config.model.v: expected [v1, v2], got {v_raw!r}")
     sigma = msec.take("sigma", 1.0, float, lambda x: x > 0.0, "sigma must be positive")
     msec.finish()
+    if kind in ("average", "rates") and name != "rotation-jump-cylinder":
+        problems.append(
+            f"config.model.name: {kind} is defined for the rotation-jump-cylinder only (got {name!r})"
+        )
     model = ModelConfig(name=name, v=v, sigma=sigma)
 
     psec = root.sub("perturbation")
@@ -344,7 +346,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     ksec = root.sub("kernel_check")
     m = ksec.take("m", 8, int, lambda x: x >= 2 and x % 2 == 0,
                   "build_cylinder_kernel needs an even m >= 2")
-    leaves_raw = ksec.take("leaves", [[1.0, 0.0], [2.0, 0.0]], list)
+    leaves_raw = ksec.take("leaves", [[1.0, 0.0], [2.0, 0.0]], list, bool, "need at least one leaf")
     leaves: list[tuple[float, float]] = []
     for i, lf in enumerate(leaves_raw):
         if isinstance(lf, list) and len(lf) == 2 and all(map(_is_finite_number, lf)) and lf[0] > 0:
@@ -354,7 +356,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             leaves.append(leaf)
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
-    times_raw = ksec.take("times", [math.pi / 4.0, math.pi / 2.0], list)
+    times_raw = ksec.take("times", [math.pi / 4.0, math.pi / 2.0], list, bool, "need at least one time")
     times: list[float] = []
     step = 2.0 * math.pi / m if m else 1.0
     for i, tv in enumerate(times_raw):
@@ -373,7 +375,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     asec = root.sub("averaging")
     t = asec.take("t", 1.0, float, lambda x: x > 0.0, "make_partition requires t > 0")
     p = asec.take("p", 2.0, float, lambda x: x >= 1.0, "p must lie in [1, inf)")
-    eps_raw = asec.take("eps_grid", [0.1, 0.01], list)
+    eps_raw = asec.take("eps_grid", [0.1, 0.01], list, bool, "need at least one eps")
     eps_grid: list[float] = []
     for i, ev in enumerate(eps_raw):
         if isinstance(ev, (int, float)) and 0.0 < float(ev) < 1.0:
@@ -403,11 +405,8 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     measure = InvariantMeasureSpec(
         mode=mssec.take("mode", "analytic-uniform", str, lambda s: s in MEASURE_MODES,
                         f"must be one of {MEASURE_MODES}"),
-        quadrature_points=mssec.take("quadrature_points", 64, int, lambda x: x >= 2,
-                                     "need at least 2 quadrature points"),
         horizon=mssec.take("horizon", 200.0, float, lambda x: x > 0.0,
                            "empirical leaf averages need a positive horizon"),
-        dt=mssec.take("dt", 0.01, float, lambda x: x > 0.0, "dt must be positive"),
         burn_in_fraction=mssec.take("burn_in_fraction", 0.1, float,
                                     lambda x: 0.0 <= x < 1.0, "burn-in fraction in [0, 1)"),
     )

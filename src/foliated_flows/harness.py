@@ -18,11 +18,11 @@ import numpy as np
 
 from .averaging import (
     AveragedField,
-    _averaged_ode,
-    _averaging_error_at,
+    averaging_error,
     default_rate_bound,
     fit_rate_exponent,
     measured_lipschitz,
+    solve_averaged_ode,
 )
 from .config import ExperimentConfig
 from .drivers import StreamKey
@@ -178,18 +178,17 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
     av = cfg.averaging
     base = StreamKey(cfg.seed)
     start = CylPoint.from_angle(*av.start)
+    model = make_model(cfg.model.name)
     rb = default_rate_bound(cfg.perturbation, cfg.region, c1=cfg.bounds.c1, c2=cfg.bounds.c2)
-    # one averaged ODE and one field serve every eps; av.dt has no effect
-    ode = _averaged_ode(cfg.perturbation, av.measure, start, av.t, av.ode_step, cfg.region, base)
-    field = AveragedField(cfg.perturbation, av.measure, base)
 
     per_eps = []
     decomp_rows = []
     n_violations = 0
     for eps in av.eps_grid:
-        res = _averaging_error_at(
-            cfg.perturbation, field, ode.final, eps, av.t, av.p, av.replicas, base,
-            cfg.region, av.f_choice, start, rb, keep_decompositions=True,
+        res = averaging_error(
+            model, cfg.perturbation, eps, av.t, av.p, av.replicas, base, measure=av.measure,
+            ode_step=av.ode_step, region=cfg.region, f_choice=av.f_choice, start=start,
+            rate_bound=rb, keep_decompositions=True,
         )
         n_violations += len(res.violations)
         per_eps.append(
@@ -231,7 +230,11 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
         except ValueError as exc:
             results["slope"] = None
             results["flags"] = [f"fit-failed: {exc}"]
+        ode = solve_averaged_ode(
+            cfg.perturbation, av.measure, av.start[1:], av.t, av.ode_step, cfg.region, base
+        )
         leaves = [tuple(v) for v in ode.values[:: max(1, len(ode.values) // 16)]]
+        field = AveragedField(cfg.perturbation, av.measure, base)
         results["averaged_field_lipschitz_measured"] = measured_lipschitz(field, leaves)
         results["gronwall_C"] = rb.gronwall_c
     return results

@@ -13,12 +13,11 @@ from foliated_flows.averaging import (
     decompose_error,
     default_rate_bound,
     fit_rate_exponent,
-    leaf_average,
     make_partition,
     measured_lipschitz,
     solve_averaged_ode,
 )
-from foliated_flows.drivers import StreamKey, sample_jump_driver
+from foliated_flows.drivers import StreamKey, sample_jump_driver, sample_poisson_jumps
 from foliated_flows.flows import perturbed_cylinder_path
 from foliated_flows.geometry import (
     CylPoint,
@@ -36,54 +35,47 @@ ANALYTIC = InvariantMeasureSpec()
 # leaf averages
 
 
-def test_leaf_average_constant():
-    res = leaf_average(lambda th, r, z: 3.5 + 0.0 * th, (1.0, 0.0), ANALYTIC)
-    assert res.value == pytest.approx(3.5, abs=1e-15)
-    assert res.std_error == 0.0
-
-
 def test_leaf_average_of_radial_component_is_lambda0():
-    K = PerturbationField(lambda0=0.7, k3="sine", angular="cosine")
-    res = leaf_average(lambda th, r, z: K.radial_rate(th), (2.0, 1.0), ANALYTIC)
-    assert res.value == pytest.approx(0.7, abs=1e-14)
+    # under the uniform measure Q(lambda0 + cos theta) is lambda0 exactly
+    for lambda0 in (0.7, 0.5, -0.4, 1.0):
+        K = PerturbationField(lambda0=lambda0, k3="sine", angular="cosine")
+        assert AveragedField(K, ANALYTIC).radial == lambda0
 
 
 def test_leaf_average_cos_vanishes():
-    res = leaf_average(lambda th, r, z: np.cos(th), (1.0, 0.0), ANALYTIC)
-    assert abs(res.value) <= 1e-15
-
-
-def test_analytic_quadrature_exact_for_trig_polynomials():
-    # equispaced nodes integrate trig polynomials of degree < n exactly
-    cases = [
-        (lambda th, r, z: np.cos(th) ** 2, 0.5),
-        (lambda th, r, z: np.sin(th) ** 2, 0.5),
-        (lambda th, r, z: np.sin(th) * np.cos(th), 0.0),
-        (lambda th, r, z: np.cos(3.0 * th) + 1.0, 1.0),
-    ]
-    for g, expected in cases:
-        assert leaf_average(g, (1.0, 0.0), ANALYTIC).value == pytest.approx(expected, abs=1e-14)
-
-
-def test_empirical_leaf_average_close_to_analytic():
-    horizon = 200.0
-    measure = InvariantMeasureSpec(mode="empirical", horizon=horizon, dt=0.01)
-    key = StreamKey(SEED, 100, role="independent")
-    emp = leaf_average(lambda th, r, z: np.cos(th) ** 2, (1.0, 0.0), measure, key)
-    assert abs(emp.value - 0.5) <= 4.0 / math.sqrt(horizon)
-    assert emp.std_error > 0.0
+    K = PerturbationField(lambda0=0.0, k3="zero", angular="cosine")
+    assert AveragedField(K, ANALYTIC).radial == 0.0
 
 
 def test_empirical_mode_requires_horizon_and_key():
-    measure = InvariantMeasureSpec(mode="empirical", horizon=0.0)
+    K = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
     with pytest.raises(ValueError):
-        leaf_average(lambda th, r, z: th, (1.0, 0.0), measure, StreamKey(SEED))
+        AveragedField(K, InvariantMeasureSpec(mode="empirical", horizon=0.0), StreamKey(SEED))
     with pytest.raises(ValueError):
-        leaf_average(
-            lambda th, r, z: th,
-            (1.0, 0.0),
-            InvariantMeasureSpec(mode="empirical"),
-        )
+        AveragedField(K, InvariantMeasureSpec(mode="empirical"))
+    # without the angular modulation there is nothing to average, so no key is needed
+    flat = PerturbationField(lambda0=1.0, k3="zero", angular="none")
+    assert AveragedField(flat, InvariantMeasureSpec(mode="empirical")).radial == 1.0
+
+
+def test_empirical_cos_average_matches_dense_trapezoid_on_the_same_jumps():
+    # independent oracle: trapezoid quadrature of cos(theta) on a fine grid
+    # within each inter-jump segment of the run the field draws
+    horizon, burn_in = 40.0, 0.25
+    key = StreamKey(SEED, 7)
+    measure = InvariantMeasureSpec(mode="empirical", horizon=horizon, burn_in_fraction=burn_in)
+    K = PerturbationField(lambda0=0.0, k3="zero", angular="cosine")
+    got = AveragedField(K, measure, key).radial
+    jumps = sample_poisson_jumps(key.with_role("independent"), 1.0, horizon)
+    t0 = burn_in * horizon
+    edges = np.concatenate(([t0], jumps[jumps > t0], [horizon]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        s = np.linspace(a, b, 2001)
+        theta = s + math.pi * np.searchsorted(jumps, a, side="right")
+        total += np.trapezoid(np.cos(theta), s)
+    assert got == pytest.approx(total / (horizon - t0), abs=2e-8)  # the trapezoid error is 5e-9
+    assert got != 0.0
 
 
 def test_averaged_field_analytic_closed_form():
@@ -97,7 +89,7 @@ def test_averaged_field_analytic_closed_form():
 
 def test_averaged_field_empirical_matches_analytic_within_clt():
     K = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
-    measure = InvariantMeasureSpec(mode="empirical", horizon=200.0, dt=0.01)
+    measure = InvariantMeasureSpec(mode="empirical", horizon=200.0)
     field = AveragedField(K, measure, StreamKey(SEED, 0))
     v = field(np.array([1.0, 1.0]))
     assert abs(v[0] - 1.0) <= 4.0 / math.sqrt(200.0)
@@ -107,7 +99,7 @@ def test_averaged_field_empirical_matches_analytic_within_clt():
 def test_empirical_averaged_field_is_leaf_independent():
     # one measure serves every leaf, so leaves that differ only in (r, z)
     # see the same radial average and the same noise
-    measure = InvariantMeasureSpec(mode="empirical", horizon=200.0, dt=0.01)
+    measure = InvariantMeasureSpec(mode="empirical", horizon=200.0)
     K = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
     field = AveragedField(K, measure, StreamKey(SEED))
     assert field(np.array([1.0, 0.0]))[0] == field(np.array([3.0, 2.0]))[0]
@@ -141,19 +133,6 @@ def test_averaged_ode_zero_field_constant():
     np.testing.assert_array_equal(out.values[-1], out.values[0])
 
 
-def test_averaged_ode_rk4_fourth_order_on_linear_field():
-    # z' = -z, exact solution z0 e^{-t}; halving the step shrinks the error ~16x
-    K = PerturbationField(lambda0=0.0, k3="negate", angular="none")
-    z0, T = 1.0, 1.0
-    exact = z0 * math.exp(-T)
-    errs = []
-    for step in (0.1, 0.05):
-        out = solve_averaged_ode(K, ANALYTIC, (1.0, z0), T=T, step=step)
-        errs.append(abs(out.final[1] - exact))
-    ratio = errs[0] / errs[1]
-    assert 12.0 <= ratio <= 20.0
-
-
 def test_averaged_ode_reports_boundary_exit():
     K = PerturbationField(lambda0=-1.0, k3="zero", angular="none")
     region = VerticalRegion(r_min=0.5, r_max=5.0, z_min=-5.0, z_max=5.0)
@@ -168,15 +147,45 @@ def test_averaged_ode_rejects_outside_start():
         solve_averaged_ode(K, ANALYTIC, (0.1, 0.0), T=1.0, step=0.01)
 
 
+def test_averaged_ode_exit_time_is_exact():
+    # r-exit: r = 1 - s reaches r_min = 0.5 at s = 0.5
+    K = PerturbationField(lambda0=-1.0, k3="zero", angular="none")
+    out = solve_averaged_ode(K, ANALYTIC, (1.0, 0.0), T=10.0, step=1e-3)
+    assert out.exit_time == pytest.approx(0.5, abs=1e-15)
+    # z-exit: z = 2 e^{-s} reaches z_min = 1 at s = ln 2, while r stays put
+    K = PerturbationField(lambda0=0.0, k3="negate", angular="none")
+    region = VerticalRegion(z_min=1.0)
+    out = solve_averaged_ode(K, ANALYTIC, (1.0, 2.0), T=1.0, step=1e-3, region=region)
+    assert out.exit_time == pytest.approx(math.log(2.0), abs=1e-15)
+    assert out.times[-1] == out.exit_time
+    assert np.all(np.diff(out.times) > 0.0)
+    assert all(region.contains(v) for v in out.values[:-1])
+    np.testing.assert_array_equal(out.values[:, 0], 1.0)
+
+
+def _rk4_vertical(K: PerturbationField, z0: float, T: float, n: int) -> float:
+    """Classical RK4 for z' = k3(z) with n equal steps."""
+    h, z = T / n, z0
+    for _ in range(n):
+        k1 = K.vertical_rate(z)
+        k2 = K.vertical_rate(z + 0.5 * h * k1)
+        k3 = K.vertical_rate(z + 0.5 * h * k2)
+        k4 = K.vertical_rate(z + h * k3)
+        z += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
+
+
 @pytest.mark.parametrize("k3", ["zero", "negate", "sine"])
 def test_vertical_flow_matches_averaged_ode_rk4(k3):
-    # the RK4 of solve_averaged_ode is an independent check of the closed form,
-    # including starts with |z0| > pi on other branches of the sine flow
+    # a test-local RK4 is an independent check of the closed form that both the
+    # averaged ODE and the replicas use, including starts with |z0| > pi on
+    # other branches of the sine flow
     K = PerturbationField(lambda0=0.0, k3=k3, angular="none")
     for z0 in (-4.9, -math.pi, -1.0, 0.0, 0.3, math.pi, 3.5, 4.9):
         out = solve_averaged_ode(K, ANALYTIC, (1.0, z0), T=1.0, step=1e-3)
         assert out.exit_time is None
-        assert abs(out.final[1] - K.vertical_flow(z0, 1.0)) <= 1e-12
+        assert out.final[1] == K.vertical_flow(z0, 1.0)
+        assert abs(K.vertical_flow(z0, 1.0) - _rk4_vertical(K, z0, 1.0, 1000)) <= 1e-12
 
 
 def test_perturbed_path_z_is_vertical_flow():

@@ -286,20 +286,63 @@ def test_parallel_run_reproduces_serial(tmp_path):
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+# Results that follow from the averaged ODE's v(t): the RK4 solve gave them at
+# rounding level, the closed form gives them exactly.  The measure's
+# quadrature_points and dt config keys went with the quadrature.
+_V_RESULTS = ("errors", "std_errors", "slope", "intercept", "r_squared", "flags",
+              "averaged_field_lipschitz_measured")
+_V_PER_EPS = ("error", "std_error", "v_final")
+
+
+def _without_averaged_ode(payload: dict) -> dict:
+    results = {k: v for k, v in payload["results"].items() if k not in _V_RESULTS}
+    results["per_eps"] = [
+        {k: v for k, v in row.items() if k not in _V_PER_EPS} for row in results["per_eps"]
+    ]
+    averaging = dict(payload["config"]["averaging"])
+    averaging["measure"] = {
+        k: v for k, v in averaging["measure"].items() if k not in ("quadrature_points", "dt")
+    }
+    return {**payload, "config": {**payload["config"], "averaging": averaging}, "results": results}
+
+
 @pytest.mark.parametrize(
     "name, replicas, sha256",
     [
-        ("rates-cosine", 200, "b53fc9f49df9c2cdb6da4e7b84ccff6008319839ab7bd3dc1ed673f467fb04f4"),
-        ("average-commuting", 40, "33b57b81c03c9422e6a57232b2ce2898c63ecbc81a725b514668194eed9f3db8"),
+        ("rates-cosine", 200, "aefcc8d287a24dc30bf5ff2c733bb5ac4b4fc689776e0a290863a8368412f638"),
+        ("average-commuting", 40, "ffab0ed36b0652befdba0d564799f426042cad2f882d615df9731903415232f9"),
     ],
 )
 def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
-    # sha256 of the payload that the per-replica implementation (a record
-    # grid and one decomposition per replica) gave on this config
+    # sha256 of the payload, less what follows from v(t), that the per-replica
+    # implementation (a record grid, one decomposition per replica and an RK4
+    # averaged ODE) gave on this config
     cfg = load_config(CONFIGS / f"{name}.yaml")
     cfg = dataclasses.replace(cfg, averaging=dataclasses.replace(cfg.averaging, replicas=replicas))
-    body = json.dumps(run(cfg, write_artifacts=False).payload(), sort_keys=True).encode()
+    payload = _without_averaged_ode(run(cfg, write_artifacts=False).payload())
+    body = json.dumps(payload, sort_keys=True).encode()
     assert hashlib.sha256(body).hexdigest() == sha256
+
+
+def test_averaged_side_is_exact_on_the_sample_configs():
+    # rates-cosine: v(t) = (r0 + lambda0 t, z0) = (2, 0).  average-commuting:
+    # K = (0, 1, sin z) commutes, so every replica ends exactly on v(t), and
+    # as a rates run it is the exact case, with no slope fitted to rounding
+    def results(name, experiment=None, **averaging):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        cfg = dataclasses.replace(
+            cfg, experiment=experiment or cfg.experiment,
+            averaging=dataclasses.replace(cfg.averaging, **averaging),
+        )
+        return run(cfg, write_artifacts=False).results
+
+    rates = results("rates-cosine", replicas=20)
+    assert [row["v_final"] for row in rates["per_eps"]] == [[2.0, 0.0]] * 5
+    assert results("average-commuting", replicas=10)["errors"] == [0.0, 0.0]
+    commuting = results("average-commuting", "rates", replicas=10, eps_grid=(0.2, 0.1, 0.05, 0.01))
+    assert commuting["errors"] == [0.0] * 4
+    assert commuting["flags"] == ["exact", "zero-errors"]
+    assert commuting["slope"] is None
 
 
 def test_different_seed_changes_results(tmp_path):
@@ -380,6 +423,11 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ("rates", {"averaging": {"start": {"z": 9.0}}}, "config.averaging.start"),
         ("average", {"averaging": {"start": {"r": 0.2}}}, "config.averaging.start"),
         ("average", {"region": {"z_max": 0.5}}, "config.averaging.start"),
+        ("kernel-check", {"kernel_check": {"times": []}}, "config.kernel_check.times"),
+        ("kernel-check", {"kernel_check": {"leaves": []}}, "config.kernel_check.leaves"),
+        ("rates", {"averaging": {"eps_grid": []}}, "config.averaging.eps_grid"),
+        ("rates", {"model": {"name": "torus-winding"}}, "config.model.name"),
+        ("average", {"model": {"name": "coalescing-circle"}}, "config.model.name"),
     ],
 )
 def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):
@@ -388,6 +436,15 @@ def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert any(f.startswith(field + ":") for f in record["fields"])
+
+
+def test_cli_rejects_replicas_for_kernel_check(tmp_path, capsys):
+    path = _write_cfg(tmp_path, {"experiment": "kernel-check", "output_dir": str(tmp_path / "out")})
+    assert cli_main(["kernel-check", "--config", path, "--replicas", "5", "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert record["fields"] == ["--replicas: kernel-check runs no replicas"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_checks_averaging_start_only_for_averaging_kinds():
