@@ -19,14 +19,16 @@ from .averaging import (
 )
 from .drivers import (
     DriverPath,
+    KeyedGenerators,
     StreamKey,
+    philox_keys,
     sample_brownian,
-    sample_driver,
     sample_jump_driver,
     sample_poisson_jumps,
 )
 from .flows import (
     CYLINDER_JUMP_RATE,
+    CoalescenceBatch,
     ManifoldExit,
     NPointSeries,
     Trajectory,

@@ -48,7 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import ROLE_INDEPENDENT, StreamKey, sample_poisson_jumps
+from .drivers import (
+    _DOMAIN_POISSON,
+    ROLE_INDEPENDENT,
+    KeyedGenerators,
+    StreamKey,
+    philox_keys,
+    poisson_arrivals,
+    sample_poisson_jumps,
+)
 from .parallel import map_indexed
 from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, manifold_exit_times, radius
 from .geometry import (
@@ -573,8 +581,10 @@ def averaging_error(
 ) -> AveragingErrorResult:
     """Monte Carlo estimate of [E |pi(y_{t/eps}) - v(t)|^p]^(1/p) with its G bound.
 
-    Each replica draws its jump clock from its own keyed stream
-    (``key.replica(i)``, in index order); then one array pass over all
+    Each replica draws its jump clock from its own keyed stream, the one
+    ``sample_poisson_jumps(key.replica(i), ...)`` draws from, in index order:
+    all replicas' Philox keys come from one array hash and each replica
+    resets one reused generator to its key.  Then one array pass over all
     replicas gives their end points, their A1..A4 decompositions, their
     exact manifold exits and the pathwise A1..A4 bound checks.  Requires
     t < T0 (the ODE must not leave V before t).  Every quantity is exact, so
@@ -597,8 +607,10 @@ def averaging_error(
     v_t = ode.final
 
     partition = make_partition(eps, t, f_choice, p)
+    keys = philox_keys(key, np.arange(n_replicas), _DOMAIN_POISSON)
+    pool = KeyedGenerators()
     jumps = map_indexed(
-        lambda i: sample_poisson_jumps(key.replica(i), CYLINDER_JUMP_RATE, partition.horizon),
+        lambda i: poisson_arrivals(pool.reset(0, keys[i]), CYLINDER_JUMP_RATE, partition.horizon),
         n_replicas,
     )
     field = AveragedField(perturbation, measure, key)

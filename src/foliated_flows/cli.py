@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 
-from .config import EXPERIMENT_KINDS, ConfigError, load_config
+from .config import EXPERIMENT_KINDS, ConfigError, load_config, valid_seed
 from .harness import run
 
 
@@ -47,6 +47,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, experiment=args.experiment)
         if args.seed is not None:
+            if not valid_seed(args.seed):
+                raise ConfigError([f"--seed: must lie in [0, 2^64) (got {args.seed})"])
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
@@ -86,6 +88,9 @@ def main(argv: list[str] | None = None) -> int:
         ):
             if key in report.results:
                 summary[key] = report.results[key]
+        for key in ("streams_opened", "normals_drawn"):
+            if key in report.diagnostics:
+                summary[key] = report.diagnostics[key]
         if "per_eps" in report.results:
             summary["n_exited"] = sum(row["n_exited"] for row in report.results["per_eps"])
         print(json.dumps(summary, sort_keys=True))

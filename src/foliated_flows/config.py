@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 import yaml
 
 from .averaging import F_CHOICES, InvariantMeasureSpec, MEASURE_MODES
-from .drivers import _GRID_TOL
+from .drivers import _GRID_TOL, _MAX_ID
 from .geometry import MODEL_NAMES, PerturbationField, VerticalRegion
 
 EXPERIMENT_KINDS = ("simulate", "kernel-check", "average", "rates", "coalesce")
+
+
+def valid_seed(seed: int) -> bool:
+    """Seeds are the 64-bit stream entropy: distinct valid seeds never share a stream."""
+    return 0 <= seed <= _MAX_ID
 
 
 class ConfigError(ValueError):
@@ -268,7 +273,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         problems.append("config.experiment: missing (and no subcommand given)")
         kind = "simulate"
 
-    seed = root.take("seed", 0, int)
+    seed = root.take("seed", 0, int, valid_seed, "must lie in [0, 2^64)")
     output_dir = root.take("output_dir", "out", str)
 
     msec = root.sub("model")

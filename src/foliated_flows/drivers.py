@@ -6,6 +6,15 @@ get statistically independent noise while equal keys reproduce the exact same
 path, independent of execution order.  The ``common`` role realizes a shared
 probability space: perturbed and unperturbed flows, or all points of an
 n-point motion, consume one and the same path.
+
+A key becomes a Philox key through numpy's ``SeedSequence`` hash of the entropy
+(seed) and spawn key (replica, point, role, domain).  That hash is 32-bit
+integer arithmetic, so ``philox_keys`` runs it over a whole array of replica
+ids at once, and ``KeyedGenerators`` resets a reused generator to a key, which
+puts it in the very state a fresh seeding gives.  Loops over replicas thus pay
+one array hash plus a state reset per stream instead of building a
+``SeedSequence``, a ``Philox`` and a ``Generator`` each time; ``coalescence_times``
+and ``averaging_error`` draw that way, with the bits of ``StreamKey.generator``.
 """
 
 from __future__ import annotations
@@ -24,14 +33,80 @@ _ROLE_CODES = {ROLE_COMMON: 0, ROLE_INDEPENDENT: 1}
 _DOMAIN_BROWNIAN = 0
 _DOMAIN_POISSON = 1
 
-_MASK64 = (1 << 64) - 1
+# numpy's SeedSequence hash: a pool of 4 32-bit words and its multipliers
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MAX_ID = (1 << 64) - 1
 
 _GRID_TOL = 1e-9
 
 
+def _uint32_words(n: int) -> list[int]:
+    """n as little-endian 32-bit words, the way SeedSequence reads an int (0 is one word)."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value, hash_const):
+    """numpy's SeedSequence hashmix: the mixed value and the next hash constant."""
+    next_const = hash_const * _MULT_A & _M32
+    value = (value ^ hash_const) * next_const & _M32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The hash pool after mixing in the seed's words (zero-padded to 4), and the hash constant reached."""
+    words = _uint32_words(seed)
+    pool, hash_const = [], _INIT_A
+    for w in words + [0] * (_POOL_SIZE - len(words)):
+        value, hash_const = _hashmix(w, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    return pool, hash_const
+
+
+def _seed_sequence_key(seed: int, spawn_words: list) -> tuple:
+    """``SeedSequence(seed, spawn_key).generate_state(2, np.uint64)`` from the spawn key's words.
+
+    Each spawn word is an int or a uint64 array of 32-bit values, one key
+    per element.  All arithmetic is mod 2^32, kept in the low bits of ints or
+    uint64s by masking after each product.  Returns the two 64-bit key words.
+    """
+    pool, hash_const = _seed_pool(seed)
+    for w in spawn_words:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(w, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const, out = _INIT_B, []
+    for value in pool:
+        next_const = hash_const * _MULT_B & _M32
+        value = (value ^ hash_const) * next_const & _M32
+        out.append(value ^ value >> 16)
+        hash_const = next_const
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
 @dataclass(frozen=True)
 class StreamKey:
-    """Address of one independent noise stream."""
+    """Address of one independent noise stream.
+
+    ``experiment_seed`` and the ids lie in [0, 2^64), so distinct keys never
+    share a stream and every key hashes as one lane of ``philox_keys``.
+    """
 
     experiment_seed: int
     replica_id: int = 0
@@ -45,15 +120,17 @@ class StreamKey:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.replica_id < 0 or self.point_id < 0:
-            raise ValueError("replica_id and point_id must be nonnegative")
+            if not 0 <= v <= _MAX_ID:
+                raise ValueError(f"{name} must lie in [0, 2^64): {v}")
+
+    def _philox_key(self, replica_words: list, domain: int) -> tuple:
+        spawn = replica_words + _uint32_words(int(self.point_id)) + [_ROLE_CODES[self.role], domain]
+        return _seed_sequence_key(int(self.experiment_seed), spawn)
 
     def generator(self, domain: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.experiment_seed & _MASK64,
-            spawn_key=(self.replica_id, self.point_id, _ROLE_CODES[self.role], domain),
-        )
-        return np.random.Generator(np.random.Philox(seq))
+        """A fresh generator on this key's stream in ``domain``."""
+        key = self._philox_key(_uint32_words(int(self.replica_id)), domain)
+        return _fresh_generator(np.array(key, dtype=np.uint64))
 
     def replica(self, replica_id: int) -> "StreamKey":
         return replace(self, replica_id=replica_id)
@@ -63,6 +140,61 @@ class StreamKey:
 
     def with_role(self, role: str) -> "StreamKey":
         return replace(self, role=role)
+
+
+def philox_keys(key: StreamKey, replica_ids, domain: int) -> np.ndarray:
+    """(R, 2) uint64: the Philox key of ``key.replica(i).generator(domain)`` for each id i.
+
+    One array pass of the SeedSequence hash; the seed, point and role come
+    from ``key``, whose own replica id is not used.  An id of 2^32 or more
+    is two entropy words, so those ids are hashed as their own group.
+    """
+    ids = np.asarray(replica_ids)
+    if ids.ndim != 1 or (ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0)):
+        raise ValueError("replica ids must be a 1-D array of nonnegative integers")
+    ids = ids.astype(np.uint64)
+    out = np.empty((ids.size, 2), dtype=np.uint64)
+    wide = ids > _M32
+    for group, replica_words in (
+        (~wide, lambda r: [r]),
+        (wide, lambda r: [r & _M32, r >> 32]),
+    ):
+        if group.any():
+            out[group] = np.stack(key._philox_key(replica_words(ids[group]), domain), axis=1)
+    return out
+
+
+def _fresh_generator(key: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class KeyedGenerators:
+    """Generators handed out reset to a Philox key; one generator per slot, reused.
+
+    Slots are numbered from 0 and first used in that order.  A reset sets
+    counter 0, the key, an empty buffer (``buffer_pos`` 4) and no cached
+    32-bit half (``has_uint32`` 0), which is the state a fresh seeding gives,
+    so no draw of a slot's previous key leaks into the next.
+    """
+
+    def __init__(self):
+        self._slots: list[np.random.Generator] = []
+
+    def reset(self, slot: int, key: np.ndarray) -> np.random.Generator:
+        if slot == len(self._slots):
+            self._slots.append(_fresh_generator(key))
+            return self._slots[slot]
+        gen = self._slots[slot]
+        zeros = np.zeros(4, dtype=np.uint64)
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
 
 def _n_steps(horizon: float, dt: float) -> int:
@@ -180,7 +312,11 @@ def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndar
         raise ValueError(f"horizon must be finite and >= 0: {horizon!r}")
     if horizon == 0.0:
         return np.empty(0)
-    rng = key.generator(_DOMAIN_POISSON)
+    return poisson_arrivals(key.generator(_DOMAIN_POISSON), rate, horizon)
+
+
+def poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
+    """The arrival times in [0, horizon] that ``sample_poisson_jumps`` draws from rng."""
     block = max(8, int(2 * rate * horizon) + 8)
     arrivals: list[np.ndarray] = []
     total = 0.0
@@ -193,17 +329,6 @@ def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndar
             break
     times = np.concatenate(arrivals)
     return times[times <= horizon]
-
-
-def sample_driver(
-    key: StreamKey, horizon: float, dt: float, jump_rate: float | None = None
-) -> DriverPath:
-    """Driver carrying both a Brownian path and (optionally) a jump clock."""
-    path = sample_brownian(key, horizon, dt)
-    if jump_rate is not None:
-        jumps = sample_poisson_jumps(key, jump_rate, horizon)
-        path = replace(path, jump_times=jumps)
-    return path
 
 
 def sample_jump_driver(key: StreamKey, horizon: float, dt: float, rate: float = 1.0) -> DriverPath:

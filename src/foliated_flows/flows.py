@@ -9,7 +9,9 @@
   motion; same-leaf trajectories merge when they meet and move together
   afterwards.  Points on different leaves can never meet.  When only the hit
   times are wanted, ``coalescence_times`` draws the paths in blocks and stops
-  once every leaf is one class; a point alone on its leaf draws nothing.
+  once every leaf is one class; a point alone on its leaf draws nothing.  It
+  runs many replicas as one batch: pooled generators reset to keys hashed in
+  one pass, and one array scan per block over a chunk of replicas.
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
@@ -33,9 +35,11 @@ from .drivers import (
     _DOMAIN_BROWNIAN,
     ROLE_INDEPENDENT,
     DriverPath,
+    KeyedGenerators,
     StreamKey,
     _n_steps,
     _validate_horizon_dt,
+    philox_keys,
     sample_brownian,
     sample_jump_driver,
 )
@@ -58,6 +62,8 @@ _TIME_TOL = 1e-9
 
 # Steps of Brownian increments that coalescence_times draws per point at a time.
 _DRAW_BLOCK = 512
+# Replicas that coalescence_times scans together; bounds its block temporaries.
+_REPLICA_CHUNK = 16
 
 
 class ManifoldExit(RuntimeError):
@@ -542,29 +548,30 @@ def _live_pairs(ids: list[int], leaves: list) -> list[tuple[int, int]]:
     return [(a, b) for bi, b in enumerate(reps) for a in reps[:bi] if leaves[a] == leaves[b]]
 
 
-def _merge_meetings(
-    theta: np.ndarray, k0: int, pairs: list, ids: list[int], dt: float, delta_c: float, hit_times: dict
-) -> list[tuple[int, int, int]]:
-    """Merge the classes whose representatives meet on the rows of theta.
+def _meetings(theta: np.ndarray, a: np.ndarray, b: np.ndarray, delta_c: float):
+    """Whether and at which step each pair (a[p], b[p]) first meets along the last axis of theta.
 
-    Row r holds the angles at step k0 + r; row 0 was scanned before (or is the
-    start).  Meetings apply in order of (step, b, a): b's class joins a's
-    unless either was absorbed earlier, and each pair across the two classes
-    gets the step's time.  Updates ids and hit_times; returns the merges as
-    (step, absorbed, survivor).
+    theta is (..., points, steps), the angles at consecutive steps.  A pair
+    meets at step r >= 1 when its wrapped gap changes sign from step r - 1
+    with a jump of at most pi (a true zero crossing, not an antipodal wrap)
+    or its magnitude drops below delta_c.  Returns the (..., pairs) arrays
+    ``met`` and ``first``, the first meeting step less 1 where ``met``.
     """
-    if not pairs or len(theta) < 2:
-        return []
-    a, b = np.array(pairs).T
-    g = np.mod(theta[:, a] - theta[:, b] + math.pi, TWO_PI) - math.pi
-    crossing = (g[:-1] * g[1:] <= 0.0) & (np.abs(np.diff(g, axis=0)) <= math.pi)
-    hit = crossing | (np.abs(g[1:]) < delta_c)
-    first = hit.argmax(axis=0)
-    events = sorted(
-        (k0 + 1 + int(first[p]), pairs[p][1], pairs[p][0]) for p in np.flatnonzero(hit.any(axis=0))
-    )
+    g = np.mod(theta[..., a, :] - theta[..., b, :] + math.pi, TWO_PI) - math.pi
+    crossing = (g[..., :-1] * g[..., 1:] <= 0.0) & (np.abs(np.diff(g)) <= math.pi)
+    hit = crossing | (np.abs(g[..., 1:]) < delta_c)
+    return hit.any(axis=-1), hit.argmax(axis=-1)
+
+
+def _apply_meetings(events: list, ids: list[int], dt: float, hit_times: dict) -> list:
+    """Merge classes at the meetings (step, b, a), applied in that order.
+
+    b's class joins a's unless either was absorbed earlier, and each pair
+    across the two classes gets the step's time.  Updates ids and hit_times;
+    returns the merges as (step, absorbed, survivor).
+    """
     merges = []
-    for k, absorbed, survivor in events:
+    for k, absorbed, survivor in sorted(events):
         if ids[absorbed] != absorbed or ids[survivor] != survivor:
             continue
         members_a = [i for i, c in enumerate(ids) if c == absorbed]
@@ -575,6 +582,23 @@ def _merge_meetings(
                 hit_times[(min(i, j), max(i, j))] = k * dt
         merges.append((k, absorbed, survivor))
     return merges
+
+
+def _merge_meetings(
+    theta: np.ndarray, k0: int, pairs: list, ids: list[int], dt: float, delta_c: float, hit_times: dict
+) -> list[tuple[int, int, int]]:
+    """Merge the classes whose representatives meet on the rows of theta.
+
+    Row r holds the angles at step k0 + r; row 0 was scanned before (or is the
+    start).  Updates ids and hit_times (see ``_apply_meetings``); returns the
+    merges as (step, absorbed, survivor).
+    """
+    if not pairs or len(theta) < 2:
+        return []
+    a, b = np.array(pairs).T
+    met, first = _meetings(theta.T, a, b, delta_c)
+    events = [(k0 + 1 + int(first[p]), pairs[p][1], pairs[p][0]) for p in np.flatnonzero(met)]
+    return _apply_meetings(events, ids, dt, hit_times)
 
 
 def evolve_coalescing_circle(
@@ -618,44 +642,139 @@ def evolve_coalescing_circle(
     )
 
 
+@dataclass(frozen=True)
+class CoalescenceBatch:
+    """Pair hit times of many replicas, and the noise and merges it took.
+
+    ``hit_times[r, p]`` is the first meeting time of ``pairs[p]`` in replica
+    r, inf where the pair never meets; the pairs are (i, j), i < j, ordered
+    by j, then i.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    hit_times: np.ndarray  # (replicas, pairs)
+    streams_opened: int
+    normals_drawn: int
+    merges: int
+
+
 def coalescence_times(
-    starts: list[CylPoint], key: StreamKey, horizon: float, dt: float, sigma: float | None = None
-) -> dict[tuple[int, int], float]:
-    """The ``hit_times`` of ``evolve_coalescing_circle`` with the same arguments, bit for bit.
+    starts: list[CylPoint],
+    key: StreamKey,
+    horizon: float,
+    dt: float,
+    sigma: float | None = None,
+    replicas=None,
+) -> CoalescenceBatch:
+    """The ``hit_times`` of ``evolve_coalescing_circle``, bit for bit, for many replicas.
+
+    Row r of the returned ``CoalescenceBatch`` holds the hit times of
+    ``key.replica(replicas[r])``; ``replicas`` defaults to ``[key.replica_id]``,
+    the one key on its own.
 
     Only representatives sharing their leaf with another class draw, each
     from its stream in ``evolve_coalescing_circle``, _DRAW_BLOCK steps at a
-    time, and each block goes through the same merge scan.  Normals drawn in
-    blocks are the numbers of one call, and each block's Brownian sum starts
-    from the last value of the one before, so the angles are the full path's
-    to the bit.  Drawing stops once every leaf is one class; a point alone on
-    its leaf opens no stream.
+    time.  Normals drawn in blocks are the numbers of one call, and each
+    block's Brownian sum starts from the last value of the one before, so the
+    angles are the full path's to the bit.  A replica stops drawing once
+    every leaf is one class; a point alone on its leaf opens no stream.
+    Replicas run _REPLICA_CHUNK at a time: all their Philox keys are hashed
+    in one pass up front, each drawing (replica, point) of a chunk gets one
+    pooled generator reset to its key, the meetings of each block are found
+    in one array pass over the chunk's replicas, and only replicas with a
+    meeting in the block go through the ordered merge loop.
     """
-    sig, ids, hit_times = _coalescing_start(starts, sigma)
+    sig, ids0, hits0 = _coalescing_start(starts, sigma)
     _validate_horizon_dt(horizon, dt)
+    replica_ids = np.asarray([key.replica_id] if replicas is None else replicas)
+    n = len(starts)
+    pairs = tuple((i, j) for j in range(n) for i in range(j))
+    hit_times = np.full((replica_ids.size, len(pairs)), np.inf)
+    for pq, t in hits0.items():
+        hit_times[:, pairs.index(pq)] = t
+    live0 = _live_pairs(ids0, [p.leaf for p in starts])
+    drawers = sorted({i for pq in live0 for i in pq})
     n_steps = _n_steps(horizon, dt)
-    leaves = [p.leaf for p in starts]
-    rngs: dict[int, np.random.Generator] = {}
-    brownian = np.zeros(len(starts))  # B at the last drawn step
-    theta = np.array([[p.theta for p in starts]])  # the last row scanned
+    counts = np.zeros(3, dtype=np.int64)  # streams opened, normals drawn, merges
+    if drawers and n_steps:
+        keys = np.stack(
+            [
+                philox_keys(key.point(i).with_role(ROLE_INDEPENDENT), replica_ids, _DOMAIN_BROWNIAN)
+                for i in drawers
+            ],
+            axis=1,
+        )
+        pool = KeyedGenerators()
+        for c0 in range(0, replica_ids.size, _REPLICA_CHUNK):
+            chunk = keys[c0 : c0 + _REPLICA_CHUNK]
+            generators = [
+                [pool.reset(c * len(drawers) + d, k) for d, k in enumerate(row)]
+                for c, row in enumerate(chunk)
+            ]
+            chunk_hits = [{} for _ in generators]  # the merges' hit times
+            counts += _scan_chunk(
+                starts, ids0, live0, drawers, generators, chunk_hits, n_steps, dt, sig
+            )
+            for c, hits in enumerate(chunk_hits):
+                for pq, t in hits.items():
+                    hit_times[c0 + c, pairs.index(pq)] = t
+    return CoalescenceBatch(pairs, hit_times, *(int(c) for c in counts))
+
+
+def _scan_chunk(starts, ids0, live0, drawers, generators, chunk_hits, n_steps, dt, sig) -> np.ndarray:
+    """Draw and scan the blocks of a chunk of replicas until each has every leaf one class.
+
+    ``generators[c][d]`` draws point ``drawers[d]`` of replica c, whose hit
+    times go into ``chunk_hits[c]``.  Returns the counts (streams opened,
+    normals drawn, merges).
+    """
+    n_rep, n = len(generators), len(starts)
+    a, b = np.array(live0).T
+    col = {i: d for d, i in enumerate(drawers)}
+    a_col, b_col = [col[i] for i in a], [col[i] for i in b]
+    sd = math.sqrt(dt)
+    delta_c = sig * sd / 10.0
+    theta0 = np.array([starts[i].theta for i in drawers])[:, None]
+    ids = [list(ids0) for _ in range(n_rep)]
+    brownian = np.zeros((n_rep, len(drawers)))  # B at the last drawn step
+    last = np.tile(theta0[:, 0], (n_rep, 1))  # the last step scanned
+    normals = merges = 0
     for k0 in range(0, n_steps, _DRAW_BLOCK):
-        pairs = _live_pairs(ids, leaves)
-        if not pairs:
+        is_rep = np.array(ids) == np.arange(n)
+        live = is_rep[:, a] & is_rep[:, b]
+        rows_live = np.flatnonzero(live.any(axis=1))
+        if not rows_live.size:
             break
-        rows = min(_DRAW_BLOCK, n_steps - k0)
-        block = np.empty((rows + 1, len(starts)))  # columns that do not draw are never read
-        block[0] = theta[-1]
-        for i in sorted({i for pq in pairs for i in pq}):
-            if i not in rngs:
-                rngs[i] = key.point(i).with_role(ROLE_INDEPENDENT).generator(_DOMAIN_BROWNIAN)
-            increments = rngs[i].normal(0.0, math.sqrt(dt), size=rows)
-            increments[0] += brownian[i]
-            np.cumsum(increments, out=increments)
-            brownian[i] = increments[-1]
-            block[1:, i] = starts[i].theta + sig * increments
-        _merge_meetings(block, k0, pairs, ids, dt, sig * math.sqrt(dt) / 10.0, hit_times)
-        theta = block
-    return hit_times
+        live = live[rows_live]
+        drawing = np.zeros((rows_live.size, len(drawers)), dtype=bool)
+        for p in range(a.size):
+            drawing[:, a_col[p]] |= live[:, p]
+            drawing[:, b_col[p]] |= live[:, p]
+        steps = min(_DRAW_BLOCK, n_steps - k0)
+        # (replica, drawer, step): the start, then B and the angle at steps
+        # k0 + 1 .. k0 + steps; drawers that no longer draw keep stale angles
+        theta = np.zeros((rows_live.size, len(drawers), steps + 1))
+        for l, (c, row) in enumerate(zip(rows_live, drawing.tolist())):
+            for d, draws in enumerate(row):
+                if draws:
+                    theta[l, d, 1:] = generators[c][d].normal(0.0, sd, size=steps)
+        normals += steps * int(drawing.sum())
+        path = theta[:, :, 1:]
+        path[:, :, 0] += brownian[rows_live]
+        np.cumsum(path, axis=-1, out=path)
+        brownian[rows_live] = path[:, :, -1]
+        path *= sig
+        path += theta0
+        theta[:, :, 0] = last[rows_live]
+        last[rows_live] = theta[:, :, -1]
+        # a pair with an absorbed end scans stale angles; its meetings are
+        # no-ops in _apply_meetings
+        met, first = _meetings(theta, a_col, b_col, delta_c)
+        for l in np.flatnonzero(met.any(axis=1)):
+            c = rows_live[l]
+            events = [(k0 + 1 + int(first[l, p]), int(b[p]), int(a[p])) for p in np.flatnonzero(met[l])]
+            merges += len(_apply_meetings(events, ids[c], dt, chunk_hits[c]))
+    return np.array([n_rep * len(drawers), normals, merges])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 ``run`` executes one declarative config and returns a RunReport whose numeric
 payload is reproducible to the bit for a fixed seed (replicas run serially
-and are reduced in index order).  Wall-clock time lives in its own field so
-reports stay comparable.
+and are reduced in index order).  Wall-clock time and the run's diagnostic
+counters live in their own fields, outside the payload, so reports stay
+comparable.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +63,11 @@ class RunReport:
     replicas: int
     wall_clock_seconds: float
     schema: str = REPORT_SCHEMA
+    # what the run did, e.g. the streams and normals a coalesce run drew
+    diagnostics: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
-        """Everything except timing; this is the determinism contract."""
+        """Everything except timing and diagnostics; this is the determinism contract."""
         return {
             "schema": self.schema,
             "experiment": self.experiment,
@@ -76,6 +79,7 @@ class RunReport:
     def to_json(self) -> str:
         body = self.payload()
         body["wall_clock_seconds"] = self.wall_clock_seconds
+        body["diagnostics"] = self.diagnostics
         return json.dumps(body, sort_keys=True, indent=1)
 
 
@@ -240,41 +244,27 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
     return results
 
 
-def _run_coalesce(cfg: ExperimentConfig) -> dict:
+def _run_coalesce(cfg: ExperimentConfig) -> tuple[dict, dict]:
     co = cfg.coalesce
-    base = StreamKey(cfg.seed)
     starts = [CylPoint.from_angle(*s) for s in co.starts]
-    n = len(starts)
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    same_leaf = {pq: starts[pq[0]].leaf == starts[pq[1]].leaf for pq in pairs}
-
-    def one(i: int):
-        hits = coalescence_times(starts, base.replica(i), co.horizon, co.dt, sigma=cfg.model.sigma)
-        return {pq: hits.get(pq) for pq in pairs}
-
-    rows = map_indexed(one, co.replicas)
-
-    hit_matrix = {pq: np.array([np.inf if r[pq] is None else r[pq] for r in rows]) for pq in pairs}
+    batch = coalescence_times(
+        starts, StreamKey(cfg.seed), co.horizon, co.dt, sigma=cfg.model.sigma,
+        replicas=np.arange(co.replicas),
+    )
+    same_leaf = np.array([starts[i].leaf == starts[j].leaf for i, j in batch.pairs], dtype=bool)
     curve_times = np.linspace(0.0, co.horizon, co.curve_points)
-    same_pairs = [pq for pq in pairs if same_leaf[pq]]
-    if same_pairs:
-        hits = np.stack([hit_matrix[pq] for pq in same_pairs])
-        fraction = [float(np.mean(hits <= tt)) for tt in curve_times]
+    if same_leaf.any():
+        same_hits = batch.hit_times[:, same_leaf]
+        fraction = [float(np.mean(same_hits <= tt)) for tt in curve_times]
     else:
         fraction = [0.0 for _ in curve_times]
-
-    per_pair = {}
-    cross_total = 0
-    for pq in pairs:
-        n_hit = int(np.sum(np.isfinite(hit_matrix[pq])))
-        per_pair[f"{pq[0]}-{pq[1]}"] = {
-            "same_leaf": same_leaf[pq],
-            "coalesced": n_hit,
-            "fraction": n_hit / co.replicas,
-        }
-        if not same_leaf[pq]:
-            cross_total += n_hit
-    return {
+    n_hit = np.isfinite(batch.hit_times).sum(axis=0)
+    per_pair = {
+        f"{i}-{j}": {"same_leaf": bool(same), "coalesced": int(c), "fraction": int(c) / co.replicas}
+        for (i, j), same, c in zip(batch.pairs, same_leaf, n_hit)
+    }
+    cross_total = int(n_hit[~same_leaf].sum())
+    results = {
         "horizon": co.horizon,
         "dt": co.dt,
         "sigma": cfg.model.sigma,
@@ -283,6 +273,12 @@ def _run_coalesce(cfg: ExperimentConfig) -> dict:
         "curve_times": [float(t) for t in curve_times],
         "fraction_coalesced": fraction,
     }
+    diagnostics = {
+        "streams_opened": batch.streams_opened,
+        "normals_drawn": batch.normals_drawn,
+        "merges": batch.merges,
+    }
+    return results, diagnostics
 
 
 def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool = True) -> RunReport:
@@ -299,6 +295,7 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
 
     t0 = time.perf_counter()
     kind = cfg.experiment
+    diagnostics: dict = {}
     if kind == "simulate":
         results = _run_simulate(cfg, out)
         replicas = cfg.simulate.replicas
@@ -312,7 +309,7 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
         results = _run_averaging(cfg, fit=True)
         replicas = cfg.averaging.replicas
     elif kind == "coalesce":
-        results = _run_coalesce(cfg)
+        results, diagnostics = _run_coalesce(cfg)
         replicas = cfg.coalesce.replicas
     else:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -324,6 +321,7 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
         results=results,
         replicas=replicas,
         wall_clock_seconds=elapsed,
+        diagnostics=diagnostics,
     )
     if out is not None:
         with open(out / "report.json", "w", encoding="utf-8") as fh:

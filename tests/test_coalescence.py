@@ -1,8 +1,9 @@
 """coalescence_times against the full-path reference evolve_coalescing_circle.
 
-coalescence_times draws each stream in blocks of _DRAW_BLOCK steps and stops
-early, so every case compares its hit times with the reference's bit for bit:
-dict equality of floats is exact equality.
+coalescence_times draws each stream in blocks of _DRAW_BLOCK steps, scans
+replicas in chunks of _REPLICA_CHUNK and stops early, so every case compares
+its hit times with the reference's bit for bit: dict equality of floats is
+exact equality, and batch rows are compared as bytes.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from foliated_flows import flows
-from foliated_flows.drivers import StreamKey, sample_brownian
+from foliated_flows.drivers import KeyedGenerators, StreamKey, philox_keys, sample_brownian
 from foliated_flows.flows import _DRAW_BLOCK, coalescence_times, evolve_coalescing_circle
 from foliated_flows.geometry import CylPoint
 
@@ -24,9 +25,16 @@ CIRCLE_STARTS = [
 ]
 
 
+def _hits(starts, key, horizon, dt, sigma):
+    """The one-key batch of coalescence_times as a hit-time dict, like the reference's."""
+    batch = coalescence_times(starts, key, horizon, dt, sigma=sigma)
+    assert batch.hit_times.shape == (1, len(batch.pairs))
+    return {pq: float(t) for pq, t in zip(batch.pairs, batch.hit_times[0]) if t < np.inf}
+
+
 def _assert_same_hits(starts, key, horizon, dt, sigma):
     ref = evolve_coalescing_circle(starts, key, horizon, dt, sigma=sigma)
-    assert coalescence_times(starts, key, horizon, dt, sigma=sigma) == ref.hit_times
+    assert _hits(starts, key, horizon, dt, sigma) == ref.hit_times
     return ref
 
 
@@ -81,14 +89,17 @@ def test_merge_scan_applies_same_step_meetings_in_order():
 
 
 def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
+    # each block reaches the meeting scan as a (replicas, drawing points,
+    # steps) array, the drawing points being 0 and 1, which share a leaf;
+    # with one replica, scan number k is the block from step k * _DRAW_BLOCK
     scans = []
-    original = flows._merge_meetings
+    original = flows._meetings
 
-    def recording(theta, k0, pairs, *args):
-        scans.append((theta.copy(), k0, pairs))
-        return original(theta, k0, pairs, *args)
+    def recording(theta, a, b, delta_c):
+        scans.append((theta.copy(), a, b))
+        return original(theta, a, b, delta_c)
 
-    monkeypatch.setattr(flows, "_merge_meetings", recording)
+    monkeypatch.setattr(flows, "_meetings", recording)
     starts = [CylPoint(0.3, 1.0, 0.0), CylPoint(2.0, 1.0, 0.0), CylPoint(0.0, 2.0, 0.0)]
     horizon, dt, sigma = 30.0, 0.01, 0.3
     for rep in range(5):
@@ -96,11 +107,14 @@ def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
         scans.clear()
         coalescence_times(starts, key, horizon, dt, sigma=sigma)
         assert len(scans) >= 2
-        for theta, k0, pairs in scans:
-            for i in {i for pq in pairs for i in pq}:
+        for block, (theta, a, b) in enumerate(scans):
+            k0 = block * _DRAW_BLOCK
+            (theta,) = theta
+            assert theta.shape[0] == 2
+            for i in set(a) | set(b):
                 path = sample_brownian(key.point(i).with_role("independent"), horizon, dt)
                 full = starts[i].theta + sigma * path.brownian
-                assert theta[:, i].tobytes() == full[k0 : k0 + len(theta)].tobytes()
+                assert theta[i].tobytes() == full[k0 : k0 + theta.shape[1]].tobytes()
 
 
 def test_identical_starts_hit_at_zero():
@@ -111,8 +125,10 @@ def test_identical_starts_hit_at_zero():
 
 
 def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypatch):
+    # each drawing point's generator comes from one reset of the pool, which
+    # names the point by its Philox key
     opened: dict[int, int] = {}
-    original = StreamKey.generator
+    original = KeyedGenerators.reset
 
     class Counting:
         def __init__(self, rng, point_id):
@@ -123,19 +139,24 @@ def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypa
             opened[self.point_id] += out.size
             return out
 
-    def generator(key, domain):
-        opened[key.point_id] = 0
-        return Counting(original(key, domain), key.point_id)
+    def reset(pool, slot, philox_key):
+        point_id = point_of[tuple(philox_key)]
+        opened[point_id] = 0
+        return Counting(original(pool, slot, philox_key), point_id)
 
     horizon, dt = 50.0, 0.01
     n_steps = 5000
     for rep in range(30):
         key = StreamKey(SEED, rep)
+        point_of = {
+            tuple(philox_keys(key.point(i).with_role("independent"), [rep], 0)[0]): i
+            for i in range(len(CIRCLE_STARTS))
+        }
         ref = evolve_coalescing_circle(CIRCLE_STARTS, key, horizon, dt, sigma=1.0)
         opened.clear()
-        monkeypatch.setattr(StreamKey, "generator", generator)
-        hits = coalescence_times(CIRCLE_STARTS, key, horizon, dt, sigma=1.0)
-        monkeypatch.setattr(StreamKey, "generator", original)
+        monkeypatch.setattr(KeyedGenerators, "reset", reset)
+        hits = _hits(CIRCLE_STARTS, key, horizon, dt, 1.0)
+        monkeypatch.setattr(KeyedGenerators, "reset", original)
         assert hits == ref.hit_times
         assert set(opened) == {0, 1}
         if (0, 1) in hits:
@@ -149,7 +170,7 @@ def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypa
 def test_only_lone_points_draw_nothing():
     starts = [CylPoint(0.0, 1.0, 0.0), CylPoint(0.0, 2.0, 0.0), CylPoint(0.0, 1.0, 5.0)]
     _assert_same_hits(starts, StreamKey(SEED, 3), 20.0, 0.01, 2.0)
-    assert coalescence_times(starts, StreamKey(SEED, 3), 20.0, 0.01, 2.0) == {}
+    assert _hits(starts, StreamKey(SEED, 3), 20.0, 0.01, 2.0) == {}
 
 
 @pytest.mark.parametrize("horizon", [0.0, 0.01, 3.0, 7.3, 10.24, 10.25])
@@ -172,7 +193,14 @@ def test_matches_reference_when_the_hit_is_a_block_first_step():
             break
     else:
         pytest.fail("no key with a merge on the first step of a later block")
-    assert coalescence_times(starts, key, horizon, dt, sigma=1.0) == ref.hit_times
+    assert _hits(starts, key, horizon, dt, 1.0) == ref.hit_times
+
+
+@pytest.mark.parametrize("replica_id", [2**32 - 1, 2**32, 2**40, 2**64 - 1])
+def test_one_key_matches_reference_at_wide_replica_ids(replica_id):
+    # ids of 2^32 or more hash as two words, and 2^64 - 1 is the largest id
+    _assert_same_hits(CIRCLE_STARTS, StreamKey(SEED, replica_id), 20.0, 0.01, 1.0)
+    _assert_same_hits(CIRCLE_STARTS, StreamKey(2**64 - 1, replica_id, 5), 20.0, 0.01, 1.0)
 
 
 def test_rejects_what_the_reference_rejects():
@@ -189,3 +217,27 @@ def test_rejects_what_the_reference_rejects():
             evolve_coalescing_circle(*args)
         with pytest.raises(ValueError):
             coalescence_times(*args)
+
+
+@pytest.mark.parametrize(
+    "n_replicas", [1, flows._REPLICA_CHUNK - 1, flows._REPLICA_CHUNK + 1, 2 * flows._REPLICA_CHUNK + 3]
+)
+def test_batch_rows_are_the_reference_hit_times(n_replicas):
+    # replica counts that are not whole chunks, ids that are not 0..R-1, a
+    # leaf of four points that merge in chains, and six points whose merges
+    # tie on coarse steps
+    replicas = 3 + 7 * np.arange(n_replicas)
+    for starts, horizon, dt, sigma in [
+        (CIRCLE_STARTS, 12.0, 0.01, 1.0),
+        ([CylPoint(1.5 * i, 1.0, 0.0) for i in range(4)] + [CylPoint(0.0, 3.0, 0.0)], 8.0, 0.01, 1.5),
+        ([CylPoint(2.0 * math.pi * i / 6, 1.0, 0.0) for i in range(6)], 10.0, 0.5, 2.0),
+    ]:
+        batch = coalescence_times(starts, StreamKey(SEED), horizon, dt, sigma, replicas=replicas)
+        n = len(starts)
+        assert batch.pairs == tuple((i, j) for j in range(n) for i in range(j))
+        assert batch.hit_times.shape == (n_replicas, len(batch.pairs))
+        assert n_replicas == 1 or batch.merges > 0
+        for row, rep in zip(batch.hit_times, replicas):
+            ref = evolve_coalescing_circle(starts, StreamKey(SEED, int(rep)), horizon, dt, sigma)
+            expected = [ref.hit_times.get(pq, np.inf) for pq in batch.pairs]
+            assert row.tobytes() == np.array(expected).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from foliated_flows.drivers import (
     _DOMAIN_BROWNIAN,
+    _DOMAIN_POISSON,
     DriverPath,
+    KeyedGenerators,
     StreamKey,
+    philox_keys,
     sample_brownian,
-    sample_driver,
     sample_jump_driver,
     sample_poisson_jumps,
 )
@@ -144,7 +147,9 @@ def test_jump_count_and_grid_lookup():
 
 def test_shifted_driver():
     key = StreamKey(SEED, replica_id=5)
-    path = sample_driver(key, horizon=1.0, dt=0.25, jump_rate=4.0)
+    path = dataclasses.replace(
+        sample_brownian(key, horizon=1.0, dt=0.25), jump_times=sample_poisson_jumps(key, 4.0, 1.0)
+    )
     sh = path.shifted(0.5)
     assert sh.horizon == pytest.approx(0.5)
     np.testing.assert_array_equal(sh.brownian_increments, path.brownian_increments[2:])
@@ -195,3 +200,97 @@ def test_poisson_jumps_sorted_property(seed, horizon, rate):
     jumps = sample_poisson_jumps(StreamKey(seed), rate, horizon)
     assert np.all(np.diff(jumps) > 0.0)
     assert jumps.size == 0 or jumps[-1] <= horizon
+
+
+def _seed_sequence_key(seed, replica, point, role, domain):
+    spawn_key = (replica, point, {"common": 0, "independent": 1}[role], domain)
+    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+
+
+def test_philox_keys_equal_the_seed_sequence_hash():
+    rng = np.random.default_rng(7)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [int(s) for s in rng.integers(0, 2**63, 3)]
+    replicas = np.array([0, 2**32 - 1, 2**32, 2**40, 5, 2**32 + 1], dtype=np.uint64)
+    replicas = np.concatenate((replicas, rng.integers(0, 2**50, 4).astype(np.uint64)))
+    for seed in seeds:
+        for role in ("common", "independent"):
+            for domain in (_DOMAIN_BROWNIAN, _DOMAIN_POISSON):
+                point = int(rng.integers(0, 9))
+                keys = philox_keys(StreamKey(seed, 99, point, role), replicas, domain)
+                assert keys.shape == (replicas.size, 2) and keys.dtype == np.uint64
+                for r, key in zip(replicas, keys):
+                    expected = _seed_sequence_key(seed, int(r), point, role, domain)
+                    assert key.tobytes() == expected.tobytes()
+                r = int(replicas[3])
+                state = StreamKey(seed, r, point, role).generator(domain).bit_generator.state
+                assert state["state"]["key"].tobytes() == keys[3].tobytes()
+
+
+def test_generator_draws_equal_a_seed_sequence_seeded_philox():
+    for key in (StreamKey(SEED, 2**33, 4, "independent"), StreamKey(2**64 - 1)):
+        spawn_key = (key.replica_id, key.point_id, {"common": 0, "independent": 1}[key.role], 1)
+        seq = np.random.SeedSequence(key.experiment_seed, spawn_key=spawn_key)
+        fresh = np.random.Generator(np.random.Philox(seq))
+        assert key.generator(1).exponential(size=50).tobytes() == fresh.exponential(size=50).tobytes()
+
+
+def test_philox_keys_reject_negative_or_fractional_ids():
+    for ids in ([-1], np.array([0.5]), np.array([[1]])):
+        with pytest.raises(ValueError):
+            philox_keys(StreamKey(SEED), ids, _DOMAIN_BROWNIAN)
+    assert philox_keys(StreamKey(SEED), [], _DOMAIN_BROWNIAN).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: g.normal(0.3, 2.0, size=37),
+        lambda g: g.standard_normal(size=37),
+        lambda g: g.exponential(0.5, size=37),
+        lambda g: g.random(size=37),
+    ],
+)
+def test_reset_draws_equal_a_fresh_generator(draw):
+    keys = philox_keys(StreamKey(SEED, role="independent"), np.arange(4), _DOMAIN_BROWNIAN)
+    pool = KeyedGenerators()
+    for i, key in enumerate(keys[1:]):
+        # leave a partly used buffer and, after an odd number of 32-bit draws,
+        # a cached half word behind
+        used = pool.reset(0, keys[0])
+        draw(used)
+        for _ in range(9):
+            used.integers(0, 2**31, dtype=np.uint32)
+            state = used.bit_generator.state
+            if state["has_uint32"] == 1 and state["buffer_pos"] < 4:
+                break
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        reset = pool.reset(0, key)
+        assert reset is used
+        fresh = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(SEED, spawn_key=(i + 1, 0, 1, _DOMAIN_BROWNIAN)))
+        )
+        assert reset.bit_generator.state["has_uint32"] == 0
+        assert draw(reset).tobytes() == draw(fresh).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 7])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # these used to be masked to 64 bits, aliasing the streams of other seeds
+    with pytest.raises(ValueError):
+        StreamKey(seed)
+    StreamKey(2**64 - 1).generator(0)
+
+
+@pytest.mark.parametrize("field", ["replica_id", "point_id"])
+def test_id_outside_64_bits_is_rejected(field):
+    # philox_keys hashes at most two 32-bit words per id, so a key it cannot
+    # take is refused when made, not when a batch draws from it
+    for bad in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError):
+            StreamKey(SEED, **{field: bad})
+    key = StreamKey(SEED, **{field: 2**64 - 1})
+    expected = np.random.SeedSequence(
+        SEED, spawn_key=(key.replica_id, key.point_id, 0, _DOMAIN_BROWNIAN)
+    ).generate_state(2, np.uint64)
+    assert key.generator(_DOMAIN_BROWNIAN).bit_generator.state["state"]["key"].tolist() == expected.tolist()
+    assert philox_keys(key, [key.replica_id], _DOMAIN_BROWNIAN)[0].tolist() == expected.tolist()

@@ -11,6 +11,7 @@ from foliated_flows.cli import main as cli_main
 from foliated_flows.config import ConfigError, load_config, parse_config
 from foliated_flows.drivers import StreamKey
 from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder
+from foliated_flows.flows import evolve_coalescing_circle
 from foliated_flows.harness import emit_plotdata, run
 
 SEED = 20250811
@@ -485,3 +486,68 @@ def test_cli_mismatched_subcommand_exit_2(tmp_path, capsys):
     code = cli_main(["simulate", "--config", path, "--quiet"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 7])
+def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, seed):
+    # -5 and 2**64 + 7 used to open the streams of 2**64 - 5 and 7
+    data = {"experiment": "coalesce", "seed": seed, "output_dir": str(tmp_path / "out")}
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert any(p.startswith("config.seed:") for p in info.value.problems)
+    assert cli_main(["coalesce", "--config", _write_cfg(tmp_path, data), "--quiet"]) == 2
+    assert any(f.startswith("config.seed:") for f in json.loads(capsys.readouterr().err)["fields"])
+    data["seed"] = 1
+    path = _write_cfg(tmp_path, data)
+    assert cli_main(["coalesce", "--config", path, "--seed", str(seed), "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().err)["fields"][0].startswith("--seed:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_bounds_are_accepted():
+    for seed in (0, 2**64 - 1):
+        assert parse_config({"experiment": "coalesce", "seed": seed}).seed == seed
+
+
+def test_coalesce_payload_equals_per_replica_reference():
+    # sha256 of the payload that one coalescence_times call per replica gave
+    # on the sample config at 2000 replicas
+    cfg = load_config(CONFIGS / "coalesce-circle.yaml")
+    cfg = dataclasses.replace(cfg, coalesce=dataclasses.replace(cfg.coalesce, replicas=2000))
+    body = json.dumps(run(cfg, write_artifacts=False).payload(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == (
+        "d16e3b0aab53ac933be0ccf94cfee7b3f9657d06f2d902994d6920ca5e042020"
+    )
+
+
+def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, capsys):
+    # points 0 and 1 share a leaf, 2 is alone: 0 and 1 each open one stream
+    # and draw whole blocks of 512 steps until the block of their merge
+    starts = [{"theta": 0.0, "r": 1.0, "z": 0.0}, {"theta": 3.0, "r": 1.0, "z": 0.0},
+              {"theta": 0.0, "r": 2.0, "z": 0.0}]
+    data = {
+        "experiment": "coalesce",
+        "seed": SEED,
+        "output_dir": str(tmp_path / "out"),
+        "model": {"name": "coalescing-circle", "sigma": 0.5},
+        "coalesce": {"horizon": 15.0, "dt": 0.01, "replicas": 30, "starts": starts},
+    }
+    report = run(parse_config(data), write_artifacts=False)
+    n_steps, expected_normals, merged = 1500, 0, 0
+    points = [CylPoint.from_angle(s["theta"], s["r"], s["z"]) for s in starts]
+    for rep in range(30):
+        hits = evolve_coalescing_circle(points, StreamKey(SEED, rep), 15.0, 0.01, sigma=0.5).hit_times
+        k = round(hits[(0, 1)] / 0.01) if (0, 1) in hits else n_steps
+        expected_normals += 2 * min(n_steps, -(-k // 512) * 512)
+        merged += (0, 1) in hits
+    assert 0 < merged < 30
+    assert report.diagnostics == {
+        "streams_opened": 60, "normals_drawn": expected_normals, "merges": merged,
+    }
+    assert report.results["pairs"]["0-1"]["coalesced"] == merged
+    assert set(report.payload()) == {"schema", "experiment", "config", "replicas", "results"}
+    assert json.loads(report.to_json())["diagnostics"] == report.diagnostics
+    assert cli_main(["coalesce", "--config", _write_cfg(tmp_path, data)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary["streams_opened"] == 60
+    assert summary["normals_drawn"] == expected_normals
