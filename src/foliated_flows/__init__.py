@@ -37,7 +37,6 @@ from .flows import (
     cylinder_trajectory,
     evolve_coalescing_circle,
     evolve_cylinder,
-    evolve_cylinder_perturbed,
     evolve_torus,
     n_point_motion,
     torus_trajectory,

@@ -58,7 +58,7 @@ from .drivers import (
     sample_poisson_jumps,
 )
 from .parallel import map_indexed
-from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, manifold_exit_times, radius
+from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, manifold_exit_times
 from .geometry import (
     CylPoint,
     PerturbationField,
@@ -354,7 +354,11 @@ def decompose_batch(
     terms[:, 0, 2] = -eps * q1 * tail
     terms[:, 0, 3] = eps * g1_int[..., -1]
     terms[:, 0, 4] = eps * (g1_prefix[..., -1] - q1 * ts[-1])
-    r_end = radius(start.r, eps, perturbation, ts[-1], None if prefix is None else prefix[:, -1])
+    # The end point is taken at t itself, where the averaged ODE reads v(t):
+    # eps * (t/eps) can round away from t by an ulp.
+    r_end = start.r + perturbation.lambda0 * partition.t
+    if prefix is not None:
+        r_end = r_end + eps * prefix[:, -1]
 
     # Vertical: eps * integral of k3(z) is the z increment; the restart
     # freezes z at z(t_k), whose rate k3(z(t_k)) is also the leaf average.
@@ -370,7 +374,7 @@ def decompose_batch(
         partition=partition,
         terms=terms,
         r_end=np.broadcast_to(r_end, (len(jumps),)),
-        z_end=float(z[-1]),
+        z_end=float(perturbation.vertical_flow(start.z, partition.t)),
         exit_times=manifold_exit_times(clocks, start.r, eps, perturbation, partition.horizon),
     )
 
@@ -384,7 +388,6 @@ def decompose_error(
     measure: InvariantMeasureSpec | None = None,
     f_choice: str = "sqrt",
     p: float = 2.0,
-    dt: float = 0.01,
     start: CylPoint | None = None,
     field: AveragedField | None = None,
 ) -> DecompositionResult:
@@ -394,8 +397,7 @@ def decompose_error(
     restarts the unperturbed flow at each partition point on the same driver
     segment, and returns A1..A4 and delta per vertical component: it is
     ``decompose_batch`` on one replica.  A manifold exit before the horizon
-    yields a flagged partial result.  Every quantity is exact, so ``dt``
-    has no effect.
+    yields a flagged partial result.
     """
     if not isinstance(model, RotationJumpCylinder):
         raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
@@ -576,7 +578,6 @@ def averaging_error(
     f_choice: str = "sqrt",
     start: CylPoint | None = None,
     rate_bound: RateBound | None = None,
-    threads: int = 1,
     keep_decompositions: bool = False,
 ) -> AveragingErrorResult:
     """Monte Carlo estimate of [E |pi(y_{t/eps}) - v(t)|^p]^(1/p) with its G bound.
@@ -588,8 +589,7 @@ def averaging_error(
     replicas gives their end points, their A1..A4 decompositions, their
     exact manifold exits and the pathwise A1..A4 bound checks.  Requires
     t < T0 (the ODE must not leave V before t).  Every quantity is exact, so
-    ``dt`` has no effect, ``ode_step`` only spaces the averaged ODE's record,
-    and ``threads`` has no effect either.
+    ``dt`` has no effect and ``ode_step`` only spaces the averaged ODE's record.
     """
     if not isinstance(model, RotationJumpCylinder):
         raise ValueError("the error decomposition is defined for the rotation-jump cylinder")

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 
-from .config import EXPERIMENT_KINDS, ConfigError, load_config, valid_seed
+from .config import EXPERIMENT_KINDS, KIND_SECTIONS, ConfigError, load_config, valid_seed
 from .harness import run
 
 
@@ -55,15 +55,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.replicas is not None:
             if args.replicas < 1:
                 raise ConfigError(["--replicas: need at least one replica"])
-            section = {
-                "simulate": "simulate",
-                "average": "averaging",
-                "rates": "averaging",
-                "coalesce": "coalesce",
-            }.get(args.experiment)
-            if section is None:
+            section = KIND_SECTIONS[args.experiment]
+            inner = getattr(cfg, section)
+            if not hasattr(inner, "replicas"):
                 raise ConfigError([f"--replicas: {args.experiment} runs no replicas"])
-            inner = dataclasses.replace(getattr(cfg, section), replicas=args.replicas)
+            inner = dataclasses.replace(inner, replicas=args.replicas)
             cfg = dataclasses.replace(cfg, **{section: inner})
     except (ConfigError, OSError) as exc:
         print(_error_record("config", exc), file=sys.stderr)

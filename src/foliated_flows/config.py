@@ -1,13 +1,18 @@
 """Declarative experiment configs: one YAML file with nested sections.
 
-Every numeric field is validated against the precondition of the operation it
-feeds, unknown keys are rejected at every level, and all violations are
-reported together.  Parsing fills defaults, so serializing a parsed config is
-canonical and idempotent.
+The section dataclasses below (with the domain types ``PerturbationField``,
+``VerticalRegion`` and ``InvariantMeasureSpec``) are the one declaration of
+the schema: ``parse_config`` takes every default from them and builds each
+section as ``cls(**values)`` from the keys given, and one serializer walks
+their fields back into plain data.  Every numeric field is validated against
+the precondition of the operation it feeds, unknown keys are rejected at
+every level, and all violations are reported together.  Parsing fills
+defaults, so serializing a parsed config is canonical and idempotent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -15,9 +20,21 @@ import yaml
 
 from .averaging import F_CHOICES, InvariantMeasureSpec, MEASURE_MODES
 from .drivers import _GRID_TOL, _MAX_ID
-from .geometry import MODEL_NAMES, PerturbationField, VerticalRegion
+from .geometry import ANGULAR_CHOICES, K3_CHOICES, MODEL_NAMES, PerturbationField, VerticalRegion
 
-EXPERIMENT_KINDS = ("simulate", "kernel-check", "average", "rates", "coalesce")
+# The config section each experiment kind reads; its ``replicas``, if it has
+# one, is the run's replica count.
+KIND_SECTIONS = {
+    "simulate": "simulate",
+    "kernel-check": "kernel_check",
+    "average": "averaging",
+    "rates": "averaging",
+    "coalesce": "coalesce",
+}
+EXPERIMENT_KINDS = tuple(KIND_SECTIONS)
+
+# The coordinates that a cylinder start leaves out.
+START_COORDS = {"theta": 0.0, "r": 1.0, "z": 0.0}
 
 
 def valid_seed(seed: int) -> bool:
@@ -34,9 +51,16 @@ class ConfigError(ValueError):
 
 
 class _Section:
-    """Walks a mapping, popping known keys and collecting violations."""
+    """Walks a mapping, popping known keys and collecting violations.
 
-    def __init__(self, data, path: str, problems: list[str]):
+    A section parsed into the dataclass ``cls`` keeps in ``values`` the
+    scalar keys given with a valid value (lists are parsed item by item by
+    the caller, which stores the result there).  ``build`` makes ``cls``
+    from them, so every other field keeps the default that ``cls``
+    declares, which ``take`` also returns for a key absent or invalid.
+    """
+
+    def __init__(self, data, path: str, problems: list[str], cls=None):
         self.path = path
         self.problems = problems
         if data is None:
@@ -45,15 +69,23 @@ class _Section:
             problems.append(f"{path}: expected a mapping, got {type(data).__name__}")
             data = {}
         self.data = dict(data)
+        self.cls = cls
+        self.defaults = vars(cls()) if cls is not None else {}
+        self.values: dict = {}
 
     def finish(self) -> None:
         for key in self.data:
             self.problems.append(f"{self.path}.{key}: unknown key")
 
-    def sub(self, key: str) -> "_Section":
-        return _Section(self.data.pop(key, None), f"{self.path}.{key}", self.problems)
+    def build(self):
+        self.finish()
+        return self.cls(**self.values)
 
-    def take(self, key: str, default, kind, check=None, describe: str = ""):
+    def sub(self, key: str, cls=None) -> "_Section":
+        return _Section(self.data.pop(key, None), f"{self.path}.{key}", self.problems, cls)
+
+    def take(self, key: str, kind, check=None, describe: str = ""):
+        default = self.defaults.get(key)
         raw = self.data.pop(key, None)
         if raw is None:
             return default
@@ -75,6 +107,8 @@ class _Section:
         if check is not None and not check(value):
             self.problems.append(f"{where}: {describe} (got {value!r})")
             return default
+        if kind is not list:
+            self.values[key] = value
         return value
 
 
@@ -99,16 +133,7 @@ class SimulateConfig:
     dt: float = 1e-3
     replicas: int = 1
     eps: float = 0.0
-    starts: tuple[dict, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "replicas": self.replicas,
-            "eps": self.eps,
-            "starts": [dict(s) for s in self.starts],
-        }
+    starts: tuple[dict, ...] = ()  # only the coordinates given
 
 
 @dataclass(frozen=True)
@@ -116,9 +141,6 @@ class KernelCheckConfig:
     m: int = 8
     leaves: tuple[tuple[float, float], ...] = ((1.0, 0.0), (2.0, 0.0))
     times: tuple[float, ...] = (math.pi / 4.0, math.pi / 2.0)
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "leaves": [list(l) for l in self.leaves], "times": list(self.times)}
 
 
 @dataclass(frozen=True)
@@ -130,25 +152,8 @@ class AveragingConfig:
     replicas: int = 100
     dt: float = 0.01  # no effect: averaging needs no time grid; kept in configs and payloads
     ode_step: float = 1e-3
-    start: tuple[float, float, float] = (0.0, 1.0, 1.0)  # (theta, r, z), inside the region
+    start: dict = field(default_factory=lambda: {"theta": 0.0, "r": 1.0, "z": 1.0})  # inside the region
     measure: InvariantMeasureSpec = field(default_factory=InvariantMeasureSpec)
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "p": self.p,
-            "eps_grid": list(self.eps_grid),
-            "f_choice": self.f_choice,
-            "replicas": self.replicas,
-            "dt": self.dt,
-            "ode_step": self.ode_step,
-            "start": {"theta": self.start[0], "r": self.start[1], "z": self.start[2]},
-            "measure": {
-                "mode": self.measure.mode,
-                "horizon": self.measure.horizon,
-                "burn_in_fraction": self.measure.burn_in_fraction,
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -156,21 +161,12 @@ class CoalesceConfig:
     horizon: float = 50.0
     dt: float = 0.01
     replicas: int = 1000
-    starts: tuple[tuple[float, float, float], ...] = (
-        (0.0, 1.0, 0.0),
-        (math.pi, 1.0, 0.0),
-        (0.0, 2.0, 0.0),
+    starts: tuple[dict, ...] = (
+        {"theta": 0.0, "r": 1.0, "z": 0.0},
+        {"theta": math.pi, "r": 1.0, "z": 0.0},
+        {"theta": 0.0, "r": 2.0, "z": 0.0},
     )
     curve_points: int = 200
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "replicas": self.replicas,
-            "starts": [{"theta": s[0], "r": s[1], "z": s[2]} for s in self.starts],
-            "curve_points": self.curve_points,
-        }
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,18 @@ class BoundsConfig:
     c1: float | None = None
     c2: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2}
+
+def _plain(value):
+    """A config value as YAML data: dataclasses become dicts and tuples lists."""
+    if isinstance(value, ModelConfig):  # its parameters depend on its name
+        return value.to_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -196,48 +202,32 @@ class ExperimentConfig:
     averaging: AveragingConfig = field(default_factory=AveragingConfig)
     coalesce: CoalesceConfig = field(default_factory=CoalesceConfig)
 
+    @property
+    def replicas(self) -> int:
+        """The replica count of the experiment's section; 0 for kernel-check."""
+        return getattr(getattr(self, KIND_SECTIONS[self.experiment]), "replicas", 0)
+
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "model": self.model.to_dict(),
-            "perturbation": {
-                "lambda0": self.perturbation.lambda0,
-                "k3": self.perturbation.k3,
-                "angular": self.perturbation.angular,
-            },
-            "region": {
-                "r_min": self.region.r_min,
-                "r_max": self.region.r_max,
-                "z_min": self.region.z_min,
-                "z_max": self.region.z_max,
-            },
-            "bounds": self.bounds.to_dict(),
-            "simulate": self.simulate.to_dict(),
-            "kernel_check": self.kernel_check.to_dict(),
-            "averaging": self.averaging.to_dict(),
-            "coalesce": self.coalesce.to_dict(),
-        }
+        return _plain(self)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
-def _parse_starts(sec: _Section, problems: list[str], path: str, coords: tuple[str, ...]):
-    """One dict per start holding only the coordinates given: finite floats, r > 0."""
-    out = []
-    for i, item in enumerate(sec.take("starts", [], list)):
-        s = _Section(item, f"{path}.starts[{i}]", problems)
-        given = {}
-        for c in coords:
-            value = s.take(c, None, float, lambda x: c != "r" or x > 0.0,
-                           "r must be positive (excluded z-axis)")
-            if value is not None:
-                given[c] = value
-        s.finish()
-        out.append(given)
-    return out
+def _take_coords(sec: _Section, coords: tuple[str, ...]) -> dict:
+    """The coordinates given, as finite floats with r > 0."""
+    for c in coords:
+        sec.take(c, float, lambda x: c != "r" or x > 0.0, "r must be positive (excluded z-axis)")
+    sec.finish()
+    return sec.values
+
+
+def _take_starts(sec: _Section, coords: tuple[str, ...]) -> list[dict]:
+    """One dict per start, holding only the coordinates given."""
+    return [
+        _take_coords(_Section(item, f"{sec.path}.starts[{i}]", sec.problems), coords)
+        for i, item in enumerate(sec.take("starts", list))
+    ]
 
 
 def _is_finite_number(x) -> bool:
@@ -257,11 +247,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     root = _Section(data, "config", problems)
 
     kind = root.take(
-        "experiment",
-        None,
-        str,
-        lambda s: s in EXPERIMENT_KINDS,
-        f"must be one of {EXPERIMENT_KINDS}",
+        "experiment", str, lambda s: s in EXPERIMENT_KINDS, f"must be one of {EXPERIMENT_KINDS}"
     )
     if experiment is not None:
         if kind is not None and kind != experiment:
@@ -272,75 +258,60 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     if kind is None:
         problems.append("config.experiment: missing (and no subcommand given)")
         kind = "simulate"
+    root.values["experiment"] = kind
+    root.take("seed", int, valid_seed, "must lie in [0, 2^64)")
+    root.take("output_dir", str)
 
-    seed = root.take("seed", 0, int, valid_seed, "must lie in [0, 2^64)")
-    output_dir = root.take("output_dir", "out", str)
-
-    msec = root.sub("model")
-    name = msec.take(
-        "name",
-        "rotation-jump-cylinder",
-        str,
-        lambda s: s in MODEL_NAMES,
-        f"must be one of {MODEL_NAMES}",
-    )
-    v_raw = msec.take("v", None, list)
-    v = None
-    if v_raw is not None:
-        if len(v_raw) == 2 and all(_is_finite_number(x) for x in v_raw):
-            v = (float(v_raw[0]), float(v_raw[1]))
+    msec = root.sub("model", ModelConfig)
+    name = msec.take("name", str, lambda s: s in MODEL_NAMES, f"must be one of {MODEL_NAMES}")
+    v = msec.take("v", list)
+    if v is not None:
+        if len(v) == 2 and all(_is_finite_number(x) for x in v):
+            msec.values["v"] = (float(v[0]), float(v[1]))
             if abs(math.hypot(*v) - 1.0) > 1e-9:
                 problems.append("config.model.v: winding direction must be a unit vector")
         else:
-            problems.append(f"config.model.v: expected [v1, v2], got {v_raw!r}")
-    sigma = msec.take("sigma", 1.0, float, lambda x: x > 0.0, "sigma must be positive")
-    msec.finish()
+            problems.append(f"config.model.v: expected [v1, v2], got {v!r}")
+    msec.take("sigma", float, lambda x: x > 0.0, "sigma must be positive")
+    model = msec.build()
     if kind in ("average", "rates") and name != "rotation-jump-cylinder":
         problems.append(
             f"config.model.name: {kind} is defined for the rotation-jump-cylinder only (got {name!r})"
         )
-    model = ModelConfig(name=name, v=v, sigma=sigma)
 
-    psec = root.sub("perturbation")
-    lambda0 = psec.take("lambda0", 0.0, float)
-    k3 = psec.take("k3", "zero", str, lambda s: s in ("zero", "negate", "sine"),
-                   "must be one of zero, negate, sine")
-    angular = psec.take("angular", "none", str, lambda s: s in ("none", "cosine"),
-                        "must be one of none, cosine")
-    psec.finish()
-    perturbation = PerturbationField(lambda0=lambda0, k3=k3, angular=angular)
+    psec = root.sub("perturbation", PerturbationField)
+    psec.take("lambda0", float)
+    psec.take("k3", str, lambda s: s in K3_CHOICES, f"must be one of {', '.join(K3_CHOICES)}")
+    psec.take("angular", str, lambda s: s in ANGULAR_CHOICES,
+              f"must be one of {', '.join(ANGULAR_CHOICES)}")
+    perturbation = psec.build()
 
-    rsec = root.sub("region")
-    r_min = rsec.take("r_min", 0.5, float, lambda x: x > 0.0, "r_min must be positive")
-    r_max = rsec.take("r_max", 5.0, float)
-    z_min = rsec.take("z_min", -5.0, float)
-    z_max = rsec.take("z_max", 5.0, float)
+    rsec = root.sub("region", VerticalRegion)
+    r_min = rsec.take("r_min", float, lambda x: x > 0.0, "r_min must be positive")
+    r_max = rsec.take("r_max", float)
+    z_min = rsec.take("z_min", float)
+    z_max = rsec.take("z_max", float)
     rsec.finish()
-    if not r_min < r_max:
-        problems.append("config.region: requires r_min < r_max")
-        r_min, r_max = 0.5, 5.0
-    if not z_min < z_max:
-        problems.append("config.region: requires z_min < z_max")
-        z_min, z_max = -5.0, 5.0
-    region = VerticalRegion(r_min=r_min, r_max=r_max, z_min=z_min, z_max=z_max)
+    for lo, hi, a, b in (("r_min", "r_max", r_min, r_max), ("z_min", "z_max", z_min, z_max)):
+        if not a < b:  # fall back to both defaults: VerticalRegion rejects the pair
+            problems.append(f"config.region: requires {lo} < {hi}")
+            rsec.values.pop(lo, None)
+            rsec.values.pop(hi, None)
+    region = VerticalRegion(**rsec.values)
 
-    bsec = root.sub("bounds")
-    c1 = bsec.take("c1", None, float, lambda x: x >= 0.0, "C1 must be >= 0")
-    c2 = bsec.take("c2", None, float, lambda x: x >= 0.0, "C2 must be >= 0")
-    bsec.finish()
-    bounds = BoundsConfig(c1=c1, c2=c2)
+    bsec = root.sub("bounds", BoundsConfig)
+    bsec.take("c1", float, lambda x: x >= 0.0, "C1 must be >= 0")
+    bsec.take("c2", float, lambda x: x >= 0.0, "C2 must be >= 0")
+    bounds = bsec.build()
 
-    ssec = root.sub("simulate")
-    coords = ("a", "b") if name == "torus-winding" else ("theta", "r", "z")
-    sim_starts = _parse_starts(ssec, problems, "config.simulate", coords)
-    sim = SimulateConfig(
-        horizon=ssec.take("horizon", 10.0, float, lambda x: x >= 0.0, "horizon must be >= 0"),
-        dt=ssec.take("dt", 1e-3, float, lambda x: x > 0.0, "dt must be positive"),
-        replicas=ssec.take("replicas", 1, int, lambda x: x >= 1, "need at least one replica"),
-        eps=ssec.take("eps", 0.0, float, lambda x: x >= 0.0, "eps must be >= 0"),
-        starts=tuple(sim_starts),
-    )
-    ssec.finish()
+    ssec = root.sub("simulate", SimulateConfig)
+    coords = ("a", "b") if name == "torus-winding" else tuple(START_COORDS)
+    ssec.values["starts"] = tuple(_take_starts(ssec, coords))
+    ssec.take("horizon", float, lambda x: x >= 0.0, "horizon must be >= 0")
+    ssec.take("dt", float, lambda x: x > 0.0, "dt must be positive")
+    ssec.take("replicas", int, lambda x: x >= 1, "need at least one replica")
+    ssec.take("eps", float, lambda x: x >= 0.0, "eps must be >= 0")
+    sim = ssec.build()
     if name != "rotation-jump-cylinder":  # the cylinder's record grid ends exactly at horizon
         _check_on_grid(problems, "config.simulate", sim.horizon, sim.dt)
     if sim.eps > 0.0 and name != "rotation-jump-cylinder":
@@ -348,23 +319,21 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             "config.simulate.eps: perturbed simulation is defined for the rotation-jump-cylinder only"
         )
 
-    ksec = root.sub("kernel_check")
-    m = ksec.take("m", 8, int, lambda x: x >= 2 and x % 2 == 0,
+    ksec = root.sub("kernel_check", KernelCheckConfig)
+    m = ksec.take("m", int, lambda x: x >= 2 and x % 2 == 0,
                   "build_cylinder_kernel needs an even m >= 2")
-    leaves_raw = ksec.take("leaves", [[1.0, 0.0], [2.0, 0.0]], list, bool, "need at least one leaf")
     leaves: list[tuple[float, float]] = []
-    for i, lf in enumerate(leaves_raw):
-        if isinstance(lf, list) and len(lf) == 2 and all(map(_is_finite_number, lf)) and lf[0] > 0:
+    for i, lf in enumerate(ksec.take("leaves", list, bool, "need at least one leaf")):
+        if isinstance(lf, (list, tuple)) and len(lf) == 2 and all(map(_is_finite_number, lf)) and lf[0] > 0:
             leaf = (float(lf[0]), float(lf[1]))
             if leaf in leaves:
                 problems.append(f"config.kernel_check.leaves[{i}]: repeats leaf {list(leaf)}")
             leaves.append(leaf)
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
-    times_raw = ksec.take("times", [math.pi / 4.0, math.pi / 2.0], list, bool, "need at least one time")
     times: list[float] = []
-    step = 2.0 * math.pi / m if m else 1.0
-    for i, tv in enumerate(times_raw):
+    step = 2.0 * math.pi / m
+    for i, tv in enumerate(ksec.take("times", list, bool, "need at least one time")):
         if _is_finite_number(tv):
             tv = float(tv)
             if abs(tv / step - round(tv / step)) > 1e-9:
@@ -374,88 +343,56 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             times.append(tv)
         else:
             problems.append(f"config.kernel_check.times[{i}]: expected a finite number")
-    ksec.finish()
-    kernel_check = KernelCheckConfig(m=m, leaves=tuple(leaves), times=tuple(times))
+    ksec.values.update(leaves=tuple(leaves), times=tuple(times))
+    kernel_check = ksec.build()
 
-    asec = root.sub("averaging")
-    t = asec.take("t", 1.0, float, lambda x: x > 0.0, "make_partition requires t > 0")
-    p = asec.take("p", 2.0, float, lambda x: x >= 1.0, "p must lie in [1, inf)")
-    eps_raw = asec.take("eps_grid", [0.1, 0.01], list, bool, "need at least one eps")
+    asec = root.sub("averaging", AveragingConfig)
+    asec.take("t", float, lambda x: x > 0.0, "make_partition requires t > 0")
+    asec.take("p", float, lambda x: x >= 1.0, "p must lie in [1, inf)")
     eps_grid: list[float] = []
-    for i, ev in enumerate(eps_raw):
+    for i, ev in enumerate(asec.take("eps_grid", list, bool, "need at least one eps")):
         if isinstance(ev, (int, float)) and 0.0 < float(ev) < 1.0:
             eps_grid.append(float(ev))
         else:
             problems.append(
                 f"config.averaging.eps_grid[{i}]: make_partition requires 0 < eps < 1 (got {ev!r})"
             )
-    f_choice = asec.take("f_choice", "sqrt", str, lambda s: s in F_CHOICES,
-                         f"must be one of {F_CHOICES}")
-    a_replicas = asec.take("replicas", 100, int, lambda x: x >= 1, "need at least one replica")
-    a_dt = asec.take("dt", 0.01, float, lambda x: x > 0.0, "dt must be positive")
-    ode_step = asec.take("ode_step", 1e-3, float, lambda x: x > 0.0, "ode_step must be positive")
-    stsec = asec.sub("start")
-    a_start = (
-        stsec.take("theta", 0.0, float),
-        stsec.take("r", 1.0, float, lambda x: x > 0.0, "r must be positive"),
-        stsec.take("z", 1.0, float),
-    )
-    stsec.finish()
-    if kind in ("average", "rates") and not region.contains(a_start[1:]):
+    asec.values["eps_grid"] = tuple(eps_grid)
+    asec.take("f_choice", str, lambda s: s in F_CHOICES, f"must be one of {F_CHOICES}")
+    asec.take("replicas", int, lambda x: x >= 1, "need at least one replica")
+    asec.take("dt", float, lambda x: x > 0.0, "dt must be positive")
+    asec.take("ode_step", float, lambda x: x > 0.0, "ode_step must be positive")
+    start = {**asec.defaults["start"], **_take_coords(asec.sub("start"), tuple(START_COORDS))}
+    if kind in ("average", "rates") and not region.contains((start["r"], start["z"])):
         problems.append(
-            f"config.averaging.start: (r, z) = {a_start[1:]} lies outside the region "
-            f"(r_min, r_max) x (z_min, z_max) = ({r_min}, {r_max}) x ({z_min}, {z_max})"
+            f"config.averaging.start: (r, z) = {(start['r'], start['z'])} lies outside the region "
+            f"(r_min, r_max) x (z_min, z_max) = ({region.r_min}, {region.r_max}) x "
+            f"({region.z_min}, {region.z_max})"
         )
-    mssec = asec.sub("measure")
-    measure = InvariantMeasureSpec(
-        mode=mssec.take("mode", "analytic-uniform", str, lambda s: s in MEASURE_MODES,
-                        f"must be one of {MEASURE_MODES}"),
-        horizon=mssec.take("horizon", 200.0, float, lambda x: x > 0.0,
-                           "empirical leaf averages need a positive horizon"),
-        burn_in_fraction=mssec.take("burn_in_fraction", 0.1, float,
-                                    lambda x: 0.0 <= x < 1.0, "burn-in fraction in [0, 1)"),
-    )
-    mssec.finish()
-    asec.finish()
-    averaging = AveragingConfig(
-        t=t, p=p, eps_grid=tuple(eps_grid), f_choice=f_choice, replicas=a_replicas,
-        dt=a_dt, ode_step=ode_step, start=a_start, measure=measure,
-    )
+    mssec = asec.sub("measure", InvariantMeasureSpec)
+    mssec.take("mode", str, lambda s: s in MEASURE_MODES, f"must be one of {MEASURE_MODES}")
+    mssec.take("horizon", float, lambda x: x > 0.0, "empirical leaf averages need a positive horizon")
+    mssec.take("burn_in_fraction", float, lambda x: 0.0 <= x < 1.0, "burn-in fraction in [0, 1)")
+    asec.values.update(start=start, measure=mssec.build())
+    averaging = asec.build()
 
-    csec = root.sub("coalesce")
-    co = CoalesceConfig(
-        horizon=csec.take("horizon", 50.0, float, lambda x: x >= 0.0, "horizon must be >= 0"),
-        dt=csec.take("dt", 0.01, float, lambda x: x > 0.0, "dt must be positive"),
-        replicas=csec.take("replicas", 1000, int, lambda x: x >= 1, "need at least one replica"),
-        starts=tuple(
-            (s.get("theta", 0.0), s.get("r", 1.0), s.get("z", 0.0))
-            for s in _parse_starts(csec, problems, "config.coalesce", ("theta", "r", "z"))
-        ),
-        curve_points=csec.take("curve_points", 200, int, lambda x: x >= 2,
-                               "need at least 2 curve points"),
-    )
-    csec.finish()
+    csec = root.sub("coalesce", CoalesceConfig)
+    csec.take("horizon", float, lambda x: x >= 0.0, "horizon must be >= 0")
+    csec.take("dt", float, lambda x: x > 0.0, "dt must be positive")
+    csec.take("replicas", int, lambda x: x >= 1, "need at least one replica")
+    co_starts = _take_starts(csec, tuple(START_COORDS))
+    if co_starts:  # an empty list keeps the default starts
+        csec.values["starts"] = tuple({**START_COORDS, **s} for s in co_starts)
+    csec.take("curve_points", int, lambda x: x >= 2, "need at least 2 curve points")
+    co = csec.build()
     _check_on_grid(problems, "config.coalesce", co.horizon, co.dt)
-    if not co.starts:
-        co = CoalesceConfig(
-            horizon=co.horizon, dt=co.dt, replicas=co.replicas, curve_points=co.curve_points
-        )
 
     root.finish()
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
-        experiment=kind,
-        seed=seed,
-        output_dir=output_dir,
-        model=model,
-        perturbation=perturbation,
-        region=region,
-        bounds=bounds,
-        simulate=sim,
-        kernel_check=kernel_check,
-        averaging=averaging,
-        coalesce=co,
+        **root.values, model=model, perturbation=perturbation, region=region, bounds=bounds,
+        simulate=sim, kernel_check=kernel_check, averaging=averaging, coalesce=co,
     )
 
 

@@ -377,10 +377,6 @@ class PerturbedCylinderPath:
     r: np.ndarray
     z: np.ndarray
 
-    def state_at(self, t: float) -> CylPoint:
-        k = self.index_of(t)
-        return CylPoint.from_angle(float(self.angular.theta(t)), float(self.r[k]), float(self.z[k]))
-
     def index_of(self, t: float) -> int:
         """Index of the recorded time nearest to t (within the grid-collapse tolerance)."""
         k = int(np.searchsorted(self.times, t))
@@ -427,16 +423,6 @@ def perturbed_cylinder_path(
     return PerturbedCylinderPath(
         start=start, eps=eps, perturbation=perturbation, angular=angular, times=ts, r=r, z=z
     )
-
-
-def evolve_cylinder_perturbed(
-    start: CylPoint, driver: DriverPath, t: float, eps: float, perturbation: PerturbationField
-) -> CylPoint:
-    """Endpoint of the perturbed flow; eps = 0 reduces exactly to evolve_cylinder."""
-    if eps == 0.0:
-        return evolve_cylinder(start, driver, t)
-    path = perturbed_cylinder_path(start, driver, t, eps, perturbation)
-    return path.state_at(t)
 
 
 def cylinder_trajectory(

@@ -248,6 +248,8 @@ _K3_FUNCS = {
 
 # Global Lipschitz constants of the catalog k3 choices.
 _K3_LIPSCHITZ = {"zero": 0.0, "negate": 1.0, "sine": 1.0}
+K3_CHOICES = tuple(_K3_FUNCS)
+ANGULAR_CHOICES = ("none", "cosine")
 
 
 @dataclass(frozen=True)
@@ -263,9 +265,9 @@ class PerturbationField:
     angular: str = "none"
 
     def __post_init__(self) -> None:
-        if self.k3 not in _K3_FUNCS:
-            raise ValueError(f"unknown k3 choice {self.k3!r}; catalog: {sorted(_K3_FUNCS)}")
-        if self.angular not in ("none", "cosine"):
+        if self.k3 not in K3_CHOICES:
+            raise ValueError(f"unknown k3 choice {self.k3!r}; catalog: {sorted(K3_CHOICES)}")
+        if self.angular not in ANGULAR_CHOICES:
             raise ValueError(f"unknown angular choice {self.angular!r}; catalog: none, cosine")
 
     @property

@@ -25,7 +25,7 @@ from .averaging import (
     measured_lipschitz,
     solve_averaged_ode,
 )
-from .config import ExperimentConfig
+from .config import START_COORDS, ExperimentConfig
 from .drivers import StreamKey
 from .flows import (
     coalescence_times,
@@ -87,10 +87,7 @@ def _simulate_starts(cfg: ExperimentConfig):
     if cfg.model.name == "torus-winding":
         raw = cfg.simulate.starts or ({"a": 0.2, "b": 0.7},)
         return [TorusPoint.from_coords(s.get("a", 0.0), s.get("b", 0.0)) for s in raw]
-    raw = cfg.simulate.starts or ({"theta": 0.0, "r": 1.0, "z": 0.0},)
-    return [
-        CylPoint.from_angle(s.get("theta", 0.0), s.get("r", 1.0), s.get("z", 0.0)) for s in raw
-    ]
+    return [CylPoint.from_angle(**{**START_COORDS, **s}) for s in cfg.simulate.starts or ({},)]
 
 
 def _write_trajectory_csv(path: Path, traj_rows: list[tuple], columns: tuple[str, ...]) -> None:
@@ -181,7 +178,7 @@ def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> dict:
 def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
     av = cfg.averaging
     base = StreamKey(cfg.seed)
-    start = CylPoint.from_angle(*av.start)
+    start = CylPoint.from_angle(**av.start)
     model = make_model(cfg.model.name)
     rb = default_rate_bound(cfg.perturbation, cfg.region, c1=cfg.bounds.c1, c2=cfg.bounds.c2)
 
@@ -235,7 +232,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
             results["slope"] = None
             results["flags"] = [f"fit-failed: {exc}"]
         ode = solve_averaged_ode(
-            cfg.perturbation, av.measure, av.start[1:], av.t, av.ode_step, cfg.region, base
+            cfg.perturbation, av.measure, (start.r, start.z), av.t, av.ode_step, cfg.region, base
         )
         leaves = [tuple(v) for v in ode.values[:: max(1, len(ode.values) // 16)]]
         field = AveragedField(cfg.perturbation, av.measure, base)
@@ -246,7 +243,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
 
 def _run_coalesce(cfg: ExperimentConfig) -> tuple[dict, dict]:
     co = cfg.coalesce
-    starts = [CylPoint.from_angle(*s) for s in co.starts]
+    starts = [CylPoint.from_angle(**s) for s in co.starts]
     batch = coalescence_times(
         starts, StreamKey(cfg.seed), co.horizon, co.dt, sigma=cfg.model.sigma,
         replicas=np.arange(co.replicas),
@@ -298,19 +295,12 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
     diagnostics: dict = {}
     if kind == "simulate":
         results = _run_simulate(cfg, out)
-        replicas = cfg.simulate.replicas
     elif kind == "kernel-check":
         results = _run_kernel_check(cfg, out)
-        replicas = 0
-    elif kind == "average":
-        results = _run_averaging(cfg, fit=False)
-        replicas = cfg.averaging.replicas
-    elif kind == "rates":
-        results = _run_averaging(cfg, fit=True)
-        replicas = cfg.averaging.replicas
+    elif kind in ("average", "rates"):
+        results = _run_averaging(cfg, fit=kind == "rates")
     elif kind == "coalesce":
         results, diagnostics = _run_coalesce(cfg)
-        replicas = cfg.coalesce.replicas
     else:
         raise ValueError(f"unknown experiment kind {kind!r}")
     elapsed = time.perf_counter() - t0
@@ -319,7 +309,7 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
         experiment=kind,
         config=cfg.to_dict(),
         results=results,
-        replicas=replicas,
+        replicas=cfg.replicas,
         wall_clock_seconds=elapsed,
         diagnostics=diagnostics,
     )

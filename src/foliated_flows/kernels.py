@@ -141,9 +141,6 @@ class TransitionKernel:
     def matrix(self) -> np.ndarray:
         return _dense(self.targets, self.weights, self.grid.n_states)
 
-    def power(self, n: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.matrix, n)
-
     def compose(self, other: "TransitionKernel") -> "TransitionKernel":
         """self then other: row x sends weight W_A[x,i]*W_B[T_A[x,i],j] to T_B[T_A[x,i],j]."""
         if self.grid != other.grid:

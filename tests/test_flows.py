@@ -13,7 +13,6 @@ from foliated_flows.flows import (
     cylinder_trajectory,
     evolve_coalescing_circle,
     evolve_cylinder,
-    evolve_cylinder_perturbed,
     evolve_torus,
     manifold_exit_times,
     n_point_motion,
@@ -162,11 +161,19 @@ def test_angular_jump_path_prefix_matches_direct_quadrature():
 # perturbed cylinder
 
 
+def _perturbed_end(start, driver, t, eps, K):
+    # the recorded state at t, the last time of the path
+    path = perturbed_cylinder_path(start, driver, t, eps, K)
+    k = path.index_of(t)
+    assert k == path.times.size - 1
+    return CylPoint.from_angle(float(path.angular.theta(t)), float(path.r[k]), float(path.z[k]))
+
+
 def test_perturbed_eps_zero_reduces_to_unperturbed():
     driver = sample_jump_driver(StreamKey(SEED, 12), 3.0, 0.01)
     start = CylPoint(0.3, 1.5, 0.7)
     K = PerturbationField(lambda0=2.0, k3="sine", angular="cosine")
-    a = evolve_cylinder_perturbed(start, driver, 2.0, 0.0, K)
+    a = _perturbed_end(start, driver, 2.0, 0.0, K)
     b = evolve_cylinder(start, driver, 2.0)
     assert a == b
 
@@ -175,7 +182,7 @@ def test_perturbed_radial_closed_form():
     # r + eps*lambda0*t with angular = none, exactly
     driver = sample_jump_driver(StreamKey(SEED, 13), 10.0, 0.01)
     K = PerturbationField(lambda0=1.0, k3="zero", angular="none")
-    out = evolve_cylinder_perturbed(CylPoint(0.0, 1.0, 0.5), driver, 10.0, 0.1, K)
+    out = _perturbed_end(CylPoint(0.0, 1.0, 0.5), driver, 10.0, 0.1, K)
     assert out.r == pytest.approx(2.0, abs=1e-12)
     assert out.z == 0.5
 
@@ -188,7 +195,7 @@ def test_perturbed_cosine_integral_closed_form_without_jumps():
     )
     K = PerturbationField(lambda0=0.0, k3="zero", angular="cosine")
     theta0, eps, t = 0.9, 0.25, 1.7
-    out = evolve_cylinder_perturbed(CylPoint(theta0, 1.0, 0.0), driver, t, eps, K)
+    out = _perturbed_end(CylPoint(theta0, 1.0, 0.0), driver, t, eps, K)
     expected = 1.0 + eps * (math.sin(theta0 + t) - math.sin(theta0))
     assert out.r == pytest.approx(expected, abs=1e-12)
 
@@ -197,7 +204,7 @@ def test_perturbed_vertical_rk4_against_linear_oracle():
     # z' = -eps z has the exact solution z0 e^{-eps t}
     driver = sample_jump_driver(StreamKey(SEED, 14), 5.0, 0.01)
     K = PerturbationField(lambda0=0.0, k3="negate", angular="none")
-    out = evolve_cylinder_perturbed(CylPoint(0.0, 1.0, 2.0), driver, 5.0, 0.3, K)
+    out = _perturbed_end(CylPoint(0.0, 1.0, 2.0), driver, 5.0, 0.3, K)
     assert out.z == pytest.approx(2.0 * math.exp(-0.3 * 5.0), abs=1e-10)
 
 
@@ -205,7 +212,7 @@ def test_perturbed_manifold_exit_carries_time():
     driver = sample_jump_driver(StreamKey(SEED, 15), 10.0, 0.01)
     K = PerturbationField(lambda0=-1.0, k3="zero", angular="none")
     with pytest.raises(ManifoldExit) as info:
-        evolve_cylinder_perturbed(CylPoint(0.0, 1.0, 0.0), driver, 10.0, 0.5, K)
+        _perturbed_end(CylPoint(0.0, 1.0, 0.0), driver, 10.0, 0.5, K)
     assert info.value.exit_time == pytest.approx(2.0, abs=1e-6)
 
 

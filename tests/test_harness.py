@@ -1,16 +1,29 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 import yaml
 
-from foliated_flows.averaging import averaging_error
+from foliated_flows.averaging import InvariantMeasureSpec, averaging_error
 from foliated_flows.cli import main as cli_main
-from foliated_flows.config import ConfigError, load_config, parse_config
+from foliated_flows.config import (
+    EXPERIMENT_KINDS,
+    AveragingConfig,
+    BoundsConfig,
+    CoalesceConfig,
+    ConfigError,
+    ExperimentConfig,
+    KernelCheckConfig,
+    ModelConfig,
+    SimulateConfig,
+    load_config,
+    parse_config,
+)
 from foliated_flows.drivers import StreamKey
-from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder
+from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder, VerticalRegion
 from foliated_flows.flows import evolve_coalescing_circle
 from foliated_flows.harness import emit_plotdata, run
 
@@ -95,6 +108,88 @@ def test_config_defaults_fill_in():
     assert cfg.kernel_check.m == 8
     assert cfg.kernel_check.leaves == ((1.0, 0.0), (2.0, 0.0))
     assert cfg.region.r_min == 0.5
+
+
+def test_config_default_sections_are_the_dataclass_defaults():
+    for kind in EXPERIMENT_KINDS:
+        cfg = parse_config({"experiment": kind})
+        assert cfg == ExperimentConfig(experiment=kind)
+        assert cfg.model == ModelConfig()
+        assert cfg.perturbation == PerturbationField()
+        assert cfg.region == VerticalRegion()
+        assert cfg.bounds == BoundsConfig()
+        assert cfg.simulate == SimulateConfig()
+        assert cfg.kernel_check == KernelCheckConfig()
+        assert cfg.averaging == AveragingConfig()
+        assert cfg.averaging.measure == InvariantMeasureSpec()
+        assert cfg.coalesce == CoalesceConfig()
+    # empty sections and an empty coalesce starts list keep the defaults too
+    data = {"experiment": "coalesce", "region": {}, "averaging": {"start": {}, "measure": {}},
+            "coalesce": {"starts": []}}
+    assert parse_config(data) == ExperimentConfig(experiment="coalesce")
+
+
+# sha256 of json.dumps(to_dict(), sort_keys=True), computed before the section
+# dataclasses became the one serializer
+_CONFIG_SHA256 = {
+    "average-commuting": "592ffddfef3df1e49dd9996d57133b4df1b2cbe86d7a10ba1f5de757973d398a",
+    "coalesce-circle": "c2aac15d50e7640f1476427162b3adde80e013423019ed1b581f1fa37d79ca7b",
+    "kernel-check": "a3567439999c3292acd686f303d9568cf048097ea81358235fae9bb04f9f521d",
+    "rates-cosine": "de02de09261137b094905fa133f17129964d1e1a25bf875d0a84c5e528d45820",
+    "simulate-torus": "c6dfc47b7ada986b1a747a46f2297d4682294ec486a933773ec99afdb77800aa",
+}
+_DEFAULT_SHA256 = {
+    "simulate": "76e355892371f2c29fedf2071e945232203fa5785e5c9d5966626705b6d56976",
+    "kernel-check": "930ab8856722b7c1d3da43521df0bb6a45964c109f6d5781835dbc877797812e",
+    "average": "a2f5d2ab8299db442050578b0229fd61fe95f2d8aa09a2f07996715286092b33",
+    "rates": "37ba9ae4d6ef9d7e87d0329e9bd82ae252a4f0121e14aab0204ad6292c69339d",
+    "coalesce": "5e4437f7cca10f3e22f96e843205e58aa7f17bc2683bfa85490cac10e484cec7",
+}
+
+
+def _config_sha256(cfg) -> str:
+    return hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_SHA256))
+def test_config_serialization_of_the_sample_configs_is_pinned(name):
+    assert _config_sha256(load_config(CONFIGS / f"{name}.yaml")) == _CONFIG_SHA256[name]
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_config_serialization_of_the_defaults_is_pinned(kind):
+    assert _config_sha256(parse_config({"experiment": kind})) == _DEFAULT_SHA256[kind]
+
+
+def test_starts_fill_the_coordinates_they_omit(tmp_path):
+    # a cylinder start omits theta = 0, r = 1, z = 0; coalesce stores them
+    starts = [{"theta": 1.0}, {"r": 2.0, "z": -1.0}]
+    cfg = parse_config({"experiment": "coalesce", "coalesce": {"starts": starts}})
+    assert cfg.to_dict()["coalesce"]["starts"] == [
+        {"theta": 1.0, "r": 1.0, "z": 0.0}, {"theta": 0.0, "r": 2.0, "z": -1.0}
+    ]
+    # simulate keeps only what is given and fills the rest when it runs
+    data = {"experiment": "simulate", "output_dir": str(tmp_path),
+            "simulate": {"horizon": 0.1, "dt": 0.01, "starts": starts}}
+    run(parse_config(data))
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    first = {row.split(",")[1]: row.split(",")[2:5] for row in rows[1:] if row.startswith("0,")}
+    assert {pid: [float(x) for x in xs] for pid, xs in first.items()} == {
+        "0": [1.0, 1.0, 0.0], "1": [0.0, 2.0, -1.0]
+    }
+
+
+def test_config_region_with_empty_ranges_is_a_config_error():
+    # r_max and z_max keep their defaults 5.0; each empty range is reported,
+    # and the rest of the config is still checked
+    data = {"experiment": "rates", "region": {"r_min": 6.0, "z_min": 5.0}, "averaging": {"t": -1.0}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert info.value.problems == [
+        "config.region: requires r_min < r_max",
+        "config.region: requires z_min < z_max",
+        "config.averaging.t: make_partition requires t > 0 (got -1.0)",
+    ]
 
 
 def test_config_rejects_coalesce_horizon_off_the_dt_grid(tmp_path):
@@ -386,6 +481,32 @@ def test_cli_overrides_seed_out_replicas(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seed"] == 99
     assert report["config"]["averaging"]["replicas"] == 3
+
+
+# small runs of every kind; --replicas sets the replicas of the kind's section
+_SMALL_RUNS = {
+    "simulate": {"simulate": {"horizon": 0.5, "dt": 0.01, "replicas": 5}},
+    "kernel-check": {"kernel_check": {"m": 4, "times": [math.pi / 2.0]}},
+    "average": {"averaging": {"eps_grid": [0.1], "replicas": 5}},
+    "rates": {"averaging": {"eps_grid": [0.2, 0.1, 0.05], "replicas": 5}},
+    "coalesce": {"coalesce": {"horizon": 1.0, "dt": 0.01, "replicas": 5}},
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_cli_replicas_override_every_kind(tmp_path, capsys, kind):
+    out = tmp_path / "out"
+    path = _write_cfg(tmp_path, {"experiment": kind, "output_dir": str(out), **_SMALL_RUNS[kind]})
+    code = cli_main([kind, "--config", path, "--replicas", "3", "--quiet"])
+    if kind == "kernel-check":  # the message is checked by test_cli_rejects_replicas_for_kernel_check
+        assert code == 2
+        assert not out.exists()
+        return
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    section = {"simulate": "simulate", "average": "averaging", "rates": "averaging",
+               "coalesce": "coalesce"}[kind]
+    assert report["replicas"] == report["config"][section]["replicas"] == 3
 
 
 def test_cli_validation_failure_exit_2(tmp_path, capsys):

@@ -201,9 +201,11 @@ def test_semigroup_composition_exact():
 def test_row_stochasticity_survives_powers(steps, n_power):
     grid = LeafGrid(m=8, leaves=TWO_LEAVES)
     k = build_cylinder_kernel(grid, steps * math.pi / 4.0)
-    power = k.power(n_power)
-    assert float(np.max(np.abs(power.sum(axis=1) - 1.0))) <= TOL
-    assert np.all(power >= -TOL)
+    power = k
+    for _ in range(n_power - 1):
+        power = power.compose(k)
+    assert float(np.max(np.abs(power.weights.sum(axis=1) - 1.0))) <= TOL
+    assert np.all(power.weights >= -TOL)
 
 
 # ---------------------------------------------------------------------------
