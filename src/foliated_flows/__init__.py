@@ -1,11 +1,9 @@
 """Simulation and verification lab for foliated stochastic flows."""
 
 from .averaging import (
-    AveragedField,
     AveragedTrajectory,
     AveragingErrorResult,
-    DecompositionResult,
-    ErrorDecomposition,
+    DecompositionBatch,
     InvariantMeasureSpec,
     PartitionScheme,
     RateBound,

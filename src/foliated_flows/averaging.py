@@ -26,8 +26,9 @@ own leaf average).
 The averaged side is closed form too.  The only leaf average ever taken is
 Q(cos theta): exactly 0 under the uniform measure, and (F(T) - F(T0)) / (T - T0)
 on one long jump clock under the empirical one.  So the averaged field is
-(lambda0 + Q(cos theta), k3(z)), and its ODE is solved by v(s) = (r0 + q1 s,
-z(s)) with the same vertical flow as the replicas.
+(q1, k3(z)) with the one float q1 = lambda0 + Q(cos theta)
+(``averaged_radial_rate``), and its ODE is solved by v(s) = (r0 + q1 s, z(s))
+with the same vertical flow as the replicas.
 
 The replicas of one eps are one batch (``decompose_batch``).  Each replica
 draws only its jump times, from its own keyed stream; the jump times of all
@@ -37,8 +38,9 @@ and the bound checks as row reductions, and z, which no noise touches, is one
 closed-form evaluation shared by all.  The manifold exit is exact
 (``flows.manifold_exit_times``): r is monotone between the jump times and the
 times where cos theta = -lambda0, so its minimum over [0, t/eps] is found
-there, with no time grid.  The one-replica ``decompose_error`` and
-``check_pathwise_bounds`` run the same code on a batch of one.
+there, with no time grid.  A batch is the one result type: the one-replica
+``decompose_error`` returns a batch of one row, and ``check_pathwise_bounds``,
+the one bound check, reads the rows that stayed on the manifold.
 """
 
 from __future__ import annotations
@@ -88,8 +90,8 @@ class InvariantMeasureSpec:
     Lebesgue measure of the circle, under which Q(cos theta) is exactly 0.
     ``empirical`` is the time average along one long unperturbed
     rotation-jump run of length ``horizon``, with the leading
-    ``burn_in_fraction`` discarded; an ``AveragedField`` draws that run's jump
-    clock from the stream ``key.with_role("independent")``.
+    ``burn_in_fraction`` discarded; ``averaged_radial_rate`` draws that run's
+    jump clock from the stream ``key.with_role("independent")``.
     """
 
     mode: str = "analytic-uniform"
@@ -105,61 +107,43 @@ class InvariantMeasureSpec:
             raise ValueError("burn-in fraction must lie in [0, 1)")
 
 
-def _cos_average(measure: InvariantMeasureSpec, key: StreamKey | None) -> float:
-    """Q(cos theta) against the measure, exactly.
+def averaged_radial_rate(
+    perturbation: PerturbationField, measure: InvariantMeasureSpec, key: StreamKey | None = None
+) -> float:
+    """Q^{dpi_1(K)}, the radial component of the averaged field: one constant on every leaf.
 
-    On one run theta(s) = s + pi N_s it is (F(T) - F(T0)) / (T - T0), with F
-    the exact cos integral, T the horizon and T0 the end of the burn-in.
+    It is lambda0 + Q(cos theta) (just lambda0 without the angular
+    modulation); the vertical component is k3(z) itself, exactly, because k3
+    does not see theta.  On the empirical measure's one run
+    theta(s) = s + pi N_s, drawn from ``key.with_role("independent")``,
+    Q(cos theta) is (F(T) - F(T0)) / (T - T0), with F the exact cos
+    integral, T the horizon and T0 the end of the burn-in.
     """
-    if measure.mode == "analytic-uniform":
-        return 0.0
-    if key is None:
-        raise ValueError("the empirical measure needs a StreamKey for its jump clock")
-    jumps = sample_poisson_jumps(key, CYLINDER_JUMP_RATE, measure.horizon)
-    t0 = measure.burn_in_fraction * measure.horizon
-    f0, f1 = AngularJumpPath(0.0, jumps).cos_integral_prefix([t0, measure.horizon])
-    return float(f1 - f0) / (measure.horizon - t0)
+    if not perturbation.has_angular:
+        return perturbation.lambda0
+    cos_average = 0.0  # under the uniform measure
+    if measure.mode == "empirical":
+        if key is None:
+            raise ValueError("the empirical measure needs a StreamKey for its jump clock")
+        jumps = sample_poisson_jumps(key.with_role(ROLE_INDEPENDENT), CYLINDER_JUMP_RATE, measure.horizon)
+        t0 = measure.burn_in_fraction * measure.horizon
+        f0, f1 = AngularJumpPath(0.0, jumps).cos_integral_prefix([t0, measure.horizon])
+        cos_average = float(f1 - f0) / (measure.horizon - t0)
+    return perturbation.lambda0 + cos_average
 
 
-class AveragedField:
-    """The vector field v -> (Q^{dpi_1(K)}(v), Q^{dpi_2(K)}(v)) on V.
+def measured_lipschitz(perturbation: PerturbationField, leaves: list[tuple[float, float]]) -> float:
+    """Numerical Lipschitz estimate of the averaged field over the given (r, z) leaves.
 
-    One invariant measure serves every leaf, so the radial component is the
-    single constant lambda0 + Q(cos theta) (just lambda0 without the angular
-    modulation), and the vertical component is k3(z) itself, exactly, because
-    k3 does not see theta.  The empirical measure is one long run drawn from
-    the stream ``key.with_role("independent")``.
+    The radial component is the same constant on every leaf, so only k3 varies.
     """
-
-    def __init__(
-        self,
-        perturbation: PerturbationField,
-        measure: InvariantMeasureSpec,
-        key: StreamKey | None = None,
-    ):
-        self.perturbation = perturbation
-        self.radial = perturbation.lambda0
-        if perturbation.has_angular:
-            sub = key.with_role(ROLE_INDEPENDENT) if key is not None else None
-            self.radial += _cos_average(measure, sub)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return np.array([self.radial, float(self.perturbation.vertical_rate(float(v[1])))])
-
-    def lipschitz_constant(self) -> float:
-        """Gronwall constant: sum of the catalog Lipschitz constants of the components."""
-        return 0.0 + self.perturbation.k3_lipschitz()
-
-
-def measured_lipschitz(field: AveragedField, leaves: list[tuple[float, float]]) -> float:
-    """Numerical Lipschitz estimate of the averaged field over given leaves."""
     worst = 0.0
-    vals = [np.asarray(field(np.array(l))) for l in leaves]
+    rates = [float(perturbation.vertical_rate(z)) for _, z in leaves]
     for j in range(len(leaves)):
         for i in range(j):
             dist = math.hypot(leaves[i][0] - leaves[j][0], leaves[i][1] - leaves[j][1])
             if dist > 0:
-                worst = max(worst, float(np.max(np.abs(vals[i] - vals[j]))) / dist)
+                worst = max(worst, abs(rates[i] - rates[j]) / dist)
     return worst
 
 
@@ -200,7 +184,7 @@ def solve_averaged_ode(
         raise ValueError(f"v0={v0} lies outside the vertical region")
     if T <= 0.0 or step <= 0.0:
         raise ValueError("T and step must be positive")
-    q1 = AveragedField(perturbation, measure, key).radial
+    q1 = averaged_radial_rate(perturbation, measure, key)
 
     def v(s):
         s = np.asarray(s, dtype=float)
@@ -280,31 +264,6 @@ def make_partition(eps: float, t: float, f_choice: str = "sqrt", p: float = 2.0)
 
 
 @dataclass(frozen=True)
-class ErrorDecomposition:
-    """Realized A1..A4 terms and delta for one vertical component."""
-
-    component: int  # 1 = radial, 2 = vertical
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    delta: float
-
-    @property
-    def abs_sum(self) -> float:
-        return abs(self.a1) + abs(self.a2) + abs(self.a3) + abs(self.a4)
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    components: tuple[ErrorDecomposition, ...]
-    pi_end: np.ndarray | None
-    partition: PartitionScheme
-    exited: bool = False
-    exit_time: float | None = None
-
-
-@dataclass(frozen=True)
 class DecompositionBatch:
     """A1..A4, delta and end points of many replicas under one partition.
 
@@ -327,12 +286,15 @@ class DecompositionBatch:
 
 def decompose_batch(
     perturbation: PerturbationField,
-    field: AveragedField,
+    q1: float,
     partition: PartitionScheme,
     start: CylPoint,
     jumps: list[np.ndarray],
 ) -> DecompositionBatch:
-    """The decomposition of every replica, from its jump times on [0, t/eps], as array passes."""
+    """The decomposition of every replica, from its jump times on [0, t/eps], as array passes.
+
+    ``q1`` is the radial component of the averaged field (``averaged_radial_rate``).
+    """
     eps = partition.eps
     # Every integral below is a difference of exact values at t_0..t_N, t/eps.
     ts = np.append(partition.boundaries, partition.horizon)
@@ -349,7 +311,6 @@ def decompose_batch(
         prefix = clocks.cos_integral_prefix(ts)
         g1_prefix = g1_prefix + prefix
     g1_int = np.diff(g1_prefix, axis=-1)
-    q1 = field.radial
     terms[:, 0, 1] = eps * np.sum(g1_int[..., :-1] - q1 * steps, axis=-1)
     terms[:, 0, 2] = -eps * q1 * tail
     terms[:, 0, 3] = eps * g1_int[..., -1]
@@ -389,36 +350,21 @@ def decompose_error(
     f_choice: str = "sqrt",
     p: float = 2.0,
     start: CylPoint | None = None,
-    field: AveragedField | None = None,
-) -> DecompositionResult:
-    """Realized averaging-error decomposition for one replica.
+) -> DecompositionBatch:
+    """Realized averaging-error decomposition for one replica: a batch of one row.
 
-    Draws the replica's jump clock on the rescaled horizon t/eps from key,
-    restarts the unperturbed flow at each partition point on the same driver
-    segment, and returns A1..A4 and delta per vertical component: it is
-    ``decompose_batch`` on one replica.  A manifold exit before the horizon
-    yields a flagged partial result.
+    Draws the replica's jump clock on the rescaled horizon t/eps from key and
+    runs ``decompose_batch`` on it.  A manifold exit before the horizon shows
+    as a finite ``exit_times[0]``; the terms of that row then mean nothing.
     """
     if not isinstance(model, RotationJumpCylinder):
         raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
     measure = measure or InvariantMeasureSpec()
     start = start or CylPoint(theta=0.0, r=1.0, z=1.0)
     partition = make_partition(eps, t, f_choice, p)
-    if field is None:
-        field = AveragedField(perturbation, measure, key)
     jumps = sample_poisson_jumps(key, CYLINDER_JUMP_RATE, partition.horizon)
-    batch = decompose_batch(perturbation, field, partition, start, [jumps])
-    if not batch.stayed[0]:
-        return DecompositionResult(
-            components=(), pi_end=None, partition=partition, exited=True,
-            exit_time=float(batch.exit_times[0]),
-        )
-    comps = tuple(
-        ErrorDecomposition(c + 1, *(float(x) for x in batch.terms[0, c])) for c in range(2)
-    )
-    return DecompositionResult(
-        components=comps, pi_end=np.array([batch.r_end[0], batch.z_end]), partition=partition
-    )
+    q1 = averaged_radial_rate(perturbation, measure, key)
+    return decompose_batch(perturbation, q1, partition, start, [jumps])
 
 
 # ---------------------------------------------------------------------------
@@ -516,51 +462,31 @@ class AveragingErrorResult:
     decomp_rows: np.ndarray | None = None  # (replica, component, a1..a4, delta)
 
 
-def _a4_bound_term(partition: PartitionScheme) -> float:
-    # sqrt(eps) for the sqrt partition, f(eps) for the generalized one
-    return partition.f_value
-
-
-def _bound_checks(
-    terms: np.ndarray,
-    replica_ids: np.ndarray,
-    partition: PartitionScheme,
-    perturbation: PerturbationField,
-    region: VerticalRegion,
+def check_pathwise_bounds(
+    batch: DecompositionBatch, perturbation: PerturbationField, region: VerticalRegion
 ) -> tuple[list[BoundViolation], float, float]:
-    """Triangle and tail (A4) checks on the (replicas, components, 5) terms, as row reductions."""
-    a = np.abs(terms)
+    """Triangle and tail (A4) bound checks on the rows of a batch that stayed on the manifold.
+
+    Each violation names its row.  Returns the violations plus the worst
+    triangle slack |delta| - sum |A_i| and the worst ratio
+    |A4| / (sup|g| t f(eps)) seen, for reporting; f(eps) is sqrt(eps) for
+    the sqrt partition.
+    """
+    rows = np.flatnonzero(batch.stayed)
+    a = np.abs(batch.terms[rows])
     slack = a[..., 4] - (a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3])
     sup_g = np.array([perturbation.sup_radial(), perturbation.sup_vertical(region)])
-    # an exited replica has no components
-    limit = sup_g[: terms.shape[1]] * partition.t * _a4_bound_term(partition)
+    limit = sup_g * batch.partition.t * batch.partition.f_value
     ratio = np.divide(a[..., 3], limit, out=np.zeros(a.shape[:-1]), where=limit > 0.0)
     failed = np.stack((slack > TRIANGLE_TOL, a[..., 3] > limit + TRIANGLE_TOL), axis=-1)
     amount = np.stack((slack, a[..., 3] - limit), axis=-1)
     violations = [
-        BoundViolation(int(replica_ids[i]), int(c) + 1, ("triangle", "a4")[k], float(amount[i, c, k]))
+        BoundViolation(int(rows[i]), int(c) + 1, ("triangle", "a4")[k], float(amount[i, c, k]))
         for i, c, k in np.argwhere(failed)
     ]
     worst_slack = float(slack.max()) if slack.size else -math.inf
     worst_ratio = max(0.0, float(ratio.max())) if ratio.size else 0.0
     return violations, worst_slack, worst_ratio
-
-
-def check_pathwise_bounds(
-    result: DecompositionResult,
-    perturbation: PerturbationField,
-    region: VerticalRegion,
-    replica_id: int = 0,
-) -> tuple[list[BoundViolation], float, float]:
-    """Triangle and tail (A4) bound checks for one replica's decomposition.
-
-    Returns the violations plus the worst triangle slack |delta|-sum|A_i| and
-    the worst ratio |A4| / (sup|g| t f-term) seen, for reporting.
-    """
-    terms = np.array(
-        [[c.a1, c.a2, c.a3, c.a4, c.delta] for c in result.components], dtype=float
-    ).reshape(1, -1, 5)
-    return _bound_checks(terms, np.array([replica_id]), result.partition, perturbation, region)
 
 
 def averaging_error(
@@ -613,20 +539,19 @@ def averaging_error(
         lambda i: poisson_arrivals(pool.reset(0, keys[i]), CYLINDER_JUMP_RATE, partition.horizon),
         n_replicas,
     )
-    field = AveragedField(perturbation, measure, key)
-    batch = decompose_batch(perturbation, field, partition, start, jumps)
+    q1 = averaged_radial_rate(perturbation, measure, key)
+    batch = decompose_batch(perturbation, q1, partition, start, jumps)
     stayed = np.flatnonzero(batch.stayed)
     valid = np.hypot(batch.r_end[stayed] - v_t[0], batch.z_end - v_t[1])
     errors = np.full(n_replicas, np.nan)
     errors[stayed] = valid
-    terms = batch.terms[stayed]
-    violations, worst_slack, worst_ratio = _bound_checks(terms, stayed, partition, perturbation, region)
+    violations, worst_slack, worst_ratio = check_pathwise_bounds(batch, perturbation, region)
     decomp_rows = None
     if keep_decompositions:
         rows = np.empty((stayed.size, 2, 7))
         rows[:, :, 0] = stayed[:, None]
         rows[:, :, 1] = (1.0, 2.0)
-        rows[:, :, 2:] = terms
+        rows[:, :, 2:] = batch.terms[stayed]
         decomp_rows = rows.reshape(-1, 7)
 
     if valid.size == 0:

@@ -314,6 +314,8 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     sim = ssec.build()
     if name != "rotation-jump-cylinder":  # the cylinder's record grid ends exactly at horizon
         _check_on_grid(problems, "config.simulate", sim.horizon, sim.dt)
+    elif sim.horizon > 0.0 and sim.dt > sim.horizon * (1.0 + _GRID_TOL):
+        problems.append(f"config.simulate.dt: invalid step: dt={sim.dt} exceeds horizon={sim.horizon}")
     if sim.eps > 0.0 and name != "rotation-jump-cylinder":
         problems.append(
             "config.simulate.eps: perturbed simulation is defined for the rotation-jump-cylinder only"
@@ -336,7 +338,9 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     for i, tv in enumerate(ksec.take("times", list, bool, "need at least one time")):
         if _is_finite_number(tv):
             tv = float(tv)
-            if abs(tv / step - round(tv / step)) > 1e-9:
+            if tv < 0.0:
+                problems.append(f"config.kernel_check.times[{i}]: build_cylinder_kernel needs t >= 0")
+            elif abs(tv / step - round(tv / step)) > 1e-9:
                 problems.append(
                     f"config.kernel_check.times[{i}]: build_cylinder_kernel needs t a multiple of 2*pi/m"
                 )

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
-    AveragedField,
     averaging_error,
     default_rate_bound,
     fit_rate_exponent,
@@ -235,8 +234,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
             cfg.perturbation, av.measure, (start.r, start.z), av.t, av.ode_step, cfg.region, base
         )
         leaves = [tuple(v) for v in ode.values[:: max(1, len(ode.values) // 16)]]
-        field = AveragedField(cfg.perturbation, av.measure, base)
-        results["averaged_field_lipschitz_measured"] = measured_lipschitz(field, leaves)
+        results["averaged_field_lipschitz_measured"] = measured_lipschitz(cfg.perturbation, leaves)
         results["gronwall_C"] = rb.gronwall_c
     return results
 

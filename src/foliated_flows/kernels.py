@@ -325,12 +325,6 @@ def cyclic_walk_kernel(m: int, p_left: float, leaf=(1.0, 0.0), t: float = 1.0) -
     return TransitionKernel(grid=grid, t=t, targets=grid.rotated([-1, 1]), weights=weights)
 
 
-def first_marginal(k2: TransitionKernel) -> np.ndarray:
-    """First-coordinate marginal of a pair kernel as a dense (x1, x2, y1) array."""
-    n = k2.grid.base.n_states
-    return _dense(k2.targets // n, k2.weights, n).reshape(n, n, n)
-
-
 def kernel_to_json(k: TransitionKernel) -> dict:
     base = k.grid if isinstance(k.grid, LeafGrid) else k.grid.base
     kind = "leaf" if base is k.grid else "pair"

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliated_flows.averaging import (
-    AveragedField,
     InvariantMeasureSpec,
     RateBound,
+    averaged_radial_rate,
     averaging_error,
+    check_pathwise_bounds,
+    decompose_batch,
     decompose_error,
     default_rate_bound,
     fit_rate_exponent,
@@ -18,7 +21,7 @@ from foliated_flows.averaging import (
     solve_averaged_ode,
 )
 from foliated_flows.drivers import StreamKey, sample_jump_driver, sample_poisson_jumps
-from foliated_flows.flows import perturbed_cylinder_path
+from foliated_flows.flows import CYLINDER_JUMP_RATE, perturbed_cylinder_path
 from foliated_flows.geometry import (
     CylPoint,
     PerturbationField,
@@ -29,6 +32,7 @@ from foliated_flows.geometry import (
 SEED = 20250811
 MODEL = RotationJumpCylinder()
 ANALYTIC = InvariantMeasureSpec()
+A1, A2, A3, A4, DELTA = range(5)  # the columns of DecompositionBatch.terms
 
 
 # ---------------------------------------------------------------------------
@@ -39,33 +43,33 @@ def test_leaf_average_of_radial_component_is_lambda0():
     # under the uniform measure Q(lambda0 + cos theta) is lambda0 exactly
     for lambda0 in (0.7, 0.5, -0.4, 1.0):
         K = PerturbationField(lambda0=lambda0, k3="sine", angular="cosine")
-        assert AveragedField(K, ANALYTIC).radial == lambda0
+        assert averaged_radial_rate(K, ANALYTIC) == lambda0
 
 
 def test_leaf_average_cos_vanishes():
     K = PerturbationField(lambda0=0.0, k3="zero", angular="cosine")
-    assert AveragedField(K, ANALYTIC).radial == 0.0
+    assert averaged_radial_rate(K, ANALYTIC) == 0.0
 
 
 def test_empirical_mode_requires_horizon_and_key():
     K = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
     with pytest.raises(ValueError):
-        AveragedField(K, InvariantMeasureSpec(mode="empirical", horizon=0.0), StreamKey(SEED))
+        averaged_radial_rate(K, InvariantMeasureSpec(mode="empirical", horizon=0.0), StreamKey(SEED))
     with pytest.raises(ValueError):
-        AveragedField(K, InvariantMeasureSpec(mode="empirical"))
+        averaged_radial_rate(K, InvariantMeasureSpec(mode="empirical"))
     # without the angular modulation there is nothing to average, so no key is needed
     flat = PerturbationField(lambda0=1.0, k3="zero", angular="none")
-    assert AveragedField(flat, InvariantMeasureSpec(mode="empirical")).radial == 1.0
+    assert averaged_radial_rate(flat, InvariantMeasureSpec(mode="empirical")) == 1.0
 
 
 def test_empirical_cos_average_matches_dense_trapezoid_on_the_same_jumps():
     # independent oracle: trapezoid quadrature of cos(theta) on a fine grid
-    # within each inter-jump segment of the run the field draws
+    # within each inter-jump segment of the run the average draws
     horizon, burn_in = 40.0, 0.25
     key = StreamKey(SEED, 7)
     measure = InvariantMeasureSpec(mode="empirical", horizon=horizon, burn_in_fraction=burn_in)
     K = PerturbationField(lambda0=0.0, k3="zero", angular="cosine")
-    got = AveragedField(K, measure, key).radial
+    got = averaged_radial_rate(K, measure, key)
     jumps = sample_poisson_jumps(key.with_role("independent"), 1.0, horizon)
     t0 = burn_in * horizon
     edges = np.concatenate(([t0], jumps[jumps > t0], [horizon]))
@@ -80,18 +84,16 @@ def test_empirical_cos_average_matches_dense_trapezoid_on_the_same_jumps():
 
 def test_averaged_field_analytic_closed_form():
     K = PerturbationField(lambda0=1.2, k3="sine", angular="cosine")
-    field = AveragedField(K, ANALYTIC)
-    v = field(np.array([2.0, 0.5]))
+    v = (averaged_radial_rate(K, ANALYTIC), K.vertical_rate(0.5))
     assert v[0] == 1.2
     assert v[1] == pytest.approx(math.sin(0.5), abs=1e-15)
-    assert field.lipschitz_constant() == 1.0
+    assert K.k3_lipschitz() == 1.0
 
 
 def test_averaged_field_empirical_matches_analytic_within_clt():
     K = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
     measure = InvariantMeasureSpec(mode="empirical", horizon=200.0)
-    field = AveragedField(K, measure, StreamKey(SEED, 0))
-    v = field(np.array([1.0, 1.0]))
+    v = (averaged_radial_rate(K, measure, StreamKey(SEED, 0)), K.vertical_rate(1.0))
     assert abs(v[0] - 1.0) <= 4.0 / math.sqrt(200.0)
     assert abs(v[1] - math.sin(1.0)) <= 1e-12  # vertical rate has no angular part
 
@@ -101,16 +103,18 @@ def test_empirical_averaged_field_is_leaf_independent():
     # see the same radial average and the same noise
     measure = InvariantMeasureSpec(mode="empirical", horizon=200.0)
     K = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
-    field = AveragedField(K, measure, StreamKey(SEED))
-    assert field(np.array([1.0, 0.0]))[0] == field(np.array([3.0, 2.0]))[0]
-    flat = AveragedField(PerturbationField(lambda0=1.0, k3="zero", angular="cosine"), measure, StreamKey(SEED))
+    one, other = (
+        decompose_error(MODEL, K, 0.1, 1.0, StreamKey(SEED), measure=measure, start=CylPoint(0.0, r, z))
+        for r, z in ((1.0, 0.0), (3.0, 2.0))
+    )
+    np.testing.assert_array_equal(one.terms[:, 0], other.terms[:, 0])
+    flat = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
     assert measured_lipschitz(flat, [(1.0, 0.0), (2.0, 0.0), (3.5, 0.0)]) == 0.0
 
 
 def test_measured_lipschitz_reported():
     K = PerturbationField(lambda0=0.0, k3="sine", angular="none")
-    field = AveragedField(K, ANALYTIC)
-    got = measured_lipschitz(field, [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)])
+    got = measured_lipschitz(K, [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)])
     # |sin z - sin z'| / |z - z'| near 0..1 is close to but below 1
     assert 0.5 <= got <= 1.0
 
@@ -249,10 +253,10 @@ def test_decompose_commuting_radial_delta_exactly_zero():
     # angular = none: the radial integrand is the constant lambda0 = its average
     K = PerturbationField(lambda0=1.0, k3="zero", angular="none")
     res = decompose_error(MODEL, K, 0.1, 1.0, StreamKey(SEED, 5))
-    radial = res.components[0]
-    assert radial.delta == 0.0
-    vertical = res.components[1]
-    assert vertical.delta == 0.0
+    radial = res.terms[0, 0]
+    assert radial[DELTA] == 0.0
+    vertical = res.terms[0, 1]
+    assert vertical[DELTA] == 0.0
 
 
 def test_decompose_triangle_and_tail_bounds_pathwise():
@@ -261,13 +265,13 @@ def test_decompose_triangle_and_tail_bounds_pathwise():
     sup_g = {1: K.sup_radial(), 2: K.sup_vertical(region)}
     for rep in range(25):
         res = decompose_error(MODEL, K, 0.08, 1.0, StreamKey(SEED, rep))
-        assert not res.exited
-        for comp in res.components:
-            assert abs(comp.delta) <= comp.abs_sum + 1e-12
-            a_sum = comp.a1 + comp.a2 + comp.a3 + comp.a4
-            assert comp.delta == pytest.approx(a_sum, abs=1e-12)
-            limit = sup_g[comp.component] * 1.0 * math.sqrt(0.08)
-            assert abs(comp.a4) <= limit + 1e-12
+        assert res.stayed[0]
+        for component, (a1, a2, a3, a4, delta) in enumerate(res.terms[0], start=1):
+            assert abs(delta) <= abs(a1) + abs(a2) + abs(a3) + abs(a4) + 1e-12
+            a_sum = a1 + a2 + a3 + a4
+            assert delta == pytest.approx(a_sum, abs=1e-12)
+            limit = sup_g[component] * 1.0 * math.sqrt(0.08)
+            assert abs(a4) <= limit + 1e-12
 
 
 def test_decompose_log_partition_bounds():
@@ -282,17 +286,17 @@ def test_decompose_log_partition_bounds():
             res = decompose_error(
                 MODEL, K, eps, 1.0, StreamKey(SEED, rep), f_choice="log", p=p
             )
-            for comp in res.components:
-                assert abs(comp.delta) <= comp.abs_sum + 1e-12
-                limit = sup_g[comp.component] * 1.0 * f_eps
-                assert abs(comp.a4) <= limit + 1e-12
+            for component, (a1, a2, a3, a4, delta) in enumerate(res.terms[0], start=1):
+                assert abs(delta) <= abs(a1) + abs(a2) + abs(a3) + abs(a4) + 1e-12
+                limit = sup_g[component] * 1.0 * f_eps
+                assert abs(a4) <= limit + 1e-12
 
 
 def test_decompose_vertical_delta_zero_under_analytic_measure():
     # dpi_2(K) depends only on z, so it equals its own leaf average pointwise
     K = PerturbationField(lambda0=0.5, k3="sine", angular="cosine")
     res = decompose_error(MODEL, K, 0.1, 1.0, StreamKey(SEED, 8))
-    assert res.components[1].delta == 0.0
+    assert res.terms[0, 1, DELTA] == 0.0
 
 
 def _reference_decomposition(path, K, part):
@@ -334,23 +338,23 @@ def test_decompose_matches_interval_reference(f_choice):
         res = decompose_error(MODEL, K, eps, t, key, f_choice=f_choice, start=start)
         driver = sample_jump_driver(key, part.horizon, 0.01)
         path = perturbed_cylinder_path(start, driver, part.horizon, eps, K)
-        for comp, ref in zip(res.components, _reference_decomposition(path, K, part)):
-            got = np.array([comp.a1, comp.a2, comp.a3, comp.a4, comp.delta])
+        for got, ref in zip(res.terms[0], _reference_decomposition(path, K, part)):
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 def test_decompose_flags_manifold_exit():
     K = PerturbationField(lambda0=-2.0, k3="zero", angular="none")
     res = decompose_error(MODEL, K, 0.5, 2.0, StreamKey(SEED, 9))
-    assert res.exited and res.exit_time is not None
-    assert res.components == ()
+    assert not res.stayed[0] and math.isfinite(res.exit_times[0])
+    # the exited row's terms mean nothing, and the bound check reads none of them
+    assert check_pathwise_bounds(res, K, VerticalRegion()) == ([], -math.inf, 0.0)
 
 
 def test_decompose_a1_zero_for_theta_only_integrand():
     # the restart shares rotation and jumps, and dpi_1(K) sees only theta
     K = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
     res = decompose_error(MODEL, K, 0.1, 1.0, StreamKey(SEED, 10))
-    assert res.components[0].a1 == 0.0
+    assert res.terms[0, 0, A1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +529,57 @@ def test_averaging_error_rows_are_decompose_error_per_replica():
     rows = iter(res.decomp_rows)
     for i in range(n):
         one = decompose_error(MODEL, K, eps, t, StreamKey(SEED).replica(i), start=start)
-        assert one.exited == np.isnan(res.errors[i])
-        if one.exited:
+        assert (not one.stayed[0]) == np.isnan(res.errors[i])
+        if not one.stayed[0]:
             continue
-        err = np.hypot(one.pi_end[0] - res.v_final[0], one.pi_end[1] - res.v_final[1])
+        err = np.hypot(one.r_end[0] - res.v_final[0], one.z_end - res.v_final[1])
         assert res.errors[i] == err
-        for comp in one.components:
-            expected = [i, comp.component, comp.a1, comp.a2, comp.a3, comp.a4, comp.delta]
+        for component, terms in enumerate(one.terms[0], start=1):
+            expected = [i, component, *terms]
             np.testing.assert_array_equal(next(rows), expected)
+
+
+def _exiting_batch():
+    # the exiting setup above, as the batch averaging_error builds: each
+    # replica's jumps from its own stream
+    K = PerturbationField(lambda0=-0.4, k3="sine", angular="cosine")
+    eps, t, n = 0.9, 0.5, 60
+    start = CylPoint(1.0, 0.25, 0.5)
+    region = VerticalRegion(r_min=0.01)
+    part = make_partition(eps, t)
+    key = StreamKey(SEED)
+    jumps = [sample_poisson_jumps(key.replica(i), CYLINDER_JUMP_RATE, part.horizon) for i in range(n)]
+    batch = decompose_batch(K, averaged_radial_rate(K, ANALYTIC), part, start, jumps)
+    res = averaging_error(MODEL, K, eps, t, 2.0, n, key, region=region, start=start)
+    return K, region, batch, res
+
+
+def test_check_pathwise_bounds_is_what_averaging_error_reports():
+    K, region, batch, res = _exiting_batch()
+    assert 0 < res.n_exited < batch.terms.shape[0]
+    violations, slack, ratio = check_pathwise_bounds(batch, K, region)
+    assert violations == list(res.violations)
+    assert slack == res.max_triangle_slack
+    assert ratio == res.max_a4_ratio
+
+
+def test_check_pathwise_bounds_ignores_exited_rows_and_names_violating_rows():
+    K, region, batch, _ = _exiting_batch()
+    exited = int(np.flatnonzero(~batch.stayed)[0])
+    kept = exited + int(np.flatnonzero(batch.stayed[exited:])[0])  # not its index among the kept rows
+    before = check_pathwise_bounds(batch, K, region)
+    # |delta| = 100 > sum |A_i| = 10, and |A4| = 10 is far above sup|g| t sqrt(eps)
+    broken = batch.terms.copy()
+    broken[exited] = (0.0, 0.0, 0.0, 10.0, 100.0)
+    assert check_pathwise_bounds(dataclasses.replace(batch, terms=broken), K, region) == before
+    broken[kept] = broken[exited]
+    violations, slack, ratio = check_pathwise_bounds(dataclasses.replace(batch, terms=broken), K, region)
+    assert {(v.replica_id, v.component, v.kind) for v in violations} == {
+        (kept, c, kind) for c in (1, 2) for kind in ("triangle", "a4")
+    }
+    assert slack == 90.0
+    smallest_limit = min(K.sup_radial(), K.sup_vertical(region)) * batch.partition.t * math.sqrt(0.9)
+    assert ratio == pytest.approx(10.0 / smallest_limit, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +618,6 @@ def test_fit_rate_exponent_needs_three_points():
 def test_triangle_inequality_property(seed, eps):
     K = PerturbationField(lambda0=0.5, k3="sine", angular="cosine")
     res = decompose_error(MODEL, K, eps, 0.5, StreamKey(seed))
-    if not res.exited:
-        for comp in res.components:
-            assert abs(comp.delta) <= comp.abs_sum + 1e-12
+    if res.stayed[0]:
+        for a1, a2, a3, a4, delta in res.terms[0]:
+            assert abs(delta) <= abs(a1) + abs(a2) + abs(a3) + abs(a4) + 1e-12

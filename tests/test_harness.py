@@ -420,6 +420,25 @@ def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
     assert hashlib.sha256(body).hexdigest() == sha256
 
 
+def test_empirical_averaging_payload_is_pinned():
+    # sha256 of the whole payload (errors, v_final and the measured Lipschitz
+    # constant included) of an empirical-measure rates run where k3 moves z,
+    # as the code gave before the averaged field became one float
+    cfg = load_config(CONFIGS / "rates-cosine.yaml")
+    cfg = dataclasses.replace(
+        cfg, output_dir="",
+        perturbation=PerturbationField(lambda0=1.0, k3="sine", angular="cosine"),
+        averaging=dataclasses.replace(
+            cfg.averaging, replicas=200, start={"theta": 0.0, "r": 1.0, "z": 0.5},
+            measure=InvariantMeasureSpec(mode="empirical"),
+        ),
+    )
+    body = json.dumps(run(cfg, write_artifacts=False).payload(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == (
+        "2569772c84950a85d26123703c6bd2ac8d2dd1a143d846a7abd6ef0edc94283b"
+    )
+
+
 def test_averaged_side_is_exact_on_the_sample_configs():
     # rates-cosine: v(t) = (r0 + lambda0 t, z0) = (2, 0).  average-commuting:
     # K = (0, 1, sin z) commutes, so every replica ends exactly on v(t), and
@@ -550,6 +569,8 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ("rates", {"averaging": {"eps_grid": []}}, "config.averaging.eps_grid"),
         ("rates", {"model": {"name": "torus-winding"}}, "config.model.name"),
         ("average", {"model": {"name": "coalescing-circle"}}, "config.model.name"),
+        ("kernel-check", {"kernel_check": {"times": [-math.pi / 4.0]}}, "config.kernel_check.times[0]"),
+        ("simulate", {"simulate": {"horizon": 0.005, "dt": 0.01}}, "config.simulate.dt"),
     ],
 )
 def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):
