@@ -9,6 +9,7 @@ from .averaging import (
     RateBound,
     RateFit,
     averaging_error,
+    averaging_errors,
     decompose_error,
     default_rate_bound,
     fit_rate_exponent,

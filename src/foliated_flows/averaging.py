@@ -31,11 +31,14 @@ on one long jump clock under the empirical one.  So the averaged field is
 with the same vertical flow as the replicas.
 
 The replicas of one eps are one batch (``decompose_batch``).  Each replica
-draws only its jump times, from its own keyed stream; the jump times of all
-replicas, padded into one array, give every replica's cos integrals at the
+draws only its jump times, from its own keyed stream, once per run
+(``averaging_errors``): its stream is read at the longest horizon
+t / min(eps), and each eps cuts every row at t/eps.  The jump times of all
+replicas, NaN-padded into one array, give every replica's cos integrals at the
 N+2 times, its decomposition, its end point r0 + eps (lambda0 t/eps + F(t/eps))
 and the bound checks as row reductions, and z, which no noise touches, is one
-closed-form evaluation shared by all.  The manifold exit is exact
+closed-form evaluation shared by all; q1 and the averaged ODE are solved once
+per run.  The manifold exit is exact
 (``flows.manifold_exit_times``): r is monotone between the jump times and the
 times where cos theta = -lambda0, so its minimum over [0, t/eps] is found
 there, with no time grid.  A batch is the one result type: the one-replica
@@ -51,16 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import (
-    _DOMAIN_POISSON,
     ROLE_INDEPENDENT,
-    KeyedGenerators,
     StreamKey,
-    philox_keys,
-    poisson_arrivals,
+    arrival_block,
+    first_block_arrivals,
     sample_poisson_jumps,
 )
-from .parallel import map_indexed
-from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, manifold_exit_times
+from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, _jump_prefix, manifold_exit_times
 from .geometry import (
     CylPoint,
     PerturbationField,
@@ -155,6 +155,7 @@ def measured_lipschitz(perturbation: PerturbationField, leaves: list[tuple[float
 class AveragedTrajectory:
     times: np.ndarray
     values: np.ndarray  # (n_times, 2)
+    radial_rate: float  # q1, the constant radial component of the averaged field
     exit_time: float | None = None
 
     @property
@@ -202,7 +203,7 @@ def solve_averaged_ode(
                 hi = mid
         exit_time = hi
         times = np.append(times[times < hi], hi)
-    return AveragedTrajectory(times=times, values=v(times), exit_time=exit_time)
+    return AveragedTrajectory(times=times, values=v(times), radial_rate=q1, exit_time=exit_time)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +290,19 @@ def decompose_batch(
     q1: float,
     partition: PartitionScheme,
     start: CylPoint,
-    jumps: list[np.ndarray],
+    clocks: JumpClocks,
 ) -> DecompositionBatch:
     """The decomposition of every replica, from its jump times on [0, t/eps], as array passes.
 
-    ``q1`` is the radial component of the averaged field (``averaged_radial_rate``).
+    ``q1`` is the radial component of the averaged field (``averaged_radial_rate``);
+    row i of ``clocks`` holds replica i's jumps, from theta0 = start.theta.
     """
+    n = clocks.jumps.shape[0]
     eps = partition.eps
     # Every integral below is a difference of exact values at t_0..t_N, t/eps.
     ts = np.append(partition.boundaries, partition.horizon)
     steps, tail = np.diff(ts)[:-1], float(ts[-1] - ts[-2])
-    clocks = JumpClocks.pad(start.theta, jumps)
-    terms = np.zeros((len(jumps), 2, 5))
+    terms = np.zeros((n, 2, 5))
 
     # Radial: g1 = lambda0 [+ cos theta] against the constant average q1.  The
     # unperturbed restart from y_{t_k} shares the rotation and jumps
@@ -334,7 +336,7 @@ def decompose_batch(
     return DecompositionBatch(
         partition=partition,
         terms=terms,
-        r_end=np.broadcast_to(r_end, (len(jumps),)),
+        r_end=np.broadcast_to(r_end, (n,)),
         z_end=float(perturbation.vertical_flow(start.z, partition.t)),
         exit_times=manifold_exit_times(clocks, start.r, eps, perturbation, partition.horizon),
     )
@@ -364,7 +366,7 @@ def decompose_error(
     partition = make_partition(eps, t, f_choice, p)
     jumps = sample_poisson_jumps(key, CYLINDER_JUMP_RATE, partition.horizon)
     q1 = averaged_radial_rate(perturbation, measure, key)
-    return decompose_batch(perturbation, q1, partition, start, [jumps])
+    return decompose_batch(perturbation, q1, partition, start, JumpClocks(start.theta, jumps[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +454,7 @@ class AveragingErrorResult:
     estimate: float
     std_error: float
     bound_g: float
-    v_final: np.ndarray
+    averaged: AveragedTrajectory  # the averaged ODE's solution v on [0, t]
     errors: np.ndarray  # per-replica |pi(y_{t/eps}) - v(t)|
     n_replicas: int
     n_exited: int
@@ -460,6 +462,10 @@ class AveragingErrorResult:
     max_triangle_slack: float
     max_a4_ratio: float
     decomp_rows: np.ndarray | None = None  # (replica, component, a1..a4, delta)
+
+    @property
+    def v_final(self) -> np.ndarray:
+        return self.averaged.final
 
 
 def check_pathwise_bounds(
@@ -489,6 +495,141 @@ def check_pathwise_bounds(
     return violations, worst_slack, worst_ratio
 
 
+def _cut(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of full where keep, NaN elsewhere, in keep's shape (full NaN-padded if narrower)."""
+    if full.shape[1] < keep.shape[1]:
+        full = np.pad(full, ((0, 0), (0, keep.shape[1] - full.shape[1])), constant_values=np.nan)
+    return np.where(keep, full[:, : keep.shape[1]], np.nan)
+
+
+def _replica_clocks(key: StreamKey, n: int, theta0: float, horizons: list[float], angular: bool, rate: float):
+    """Yield, per horizon h, the clocks whose row i is ``sample_poisson_jumps(key.replica(i), rate, h)``.
+
+    Every replica's stream is drawn once, at the longest horizon
+    (``first_block_arrivals``); the clock at h is each row's prefix <= h,
+    NaN-padded to the longest.  A row that the call at h would extend by a
+    second block is drawn again by that call.  With ``angular``, F at the
+    jumps is computed once on the longest clocks and cut the same way.
+    """
+    sums = first_block_arrivals(key, n, rate, max(horizons))
+    counts = [np.count_nonzero(sums <= h, axis=1) for h in horizons]
+    width = max(int(c.max(initial=0)) for c in counts)
+    prefix = None
+    if angular:
+        prefix = _jump_prefix(theta0, np.concatenate((np.zeros((n, 1)), sums[:, :width]), axis=1))
+    for h, count in zip(horizons, counts):
+        # rows whose first block at h ends at or before h: the call sums a second block
+        redraw = np.flatnonzero(count >= arrival_block(rate, h))
+        rows = [sample_poisson_jumps(key.replica(int(i)), rate, h) for i in redraw]
+        count[redraw] = [r.size for r in rows]
+        keep = np.arange(count.max(initial=0) + 1) <= count[:, None]  # node 0, then the jumps
+        jumps = _cut(sums, keep[:, 1:])
+        cut_prefix = None if prefix is None else _cut(prefix, keep)
+        for i, r in zip(redraw, rows):
+            jumps[i, : r.size] = r
+            if cut_prefix is not None:
+                cut_prefix[i, : r.size + 1] = _jump_prefix(theta0, np.append(0.0, r))
+        yield JumpClocks(theta0, jumps, cut_prefix)
+
+
+def averaging_errors(
+    model: RotationJumpCylinder,
+    perturbation: PerturbationField,
+    eps_grid,
+    t: float,
+    p: float,
+    n_replicas: int,
+    key: StreamKey,
+    measure: InvariantMeasureSpec | None = None,
+    dt: float = 0.01,
+    ode_step: float = 1e-3,
+    region: VerticalRegion | None = None,
+    f_choice: str = "sqrt",
+    start: CylPoint | None = None,
+    rate_bound: RateBound | None = None,
+    keep_decompositions: bool = False,
+) -> list[AveragingErrorResult]:
+    """Monte Carlo estimates of [E |pi(y_{t/eps}) - v(t)|^p]^(1/p) with their G bounds, one per eps.
+
+    Replica i's jump clock at every eps comes from one stream, the one
+    ``sample_poisson_jumps(key.replica(i), ...)`` draws from, and is drawn
+    once per run, at the longest horizon t / min(eps); each eps takes the
+    clock's prefix on [0, t/eps] (``_replica_clocks``).  The averaged ODE and
+    its q1 are solved once.  Per eps, one array pass over all replicas then
+    gives their end points, their A1..A4 decompositions, their exact manifold
+    exits and the pathwise A1..A4 bound checks.  Requires t < T0 (the ODE
+    must not leave V before t).  Every quantity is exact, so ``dt`` has no
+    effect and ``ode_step`` only spaces the averaged ODE's record.
+    """
+    if not isinstance(model, RotationJumpCylinder):
+        raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
+    if p < 1.0:
+        raise ValueError(f"p must be in [1, inf): {p}")
+    if n_replicas < 1:
+        raise ValueError("need at least one replica")
+    if not len(eps_grid):
+        raise ValueError("need at least one eps")
+    measure = measure or InvariantMeasureSpec()
+    region = region or VerticalRegion()
+    start = start or CylPoint(theta=0.0, r=1.0, z=1.0)
+    rb = rate_bound or default_rate_bound(perturbation, region)
+    ode = solve_averaged_ode(perturbation, measure, (start.r, start.z), t, ode_step, region, key)
+    if ode.exit_time is not None:
+        raise ValueError(f"t={t} is not before the averaged ODE's boundary exit T0={ode.exit_time}")
+
+    partitions = [make_partition(eps, t, f_choice, p) for eps in eps_grid]
+    horizons = [part.horizon for part in partitions]
+    clocks = _replica_clocks(
+        key, n_replicas, start.theta, horizons, perturbation.has_angular, CYLINDER_JUMP_RATE
+    )
+    results = []
+    for part, clock in zip(partitions, clocks):
+        batch = decompose_batch(perturbation, ode.radial_rate, part, start, clock)
+        stayed = np.flatnonzero(batch.stayed)
+        valid = np.hypot(batch.r_end[stayed] - ode.final[0], batch.z_end - ode.final[1])
+        errors = np.full(n_replicas, np.nan)
+        errors[stayed] = valid
+        violations, worst_slack, worst_ratio = check_pathwise_bounds(batch, perturbation, region)
+        decomp_rows = None
+        if keep_decompositions:
+            rows = np.empty((stayed.size, 2, 7))
+            rows[:, :, 0] = stayed[:, None]
+            rows[:, :, 1] = (1.0, 2.0)
+            rows[:, :, 2:] = batch.terms[stayed]
+            decomp_rows = rows.reshape(-1, 7)
+
+        if valid.size == 0:
+            raise RuntimeError("all replicas exited the manifold; no estimate")
+        powers = valid ** p
+        mean_p = float(np.mean(powers))
+        estimate = mean_p ** (1.0 / p)
+        if valid.size > 1 and mean_p > 0.0:
+            se_mean = float(np.std(powers, ddof=1)) / math.sqrt(valid.size)
+            std_error = se_mean / (p * mean_p ** ((p - 1.0) / p))
+        else:
+            std_error = 0.0
+
+        results.append(
+            AveragingErrorResult(
+                eps=part.eps,
+                t=t,
+                p=p,
+                estimate=estimate,
+                std_error=std_error,
+                bound_g=rb.G(part.eps, t),
+                averaged=ode,
+                errors=errors,
+                n_replicas=n_replicas,
+                n_exited=n_replicas - stayed.size,
+                violations=tuple(violations),
+                max_triangle_slack=worst_slack,
+                max_a4_ratio=worst_ratio,
+                decomp_rows=decomp_rows,
+            )
+        )
+    return results
+
+
 def averaging_error(
     model: RotationJumpCylinder,
     perturbation: PerturbationField,
@@ -506,81 +647,11 @@ def averaging_error(
     rate_bound: RateBound | None = None,
     keep_decompositions: bool = False,
 ) -> AveragingErrorResult:
-    """Monte Carlo estimate of [E |pi(y_{t/eps}) - v(t)|^p]^(1/p) with its G bound.
-
-    Each replica draws its jump clock from its own keyed stream, the one
-    ``sample_poisson_jumps(key.replica(i), ...)`` draws from, in index order:
-    all replicas' Philox keys come from one array hash and each replica
-    resets one reused generator to its key.  Then one array pass over all
-    replicas gives their end points, their A1..A4 decompositions, their
-    exact manifold exits and the pathwise A1..A4 bound checks.  Requires
-    t < T0 (the ODE must not leave V before t).  Every quantity is exact, so
-    ``dt`` has no effect and ``ode_step`` only spaces the averaged ODE's record.
-    """
-    if not isinstance(model, RotationJumpCylinder):
-        raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
-    if p < 1.0:
-        raise ValueError(f"p must be in [1, inf): {p}")
-    if n_replicas < 1:
-        raise ValueError("need at least one replica")
-    measure = measure or InvariantMeasureSpec()
-    region = region or VerticalRegion()
-    start = start or CylPoint(theta=0.0, r=1.0, z=1.0)
-    rb = rate_bound or default_rate_bound(perturbation, region)
-    ode = solve_averaged_ode(perturbation, measure, (start.r, start.z), t, ode_step, region, key)
-    if ode.exit_time is not None:
-        raise ValueError(f"t={t} is not before the averaged ODE's boundary exit T0={ode.exit_time}")
-    v_t = ode.final
-
-    partition = make_partition(eps, t, f_choice, p)
-    keys = philox_keys(key, np.arange(n_replicas), _DOMAIN_POISSON)
-    pool = KeyedGenerators()
-    jumps = map_indexed(
-        lambda i: poisson_arrivals(pool.reset(0, keys[i]), CYLINDER_JUMP_RATE, partition.horizon),
-        n_replicas,
-    )
-    q1 = averaged_radial_rate(perturbation, measure, key)
-    batch = decompose_batch(perturbation, q1, partition, start, jumps)
-    stayed = np.flatnonzero(batch.stayed)
-    valid = np.hypot(batch.r_end[stayed] - v_t[0], batch.z_end - v_t[1])
-    errors = np.full(n_replicas, np.nan)
-    errors[stayed] = valid
-    violations, worst_slack, worst_ratio = check_pathwise_bounds(batch, perturbation, region)
-    decomp_rows = None
-    if keep_decompositions:
-        rows = np.empty((stayed.size, 2, 7))
-        rows[:, :, 0] = stayed[:, None]
-        rows[:, :, 1] = (1.0, 2.0)
-        rows[:, :, 2:] = batch.terms[stayed]
-        decomp_rows = rows.reshape(-1, 7)
-
-    if valid.size == 0:
-        raise RuntimeError("all replicas exited the manifold; no estimate")
-    powers = valid ** p
-    mean_p = float(np.mean(powers))
-    estimate = mean_p ** (1.0 / p)
-    if valid.size > 1 and mean_p > 0.0:
-        se_mean = float(np.std(powers, ddof=1)) / math.sqrt(valid.size)
-        std_error = se_mean / (p * mean_p ** ((p - 1.0) / p))
-    else:
-        std_error = 0.0
-
-    return AveragingErrorResult(
-        eps=eps,
-        t=t,
-        p=p,
-        estimate=estimate,
-        std_error=std_error,
-        bound_g=rb.G(eps, t),
-        v_final=v_t,
-        errors=errors,
-        n_replicas=n_replicas,
-        n_exited=n_replicas - stayed.size,
-        violations=tuple(violations),
-        max_triangle_slack=worst_slack,
-        max_a4_ratio=worst_ratio,
-        decomp_rows=decomp_rows,
-    )
+    """``averaging_errors`` at the one eps."""
+    return averaging_errors(
+        model, perturbation, [eps], t, p, n_replicas, key, measure, dt, ode_step, region,
+        f_choice, start, rate_bound, keep_decompositions,
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,18 @@ ids at once, and ``KeyedGenerators`` resets a reused generator to a key, which
 puts it in the very state a fresh seeding gives.  Loops over replicas thus pay
 one array hash plus a state reset per stream instead of building a
 ``SeedSequence``, a ``Philox`` and a ``Generator`` each time; ``coalescence_times``
-and ``averaging_error`` draw that way, with the bits of ``StreamKey.generator``.
+and ``first_block_arrivals`` draw that way, with the bits of ``StreamKey.generator``.
+The seed's part of the hash is cached, so opening one stream costs only its
+spawn key's part.  ``first_block_arrivals`` fills one array row per replica
+with the first block of Poisson arrivals ``poisson_arrivals`` would sum, so an
+averaging run reads each replica's jump clock once for all its eps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,7 +68,8 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """The hash pool after mixing in the seed's words (zero-padded to 4), and the hash constant reached."""
     words = _uint32_words(seed)
     pool, hash_const = [], _INIT_A
@@ -76,7 +81,7 @@ def _seed_pool(seed: int) -> tuple[list[int], int]:
             if src != dst:
                 value, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
+    return tuple(pool), hash_const
 
 
 def _seed_sequence_key(seed: int, spawn_words: list) -> tuple:
@@ -86,7 +91,8 @@ def _seed_sequence_key(seed: int, spawn_words: list) -> tuple:
     per element.  All arithmetic is mod 2^32, kept in the low bits of ints or
     uint64s by masking after each product.  Returns the two 64-bit key words.
     """
-    pool, hash_const = _seed_pool(seed)
+    words, hash_const = _seed_pool(seed)
+    pool = list(words)
     for w in spawn_words:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(w, hash_const)
@@ -315,9 +321,34 @@ def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndar
     return poisson_arrivals(key.generator(_DOMAIN_POISSON), rate, horizon)
 
 
+def arrival_block(rate: float, horizon: float) -> int:
+    """How many gaps ``poisson_arrivals`` draws at a time for this horizon."""
+    return max(8, int(2 * rate * horizon) + 8)
+
+
+def first_block_arrivals(key: StreamKey, n: int, rate: float, horizon: float) -> np.ndarray:
+    """(n, block): row i is the first block of arrival times ``poisson_arrivals`` sums at horizon.
+
+    Row i comes from the stream of ``sample_poisson_jumps(key.replica(i), ...)``.
+    ``exponential(scale)`` is scale * ``standard_exponential``, so one fill
+    per row, one multiply and one cumsum give that call's first block to the
+    bit.  At a horizon h <= horizon, the entries <= h of a row are the call's
+    arrivals at h unless its first ``arrival_block(rate, h)`` entries all lie
+    at or before h: the call at h then adds a second block to the first one's
+    total, which groups the sums differently.
+    """
+    keys = philox_keys(key, np.arange(n), _DOMAIN_POISSON)
+    pool = KeyedGenerators()
+    out = np.empty((n, arrival_block(rate, horizon)))
+    for i in range(n):
+        pool.reset(0, keys[i]).standard_exponential(out=out[i])
+    out *= 1.0 / rate
+    return np.cumsum(out, axis=1, out=out)
+
+
 def poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
     """The arrival times in [0, horizon] that ``sample_poisson_jumps`` draws from rng."""
-    block = max(8, int(2 * rate * horizon) + 8)
+    block = arrival_block(rate, horizon)
     arrivals: list[np.ndarray] = []
     total = 0.0
     while True:

@@ -163,12 +163,12 @@ def _jump_prefix(theta0: float, nodes: np.ndarray) -> np.ndarray:
     Along the last axis, so one row of a batch is the 1-D computation.  NaN
     padding after a row's jumps yields NaN there, after every value read.
     """
-    out = np.zeros(nodes.shape)
-    m = nodes.shape[-1] - 1
-    if m:
-        signs = (-1.0) ** np.arange(m)
-        seg = np.sin(theta0 + nodes[..., 1:]) - np.sin(theta0 + nodes[..., :-1])
-        np.cumsum(signs * seg, axis=-1, out=out[..., 1:])
+    out = theta0 + nodes
+    np.sin(out, out=out)
+    seg = out[..., 1:] - out[..., :-1]
+    seg *= (-1.0) ** np.arange(seg.shape[-1])
+    out[..., 0] = 0.0
+    np.cumsum(seg, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -225,18 +225,13 @@ class JumpClocks:
     Row i of ``jumps`` holds replica i's jump times, padded with NaN to a
     common width.  ``cos_integral_prefix`` evaluates every row at the same
     times with array operations only; each row's values are those of its
-    ``AngularJumpPath`` to the bit.
+    ``AngularJumpPath`` to the bit.  ``prefix``, if given, is ``jump_prefix``
+    already computed, e.g. cut from the clock of a longer horizon.
     """
 
     theta0: float
     jumps: np.ndarray  # (replicas, width)
-
-    @classmethod
-    def pad(cls, theta0: float, rows: list[np.ndarray]) -> "JumpClocks":
-        sizes = np.array([r.size for r in rows])
-        jumps = np.full((len(rows), sizes.max(initial=0)), np.nan)
-        jumps[np.arange(jumps.shape[1]) < sizes[:, None]] = np.concatenate(rows)
-        return cls(theta0, jumps)
+    prefix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def row(self, i: int) -> AngularJumpPath:
         jumps = self.jumps[i]
@@ -249,7 +244,7 @@ class JumpClocks:
     @cached_property
     def jump_prefix(self) -> np.ndarray:
         """(replicas, width + 1): F at 0 and at each jump time, NaN on padding."""
-        return _jump_prefix(self.theta0, self._nodes)
+        return _jump_prefix(self.theta0, self._nodes) if self.prefix is None else self.prefix
 
     def counts(self, ts: np.ndarray) -> np.ndarray:
         """(replicas, len(ts)): the number of jumps <= ts[k] in each row; ts sorted.
@@ -260,8 +255,8 @@ class JumpClocks:
         """
         n_rows, n_ts = self.jumps.shape[0], ts.size
         below = np.searchsorted(ts, self.jumps, side="left")  # NaN padding lands at n_ts
-        flat = (below + (n_ts + 1) * np.arange(n_rows)[:, None]).ravel()
-        hist = np.bincount(flat, minlength=n_rows * (n_ts + 1)).reshape(n_rows, n_ts + 1)
+        below += (n_ts + 1) * np.arange(n_rows)[:, None]
+        hist = np.bincount(below.ravel(), minlength=n_rows * (n_ts + 1)).reshape(n_rows, n_ts + 1)
         return np.cumsum(hist[:, :n_ts], axis=1)
 
     def cos_integral_prefix(self, ts) -> np.ndarray:

@@ -9,6 +9,7 @@ comparable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 import warnings
@@ -18,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
-    averaging_error,
+    averaging_errors,
     default_rate_bound,
     fit_rate_exponent,
     measured_lipschitz,
-    solve_averaged_ode,
 )
 from .config import START_COORDS, ExperimentConfig
 from .drivers import StreamKey
@@ -47,6 +47,8 @@ from .kernels import (
 from .parallel import map_indexed
 
 REPORT_SCHEMA = "foliated-flows/run-report-v1"
+# rows of an all-float CSV formatted by one format string
+_CSV_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -79,7 +81,8 @@ class RunReport:
         body = self.payload()
         body["wall_clock_seconds"] = self.wall_clock_seconds
         body["diagnostics"] = self.diagnostics
-        return json.dumps(body, sort_keys=True, indent=1)
+        # compact, so json's C encoder writes it (an indent needs its Python one)
+        return json.dumps(body, sort_keys=True)
 
 
 def _simulate_starts(cfg: ExperimentConfig):
@@ -184,16 +187,16 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
     per_eps = []
     decomp_rows = []
     n_violations = 0
-    for eps in av.eps_grid:
-        res = averaging_error(
-            model, cfg.perturbation, eps, av.t, av.p, av.replicas, base, measure=av.measure,
-            ode_step=av.ode_step, region=cfg.region, f_choice=av.f_choice, start=start,
-            rate_bound=rb, keep_decompositions=True,
-        )
+    estimates = averaging_errors(
+        model, cfg.perturbation, av.eps_grid, av.t, av.p, av.replicas, base, measure=av.measure,
+        ode_step=av.ode_step, region=cfg.region, f_choice=av.f_choice, start=start,
+        rate_bound=rb, keep_decompositions=True,
+    )
+    for res in estimates:
         n_violations += len(res.violations)
         per_eps.append(
             {
-                "eps": eps,
+                "eps": res.eps,
                 "error": res.estimate,
                 "std_error": res.std_error,
                 "bound_G": res.bound_g,
@@ -204,7 +207,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
             }
         )
         if res.decomp_rows is not None and res.decomp_rows.size:
-            eps_col = np.full((res.decomp_rows.shape[0], 1), eps)
+            eps_col = np.full((res.decomp_rows.shape[0], 1), res.eps)
             decomp_rows.append(np.hstack((eps_col, res.decomp_rows)))
 
     results: dict = {
@@ -230,9 +233,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
         except ValueError as exc:
             results["slope"] = None
             results["flags"] = [f"fit-failed: {exc}"]
-        ode = solve_averaged_ode(
-            cfg.perturbation, av.measure, (start.r, start.z), av.t, av.ode_step, cfg.region, base
-        )
+        ode = estimates[0].averaged
         leaves = [tuple(v) for v in ode.values[:: max(1, len(ode.values) // 16)]]
         results["averaged_field_lipschitz_measured"] = measured_lipschitz(cfg.perturbation, leaves)
         results["gronwall_C"] = rb.gronwall_c
@@ -346,12 +347,19 @@ def emit_plotdata(report: RunReport, target) -> list[Path]:
     written: list[Path] = []
     res = report.results
 
-    def write_csv(name: str, header: list[str], rows: list[tuple]) -> None:
+    def write_csv(name: str, header: list[str], rows: list, all_floats: bool = False) -> None:
         path = target / name
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            if all_floats:
+                # "%.17g" % x is _fmt(x); one format string per block of rows
+                line = ",".join(["%.17g"] * len(header)) + "\n"
+                for k in range(0, len(rows), _CSV_BLOCK):
+                    block = rows[k : k + _CSV_BLOCK]
+                    fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
+            else:
+                for row in rows:
+                    fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
         written.append(path)
         if not rows:
             warnings.warn(f"empty report series: {name} has headers only")
@@ -373,12 +381,8 @@ def emit_plotdata(report: RunReport, target) -> list[Path]:
             for i in order
         ]
         write_csv("rates_bounds.csv", ["eps", "error", "std_error", "G"], rows_g)
-        decomp = res.get("decompositions", [])
-        write_csv(
-            "decomposition.csv",
-            ["eps", "replica", "component", "a1", "a2", "a3", "a4", "delta"],
-            [tuple(row) for row in decomp],
-        )
+        header = ["eps", "replica", "component", "a1", "a2", "a3", "a4", "delta"]
+        write_csv("decomposition.csv", header, res.get("decompositions", []), all_floats=True)
     elif report.experiment == "coalesce":
         rows = list(zip(res["curve_times"], res["fraction_coalesced"]))
         write_csv("coalescence_fraction.csv", ["time", "fraction_coalesced"], rows)

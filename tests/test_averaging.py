@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from foliated_flows.averaging import (
     InvariantMeasureSpec,
+    _replica_clocks,
     RateBound,
     averaged_radial_rate,
     averaging_error,
+    averaging_errors,
     check_pathwise_bounds,
     decompose_batch,
     decompose_error,
@@ -20,8 +22,13 @@ from foliated_flows.averaging import (
     measured_lipschitz,
     solve_averaged_ode,
 )
-from foliated_flows.drivers import StreamKey, sample_jump_driver, sample_poisson_jumps
-from foliated_flows.flows import CYLINDER_JUMP_RATE, perturbed_cylinder_path
+from foliated_flows.drivers import (
+    StreamKey,
+    first_block_arrivals,
+    sample_jump_driver,
+    sample_poisson_jumps,
+)
+from foliated_flows.flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, perturbed_cylinder_path
 from foliated_flows.geometry import (
     CylPoint,
     PerturbationField,
@@ -548,8 +555,11 @@ def _exiting_batch():
     region = VerticalRegion(r_min=0.01)
     part = make_partition(eps, t)
     key = StreamKey(SEED)
-    jumps = [sample_poisson_jumps(key.replica(i), CYLINDER_JUMP_RATE, part.horizon) for i in range(n)]
-    batch = decompose_batch(K, averaged_radial_rate(K, ANALYTIC), part, start, jumps)
+    rows = [sample_poisson_jumps(key.replica(i), CYLINDER_JUMP_RATE, part.horizon) for i in range(n)]
+    jumps = np.full((n, max(r.size for r in rows)), np.nan)
+    for i, r in enumerate(rows):
+        jumps[i, : r.size] = r
+    batch = decompose_batch(K, averaged_radial_rate(K, ANALYTIC), part, start, JumpClocks(start.theta, jumps))
     res = averaging_error(MODEL, K, eps, t, 2.0, n, key, region=region, start=start)
     return K, region, batch, res
 
@@ -580,6 +590,79 @@ def test_check_pathwise_bounds_ignores_exited_rows_and_names_violating_rows():
     assert slack == 90.0
     smallest_limit = min(K.sup_radial(), K.sup_vertical(region)) * batch.partition.t * math.sqrt(0.9)
     assert ratio == pytest.approx(10.0 / smallest_limit, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# jump clocks drawn once per run
+
+
+def _assert_rows_are(clocks, theta0, rows):
+    # each row's jumps and F at 0 and the jumps to the bit, NaN after them
+    assert clocks.jumps.shape == (len(rows), max(r.size for r in rows))
+    for i, r in enumerate(rows):
+        assert clocks.jumps[i, : r.size].tobytes() == r.tobytes()
+        assert np.isnan(clocks.jumps[i, r.size :]).all()
+        reference = AngularJumpPath(theta0, r)._jump_prefix
+        assert clocks.jump_prefix[i, : r.size + 1].tobytes() == reference.tobytes()
+        assert np.isnan(clocks.jump_prefix[i, r.size + 1 :]).all()
+
+
+@pytest.mark.parametrize("rate", [CYLINDER_JUMP_RATE, 0.7])
+def test_replica_clocks_rows_are_each_replicas_poisson_jumps(rate):
+    key, n, theta0 = StreamKey(SEED), 2000, 0.3
+    horizons = [5.0, 10.0, 20.0, 40.0, 80.0]
+    for h, clocks in zip(horizons, _replica_clocks(key, n, theta0, horizons, True, rate)):
+        _assert_rows_are(clocks, theta0, [sample_poisson_jumps(key.replica(i), rate, h) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "rate, horizons, h",
+    [
+        (1.0, [3.9, 20.0], 3.9),  # a short horizon, whose own first block is 15 gaps
+        (2.0, [1.95, 10.0], 1.95),
+        (1.0, [1.0, 4.9], 4.9),  # the longest horizon, whose block of 17 gaps the run draws
+        (2.0, [0.5, 2.0], 2.0),
+    ],
+)
+def test_replica_clocks_redraw_a_row_that_runs_past_its_first_block(rate, horizons, h):
+    # replica 0 of seed 101770 (found by a search over seeds) draws 17 unit
+    # gaps that sum to 3.84, so poisson_arrivals at h adds a second block to
+    # its first, and the run's one block cut at h is not its clock
+    key, theta0 = StreamKey(101770), 0.3
+    assert first_block_arrivals(key, 1, rate, h)[0, -1] <= h
+    rows = [sample_poisson_jumps(key.replica(i), rate, h) for i in range(3)]
+    run_row = first_block_arrivals(key, 1, rate, max(horizons))[0]
+    assert run_row[run_row <= h].tobytes() != rows[0].tobytes()
+    clocks = dict(zip(horizons, _replica_clocks(key, 3, theta0, horizons, True, rate)))
+    _assert_rows_are(clocks[h], theta0, rows)
+
+
+def _assert_results_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "averaged":
+            assert (x.times.tobytes(), x.values.tobytes()) == (y.times.tobytes(), y.values.tobytes())
+            assert (x.radial_rate, x.exit_time) == (y.radial_rate, y.exit_time)
+        elif isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("measure", [ANALYTIC, InvariantMeasureSpec(mode="empirical")])
+def test_averaging_error_is_its_entry_of_averaging_errors(measure):
+    # the exiting setup above: one run of three eps gives what three one-eps runs give
+    K = PerturbationField(lambda0=-0.4, k3="sine", angular="cosine")
+    grid, t, n = [0.9, 0.3, 0.6], 0.5, 60
+    kwargs = dict(
+        measure=measure, region=VerticalRegion(r_min=0.01), start=CylPoint(1.0, 0.25, 0.5),
+        keep_decompositions=True,
+    )
+    together = averaging_errors(MODEL, K, grid, t, 2.0, n, StreamKey(SEED), **kwargs)
+    assert [res.eps for res in together] == grid
+    assert sum(res.n_exited for res in together) > 0
+    for eps, res in zip(grid, together):
+        _assert_results_equal(averaging_error(MODEL, K, eps, t, 2.0, n, StreamKey(SEED), **kwargs), res)
 
 
 # ---------------------------------------------------------------------------

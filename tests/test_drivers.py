@@ -11,6 +11,7 @@ from foliated_flows.drivers import (
     DriverPath,
     KeyedGenerators,
     StreamKey,
+    first_block_arrivals,
     philox_keys,
     sample_brownian,
     sample_jump_driver,
@@ -294,3 +295,25 @@ def test_id_outside_64_bits_is_rejected(field):
     ).generate_state(2, np.uint64)
     assert key.generator(_DOMAIN_BROWNIAN).bit_generator.state["state"]["key"].tolist() == expected.tolist()
     assert philox_keys(key, [key.replica_id], _DOMAIN_BROWNIAN)[0].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / 0.7, 1.0 / 3.0, 2.5, 1e-3])
+def test_exponential_is_scale_times_standard_exponential(scale):
+    # first_block_arrivals fills standard exponentials in place and scales them once
+    drawn = StreamKey(SEED, 3).generator(_DOMAIN_POISSON).exponential(scale, size=5000)
+    filled = np.empty(5000)
+    StreamKey(SEED, 3).generator(_DOMAIN_POISSON).standard_exponential(out=filled)
+    filled *= scale
+    assert drawn.tobytes() == filled.tobytes()
+
+
+@pytest.mark.parametrize("rate, horizon", [(1.0, 80.0), (0.7, 12.0), (3.0, 0.2)])
+def test_first_block_arrivals_rows_start_each_replicas_poisson_jumps(rate, horizon):
+    key = StreamKey(SEED, role="independent")
+    sums = first_block_arrivals(key, 300, rate, horizon)
+    assert sums.shape == (300, max(8, int(2 * rate * horizon) + 8))
+    for i, row in enumerate(sums):
+        jumps = sample_poisson_jumps(key.replica(i), rate, horizon)
+        assert row[-1] > horizon  # no row of these runs past its first block
+        assert row[: jumps.size].tobytes() == jumps.tobytes()
+        assert jumps.size == np.count_nonzero(row <= horizon)

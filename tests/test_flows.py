@@ -35,6 +35,14 @@ from foliated_flows.geometry import (
 SEED = 20250811
 
 
+def _padded_clocks(theta0, rows):
+    """Rows of jump times as one JumpClocks, NaN-padded to the longest."""
+    jumps = np.full((len(rows), max(r.size for r in rows)), np.nan)
+    for i, r in enumerate(rows):
+        jumps[i, : r.size] = r
+    return JumpClocks(theta0, jumps)
+
+
 def _manual_driver(increments, dt, jumps=()):
     inc = np.asarray(increments, dtype=float)
     return DriverPath(
@@ -250,7 +258,7 @@ def test_manifold_exit_times_match_a_dense_grid():
     K = PerturbationField(lambda0=-0.4, k3="zero", angular="cosine")
     eps, horizon, r0, theta0 = 0.5, 1.6, 0.35, 1.0
     rows = [sample_jump_driver(StreamKey(SEED, i), horizon, 0.1).jump_times for i in range(120)]
-    exits = manifold_exit_times(JumpClocks.pad(theta0, rows), r0, eps, K, horizon)
+    exits = manifold_exit_times(_padded_clocks(theta0, rows), r0, eps, K, horizon)
     fine = np.linspace(0.0, horizon, 16001)
     n_exits = 0
     for jumps, exit_time in zip(rows, exits):
@@ -274,7 +282,7 @@ def test_jump_clocks_rows_equal_their_angular_paths():
     rows += [np.empty(0), np.array([0.25, 0.5])]
     ts = np.concatenate(([0.0, 0.25], np.linspace(0.1, 30.0, 57), [30.0, 30.0]))
     ts.sort()
-    clocks = JumpClocks.pad(0.3, rows)
+    clocks = _padded_clocks(0.3, rows)
     prefix = clocks.cos_integral_prefix(ts)
     for i, jumps in enumerate(rows):
         angular = AngularJumpPath(0.3, jumps)

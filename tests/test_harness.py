@@ -4,9 +4,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from foliated_flows import averaging
 from foliated_flows.averaging import InvariantMeasureSpec, averaging_error
 from foliated_flows.cli import main as cli_main
 from foliated_flows.config import (
@@ -25,7 +27,7 @@ from foliated_flows.config import (
 from foliated_flows.drivers import StreamKey
 from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder, VerticalRegion
 from foliated_flows.flows import evolve_coalescing_circle
-from foliated_flows.harness import emit_plotdata, run
+from foliated_flows.harness import RunReport, _fmt, emit_plotdata, run
 
 SEED = 20250811
 
@@ -693,3 +695,126 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["streams_opened"] == 60
     assert summary["normals_drawn"] == expected_normals
+
+
+# ---------------------------------------------------------------------------
+# artifacts
+
+# The replica count each sample config runs at below, and the sha256 of every
+# artifact it writes there, computed before report.json became compact JSON:
+# of each file's bytes, and for report.json of
+# json.dumps(json.loads(text) less wall_clock_seconds, sort_keys=True).
+_ARTIFACT_SIZES = {
+    "rates-cosine": ("averaging", 200),
+    "average-commuting": ("averaging", 40),
+    "coalesce-circle": ("coalesce", 200),
+    "simulate-torus": ("simulate", 5),
+    "kernel-check": (None, None),
+}
+_ARTIFACT_SHA256 = {
+    "rates-cosine": {
+        "decomposition.csv": "a292ae77b44e10f67b6ec050253754b981c48a2d4538adc33d093eb0cd2a82c7",
+        "rate_report.json": "6146b61c7b2bd92aaed4b1ef82e299bfdd872d45ecaad2e3ea2eab866ba75b43",
+        "rates_bounds.csv": "2bf79f222c8b84ed058cf44687496bba27284ebf9c01631ab796f579c53f576b",
+        "rates_error.csv": "9aee796b060facb1622070a3f6498e9aeb72a96eb98d41ffe48a060df3e9c699",
+        "report.json": "e5c761dcb3b591096db19751ddc4689f350c22cd3cd90487d269362a9f74b1f6",
+    },
+    "average-commuting": {
+        "decomposition.csv": "8e8908ed896b87c531e6d8114b535c3af7529b026f3493af4e52b3c82afafba6",
+        "rates_bounds.csv": "849b5217335d4c987ca782c78864a7fc81a49895d0ed0b1265ebaa42728a5554",
+        "rates_error.csv": "4c99f285b7ab42a91afc28426a5ab9fad54711c6db543fd10448726339a7ffcc",
+        "report.json": "30d56a60b2d276cf5a39200d194ce9d8c04ec09c12b1984245064dc93454986e",
+    },
+    "coalesce-circle": {
+        "coalescence_fraction.csv": "cef6764396f97e1e2cb7cb56f3456cc637b4b2f4c1251964ea2d214a9cfb06ad",
+        "report.json": "ee84ead544808fe0b3c16d9a2a0ccaa04625cb8ce7f855c46a599b25270c2746",
+    },
+    "simulate-torus": {
+        "leaf_defects.csv": "72549829ff6077cf6214a990e1a13d1ae19a8724271691b7991ff5adf98102f3",
+        "report.json": "94d7f3b0e2bf9f26256db66facf01598e1c9cbc14998502b201f14ef267270fc",
+        "trajectory.csv": "f2f9aaa9d31543ff6c7449793b63aebd06951ce77af1a692f1ec5f77915c970d",
+    },
+    "kernel-check": {
+        "kernel_defects.csv": "38a02da1ab8a7ff4acdad3d167f5f5edbdc5c4cefe7632cd194587e18e1b0a7d",
+        "kernel_defects.json": "c98d630e9406999d663830f871072153dcb2ff2bde3040da186e5165aac5fd73",
+        "kernel_t0.785398.json": "067405f39073f947e4e7198fc5b1fd87becb192b204ef2144c8e43aeb67e402f",
+        "kernel_t1.570796.json": "64cb0af8f3b3ab2c767a64d3097518d52ae74d9706eb5935d6ff28e4e3d4244f",
+        "report.json": "590ace1918ec9930ac46ef1a3559b484f453da33030dc9e7aef3f77ba0e7d3ac",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACT_SHA256))
+def test_sample_config_artifacts_are_pinned(name):
+    cfg = dataclasses.replace(load_config(CONFIGS / f"{name}.yaml"), output_dir="out")
+    section, replicas = _ARTIFACT_SIZES[name]
+    if section is not None:
+        cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), replicas=replicas)})
+    run(cfg)
+    written = {}
+    for path in sorted(Path("out").iterdir()):
+        body = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(body)
+            del report["wall_clock_seconds"]
+            body = json.dumps(report, sort_keys=True).encode()
+        written[path.name] = hashlib.sha256(body).hexdigest()
+    assert written == _ARTIFACT_SHA256[name]
+
+
+def test_percent_17g_is_fmt_for_every_float():
+    # decomposition.csv formats rows with "%.17g"; the other CSVs with _fmt
+    bits = np.random.default_rng(3).bytes(8 * 100_000)
+    specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 0.1, 1.0 / 3.0, 3.0, -2.5, 1e16, 1e17, 123456789012345678.0]
+    for x in np.frombuffer(bits, dtype=np.float64).tolist() + specials:
+        assert "%.17g" % x == _fmt(x)
+
+
+def test_decomposition_csv_formats_each_value_with_fmt(tmp_path):
+    # more rows than one format block, with nan, infinities, -0 and integers
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((9000, 8)) * 10.0 ** rng.integers(-300, 300, (9000, 8))
+    rows[:3, 3:] = [[math.nan, math.inf, -math.inf, -0.0, 0.0]] * 3
+    rows[:, 1] = np.arange(9000) // 2
+    report = RunReport(
+        experiment="average", config={},
+        results={"eps_grid": [0.1], "errors": [0.0], "std_errors": [0.0], "G_values": [1.0],
+                 "decompositions": rows.tolist()},
+        replicas=4500, wall_clock_seconds=0.0,
+    )
+    emit_plotdata(report, tmp_path)
+    expected = ["eps,replica,component,a1,a2,a3,a4,delta"] + [",".join(_fmt(v) for v in row) for row in rows]
+    assert (tmp_path / "decomposition.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_report_json_is_compact_and_parses_to_the_report(tmp_path):
+    report = run(parse_config(_rates_config(out=str(tmp_path), replicas=5)))
+    text = (tmp_path / "report.json").read_text()
+    assert "\n" not in text
+    body = json.loads(text)
+    assert body["results"] == json.loads(json.dumps(report.results))
+    assert body["wall_clock_seconds"] == report.wall_clock_seconds
+
+
+def test_empirical_rates_run_takes_the_averaged_field_once(monkeypatch):
+    # q1 and the averaged ODE are solved once per run: the measure's long
+    # jump clock is drawn once, not once per eps and again for the fit
+    calls = []
+    original = averaging.averaged_radial_rate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "averaged_radial_rate", counting)
+    cfg = load_config(CONFIGS / "rates-cosine.yaml")
+    cfg = dataclasses.replace(
+        cfg, output_dir="",
+        averaging=dataclasses.replace(
+            cfg.averaging, replicas=20, measure=InvariantMeasureSpec(mode="empirical")
+        ),
+    )
+    results = run(cfg, write_artifacts=False).results
+    assert len(calls) == 1
+    assert len(results["errors"]) == 5 and "averaged_field_lipschitz_measured" in results
