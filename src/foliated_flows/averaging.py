@@ -32,8 +32,10 @@ with the same vertical flow as the replicas.
 
 The replicas of one eps are one batch (``decompose_batch``).  Each replica
 draws only its jump times, from its own keyed stream, once per run
-(``averaging_errors``): its stream is read at the longest horizon
-t / min(eps), and each eps cuts every row at t/eps.  The jump times of all
+(``averaging_errors``).  A stream is one running sum of its gaps, so the draw
+at the longest horizon t / min(eps) holds the draw at every t/eps as its part
+<= t/eps, and each eps reads a column slice of that one array; the jumps past
+t/eps that a slice still carries are ignored.  The jump times of all
 replicas, NaN-padded into one array, give every replica's cos integrals at the
 N+2 times, its decomposition, its end point r0 + eps (lambda0 t/eps + F(t/eps))
 and the bound checks as row reductions, and z, which no noise touches, is one
@@ -53,14 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import (
-    ROLE_INDEPENDENT,
-    StreamKey,
-    arrival_block,
-    first_block_arrivals,
-    sample_poisson_jumps,
-)
-from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, _jump_prefix, manifold_exit_times
+from .drivers import ROLE_INDEPENDENT, StreamKey, replica_poisson_jumps, sample_poisson_jumps
+from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, manifold_exit_times
 from .geometry import (
     CylPoint,
     PerturbationField,
@@ -127,7 +123,7 @@ def averaged_radial_rate(
             raise ValueError("the empirical measure needs a StreamKey for its jump clock")
         jumps = sample_poisson_jumps(key.with_role(ROLE_INDEPENDENT), CYLINDER_JUMP_RATE, measure.horizon)
         t0 = measure.burn_in_fraction * measure.horizon
-        f0, f1 = AngularJumpPath(0.0, jumps).cos_integral_prefix([t0, measure.horizon])
+        f0, f1 = AngularJumpPath(0.0, jumps[None, :]).cos_integral_prefix([t0, measure.horizon])[0]
         cos_average = float(f1 - f0) / (measure.horizon - t0)
     return perturbation.lambda0 + cos_average
 
@@ -290,12 +286,13 @@ def decompose_batch(
     q1: float,
     partition: PartitionScheme,
     start: CylPoint,
-    clocks: JumpClocks,
+    clocks: AngularJumpPath,
 ) -> DecompositionBatch:
     """The decomposition of every replica, from its jump times on [0, t/eps], as array passes.
 
     ``q1`` is the radial component of the averaged field (``averaged_radial_rate``);
-    row i of ``clocks`` holds replica i's jumps, from theta0 = start.theta.
+    row i of ``clocks`` holds replica i's jumps, from theta0 = start.theta;
+    jumps past t/eps are ignored.
     """
     n = clocks.jumps.shape[0]
     eps = partition.eps
@@ -366,7 +363,7 @@ def decompose_error(
     partition = make_partition(eps, t, f_choice, p)
     jumps = sample_poisson_jumps(key, CYLINDER_JUMP_RATE, partition.horizon)
     q1 = averaged_radial_rate(perturbation, measure, key)
-    return decompose_batch(perturbation, q1, partition, start, JumpClocks(start.theta, jumps[None, :]))
+    return decompose_batch(perturbation, q1, partition, start, AngularJumpPath(start.theta, jumps[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -495,41 +492,23 @@ def check_pathwise_bounds(
     return violations, worst_slack, worst_ratio
 
 
-def _cut(full: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The entries of full where keep, NaN elsewhere, in keep's shape (full NaN-padded if narrower)."""
-    if full.shape[1] < keep.shape[1]:
-        full = np.pad(full, ((0, 0), (0, keep.shape[1] - full.shape[1])), constant_values=np.nan)
-    return np.where(keep, full[:, : keep.shape[1]], np.nan)
-
-
 def _replica_clocks(key: StreamKey, n: int, theta0: float, horizons: list[float], angular: bool, rate: float):
-    """Yield, per horizon h, the clocks whose row i is ``sample_poisson_jumps(key.replica(i), rate, h)``.
+    """Yield, per horizon h, the clock whose row i is ``sample_poisson_jumps(key.replica(i), rate, h)``.
 
     Every replica's stream is drawn once, at the longest horizon
-    (``first_block_arrivals``); the clock at h is each row's prefix <= h,
-    NaN-padded to the longest.  A row that the call at h would extend by a
-    second block is drawn again by that call.  With ``angular``, F at the
-    jumps is computed once on the longest clocks and cut the same way.
+    (``replica_poisson_jumps``).  A stream is one running sum, so the part
+    <= h of each row is the draw at h, and the clock at h is the first
+    columns of the run's array, as many as its longest row at h needs: a
+    slice, not a copy, whose rows may carry jumps past h that every reader
+    ignores.  With ``angular``, F at the jumps is computed once and sliced
+    the same way.
     """
-    sums = first_block_arrivals(key, n, rate, max(horizons))
-    counts = [np.count_nonzero(sums <= h, axis=1) for h in horizons]
-    width = max(int(c.max(initial=0)) for c in counts)
-    prefix = None
-    if angular:
-        prefix = _jump_prefix(theta0, np.concatenate((np.zeros((n, 1)), sums[:, :width]), axis=1))
-    for h, count in zip(horizons, counts):
-        # rows whose first block at h ends at or before h: the call sums a second block
-        redraw = np.flatnonzero(count >= arrival_block(rate, h))
-        rows = [sample_poisson_jumps(key.replica(int(i)), rate, h) for i in redraw]
-        count[redraw] = [r.size for r in rows]
-        keep = np.arange(count.max(initial=0) + 1) <= count[:, None]  # node 0, then the jumps
-        jumps = _cut(sums, keep[:, 1:])
-        cut_prefix = None if prefix is None else _cut(prefix, keep)
-        for i, r in zip(redraw, rows):
-            jumps[i, : r.size] = r
-            if cut_prefix is not None:
-                cut_prefix[i, : r.size + 1] = _jump_prefix(theta0, np.append(0.0, r))
-        yield JumpClocks(theta0, jumps, cut_prefix)
+    run = AngularJumpPath(theta0, replica_poisson_jumps(key, n, rate, max(horizons)))
+    prefix = run.jump_prefix if angular else None
+    for h in horizons:
+        width = int(np.count_nonzero(run.jumps <= h, axis=1).max(initial=0))
+        sliced = None if prefix is None else prefix[:, : width + 1]
+        yield AngularJumpPath(theta0, run.jumps[:, :width], sliced)
 
 
 def averaging_errors(
@@ -553,8 +532,8 @@ def averaging_errors(
 
     Replica i's jump clock at every eps comes from one stream, the one
     ``sample_poisson_jumps(key.replica(i), ...)`` draws from, and is drawn
-    once per run, at the longest horizon t / min(eps); each eps takes the
-    clock's prefix on [0, t/eps] (``_replica_clocks``).  The averaged ODE and
+    once per run, at the longest horizon t / min(eps); each eps reads its
+    part on [0, t/eps] from a slice of that draw (``_replica_clocks``).  The averaged ODE and
     its q1 are solved once.  Per eps, one array pass over all replicas then
     gives their end points, their A1..A4 decompositions, their exact manifold
     exits and the pathwise A1..A4 bound checks.  Requires t < T0 (the ODE

@@ -14,11 +14,15 @@ ids at once, and ``KeyedGenerators`` resets a reused generator to a key, which
 puts it in the very state a fresh seeding gives.  Loops over replicas thus pay
 one array hash plus a state reset per stream instead of building a
 ``SeedSequence``, a ``Philox`` and a ``Generator`` each time; ``coalescence_times``
-and ``first_block_arrivals`` draw that way, with the bits of ``StreamKey.generator``.
+and ``replica_poisson_jumps`` draw that way, with the bits of ``StreamKey.generator``.
 The seed's part of the hash is cached, so opening one stream costs only its
-spawn key's part.  ``first_block_arrivals`` fills one array row per replica
-with the first block of Poisson arrivals ``poisson_arrivals`` would sum, so an
-averaging run reads each replica's jump clock once for all its eps.
+spawn key's part.
+
+A Poisson stream is one running sum: its arrival times are the left-to-right
+sums of the stream's exponential gaps, however many gaps are drawn at a time.
+So the jumps drawn up to a horizon h are, bit for bit, the part <= h of the
+jumps drawn up to any H >= h, and an averaging run draws each replica's clock
+once, at its longest horizon (``replica_poisson_jumps``), for all its eps.
 """
 
 from __future__ import annotations
@@ -310,54 +314,71 @@ def sample_brownian(key: StreamKey, horizon: float, dt: float) -> DriverPath:
     return DriverPath(key=key, horizon=float(horizon), dt=float(dt), brownian_increments=increments)
 
 
-def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndarray:
-    """Exact rate-``rate`` Poisson arrival times in [0, horizon]."""
+def _validate_rate_horizon(rate: float, horizon: float) -> None:
     if not (isinstance(rate, (int, float)) and math.isfinite(rate)) or rate <= 0.0:
         raise ValueError(f"jump rate must be finite and positive: {rate!r}")
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon)) or horizon < 0.0:
         raise ValueError(f"horizon must be finite and >= 0: {horizon!r}")
+
+
+def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndarray:
+    """Exact rate-``rate`` Poisson arrival times in [0, horizon]."""
+    _validate_rate_horizon(rate, horizon)
     if horizon == 0.0:
         return np.empty(0)
     return poisson_arrivals(key.generator(_DOMAIN_POISSON), rate, horizon)
 
 
-def arrival_block(rate: float, horizon: float) -> int:
+def _arrival_block(rate: float, horizon: float) -> int:
     """How many gaps ``poisson_arrivals`` draws at a time for this horizon."""
     return max(8, int(2 * rate * horizon) + 8)
 
 
-def first_block_arrivals(key: StreamKey, n: int, rate: float, horizon: float) -> np.ndarray:
-    """(n, block): row i is the first block of arrival times ``poisson_arrivals`` sums at horizon.
+def replica_poisson_jumps(key: StreamKey, n: int, rate: float, horizon: float) -> np.ndarray:
+    """(n, width), NaN-padded: row i is ``sample_poisson_jumps(key.replica(i), rate, horizon)``, bit for bit.
 
-    Row i comes from the stream of ``sample_poisson_jumps(key.replica(i), ...)``.
-    ``exponential(scale)`` is scale * ``standard_exponential``, so one fill
-    per row, one multiply and one cumsum give that call's first block to the
-    bit.  At a horizon h <= horizon, the entries <= h of a row are the call's
-    arrivals at h unless its first ``arrival_block(rate, h)`` entries all lie
-    at or before h: the call at h then adds a second block to the first one's
-    total, which groups the sums differently.
+    One generator is reset to each replica's Philox key and fills that row
+    with the stream's first block of standard exponentials; one multiply
+    (``exponential(scale)`` is scale * ``standard_exponential``) and one
+    cumsum give the block's arrival times.  A row whose block ends at or
+    before the horizon is drawn whole from its own stream.
     """
+    _validate_rate_horizon(rate, horizon)
     keys = philox_keys(key, np.arange(n), _DOMAIN_POISSON)
     pool = KeyedGenerators()
-    out = np.empty((n, arrival_block(rate, horizon)))
+    block = _arrival_block(rate, horizon)
+    sums = np.empty((n, block))
     for i in range(n):
-        pool.reset(0, keys[i]).standard_exponential(out=out[i])
-    out *= 1.0 / rate
-    return np.cumsum(out, axis=1, out=out)
+        pool.reset(0, keys[i]).standard_exponential(out=sums[i])
+    sums *= 1.0 / rate
+    np.cumsum(sums, axis=1, out=sums)
+    counts = np.count_nonzero(sums <= horizon, axis=1)
+    long_rows = {
+        i: poisson_arrivals(pool.reset(0, keys[i]), rate, horizon) for i in np.flatnonzero(counts == block)
+    }
+    width = max([int(counts.max(initial=0))] + [r.size for r in long_rows.values()])
+    out = np.full((n, width), np.nan)
+    k = min(width, block)
+    np.copyto(out[:, :k], sums[:, :k], where=np.arange(k) < counts[:, None])
+    for i, r in long_rows.items():
+        out[i, : r.size] = r
+    return out
 
 
 def poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """The arrival times in [0, horizon] that ``sample_poisson_jumps`` draws from rng."""
-    block = arrival_block(rate, horizon)
+    """The arrival times in [0, horizon] that ``sample_poisson_jumps`` draws from rng.
+
+    Each block's first gap carries the total so far, so one cumsum per block
+    continues a single running sum and no block size changes a bit.
+    """
+    block = _arrival_block(rate, horizon)
     arrivals: list[np.ndarray] = []
     total = 0.0
-    while True:
+    while total <= horizon:
         gaps = rng.exponential(1.0 / rate, size=block)
-        cum = total + np.cumsum(gaps)
-        arrivals.append(cum)
-        total = cum[-1]
-        if total > horizon:
-            break
+        gaps[0] += total
+        arrivals.append(np.cumsum(gaps, out=gaps))
+        total = gaps[-1]
     times = np.concatenate(arrivals)
     return times[times <= horizon]
 
@@ -365,6 +386,6 @@ def poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> n
 def sample_jump_driver(key: StreamKey, horizon: float, dt: float, rate: float = 1.0) -> DriverPath:
     """Jump-clock-only driver (no Brownian component); dt sets the recording grid."""
     _validate_horizon_dt(horizon, dt)
-    jumps = sample_poisson_jumps(key, rate, horizon) if horizon > 0.0 else np.empty(0)
+    jumps = sample_poisson_jumps(key, rate, horizon)
     return DriverPath(key=key, horizon=float(horizon), dt=float(dt), jump_times=jumps)
 

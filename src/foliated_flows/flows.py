@@ -15,8 +15,12 @@
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
-closed form (no quadrature error), for one path (``AngularJumpPath``) or for
-many paths at shared times (``JumpClocks``).  The vertical coordinate z solves
+closed form (no quadrature error).  ``AngularJumpPath`` holds the jump times of
+many replicas, or of one, as one NaN-padded array and evaluates every row at
+shared times with array operations.  Each row is a prefix of one Poisson
+stream's running sum and may carry jumps past the last time asked about;
+every reader ignores those, so a shorter horizon's clock is a column slice of
+a longer one's.  The vertical coordinate z solves
 the autonomous ODE z' = eps * k3(z), the same for every replica, and is also
 evaluated in closed form at any time.  The perturbed radius is closed form
 too, so a manifold exit (r reaching 0) is located exactly, not on a time grid
@@ -90,12 +94,6 @@ class Trajectory:
         if len(self.times) != len(self.states):
             raise ValueError("times/states length mismatch")
 
-    def point_at(self, index: int):
-        row = self.states[index]
-        if isinstance(self.model, TorusWinding):
-            return TorusPoint.from_lift((row[2], row[3]))
-        return CylPoint.from_angle(row[0], row[1], row[2])
-
 
 @dataclass(frozen=True)
 class NPointSeries:
@@ -157,85 +155,26 @@ def torus_trajectory(model: TorusWinding, start: TorusPoint, driver: DriverPath)
 # Rotation-jump cylinder flow
 
 
-def _jump_prefix(theta0: float, nodes: np.ndarray) -> np.ndarray:
-    """F at 0 and at each jump time; nodes[..., 0] = 0 is followed by the jump times.
-
-    Along the last axis, so one row of a batch is the 1-D computation.  NaN
-    padding after a row's jumps yields NaN there, after every value read.
-    """
-    out = theta0 + nodes
-    np.sin(out, out=out)
-    seg = out[..., 1:] - out[..., :-1]
-    seg *= (-1.0) ** np.arange(seg.shape[-1])
-    out[..., 0] = 0.0
-    np.cumsum(seg, axis=-1, out=out[..., 1:])
-    return out
-
-
-def _cos_prefix(theta0: float, nodes: np.ndarray, prefix: np.ndarray, counts: np.ndarray, ts):
-    """F(ts) from the jump prefix, given the number of jumps <= ts along the last axis."""
-    last_jump = np.take_along_axis(nodes, counts, axis=-1)
-    return np.take_along_axis(prefix, counts, axis=-1) + (-1.0) ** counts * (
-        np.sin(theta0 + ts) - np.sin(theta0 + last_jump)
-    )
-
-
 @dataclass(frozen=True)
 class AngularJumpPath:
-    """theta(s) = theta0 + s + pi * N_s, piecewise linear between jump times.
+    """theta(s) = theta0 + s + pi * N_s for many replicas, piecewise linear between jump times.
 
-    Provides exact prefix integrals of cos(theta(s)), so every time integral
-    over a subinterval is a difference of two prefix values; sums of such
-    integrals over adjacent intervals telescope exactly.
-    """
-
-    theta0: float
-    jumps: np.ndarray
-
-    def counts(self, ts) -> np.ndarray:
-        return np.searchsorted(self.jumps, ts, side="right")
-
-    def theta(self, ts):
-        raw = self.theta0 + np.asarray(ts, dtype=float) + math.pi * self.counts(ts)
-        return np.mod(raw, TWO_PI)
-
-    @cached_property
-    def _nodes(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.jumps))
-
-    @cached_property
-    def _jump_prefix(self) -> np.ndarray:
-        return _jump_prefix(self.theta0, self._nodes)
-
-    def cos_integral_prefix(self, ts) -> np.ndarray:
-        """F(ts) = integral of cos(theta(s)) ds over [0, ts], exact."""
-        ts = np.asarray(ts, dtype=float)
-        c = self.counts(ts).ravel()
-        return _cos_prefix(self.theta0, self._nodes, self._jump_prefix, c, ts.ravel()).reshape(ts.shape)
-
-    def cos_integral(self, a: float, b: float) -> float:
-        pref = self.cos_integral_prefix(np.array([a, b]))
-        return float(pref[1] - pref[0])
-
-
-@dataclass(frozen=True)
-class JumpClocks:
-    """The angular paths of many replicas from one theta0, as one array.
-
-    Row i of ``jumps`` holds replica i's jump times, padded with NaN to a
-    common width.  ``cos_integral_prefix`` evaluates every row at the same
-    times with array operations only; each row's values are those of its
-    ``AngularJumpPath`` to the bit.  ``prefix``, if given, is ``jump_prefix``
-    already computed, e.g. cut from the clock of a longer horizon.
+    Row i of ``jumps`` holds replica i's jump times, increasing, NaN-padded
+    to a common width; one path is one row.  Provides exact prefix integrals
+    of cos(theta(s)), so every time integral over a subinterval is a
+    difference of two prefix values; sums of such integrals over adjacent
+    intervals telescope exactly.  Every reader takes sorted times and ignores
+    the jumps after the last of them.  ``prefix``, if given, is
+    ``jump_prefix`` already computed, e.g. sliced from a longer clock's.
     """
 
     theta0: float
     jumps: np.ndarray  # (replicas, width)
     prefix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def row(self, i: int) -> AngularJumpPath:
-        jumps = self.jumps[i]
-        return AngularJumpPath(self.theta0, jumps[~np.isnan(jumps)])
+    def __post_init__(self) -> None:
+        if np.ndim(self.jumps) != 2:
+            raise ValueError(f"jumps must be a (replicas, width) array, got shape {np.shape(self.jumps)}")
 
     @cached_property
     def _nodes(self) -> np.ndarray:
@@ -243,26 +182,52 @@ class JumpClocks:
 
     @cached_property
     def jump_prefix(self) -> np.ndarray:
-        """(replicas, width + 1): F at 0 and at each jump time, NaN on padding."""
-        return _jump_prefix(self.theta0, self._nodes) if self.prefix is None else self.prefix
+        """(replicas, width + 1): F at 0 and at each jump time, NaN on padding.
 
-    def counts(self, ts: np.ndarray) -> np.ndarray:
-        """(replicas, len(ts)): the number of jumps <= ts[k] in each row; ts sorted.
+        A left-to-right sum along each row, so F at a jump does not depend on
+        the jumps after it.
+        """
+        if self.prefix is not None:
+            return self.prefix
+        out = np.empty((self.jumps.shape[0], self.jumps.shape[1] + 1))
+        out[:, 0] = self.theta0
+        np.add(self.theta0, self.jumps, out=out[:, 1:])
+        np.sin(out, out=out)
+        seg = out[:, 1:] - out[:, :-1]
+        seg *= (-1.0) ** np.arange(seg.shape[1])
+        out[:, 0] = 0.0
+        np.cumsum(seg, axis=1, out=out[:, 1:])
+        return out
+
+    def counts(self, ts) -> np.ndarray:
+        """(replicas,) + ts.shape: the number of jumps <= each of ts in every row; ts sorted.
 
         A jump lies at or before ts[k] exactly when fewer than k + 1 of the
         ts are below it, so one search of the jumps in ts and a per-row
         histogram give every count, with no float offset that could round.
         """
+        ts = np.asarray(ts, dtype=float)
         n_rows, n_ts = self.jumps.shape[0], ts.size
-        below = np.searchsorted(ts, self.jumps, side="left")  # NaN padding lands at n_ts
+        below = np.searchsorted(ts.ravel(), self.jumps, side="left")  # NaN and later jumps land at n_ts
         below += (n_ts + 1) * np.arange(n_rows)[:, None]
         hist = np.bincount(below.ravel(), minlength=n_rows * (n_ts + 1)).reshape(n_rows, n_ts + 1)
-        return np.cumsum(hist[:, :n_ts], axis=1)
+        return np.cumsum(hist[:, :n_ts], axis=1).reshape((n_rows,) + ts.shape)
+
+    def theta(self, ts) -> np.ndarray:
+        """(replicas,) + ts.shape: the angle at ts in [0, 2 pi); ts sorted."""
+        ts = np.asarray(ts, dtype=float)
+        return np.mod(self.theta0 + ts + math.pi * self.counts(ts), TWO_PI)
 
     def cos_integral_prefix(self, ts) -> np.ndarray:
-        """(replicas, len(ts)): F(ts) of every row, exact; ts sorted."""
+        """(replicas,) + ts.shape: F(ts) = integral of cos(theta(s)) ds over [0, ts], exact; ts sorted."""
         ts = np.asarray(ts, dtype=float)
-        return _cos_prefix(self.theta0, self._nodes, self.jump_prefix, self.counts(ts), ts)
+        n_rows = self.jumps.shape[0]
+        counts = self.counts(ts).reshape(n_rows, ts.size)
+        last_jump = np.take_along_axis(self._nodes, counts, axis=1)
+        f = np.take_along_axis(self.jump_prefix, counts, axis=1) + (-1.0) ** counts * (
+            np.sin(self.theta0 + ts.ravel()) - np.sin(self.theta0 + last_jump)
+        )
+        return f.reshape((n_rows,) + ts.shape)
 
 
 def radius(r0: float, eps: float, perturbation: PerturbationField, s, cos_prefix=None):
@@ -284,11 +249,11 @@ def _critical_times(theta0: float, lambda0: float, horizon: float) -> np.ndarray
 
 
 def manifold_exit_times(
-    clocks: JumpClocks, r0: float, eps: float, perturbation: PerturbationField, horizon: float
+    clocks: AngularJumpPath, r0: float, eps: float, perturbation: PerturbationField, horizon: float
 ) -> np.ndarray:
     """First time each row's r reaches 0 on [0, horizon], exactly; inf where it never does.
 
-    Every jump of ``clocks`` must lie in [0, horizon].
+    Jumps past the horizon are ignored.
 
     Between jumps r' = eps (lambda0 + cos theta) changes sign only where
     cos theta = -lambda0, and r' keeps its sign everywhere unless there are
@@ -308,13 +273,14 @@ def manifold_exit_times(
     hit = np.any(radius(r0, eps, perturbation, shared, prefix) <= 0.0, axis=-1)
     if with_jumps:
         at_jumps = radius(r0, eps, perturbation, clocks.jumps, clocks.jump_prefix[:, 1:])
-        hit |= np.any(at_jumps <= 0.0, axis=1)  # NaN padding compares False
+        hit |= np.any((at_jumps <= 0.0) & (clocks.jumps <= horizon), axis=1)  # NaN compares False
     for i in np.flatnonzero(np.broadcast_to(hit, exits.shape)):
-        angular = clocks.row(i)
-        candidates = np.sort(np.concatenate((angular.jumps, shared))) if with_jumps else shared
+        row = AngularJumpPath(clocks.theta0, clocks.jumps[i : i + 1], clocks.jump_prefix[i : i + 1])
+        jumps = row.jumps[0, row.jumps[0] <= horizon]
+        candidates = np.sort(np.concatenate((jumps, shared))) if with_jumps else shared
 
         def r_at(s):
-            return radius(r0, eps, perturbation, s, angular.cos_integral_prefix(s))
+            return radius(r0, eps, perturbation, s, row.cos_integral_prefix(s)[0])
 
         below = np.flatnonzero(r_at(candidates) <= 0.0)
         if not below.size:
@@ -383,7 +349,7 @@ class PerturbedCylinderPath:
         return best
 
     def to_trajectory(self, model: RotationJumpCylinder) -> Trajectory:
-        states = np.column_stack((self.angular.theta(self.times), self.r, self.z))
+        states = np.column_stack((self.angular.theta(self.times)[0], self.r, self.z))
         return Trajectory(
             model=model,
             start=self.start,
@@ -405,13 +371,12 @@ def perturbed_cylinder_path(
         raise ValueError(f"t={t} beyond driver horizon {driver.horizon}")
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0: {eps}")
-    angular = AngularJumpPath(theta0=start.theta, jumps=driver.jump_times)
-    clock = JumpClocks(start.theta, angular.jumps[None, angular.jumps <= t])
-    exit_time = float(manifold_exit_times(clock, start.r, eps, perturbation, t)[0])
+    angular = AngularJumpPath(start.theta, driver.jump_times[None, :])
+    exit_time = float(manifold_exit_times(angular, start.r, eps, perturbation, t)[0])
     if math.isfinite(exit_time):
         raise ManifoldExit(exit_time=exit_time)
     ts = _record_grid(driver, t)
-    prefix = angular.cos_integral_prefix(ts) if perturbation.has_angular else None
+    prefix = angular.cos_integral_prefix(ts)[0] if perturbation.has_angular else None
     r = radius(start.r, eps, perturbation, ts, prefix)
     z = perturbation.vertical_flow(start.z, eps * ts)
 
@@ -429,10 +394,10 @@ def cylinder_trajectory(
     """Path on the dt grid plus all jump times (jump effects never aliased)."""
     model = RotationJumpCylinder()
     if perturbation is None or eps == 0.0:
-        angular = AngularJumpPath(theta0=start.theta, jumps=driver.jump_times)
+        angular = AngularJumpPath(start.theta, driver.jump_times[None, :])
         ts = _record_grid(driver, driver.horizon)
         states = np.column_stack(
-            (angular.theta(ts), np.full(ts.size, start.r), np.full(ts.size, start.z))
+            (angular.theta(ts)[0], np.full(ts.size, start.r), np.full(ts.size, start.z))
         )
         return Trajectory(
             model=model, start=start, times=ts, states=states, columns=("theta", "r", "z")
@@ -762,21 +727,22 @@ def _scan_chunk(starts, ids0, live0, drawers, generators, chunk_hits, n_steps, d
 # Leaf invariance
 
 
-def check_leaf_invariance(trajectory: Trajectory) -> float:
-    """Max leaf defect of a trajectory relative to its start point."""
+def leaf_defects(trajectory: Trajectory) -> np.ndarray:
+    """The leaf defect of a trajectory at each recorded time, relative to its start point."""
     model = trajectory.model
     if isinstance(model, TorusWinding):
         d = trajectory.states[:, 2:4] - np.array(trajectory.start.lift)
-        defects = np.abs(d @ np.array(model.v_perp))
-        return float(np.max(defects))
+        return np.abs(d @ np.array(model.v_perp))
     dr = trajectory.states[:, 1] - trajectory.start.r
     dz = trajectory.states[:, 2] - trajectory.start.z
-    return float(np.max(np.hypot(dr, dz)))
+    return np.hypot(dr, dz)
 
 
-def max_defect_over_series(series: NPointSeries, starts: list) -> float:
-    """Max leaf defect over all points of an n-point series."""
-    worst = 0.0
-    for i, start in enumerate(starts):
-        worst = max(worst, check_leaf_invariance(series.trajectory(i, start)))
-    return worst
+def check_leaf_invariance(trajectory: Trajectory) -> float:
+    """Max leaf defect of a trajectory relative to its start point."""
+    return float(np.max(leaf_defects(trajectory)))
+
+
+def series_leaf_defects(series: NPointSeries, starts: list) -> np.ndarray:
+    """(n_times, n_points): the leaf defect of every point of an n-point series at each time."""
+    return np.column_stack([leaf_defects(series.trajectory(i, start)) for i, start in enumerate(starts)])

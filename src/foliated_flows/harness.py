@@ -29,10 +29,10 @@ from .drivers import StreamKey
 from .flows import (
     coalescence_times,
     evolve_coalescing_circle,
-    max_defect_over_series,
     n_point_motion,
+    series_leaf_defects,
 )
-from .geometry import CylPoint, TorusPoint, leaf_defect, make_model
+from .geometry import CylPoint, TorusPoint, make_model
 from .kernels import (
     build_cylinder_kernel,
     check_compatibility,
@@ -118,21 +118,19 @@ def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
             series = n_point_motion(
                 model, starts, key, sim.horizon, sim.dt, cfg.perturbation, sim.eps
             )
-        return series, max_defect_over_series(series, starts)
+        return series, series_leaf_defects(series, starts)
 
     rows = map_indexed(one, sim.replicas)
-    defects = np.array([r[1] for r in rows])
+    defects = np.array([np.max(r[1]) for r in rows])
 
     if out is not None:
-        first = rows[0][0]
+        first, first_defects = rows[0]
+        times, class_ids = first.times.tolist(), first.class_ids.tolist()
         csv_rows = []
-        for pid, start in enumerate(starts):
-            tr = first.trajectory(pid, start)
-            for k, tk in enumerate(first.times):
-                d = leaf_defect(first.model, start, tr.point_at(k))
-                csv_rows.append(
-                    (float(tk), pid) + tuple(tr.states[k]) + (int(first.class_ids[k, pid]), d)
-                )
+        for pid in range(len(starts)):
+            states, d = first.states[:, pid].tolist(), first_defects[:, pid].tolist()
+            for k, tk in enumerate(times):
+                csv_rows.append((tk, pid, *states[k], class_ids[k][pid], d[k]))
         _write_trajectory_csv(out / "trajectory.csv", csv_rows, first.columns)
 
     return {

@@ -23,12 +23,19 @@ from foliated_flows.averaging import (
     solve_averaged_ode,
 )
 from foliated_flows.drivers import (
+    _DOMAIN_POISSON,
     StreamKey,
-    first_block_arrivals,
+    _arrival_block,
+    replica_poisson_jumps,
     sample_jump_driver,
     sample_poisson_jumps,
 )
-from foliated_flows.flows import CYLINDER_JUMP_RATE, AngularJumpPath, JumpClocks, perturbed_cylinder_path
+from foliated_flows.flows import (
+    CYLINDER_JUMP_RATE,
+    AngularJumpPath,
+    manifold_exit_times,
+    perturbed_cylinder_path,
+)
 from foliated_flows.geometry import (
     CylPoint,
     PerturbationField,
@@ -308,12 +315,13 @@ def test_decompose_vertical_delta_zero_under_analytic_measure():
 
 def _reference_decomposition(path, K, part):
     # the definitions, one interval at a time: cos integrals from
-    # cos_integral, k3(z) integrals by 20-point Gauss-Legendre (z is smooth)
+    # the cos integral's prefix, k3(z) integrals by 20-point Gauss-Legendre (z is smooth)
     nodes, weights = np.polynomial.legendre.leggauss(20)
     eps, z0 = path.eps, path.start.z
 
     def g1_int(a, b):
-        return K.lambda0 * (b - a) + path.angular.cos_integral(a, b)
+        f_a, f_b = path.angular.cos_integral_prefix([a, b])[0]
+        return K.lambda0 * (b - a) + float(f_b - f_a)
 
     def g2_int(a, b):
         s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
@@ -559,7 +567,8 @@ def _exiting_batch():
     jumps = np.full((n, max(r.size for r in rows)), np.nan)
     for i, r in enumerate(rows):
         jumps[i, : r.size] = r
-    batch = decompose_batch(K, averaged_radial_rate(K, ANALYTIC), part, start, JumpClocks(start.theta, jumps))
+    clocks = AngularJumpPath(start.theta, jumps)
+    batch = decompose_batch(K, averaged_radial_rate(K, ANALYTIC), part, start, clocks)
     res = averaging_error(MODEL, K, eps, t, 2.0, n, key, region=region, start=start)
     return K, region, batch, res
 
@@ -596,15 +605,15 @@ def test_check_pathwise_bounds_ignores_exited_rows_and_names_violating_rows():
 # jump clocks drawn once per run
 
 
-def _assert_rows_are(clocks, theta0, rows):
-    # each row's jumps and F at 0 and the jumps to the bit, NaN after them
+def _assert_rows_are(clocks, theta0, h, rows):
+    # each row's jumps <= h and F at 0 and those jumps to the bit; after them
+    # only jumps past h or NaN padding, as wide as the longest row needs
     assert clocks.jumps.shape == (len(rows), max(r.size for r in rows))
     for i, r in enumerate(rows):
         assert clocks.jumps[i, : r.size].tobytes() == r.tobytes()
-        assert np.isnan(clocks.jumps[i, r.size :]).all()
-        reference = AngularJumpPath(theta0, r)._jump_prefix
+        assert not (clocks.jumps[i, r.size :] <= h).any()
+        reference = AngularJumpPath(theta0, r[None, :]).jump_prefix[0]
         assert clocks.jump_prefix[i, : r.size + 1].tobytes() == reference.tobytes()
-        assert np.isnan(clocks.jump_prefix[i, r.size + 1 :]).all()
 
 
 @pytest.mark.parametrize("rate", [CYLINDER_JUMP_RATE, 0.7])
@@ -612,7 +621,7 @@ def test_replica_clocks_rows_are_each_replicas_poisson_jumps(rate):
     key, n, theta0 = StreamKey(SEED), 2000, 0.3
     horizons = [5.0, 10.0, 20.0, 40.0, 80.0]
     for h, clocks in zip(horizons, _replica_clocks(key, n, theta0, horizons, True, rate)):
-        _assert_rows_are(clocks, theta0, [sample_poisson_jumps(key.replica(i), rate, h) for i in range(n)])
+        _assert_rows_are(clocks, theta0, h, [sample_poisson_jumps(key.replica(i), rate, h) for i in range(n)])
 
 
 @pytest.mark.parametrize(
@@ -626,15 +635,38 @@ def test_replica_clocks_rows_are_each_replicas_poisson_jumps(rate):
 )
 def test_replica_clocks_redraw_a_row_that_runs_past_its_first_block(rate, horizons, h):
     # replica 0 of seed 101770 (found by a search over seeds) draws 17 unit
-    # gaps that sum to 3.84, so poisson_arrivals at h adds a second block to
-    # its first, and the run's one block cut at h is not its clock
+    # gaps that sum to 3.84, so poisson_arrivals at h draws a second block
+    # after its first; the run's clock at h still holds that replica's jumps
     key, theta0 = StreamKey(101770), 0.3
-    assert first_block_arrivals(key, 1, rate, h)[0, -1] <= h
+    block = key.generator(_DOMAIN_POISSON).exponential(1.0 / rate, size=_arrival_block(rate, h))
+    assert np.cumsum(block)[-1] <= h
     rows = [sample_poisson_jumps(key.replica(i), rate, h) for i in range(3)]
-    run_row = first_block_arrivals(key, 1, rate, max(horizons))[0]
-    assert run_row[run_row <= h].tobytes() != rows[0].tobytes()
+    assert rows[0].size > block.size
     clocks = dict(zip(horizons, _replica_clocks(key, 3, theta0, horizons, True, rate)))
-    _assert_rows_are(clocks[h], theta0, rows)
+    _assert_rows_are(clocks[h], theta0, h, rows)
+
+
+def test_a_clock_with_jumps_past_the_horizon_reads_as_the_clock_cut_there():
+    # the exiting setup: rows drawn at four times the horizon, as a run with a
+    # smaller eps slices them, against the same rows cut at t/eps
+    K = PerturbationField(lambda0=-0.4, k3="sine", angular="cosine")
+    eps, t, n = 0.9, 0.5, 60
+    start = CylPoint(1.0, 0.25, 0.5)
+    part = make_partition(eps, t)
+    long = AngularJumpPath(
+        start.theta, replica_poisson_jumps(StreamKey(SEED), n, CYLINDER_JUMP_RATE, 4.0 * part.horizon)
+    )
+    cut = AngularJumpPath(start.theta, np.where(long.jumps <= part.horizon, long.jumps, np.nan))
+    assert (long.jumps > part.horizon).any()
+    q1 = averaged_radial_rate(K, ANALYTIC)
+    a, b = (decompose_batch(K, q1, part, start, clock) for clock in (long, cut))
+    assert 0 < np.count_nonzero(~a.stayed) < n
+    assert (a.terms.tobytes(), a.r_end.tobytes(), a.z_end) == (b.terms.tobytes(), b.r_end.tobytes(), b.z_end)
+    assert a.exit_times.tobytes() == b.exit_times.tobytes()
+    for horizon in (0.3 * part.horizon, part.horizon):
+        cut = AngularJumpPath(start.theta, np.where(long.jumps <= horizon, long.jumps, np.nan))
+        exits = [manifold_exit_times(clock, start.r, eps, K, horizon) for clock in (long, cut)]
+        assert exits[0].tobytes() == exits[1].tobytes()
 
 
 def _assert_results_equal(a, b):

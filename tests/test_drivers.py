@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foliated_flows.drivers import (
     _DOMAIN_BROWNIAN,
@@ -11,8 +11,9 @@ from foliated_flows.drivers import (
     DriverPath,
     KeyedGenerators,
     StreamKey,
-    first_block_arrivals,
+    _arrival_block,
     philox_keys,
+    replica_poisson_jumps,
     sample_brownian,
     sample_jump_driver,
     sample_poisson_jumps,
@@ -299,7 +300,7 @@ def test_id_outside_64_bits_is_rejected(field):
 
 @pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / 0.7, 1.0 / 3.0, 2.5, 1e-3])
 def test_exponential_is_scale_times_standard_exponential(scale):
-    # first_block_arrivals fills standard exponentials in place and scales them once
+    # replica_poisson_jumps fills standard exponentials in place and scales them once
     drawn = StreamKey(SEED, 3).generator(_DOMAIN_POISSON).exponential(scale, size=5000)
     filled = np.empty(5000)
     StreamKey(SEED, 3).generator(_DOMAIN_POISSON).standard_exponential(out=filled)
@@ -307,13 +308,64 @@ def test_exponential_is_scale_times_standard_exponential(scale):
     assert drawn.tobytes() == filled.tobytes()
 
 
+def _assert_rows_are_each_replicas_jumps(rows, key, rate, horizon):
+    expected = [sample_poisson_jumps(key.replica(i), rate, horizon) for i in range(rows.shape[0])]
+    assert rows.shape[1] == max(r.size for r in expected)
+    for row, jumps in zip(rows, expected):
+        assert row[: jumps.size].tobytes() == jumps.tobytes()
+        assert np.isnan(row[jumps.size :]).all()
+
+
 @pytest.mark.parametrize("rate, horizon", [(1.0, 80.0), (0.7, 12.0), (3.0, 0.2)])
 def test_first_block_arrivals_rows_start_each_replicas_poisson_jumps(rate, horizon):
+    # the batch draw fills each row's first block at once; its rows are
+    # each replica's own draw, NaN-padded to the longest
     key = StreamKey(SEED, role="independent")
-    sums = first_block_arrivals(key, 300, rate, horizon)
-    assert sums.shape == (300, max(8, int(2 * rate * horizon) + 8))
-    for i, row in enumerate(sums):
-        jumps = sample_poisson_jumps(key.replica(i), rate, horizon)
-        assert row[-1] > horizon  # no row of these runs past its first block
-        assert row[: jumps.size].tobytes() == jumps.tobytes()
-        assert jumps.size == np.count_nonzero(row <= horizon)
+    _assert_rows_are_each_replicas_jumps(replica_poisson_jumps(key, 300, rate, horizon), key, rate, horizon)
+
+
+# replica 0 of seed 101770 (found by a search over seeds) draws 17 unit gaps
+# that sum to 3.84, so at these horizons its arrivals run past the first
+# block poisson_arrivals draws
+_LONG_ROWS = [(1.0, 3.9), (2.0, 1.95), (1.0, 4.9), (2.0, 2.0)]
+
+
+@pytest.mark.parametrize("rate, horizon", _LONG_ROWS)
+def test_replica_poisson_jumps_completes_a_row_past_its_first_block(rate, horizon):
+    key = StreamKey(101770)
+    block = key.generator(_DOMAIN_POISSON).exponential(1.0 / rate, size=_arrival_block(rate, horizon))
+    assert np.cumsum(block)[-1] <= horizon
+    rows = replica_poisson_jumps(key, 3, rate, horizon)
+    assert np.count_nonzero(rows[0] <= horizon) > block.size
+    _assert_rows_are_each_replicas_jumps(rows, key, rate, horizon)
+
+
+def test_replica_poisson_jumps_of_no_time_or_no_replicas_are_empty():
+    assert replica_poisson_jumps(StreamKey(SEED), 4, 1.0, 0.0).shape == (4, 0)
+    assert replica_poisson_jumps(StreamKey(SEED), 0, 1.0, 5.0).shape == (0, 0)
+    with pytest.raises(ValueError):
+        replica_poisson_jumps(StreamKey(SEED), 4, 0.0, 5.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**63),
+    replica=st.integers(0, 2**40),
+    rate=st.sampled_from([0.3, 1.0, 2.0, 7.5]),
+    h=st.floats(0.0, 30.0),
+    longer=st.floats(0.0, 200.0),
+)
+@example(seed=101770, replica=0, rate=1.0, h=3.9, longer=16.1)
+@example(seed=101770, replica=0, rate=2.0, h=1.95, longer=8.05)
+@example(seed=101770, replica=0, rate=1.0, h=3.9, longer=0.0)
+def test_jumps_at_a_horizon_are_the_part_below_it_of_any_longer_draw(seed, replica, rate, h, longer):
+    # a stream is one running sum of its gaps, whatever block poisson_arrivals
+    # draws at each horizon
+    key = StreamKey(seed, replica)
+    at_h = sample_poisson_jumps(key, rate, h)
+    at_long = sample_poisson_jumps(key, rate, h + longer)
+    assert at_h.tobytes() == at_long[at_long <= h].tobytes()
+    gaps = key.generator(_DOMAIN_POISSON).exponential(1.0 / rate, size=at_long.size + 1)
+    sums = np.cumsum(gaps)
+    assert at_long.tobytes() == sums[:-1].tobytes()
+    assert sums[-1] > h + longer

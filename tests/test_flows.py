@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from foliated_flows.drivers import DriverPath, StreamKey, sample_brownian, sample_jump_driver
 from foliated_flows.flows import (
     AngularJumpPath,
-    JumpClocks,
     ManifoldExit,
     check_leaf_invariance,
     cylinder_trajectory,
@@ -36,11 +35,11 @@ SEED = 20250811
 
 
 def _padded_clocks(theta0, rows):
-    """Rows of jump times as one JumpClocks, NaN-padded to the longest."""
+    """Rows of jump times as one AngularJumpPath, NaN-padded to the longest."""
     jumps = np.full((len(rows), max(r.size for r in rows)), np.nan)
     for i, r in enumerate(rows):
         jumps[i, : r.size] = r
-    return JumpClocks(theta0, jumps)
+    return AngularJumpPath(theta0, jumps)
 
 
 def _manual_driver(increments, dt, jumps=()):
@@ -154,7 +153,7 @@ def test_angular_jump_path_prefix_matches_direct_quadrature():
     # independent oracle: dense trapezoid quadrature within each inter-jump
     # segment (theta is smooth there), segments summed
     jumps = np.array([0.4, 1.1, 2.3])
-    path = AngularJumpPath(theta0=0.7, jumps=jumps)
+    path = AngularJumpPath(theta0=0.7, jumps=jumps[None, :])
     a, b = 0.2, 3.0
     breakpoints = np.concatenate(([a], jumps[(jumps > a) & (jumps < b)], [b]))
     total = 0.0
@@ -162,7 +161,8 @@ def test_angular_jump_path_prefix_matches_direct_quadrature():
         ss = np.linspace(lo, hi, 200_001)
         count = np.searchsorted(jumps, 0.5 * (lo + hi), side="right")
         total += np.trapezoid(np.cos(0.7 + ss + math.pi * count), ss)
-    assert path.cos_integral(a, b) == pytest.approx(total, abs=1e-9)
+    f_a, f_b = path.cos_integral_prefix([a, b])[0]
+    assert f_b - f_a == pytest.approx(total, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def _perturbed_end(start, driver, t, eps, K):
     path = perturbed_cylinder_path(start, driver, t, eps, K)
     k = path.index_of(t)
     assert k == path.times.size - 1
-    return CylPoint.from_angle(float(path.angular.theta(t)), float(path.r[k]), float(path.z[k]))
+    return CylPoint.from_angle(float(path.angular.theta(t)[0]), float(path.r[k]), float(path.z[k]))
 
 
 def test_perturbed_eps_zero_reduces_to_unperturbed():
@@ -239,14 +239,14 @@ def _dip_within_one_step():
 
 def test_perturbed_exit_found_inside_one_dt_step():
     K, eps, start, driver = _dip_within_one_step()
-    angular = AngularJumpPath(start.theta, driver.jump_times)
+    angular = AngularJumpPath(start.theta, driver.jump_times[None, :])
     grid = driver.times
-    assert np.all(radius(start.r, eps, K, grid, angular.cos_integral_prefix(grid)) > 0.0)
+    assert np.all(radius(start.r, eps, K, grid, angular.cos_integral_prefix(grid)[0]) > 0.0)
     with pytest.raises(ManifoldExit) as info:
         perturbed_cylinder_path(start, driver, 4.0, eps, K)
     exit_time = info.value.exit_time
     assert 2.09 < exit_time < 2.0 * math.pi / 3.0 < 2.10
-    assert abs(radius(start.r, eps, K, exit_time, angular.cos_integral_prefix(exit_time))) <= 1e-15
+    assert abs(radius(start.r, eps, K, exit_time, angular.cos_integral_prefix(exit_time)[0])) <= 1e-15
     with pytest.raises(ManifoldExit) as info:
         cylinder_trajectory(start, driver, K, eps)
     assert info.value.exit_time == exit_time
@@ -262,33 +262,46 @@ def test_manifold_exit_times_match_a_dense_grid():
     fine = np.linspace(0.0, horizon, 16001)
     n_exits = 0
     for jumps, exit_time in zip(rows, exits):
-        angular = AngularJumpPath(theta0, jumps)
+        angular = AngularJumpPath(theta0, jumps[None, :])
         ts = np.union1d(fine, jumps)
-        r = radius(r0, eps, K, ts, angular.cos_integral_prefix(ts))
+        r = radius(r0, eps, K, ts, angular.cos_integral_prefix(ts)[0])
         if np.any(r <= 0.0):
             n_exits += 1
             first = ts[np.argmax(r <= 0.0)]
             assert first - 1e-4 <= exit_time <= first
-            assert abs(radius(r0, eps, K, exit_time, angular.cos_integral_prefix(exit_time))) <= 1e-15
+            assert abs(radius(r0, eps, K, exit_time, angular.cos_integral_prefix(exit_time)[0])) <= 1e-15
         else:
             assert exit_time == np.inf
-        single = manifold_exit_times(JumpClocks(theta0, jumps[None, :]), r0, eps, K, horizon)
+        single = manifold_exit_times(angular, r0, eps, K, horizon)
         assert single[0] == exit_time
     assert 10 <= n_exits <= 110
 
 
 def test_jump_clocks_rows_equal_their_angular_paths():
-    rows = [sample_jump_driver(StreamKey(SEED, i), 30.0, 1.0).jump_times for i in range(40)]
+    # counts against a per-row searchsorted oracle, jumps past the last time
+    # included; each row's F is that of the one-row path, and F at the jumps
+    # is the jump prefix
+    rows = [sample_jump_driver(StreamKey(SEED, i), 40.0, 1.0).jump_times for i in range(40)]
     rows += [np.empty(0), np.array([0.25, 0.5])]
     ts = np.concatenate(([0.0, 0.25], np.linspace(0.1, 30.0, 57), [30.0, 30.0]))
     ts.sort()
     clocks = _padded_clocks(0.3, rows)
-    prefix = clocks.cos_integral_prefix(ts)
+    counts, prefix = clocks.counts(ts), clocks.cos_integral_prefix(ts)
+    assert counts.shape == prefix.shape == (len(rows), ts.size)
+    assert any(jumps[-1] > ts[-1] for jumps in rows[:40])
     for i, jumps in enumerate(rows):
-        angular = AngularJumpPath(0.3, jumps)
-        np.testing.assert_array_equal(clocks.counts(ts)[i], angular.counts(ts))
-        np.testing.assert_array_equal(prefix[i], angular.cos_integral_prefix(ts))
-        np.testing.assert_array_equal(clocks.jump_prefix[i, 1 : jumps.size + 1], angular.cos_integral_prefix(jumps))
+        np.testing.assert_array_equal(counts[i], np.searchsorted(jumps, ts, side="right"))
+        angular = AngularJumpPath(0.3, jumps[None, :])
+        assert prefix[i].tobytes() == angular.cos_integral_prefix(ts)[0].tobytes()
+        at_jumps = angular.cos_integral_prefix(jumps)[0]
+        np.testing.assert_array_equal(clocks.jump_prefix[i, 1 : jumps.size + 1], at_jumps)
+    assert clocks.counts(7.5).shape == clocks.cos_integral_prefix(7.5).shape == (len(rows),)
+    np.testing.assert_array_equal(clocks.counts(7.5), [np.searchsorted(j, 7.5, side="right") for j in rows])
+
+
+def test_angular_jump_path_takes_rows_of_jumps():
+    with pytest.raises(ValueError):
+        AngularJumpPath(0.0, np.array([0.5, 1.0]))
 
 
 def test_perturbation_continuity_pathwise_bound():

@@ -242,6 +242,18 @@ def test_simulate_torus_writes_trajectory_and_defect(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def test_trajectory_csv_leaf_defect_peaks_at_the_reported_defect():
+    # one per-time defect array feeds the report and the CSV; a per-row
+    # scalar formula differs from the report's in the last bits here
+    cfg = load_config(CONFIGS / "simulate-torus.yaml")
+    cfg = dataclasses.replace(cfg, output_dir="out", simulate=dataclasses.replace(cfg.simulate, replicas=5))
+    report = run(cfg)
+    rows = Path("out/trajectory.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "leaf_defect"
+    column = [float(row.split(",")[-1]) for row in rows[1:]]
+    assert max(column) == report.results["per_replica_defects"][0] > 0.0
+
+
 def test_simulate_perturbed_cylinder_repeated_start_shares_class(tmp_path):
     start = {"theta": 0.3, "r": 1.0, "z": 0.5}
     cfg = parse_config(
@@ -732,7 +744,8 @@ _ARTIFACT_SHA256 = {
     "simulate-torus": {
         "leaf_defects.csv": "72549829ff6077cf6214a990e1a13d1ae19a8724271691b7991ff5adf98102f3",
         "report.json": "94d7f3b0e2bf9f26256db66facf01598e1c9cbc14998502b201f14ef267270fc",
-        "trajectory.csv": "f2f9aaa9d31543ff6c7449793b63aebd06951ce77af1a692f1ec5f77915c970d",
+        # its leaf_defect column holds the report's per-time defects
+        "trajectory.csv": "3e17ce79327b6aec2863223591db4a4df43f9a8d817b0ec5fd1100447751e03a",
     },
     "kernel-check": {
         "kernel_defects.csv": "38a02da1ab8a7ff4acdad3d167f5f5edbdc5c4cefe7632cd194587e18e1b0a7d",
