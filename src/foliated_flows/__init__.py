@@ -67,6 +67,7 @@ from .kernels import (
     independent_product_kernel,
     kernel_distance,
     product_kernel_flow,
+    semigroup_gaps,
 )
 
 __version__ = "0.1.0"

@@ -78,15 +78,11 @@ def main(argv: list[str] | None = None) -> int:
             "replicas": report.replicas,
             "wall_clock_seconds": round(report.wall_clock_seconds, 3),
         }
-        for key in (
-            "max_leaf_defect", "max_defect", "slope", "cross_leaf_coalescences",
-            "pathwise_bound_violations",
-        ):
-            if key in report.results:
-                summary[key] = report.results[key]
-        for key in ("streams_opened", "normals_drawn"):
-            if key in report.diagnostics:
-                summary[key] = report.diagnostics[key]
+        found = {**report.results, **report.diagnostics}
+        for key in ("max_leaf_defect", "max_defect", "slope", "cross_leaf_coalescences",
+                    "pathwise_bound_violations", "streams_opened", "normals_drawn", "semigroup_pairs"):
+            if key in found:
+                summary[key] = found[key]
         if "per_eps" in report.results:
             summary["n_exited"] = sum(row["n_exited"] for row in report.results["per_eps"])
         print(json.dumps(summary, sort_keys=True))

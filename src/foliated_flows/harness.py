@@ -39,9 +39,9 @@ from .kernels import (
     check_diagonal_preserving,
     check_foliated,
     defect_record,
-    kernel_distance,
     LeafGrid,
     product_kernel_flow,
+    semigroup_gaps,
     write_kernel_json,
 )
 from .parallel import map_indexed
@@ -66,9 +66,11 @@ class RunReport:
     schema: str = REPORT_SCHEMA
     # what the run did, e.g. the streams and normals a coalesce run drew
     diagnostics: dict = field(default_factory=dict)
+    # compute_s (= wall_clock_seconds) and artifacts_s, the writing after it but report.json
+    timings: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
-        """Everything except timing and diagnostics; this is the determinism contract."""
+        """Everything except timings and diagnostics; this is the determinism contract."""
         return {
             "schema": self.schema,
             "experiment": self.experiment,
@@ -80,6 +82,7 @@ class RunReport:
     def to_json(self) -> str:
         body = self.payload()
         body["wall_clock_seconds"] = self.wall_clock_seconds
+        body["timings"] = self.timings
         body["diagnostics"] = self.diagnostics
         # compact, so json's C encoder writes it (an indent needs its Python one)
         return json.dumps(body, sort_keys=True)
@@ -92,11 +95,21 @@ def _simulate_starts(cfg: ExperimentConfig):
     return [CylPoint.from_angle(**{**START_COORDS, **s}) for s in cfg.simulate.starts or ({},)]
 
 
-def _write_trajectory_csv(path: Path, traj_rows: list[tuple], columns: tuple[str, ...]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list, all_floats: bool = False) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(("time", "point_id") + columns + ("class_id", "leaf_defect")) + "\n")
-        for row in traj_rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        if all_floats:
+            # "%.17g" % x is _fmt(x); one format string per block of rows
+            line = ",".join(["%.17g"] * len(header)) + "\n"
+            for k in range(0, len(rows), _CSV_BLOCK):
+                block = rows[k : k + _CSV_BLOCK]
+                fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
+        else:
+            for row in rows:
+                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    if not rows:
+        warnings.warn(f"empty report series: {path.name} has headers only")
+    return path
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
@@ -131,7 +144,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
             states, d = first.states[:, pid].tolist(), first_defects[:, pid].tolist()
             for k, tk in enumerate(times):
                 csv_rows.append((tk, pid, *states[k], class_ids[k][pid], d[k]))
-        _write_trajectory_csv(out / "trajectory.csv", csv_rows, first.columns)
+        header = ["time", "point_id", *first.columns, "class_id", "leaf_defect"]
+        _write_csv(out / "trajectory.csv", header, csv_rows)
 
     return {
         "max_leaf_defect": float(np.max(defects)),
@@ -142,14 +156,12 @@ def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
     }
 
 
-def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> tuple[dict, dict]:
     kc = cfg.kernel_check
     grid = LeafGrid(m=kc.m, leaves=kc.leaves)
     records = []
-    kernels = {}
-    direct = {}  # one direct kernel per distinct total
-    for t in kc.times:
-        kernels[t] = k1 = build_cylinder_kernel(grid, t)
+    kernels = [build_cylinder_kernel(grid, t) for t in kc.times]
+    for t, k1 in zip(kc.times, kernels):
         records.append(defect_record("row-sums", t, float(np.max(np.abs(k1.weights.sum(axis=1) - 1.0)))))
         records.append(defect_record("foliated-off-leaf-mass", t, check_foliated(k1)))
         k2 = product_kernel_flow(k1)
@@ -157,22 +169,20 @@ def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> dict:
         records.append(defect_record("diagonal-preserving", t, check_diagonal_preserving(k2, k1)))
         if out is not None:
             write_kernel_json(k1, out / f"kernel_t{t:.6f}.json")
-    for i, s in enumerate(kc.times):
-        for t in kc.times[i:]:
-            total = s + t
-            if total not in direct:
-                direct[total] = build_cylinder_kernel(grid, total)
-            gap = kernel_distance(kernels[s].compose(kernels[t]), direct[total])
-            records.append(defect_record("semigroup-composition", total, gap))
+    totals, gaps = semigroup_gaps(kernels)
+    records += [defect_record("semigroup-composition", s, g) for s, g in zip(totals, gaps.tolist())]
     if out is not None:
         with open(out / "kernel_defects.json", "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=1)
+    n = grid.n_states  # law-gap rows: n^2 compatibility and n diagonal per time, n per pair
+    diagnostics = {"kernels_built": 2 * len(kernels) + len(set(totals)), "semigroup_pairs": len(totals),
+                   "gap_rows": len(kernels) * (n * n + n) + len(totals) * n}
     return {
         "m": kc.m,
         "leaves": [list(l) for l in kc.leaves],
         "records": records,
         "max_defect": max(r["defect"] for r in records),
-    }
+    }, diagnostics
 
 
 def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
@@ -293,7 +303,7 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
     if kind == "simulate":
         results = _run_simulate(cfg, out)
     elif kind == "kernel-check":
-        results = _run_kernel_check(cfg, out)
+        results, diagnostics = _run_kernel_check(cfg, out)
     elif kind in ("average", "rates"):
         results = _run_averaging(cfg, fit=kind == "rates")
     elif kind == "coalesce":
@@ -309,13 +319,16 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
         replicas=cfg.replicas,
         wall_clock_seconds=elapsed,
         diagnostics=diagnostics,
+        timings={"compute_s": elapsed, "artifacts_s": 0.0},
     )
     if out is not None:
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
         if kind == "rates":
             write_rate_report(report, out / "rate_report.json")
         emit_plotdata(report, out)
+        # report.json goes last, so its artifacts_s covers every other artifact
+        report.timings["artifacts_s"] = time.perf_counter() - t0 - elapsed
+        with open(out / "report.json", "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
     return report
 
 
@@ -346,39 +359,13 @@ def emit_plotdata(report: RunReport, target) -> list[Path]:
     res = report.results
 
     def write_csv(name: str, header: list[str], rows: list, all_floats: bool = False) -> None:
-        path = target / name
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            if all_floats:
-                # "%.17g" % x is _fmt(x); one format string per block of rows
-                line = ",".join(["%.17g"] * len(header)) + "\n"
-                for k in range(0, len(rows), _CSV_BLOCK):
-                    block = rows[k : k + _CSV_BLOCK]
-                    fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
-            else:
-                for row in rows:
-                    fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        written.append(path)
-        if not rows:
-            warnings.warn(f"empty report series: {name} has headers only")
+        written.append(_write_csv(target / name, header, rows, all_floats))
 
     if report.experiment in ("average", "rates"):
-        order = np.argsort(res.get("eps_grid", []))
-        rows = [
-            (float(res["eps_grid"][i]), float(res["errors"][i]))
-            for i in order
-        ]
-        write_csv("rates_error.csv", ["eps", "error"], rows)
-        rows_g = [
-            (
-                float(res["eps_grid"][i]),
-                float(res["errors"][i]),
-                float(res["std_errors"][i]),
-                float(res["G_values"][i]),
-            )
-            for i in order
-        ]
-        write_csv("rates_bounds.csv", ["eps", "error", "std_error", "G"], rows_g)
+        columns = [res[key] for key in ("eps_grid", "errors", "std_errors", "G_values")]
+        rows = [tuple(float(col[i]) for col in columns) for i in np.argsort(res["eps_grid"])]
+        write_csv("rates_error.csv", ["eps", "error"], [row[:2] for row in rows])
+        write_csv("rates_bounds.csv", ["eps", "error", "std_error", "G"], rows)
         header = ["eps", "replica", "component", "a1", "a2", "a3", "a4", "delta"]
         write_csv("decomposition.csv", header, res.get("decompositions", []), all_floats=True)
     elif report.experiment == "coalesce":

@@ -10,7 +10,8 @@ functions, computed on these arrays, not a sampled estimate.
 Checks cover: compatibility of a 2-point kernel with its 1-point marginal,
 diagonal preservation, the foliated (off-leaf mass zero) property with its
 function-pair degeneracy variant, the semigroup composition law, and the
-absorb-on-diagonal coalescing construction.
+absorb-on-diagonal coalescing construction.  The semigroup law is checked
+over all time pairs at once, in bounded batches of pairs per array pass.
 
 Feller continuity of the underlying semigroups is a topological limit
 statement with no finite-grid analog; it is out of scope for these numeric
@@ -30,6 +31,8 @@ from .geometry import TWO_PI
 
 ROW_SUM_TOL = 1e-12
 _ALIGN_TOL = 1e-9
+# semigroup pairs composed per array pass: bounds the batch temporaries
+_PAIRS_PER_PASS = 16
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,26 @@ def _flat(grid, t: float, targets: np.ndarray, weights: np.ndarray) -> "Transiti
     return TransitionKernel(grid=grid, t=t, targets=targets.reshape(n, -1), weights=weights.reshape(n, -1))
 
 
+def _check_rows(targets: np.ndarray, weights: np.ndarray, n: int) -> None:
+    """Every row (along the last axis) is a probability law on states [0, n)."""
+    if targets.dtype.kind not in "iu" or (targets.size and not 0 <= targets.min() <= targets.max() < n):
+        raise ValueError(f"targets must be integer state indices in [0, {n})")
+    if np.any(weights < 0.0):
+        raise ValueError("kernel entries must be nonnegative")
+    worst = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
+    if not worst <= ROW_SUM_TOL:
+        raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; worst defect {worst}")
+
+
+def _compose_rows(targets_a, weights_a, targets_b, weights_b) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked kernels A[p] then B[p], (P, n, ka) and (P, n, kb) -> (P, n, ka*kb): row x
+    sends weight W_A[p,x,i]*W_B[p,T_A[p,x,i],j] to T_B[p,T_A[p,x,i],j]."""
+    p = np.arange(len(targets_a))[:, np.newaxis, np.newaxis]
+    shape = targets_a.shape[:2] + (-1,)
+    weights = weights_a[..., np.newaxis] * weights_b[p, targets_a]
+    return targets_b[p, targets_a].reshape(shape), weights.reshape(shape)
+
+
 def _dense(targets: np.ndarray, weights: np.ndarray, n_cols: int) -> np.ndarray:
     """Dense (rows, n_cols) array with weights[x, j] added at (x, targets[x, j])."""
     out = np.zeros((targets.shape[0], n_cols))
@@ -117,13 +140,7 @@ class TransitionKernel:
         n, targets = self.grid.n_states, self.targets
         if targets.ndim != 2 or targets.shape[0] != n or self.weights.shape != targets.shape:
             raise ValueError(f"targets {targets.shape} and weights {self.weights.shape} must be ({n}, width)")
-        if targets.dtype.kind not in "iu" or (targets.size and not 0 <= targets.min() <= targets.max() < n):
-            raise ValueError(f"targets must be integer state indices in [0, {n})")
-        if np.any(self.weights < 0.0):
-            raise ValueError("kernel entries must be nonnegative")
-        worst = float(np.max(np.abs(self.weights.sum(axis=1) - 1.0)))
-        if not worst <= ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; worst defect {worst}")
+        _check_rows(targets, self.weights, n)
         if self.t < 0.0:
             raise ValueError(f"t must be >= 0: {self.t}")
 
@@ -145,8 +162,8 @@ class TransitionKernel:
         """self then other: row x sends weight W_A[x,i]*W_B[T_A[x,i],j] to T_B[T_A[x,i],j]."""
         if self.grid != other.grid:
             raise ValueError("cannot compose kernels on different grids")
-        weights = self.weights[:, :, np.newaxis] * other.weights[self.targets]
-        return _flat(self.grid, self.t + other.t, other.targets[self.targets], weights)
+        one = (self.targets, self.weights, other.targets, other.weights)
+        return _flat(self.grid, self.t + other.t, *_compose_rows(*(x[np.newaxis] for x in one)))
 
 
 def build_cylinder_kernel(grid: LeafGrid, t: float) -> TransitionKernel:
@@ -200,15 +217,15 @@ def independent_product_kernel(k1: TransitionKernel) -> TransitionKernel:
     return _flat(PairGrid(base=k1.grid), k1.t, targets, w * k1.weights[:, np.newaxis, :])
 
 
-def _law_gap(targets_a, weights_a, targets_b, weights_b) -> float:
-    """Max over rows x, states y of |law_a(x){y} - law_b(x){y}|, summing the signed
-    weights of the columns that share a target one column at a time (no sort)."""
-    targets = np.hstack((targets_a, targets_b))
-    weights = np.hstack((weights_a, -weights_b))
-    worst = 0.0
-    for j in range(targets.shape[1]):
-        mass = np.where(targets == targets[:, j : j + 1], weights, 0.0).sum(axis=1)
-        worst = max(worst, float(np.max(np.abs(mass))))
+def _law_gap(targets_a, weights_a, targets_b, weights_b) -> np.ndarray:
+    """Max over rows x, states y of |law_a(x){y} - law_b(x){y}| of each stacked (..., rows, width)
+    kernel, summing the signed weights of the columns that share a target one at a time (no sort)."""
+    targets = np.concatenate((targets_a, targets_b), axis=-1)
+    weights = np.concatenate((weights_a, -weights_b), axis=-1)
+    worst = np.zeros(targets.shape[:-2])
+    for j in range(targets.shape[-1]):
+        mass = np.where(targets == targets[..., j : j + 1], weights, 0.0).sum(axis=-1)
+        np.maximum(worst, np.abs(mass, out=mass).max(axis=-1), out=worst)
     return worst
 
 
@@ -216,7 +233,30 @@ def kernel_distance(a: TransitionKernel, b: TransitionKernel) -> float:
     """Max-norm distance max_{x,y} |a(x, y) - b(x, y)| of two kernels on one grid."""
     if a.grid != b.grid:
         raise ValueError("kernels live on different grids")
-    return _law_gap(a.targets, a.weights, b.targets, b.weights)
+    return float(_law_gap(a.targets, a.weights, b.targets, b.weights))
+
+
+def semigroup_gaps(kernels: list[TransitionKernel]) -> tuple[list[float], np.ndarray]:
+    """Totals s + t and gaps kernel_distance(P_s.compose(P_t), P_{s+t}), bit for bit, of every
+    pair i <= j of cylinder kernels on one grid, in the order (0,0), (0,1), ..., (1,1), ....
+    P_{s+t} is built once per distinct float total; each array pass composes
+    _PAIRS_PER_PASS pairs and checks their rows as the TransitionKernel constructor does."""
+    grid = kernels[0].grid
+    if any(k.grid != grid for k in kernels):
+        raise ValueError("cannot compose kernels on different grids")
+    first, second = np.triu_indices(len(kernels))
+    totals = [kernels[i].t + kernels[j].t for i, j in zip(first.tolist(), second.tolist())]
+    direct = {s: build_cylinder_kernel(grid, s) for s in dict.fromkeys(totals)}
+    targets, weights = np.stack([k.targets for k in kernels]), np.stack([k.weights for k in kernels])
+    gaps = np.empty(len(totals))
+    for lo in range(0, len(totals), _PAIRS_PER_PASS):
+        i, j = first[lo : lo + _PAIRS_PER_PASS], second[lo : lo + _PAIRS_PER_PASS]
+        composed = _compose_rows(targets[i], weights[i], targets[j], weights[j])
+        _check_rows(*composed, grid.n_states)
+        batch = [direct[s] for s in totals[lo : lo + _PAIRS_PER_PASS]]
+        gaps[lo : lo + len(batch)] = _law_gap(
+            *composed, np.stack([k.targets for k in batch]), np.stack([k.weights for k in batch]))
+    return totals, gaps
 
 
 def _require_pair_over(k2: TransitionKernel, k1: TransitionKernel) -> int:
@@ -235,7 +275,8 @@ def check_compatibility(k2: TransitionKernel, k1: TransitionKernel) -> float:
     (x1, x2) of k2, projected to its first coordinate, against row x1 of k1.
     """
     n = _require_pair_over(k2, k1)  # pair row x1*n + x2 meets k1's row x1, repeated n times
-    return _law_gap(k2.targets // n, k2.weights, k1.targets.repeat(n, axis=0), k1.weights.repeat(n, axis=0))
+    k1_rows = (k1.targets.repeat(n, axis=0), k1.weights.repeat(n, axis=0))
+    return float(_law_gap(k2.targets // n, k2.weights, *k1_rows))
 
 
 def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> float:
@@ -247,7 +288,7 @@ def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> flo
     n = _require_pair_over(k2, k1)
     diag = k2.grid.diagonal_indices()
     y1, y2 = np.divmod(k2.targets[diag], n)
-    return _law_gap(y1, np.where(y1 == y2, k2.weights[diag], 0.0), k1.targets, k1.weights)
+    return float(_law_gap(y1, np.where(y1 == y2, k2.weights[diag], 0.0), k1.targets, k1.weights))
 
 
 def check_foliated(k: TransitionKernel) -> float:

@@ -333,6 +333,73 @@ def test_kernel_check_artifacts(tmp_path):
     assert {"row-sums", "compatibility", "diagonal-preserving", "foliated-off-leaf-mass"} <= checks
 
 
+def test_kernel_check_diagnostics_stay_outside_the_payload(tmp_path, capsys):
+    # 3 times with t1 + t3 == t2 + t2 (on the float grid too): 6 pairs, 5 totals
+    times = [math.pi / 2.0, math.pi, 1.5 * math.pi]
+    data = {"experiment": "kernel-check", "output_dir": str(tmp_path / "out"),
+            "kernel_check": {"m": 4, "leaves": [[1.0, 0.0], [2.0, 0.0]], "times": times}}
+    assert len({s + t for i, s in enumerate(times) for t in times[i:]}) == 5
+    report = run(parse_config(data), write_artifacts=False)
+    n = 8  # states: 4 sites on 2 leaves
+    assert report.diagnostics == {
+        "kernels_built": 2 * 3 + 5,  # 1-point and pair kernel per time, one direct per total
+        "semigroup_pairs": 6,
+        "gap_rows": 3 * (n * n + n) + 6 * n,
+    }
+    assert set(report.payload()) == {"schema", "experiment", "config", "replicas", "results"}
+    assert not any(key in json.dumps(report.payload()) for key in report.diagnostics)
+    assert cli_main(["kernel-check", "--config", _write_cfg(tmp_path, data)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary["semigroup_pairs"] == 6
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert written["diagnostics"] == report.diagnostics
+
+
+@pytest.mark.parametrize("kind", ["kernel-check", "rates", "coalesce"])
+def test_timings_count_compute_and_artifacts_outside_the_payload(tmp_path, kind):
+    data = {"experiment": kind, "output_dir": str(tmp_path / "out"), **_SMALL_RUNS[kind]}
+    report = run(parse_config(data))
+    assert set(report.timings) == {"compute_s", "artifacts_s"}
+    assert report.timings["compute_s"] == report.wall_clock_seconds >= 0.0
+    assert report.timings["artifacts_s"] >= 0.0
+    assert "timings" not in report.payload()
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert written["timings"] == report.timings
+    assert written["wall_clock_seconds"] == report.wall_clock_seconds
+    assert run(parse_config(data), write_artifacts=False).timings["artifacts_s"] == 0.0
+
+
+def test_kernel_dense_payload_and_artifacts_are_pinned():
+    # the benchmark's kernel-dense shape: m = 32 on 2 leaves, times 2*pi*k/32
+    # for k = 1..32, so 528 semigroup pairs over 99 distinct float totals
+    # (t1 + t3 == t2 + t2, but t1 + t12 and t2 + t11 differ in the last bit);
+    # every sha256 was computed before the semigroup law was checked in
+    # batched passes
+    m = 32
+    data = {"experiment": "kernel-check", "seed": 1, "output_dir": "out",
+            "kernel_check": {"m": m, "leaves": [[1.0, 0.0], [2.0, 0.0]],
+                             "times": [2.0 * math.pi * k / m for k in range(1, m + 1)]}}
+    report = run(parse_config(data))
+    body = json.dumps(report.payload(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == (
+        "5e88b054ae66630665f80c8f2ecc5e21082f8b87f8e058950019e7f10d6af8a9"
+    )
+    written = _artifact_sha256(Path("out"))
+    kernel_files = "\n".join(f"{name} {sha}" for name, sha in written.items() if name.startswith("kernel_t"))
+    assert len(written) == 35
+    assert hashlib.sha256(kernel_files.encode()).hexdigest() == (
+        "b092522f89c3071296caa60e9681ef94e1c2d5862eb075397b5317204a0a72a8"
+    )
+    assert {name: sha for name, sha in written.items() if not name.startswith("kernel_t")} == {
+        "kernel_defects.csv": "853dc75742a2d7ef61748596846742cdc5cfc2395d334421a290173c2f787355",
+        "kernel_defects.json": "087dc67704182668dcc791af128fa33db1efd03d439b073488cfe2056c7efb54",
+        "report.json": "e36b1cb83b6363326ad04c8cc145b272e55e4dd0a7e656daba132c4330807203",
+    }
+    assert report.diagnostics == {
+        "kernels_built": 32 + 32 + 99, "semigroup_pairs": 528, "gap_rows": 32 * (64**2 + 64) + 528 * 64,
+    }
+
+
 def test_rates_csv_sorted_ascending(tmp_path):
     cfg = parse_config(_rates_config(out=str(tmp_path)))
     run(cfg)
@@ -716,6 +783,27 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
 # artifact it writes there, computed before report.json became compact JSON:
 # of each file's bytes, and for report.json of
 # json.dumps(json.loads(text) less wall_clock_seconds, sort_keys=True).
+# report.json has since gained fields that these pins predate: the wall-time
+# `timings` and the kernel-check counters in `diagnostics`, pinned by
+# test_kernel_check_diagnostics_stay_outside_the_payload; _artifact_sha256
+# drops them too.
+_KERNEL_COUNTERS = ("kernels_built", "semigroup_pairs", "gap_rows")
+
+
+def _artifact_sha256(out: Path) -> dict:
+    written = {}
+    for path in sorted(out.iterdir()):
+        body = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(body)
+            del report["wall_clock_seconds"], report["timings"]
+            for key in _KERNEL_COUNTERS:
+                report["diagnostics"].pop(key, None)
+            body = json.dumps(report, sort_keys=True).encode()
+        written[path.name] = hashlib.sha256(body).hexdigest()
+    return written
+
+
 _ARTIFACT_SIZES = {
     "rates-cosine": ("averaging", 200),
     "average-commuting": ("averaging", 40),
@@ -764,15 +852,7 @@ def test_sample_config_artifacts_are_pinned(name):
     if section is not None:
         cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), replicas=replicas)})
     run(cfg)
-    written = {}
-    for path in sorted(Path("out").iterdir()):
-        body = path.read_bytes()
-        if path.name == "report.json":
-            report = json.loads(body)
-            del report["wall_clock_seconds"]
-            body = json.dumps(report, sort_keys=True).encode()
-        written[path.name] = hashlib.sha256(body).hexdigest()
-    assert written == _ARTIFACT_SHA256[name]
+    assert _artifact_sha256(Path("out")) == _ARTIFACT_SHA256[name]
 
 
 def test_percent_17g_is_fmt_for_every_float():

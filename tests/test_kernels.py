@@ -17,9 +17,12 @@ from foliated_flows.kernels import (
     cyclic_walk_kernel,
     function_pair_degeneracy_gap,
     independent_product_kernel,
+    kernel_distance,
     kernel_to_json,
     product_kernel_flow,
+    semigroup_gaps,
 )
+from foliated_flows import kernels as kernels_module
 
 TOL = 1e-12
 TWO_LEAVES = ((1.0, 0.0), (2.0, 0.0))
@@ -191,6 +194,78 @@ def test_semigroup_composition_exact():
     left = build_cylinder_kernel(grid, s).compose(build_cylinder_kernel(grid, t))
     right = build_cylinder_kernel(grid, s + t)
     assert float(np.max(np.abs(left.matrix - right.matrix))) <= TOL
+
+
+def _per_pair_gaps(kernels) -> list[float]:
+    # the one-pair-at-a-time check that semigroup_gaps batches
+    grid = kernels[0].grid
+    return [
+        kernel_distance(a.compose(b), build_cylinder_kernel(grid, a.t + b.t))
+        for i, a in enumerate(kernels) for b in kernels[i:]
+    ]
+
+
+_Q = math.pi / 4.0  # one site of m = 8
+_SIXTH = math.pi / 3.0  # one site of m = 6
+
+
+@pytest.mark.parametrize(
+    "m, leaves, times",
+    [
+        (8, TWO_LEAVES, [3 * _Q, _Q, 8 * _Q, 2 * _Q, 0.0, 5 * _Q]),  # unsorted, t = 0, 21 pairs
+        (8, TWO_LEAVES, [2 * _Q, _Q, 2 * _Q, 2 * _Q, 0.0, 0.0]),  # repeated times
+        (6, ((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)), [_SIXTH, 2 * _SIXTH, 3 * _SIXTH, 0.0]),  # 3 leaves
+        (8, ((1.0, 0.0),), [k * _Q for k in range(11)]),  # 66 pairs: four passes and a part
+    ],
+)
+def test_semigroup_gaps_equal_the_per_pair_distance_bit_for_bit(m, leaves, times):
+    grid = LeafGrid(m=m, leaves=leaves)
+    kernels = [build_cylinder_kernel(grid, t) for t in times]
+    totals, gaps = semigroup_gaps(kernels)
+    assert totals == [s + t for i, s in enumerate(times) for t in times[i:]]
+    assert len(gaps) == len(times) * (len(times) + 1) // 2
+    expected = np.array(_per_pair_gaps(kernels))
+    np.testing.assert_array_equal(gaps.view(np.uint64), expected.view(np.uint64))
+    assert float(gaps.max()) <= TOL
+
+
+def test_semigroup_gaps_span_several_passes():
+    # the 11-time case above must not be a whole number of passes
+    assert 66 % kernels_module._PAIRS_PER_PASS != 0 and 66 > 2 * kernels_module._PAIRS_PER_PASS
+
+
+def test_semigroup_gaps_see_one_shifted_target_in_exactly_its_pairs():
+    grid = LeafGrid(m=8, leaves=TWO_LEAVES)
+    times = [3 * _Q, _Q, 8 * _Q, 2 * _Q, 0.0, 5 * _Q]
+    kernels = [build_cylinder_kernel(grid, t) for t in times]
+    bad = kernels[2]
+    targets = bad.targets.copy()
+    targets[13, 0] = grid.index(1, targets[13, 0] + 1)  # state 13 is site 5 of leaf 1
+    kernels[2] = TransitionKernel(grid=grid, t=bad.t, targets=targets, weights=bad.weights)
+    _, gaps = semigroup_gaps(kernels)
+    uses = np.array([2 in (i, j) for i in range(6) for j in range(i, 6)])
+    assert np.all(gaps[uses] >= 0.25)
+    assert np.all(gaps[~uses] <= TOL)
+    np.testing.assert_array_equal(gaps, _per_pair_gaps(kernels))
+
+
+@pytest.mark.parametrize(
+    "row, message", [([1.5, -0.5], "nonnegative"), ([0.6, 0.5], "rows must sum to 1")]
+)
+def test_semigroup_gaps_validate_every_composed_pass(row, message):
+    grid = LeafGrid(m=8, leaves=TWO_LEAVES)
+    kernels = [build_cylinder_kernel(grid, k * _Q) for k in range(7)]  # 28 pairs, two passes
+    kernels[6].weights[3] = row  # a defect that construction would have refused
+    with pytest.raises(ValueError, match=message):
+        semigroup_gaps(kernels)
+    with pytest.raises(ValueError, match=message):
+        kernels[0].compose(kernels[6])
+
+
+def test_semigroup_gaps_need_one_grid():
+    kernels = [build_cylinder_kernel(LeafGrid(m=8, leaves=leaves), _Q) for leaves in (TWO_LEAVES, TWO_LEAVES[:1])]
+    with pytest.raises(ValueError, match="different grids"):
+        semigroup_gaps(kernels)
 
 
 @settings(deadline=None, max_examples=20)
