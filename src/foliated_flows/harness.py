@@ -4,12 +4,15 @@
 payload is reproducible to the bit for a fixed seed (replicas run serially
 and are reduced in index order).  Wall-clock time and the run's diagnostic
 counters live in their own fields, outside the payload, so reports stay
-comparable.
+comparable.  The A1..A4 decomposition rows of an averaging run stay one
+(rows, 8) float64 array: the payload carries the sha256 of its little-endian
+bytes and its shape, and ``emit_plotdata`` saves the rows to
+``decomposition.npy``.
 """
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import json
 import time
 import warnings
@@ -46,9 +49,7 @@ from .kernels import (
 )
 from .parallel import map_indexed
 
-REPORT_SCHEMA = "foliated-flows/run-report-v1"
-# rows of an all-float CSV formatted by one format string
-_CSV_BLOCK = 4096
+REPORT_SCHEMA = "foliated-flows/run-report-v2"
 
 
 def _fmt(x: float) -> str:
@@ -66,17 +67,26 @@ class RunReport:
     schema: str = REPORT_SCHEMA
     # what the run did, e.g. the streams and normals a coalesce run drew
     diagnostics: dict = field(default_factory=dict)
-    # compute_s (= wall_clock_seconds) and artifacts_s, the writing after it but report.json
+    # compute_s (= wall_clock_seconds) and artifacts_s, every artifact written after it but report.json
     timings: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
-        """Everything except timings and diagnostics; this is the determinism contract."""
+        """Everything except timings and diagnostics; this is the determinism contract.
+
+        An averaging run's decomposition rows enter as {sha256, shape} of their
+        little-endian float64 bytes.
+        """
+        results = self.results
+        if "decompositions" in results:
+            rows = np.ascontiguousarray(results["decompositions"], dtype="<f8")
+            digest = {"sha256": hashlib.sha256(rows).hexdigest(), "shape": list(rows.shape)}
+            results = {**results, "decompositions": digest}
         return {
             "schema": self.schema,
             "experiment": self.experiment,
             "config": self.config,
             "replicas": self.replicas,
-            "results": self.results,
+            "results": results,
         }
 
     def to_json(self) -> str:
@@ -95,24 +105,17 @@ def _simulate_starts(cfg: ExperimentConfig):
     return [CylPoint.from_angle(**{**START_COORDS, **s}) for s in cfg.simulate.starts or ({},)]
 
 
-def _write_csv(path: Path, header: list[str], rows: list, all_floats: bool = False) -> Path:
+def _write_csv(path: Path, header: list[str], rows: list) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        if all_floats:
-            # "%.17g" % x is _fmt(x); one format string per block of rows
-            line = ",".join(["%.17g"] * len(header)) + "\n"
-            for k in range(0, len(rows), _CSV_BLOCK):
-                block = rows[k : k + _CSV_BLOCK]
-                fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
-        else:
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     if not rows:
         warnings.warn(f"empty report series: {path.name} has headers only")
     return path
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
+def _run_simulate(cfg: ExperimentConfig):
     model_params = {}
     if cfg.model.name == "torus-winding" and cfg.model.v is not None:
         model_params["v"] = cfg.model.v
@@ -135,9 +138,9 @@ def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
 
     rows = map_indexed(one, sim.replicas)
     defects = np.array([np.max(r[1]) for r in rows])
+    first, first_defects = rows[0]
 
-    if out is not None:
-        first, first_defects = rows[0]
+    def write_trajectory(out: Path) -> None:
         times, class_ids = first.times.tolist(), first.class_ids.tolist()
         csv_rows = []
         for pid in range(len(starts)):
@@ -153,10 +156,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path | None) -> dict:
         "horizon": sim.horizon,
         "dt": sim.dt,
         "eps": sim.eps,
-    }
+    }, {}, write_trajectory
 
 
-def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> tuple[dict, dict]:
+def _run_kernel_check(cfg: ExperimentConfig):
     kc = cfg.kernel_check
     grid = LeafGrid(m=kc.m, leaves=kc.leaves)
     records = []
@@ -167,13 +170,15 @@ def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> tuple[dict, di
         k2 = product_kernel_flow(k1)
         records.append(defect_record("compatibility", t, check_compatibility(k2, k1)))
         records.append(defect_record("diagonal-preserving", t, check_diagonal_preserving(k2, k1)))
-        if out is not None:
-            write_kernel_json(k1, out / f"kernel_t{t:.6f}.json")
     totals, gaps = semigroup_gaps(kernels)
     records += [defect_record("semigroup-composition", s, g) for s, g in zip(totals, gaps.tolist())]
-    if out is not None:
+
+    def write_kernels(out: Path) -> None:
+        for t, k1 in zip(kc.times, kernels):
+            write_kernel_json(k1, out / f"kernel_t{t:.6f}.json")
         with open(out / "kernel_defects.json", "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=1)
+
     n = grid.n_states  # law-gap rows: n^2 compatibility and n diagonal per time, n per pair
     diagnostics = {"kernels_built": 2 * len(kernels) + len(set(totals)), "semigroup_pairs": len(totals),
                    "gap_rows": len(kernels) * (n * n + n) + len(totals) * n}
@@ -182,10 +187,10 @@ def _run_kernel_check(cfg: ExperimentConfig, out: Path | None) -> tuple[dict, di
         "leaves": [list(l) for l in kc.leaves],
         "records": records,
         "max_defect": max(r["defect"] for r in records),
-    }, diagnostics
+    }, diagnostics, write_kernels
 
 
-def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
+def _run_averaging(cfg: ExperimentConfig, fit: bool):
     av = cfg.averaging
     base = StreamKey(cfg.seed)
     start = CylPoint.from_angle(**av.start)
@@ -193,7 +198,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
     rb = default_rate_bound(cfg.perturbation, cfg.region, c1=cfg.bounds.c1, c2=cfg.bounds.c2)
 
     per_eps = []
-    decomp_rows = []
+    blocks = []
     n_violations = 0
     estimates = averaging_errors(
         model, cfg.perturbation, av.eps_grid, av.t, av.p, av.replicas, base, measure=av.measure,
@@ -214,9 +219,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
                 "v_final": [float(x) for x in res.v_final],
             }
         )
-        if res.decomp_rows is not None and res.decomp_rows.size:
-            eps_col = np.full((res.decomp_rows.shape[0], 1), res.eps)
-            decomp_rows.append(np.hstack((eps_col, res.decomp_rows)))
+        blocks.append(np.hstack((np.full((len(res.decomp_rows), 1), res.eps), res.decomp_rows)))
 
     results: dict = {
         "t": av.t,
@@ -228,7 +231,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
         "G_values": [row["bound_G"] for row in per_eps],
         "per_eps": per_eps,
         "pathwise_bound_violations": n_violations,
-        "decompositions": [row for block in decomp_rows for row in block.tolist()],
+        "decompositions": np.vstack(blocks),
     }
     if fit:
         pairs = [(row["eps"], row["error"]) for row in per_eps]
@@ -245,10 +248,10 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool) -> dict:
         leaves = [tuple(v) for v in ode.values[:: max(1, len(ode.values) // 16)]]
         results["averaged_field_lipschitz_measured"] = measured_lipschitz(cfg.perturbation, leaves)
         results["gronwall_C"] = rb.gronwall_c
-    return results
+    return results, {}, None
 
 
-def _run_coalesce(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def _run_coalesce(cfg: ExperimentConfig):
     co = cfg.coalesce
     starts = [CylPoint.from_angle(**s) for s in co.starts]
     batch = coalescence_times(
@@ -282,7 +285,7 @@ def _run_coalesce(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "normals_drawn": batch.normals_drawn,
         "merges": batch.merges,
     }
-    return results, diagnostics
+    return results, diagnostics, None
 
 
 def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool = True) -> RunReport:
@@ -299,15 +302,16 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
 
     t0 = time.perf_counter()
     kind = cfg.experiment
-    diagnostics: dict = {}
+    # each runner returns results, diagnostics and a writer of the artifacts
+    # only its computation holds (kernel dumps, the first trajectory), or None
     if kind == "simulate":
-        results = _run_simulate(cfg, out)
+        results, diagnostics, write_own = _run_simulate(cfg)
     elif kind == "kernel-check":
-        results, diagnostics = _run_kernel_check(cfg, out)
+        results, diagnostics, write_own = _run_kernel_check(cfg)
     elif kind in ("average", "rates"):
-        results = _run_averaging(cfg, fit=kind == "rates")
+        results, diagnostics, write_own = _run_averaging(cfg, fit=kind == "rates")
     elif kind == "coalesce":
-        results, diagnostics = _run_coalesce(cfg)
+        results, diagnostics, write_own = _run_coalesce(cfg)
     else:
         raise ValueError(f"unknown experiment kind {kind!r}")
     elapsed = time.perf_counter() - t0
@@ -322,6 +326,8 @@ def run(cfg: ExperimentConfig, threads: int | None = None, write_artifacts: bool
         timings={"compute_s": elapsed, "artifacts_s": 0.0},
     )
     if out is not None:
+        if write_own is not None:
+            write_own(out)
         if kind == "rates":
             write_rate_report(report, out / "rate_report.json")
         emit_plotdata(report, out)
@@ -352,22 +358,26 @@ def write_rate_report(report: RunReport, path) -> None:
 
 
 def emit_plotdata(report: RunReport, target) -> list[Path]:
-    """Write tidy CSV series for the report into the target directory."""
+    """Write tidy CSV series, and an averaging run's decomposition.npy, into the target directory."""
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     res = report.results
 
-    def write_csv(name: str, header: list[str], rows: list, all_floats: bool = False) -> None:
-        written.append(_write_csv(target / name, header, rows, all_floats))
+    def write_csv(name: str, header: list[str], rows: list) -> None:
+        written.append(_write_csv(target / name, header, rows))
 
     if report.experiment in ("average", "rates"):
         columns = [res[key] for key in ("eps_grid", "errors", "std_errors", "G_values")]
         rows = [tuple(float(col[i]) for col in columns) for i in np.argsort(res["eps_grid"])]
         write_csv("rates_error.csv", ["eps", "error"], [row[:2] for row in rows])
         write_csv("rates_bounds.csv", ["eps", "error", "std_error", "G"], rows)
-        header = ["eps", "replica", "component", "a1", "a2", "a3", "a4", "delta"]
-        write_csv("decomposition.csv", header, res.get("decompositions", []), all_floats=True)
+        # columns (eps, replica, component, a1, a2, a3, a4, delta), one row per (eps, replica, component)
+        rows = res["decompositions"]
+        np.save(target / "decomposition.npy", rows.astype("<f8", copy=False))
+        written.append(target / "decomposition.npy")
+        if not len(rows):
+            warnings.warn("empty report series: decomposition.npy has no rows")
     elif report.experiment == "coalesce":
         rows = list(zip(res["curve_times"], res["fraction_coalesced"]))
         write_csv("coalescence_fraction.csv", ["time", "fraction_coalesced"], rows)

@@ -3,7 +3,8 @@
 perfbench/tracing.py is loaded from its file and only its ``LAYERS`` and
 ``summarize`` are used here: ``install()`` would patch the package for the
 rest of the session, so traced runs go through perfbench/child.py in a
-fresh interpreter.
+fresh interpreter.  perfbench/checks.py is loaded the same way, and its
+oracle checks run on each traced child's report.json.
 """
 
 import importlib
@@ -19,14 +20,19 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+CHECKS = ROOT / "perfbench" / "checks.py"
 CHILD = ROOT / "perfbench" / "child.py"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("perfbench_tracing", TRACING)
 
 
 def _layers():
@@ -74,3 +80,10 @@ def test_traced_child_runs_every_bench_kind(tmp_path, kind):
     summary = _tracing().summarize(spans)
     assert summary["layers"]["harness.run"]["calls"] == 1
     assert json.loads(result.read_text())["payload_sha256"]
+    # the bench's oracle checks read these fields of report.json
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    checks, _figures = _load("perfbench_checks", CHECKS).CHECKS[kind](report["results"], report["config"])
+    assert checks
+    for check in checks:
+        name, ok, detail = check
+        assert isinstance(name, str) and isinstance(ok, bool) and isinstance(detail, str)

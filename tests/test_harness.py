@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from foliated_flows import averaging
+from foliated_flows import averaging, harness
 from foliated_flows.averaging import InvariantMeasureSpec, averaging_error
 from foliated_flows.cli import main as cli_main
 from foliated_flows.config import (
@@ -27,9 +28,26 @@ from foliated_flows.config import (
 from foliated_flows.drivers import StreamKey
 from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder, VerticalRegion
 from foliated_flows.flows import evolve_coalescing_circle
-from foliated_flows.harness import RunReport, _fmt, emit_plotdata, run
+from foliated_flows.harness import REPORT_SCHEMA, RunReport, _fmt, emit_plotdata, run
 
 SEED = 20250811
+V1_SCHEMA = "foliated-flows/run-report-v1"
+
+
+def _v1_payload(report: RunReport) -> dict:
+    """The payload as schema v1 gave it: the decomposition rows as a list in place of their digest.
+
+    Every pin computed before schema v2 still holds through this helper.
+    """
+    payload = report.payload()
+    payload["schema"] = V1_SCHEMA
+    if "decompositions" in report.results:
+        payload["results"]["decompositions"] = report.results["decompositions"].tolist()
+    return payload
+
+
+def _sha256_json(body: dict) -> str:
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _rates_config(seed=SEED, out="out", replicas=20):
@@ -300,7 +318,7 @@ def test_average_kind_reports_decompositions(tmp_path):
     report = run(parse_config(data))
     assert report.results["pathwise_bound_violations"] == 0
     rows = report.results["decompositions"]
-    assert len(rows) == 3 * 20 * 2  # eps x replicas x components
+    assert rows.shape == (3 * 20 * 2, 8)  # eps x replicas x components
     assert "slope" not in report.results
 
 
@@ -369,22 +387,29 @@ def test_timings_count_compute_and_artifacts_outside_the_payload(tmp_path, kind)
     assert run(parse_config(data), write_artifacts=False).timings["artifacts_s"] == 0.0
 
 
+_KERNEL_DENSE_V2 = {
+    "payload": "02064382ec192fe7262f2d2e2908f59b37280e286e4c6e2cf8540d7bb63a04ab",
+    "report.json": "fdc2a826bd98e78b8d6e94a377d49401b7b4fe69c8769e0dc234b0158b6831ce",
+}
+
+
 def test_kernel_dense_payload_and_artifacts_are_pinned():
     # the benchmark's kernel-dense shape: m = 32 on 2 leaves, times 2*pi*k/32
     # for k = 1..32, so 528 semigroup pairs over 99 distinct float totals
     # (t1 + t3 == t2 + t2, but t1 + t12 and t2 + t11 differ in the last bit);
-    # every sha256 was computed before the semigroup law was checked in
+    # every v1 sha256 was computed before the semigroup law was checked in
     # batched passes
     m = 32
     data = {"experiment": "kernel-check", "seed": 1, "output_dir": "out",
             "kernel_check": {"m": m, "leaves": [[1.0, 0.0], [2.0, 0.0]],
                              "times": [2.0 * math.pi * k / m for k in range(1, m + 1)]}}
     report = run(parse_config(data))
-    body = json.dumps(report.payload(), sort_keys=True).encode()
-    assert hashlib.sha256(body).hexdigest() == (
+    assert _sha256_json(_v1_payload(report)) == (
         "5e88b054ae66630665f80c8f2ecc5e21082f8b87f8e058950019e7f10d6af8a9"
     )
-    written = _artifact_sha256(Path("out"))
+    assert _sha256_json(report.payload()) == _KERNEL_DENSE_V2["payload"]
+    assert _artifact_sha256(Path("out"))["report.json"] == _KERNEL_DENSE_V2["report.json"]
+    written = _artifact_sha256(Path("out"), v1=True)
     kernel_files = "\n".join(f"{name} {sha}" for name, sha in written.items() if name.startswith("kernel_t"))
     assert len(written) == 35
     assert hashlib.sha256(kernel_files.encode()).hexdigest() == (
@@ -428,14 +453,20 @@ def test_emit_plotdata_empty_report_warns(tmp_path):
     empty = RunReport(
         experiment="rates",
         config={},
-        results={"eps_grid": [], "errors": [], "std_errors": [], "G_values": [], "decompositions": []},
+        results={"eps_grid": [], "errors": [], "std_errors": [], "G_values": [],
+                 "decompositions": np.empty((0, 8))},
         replicas=0,
         wall_clock_seconds=0.0,
     )
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         files = emit_plotdata(empty, tmp_path)
     assert (tmp_path / "rates_error.csv").read_text().splitlines() == ["eps,error"]
+    assert any("decomposition.npy" in str(w.message) for w in caught)
+    assert np.load(tmp_path / "decomposition.npy").shape == (0, 8)
     assert files
+    assert empty.payload()["results"]["decompositions"] == {
+        "sha256": hashlib.sha256(b"").hexdigest(), "shape": [0, 8],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +514,13 @@ def _without_averaged_ode(payload: dict) -> dict:
     return {**payload, "config": {**payload["config"], "averaging": averaging}, "results": results}
 
 
+# the same payloads under schema v2, less what follows from v(t)
+_AVERAGING_V2 = {
+    "rates-cosine": "8249098182dad8671304f211ad723369e7943458317b48825d84af1e65b71fe1",
+    "average-commuting": "524576b12f83a618cf83f7e5acaedb83391a3f16330f2c3349ced617cf710c89",
+}
+
+
 @pytest.mark.parametrize(
     "name, replicas, sha256",
     [
@@ -491,20 +529,20 @@ def _without_averaged_ode(payload: dict) -> dict:
     ],
 )
 def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
-    # sha256 of the payload, less what follows from v(t), that the per-replica
-    # implementation (a record grid, one decomposition per replica and an RK4
-    # averaged ODE) gave on this config
+    # sha256 of the v1 payload, less what follows from v(t), that the
+    # per-replica implementation (a record grid, one decomposition per replica
+    # and an RK4 averaged ODE) gave on this config
     cfg = load_config(CONFIGS / f"{name}.yaml")
     cfg = dataclasses.replace(cfg, averaging=dataclasses.replace(cfg.averaging, replicas=replicas))
-    payload = _without_averaged_ode(run(cfg, write_artifacts=False).payload())
-    body = json.dumps(payload, sort_keys=True).encode()
-    assert hashlib.sha256(body).hexdigest() == sha256
+    report = run(cfg, write_artifacts=False)
+    assert _sha256_json(_without_averaged_ode(_v1_payload(report))) == sha256
+    assert _sha256_json(_without_averaged_ode(report.payload())) == _AVERAGING_V2[name]
 
 
 def test_empirical_averaging_payload_is_pinned():
-    # sha256 of the whole payload (errors, v_final and the measured Lipschitz
-    # constant included) of an empirical-measure rates run where k3 moves z,
-    # as the code gave before the averaged field became one float
+    # sha256 of the whole v1 payload (errors, v_final and the measured
+    # Lipschitz constant included) of an empirical-measure rates run where k3
+    # moves z, as the code gave before the averaged field became one float
     cfg = load_config(CONFIGS / "rates-cosine.yaml")
     cfg = dataclasses.replace(
         cfg, output_dir="",
@@ -514,9 +552,12 @@ def test_empirical_averaging_payload_is_pinned():
             measure=InvariantMeasureSpec(mode="empirical"),
         ),
     )
-    body = json.dumps(run(cfg, write_artifacts=False).payload(), sort_keys=True).encode()
-    assert hashlib.sha256(body).hexdigest() == (
+    report = run(cfg, write_artifacts=False)
+    assert _sha256_json(_v1_payload(report)) == (
         "2569772c84950a85d26123703c6bd2ac8d2dd1a143d846a7abd6ef0edc94283b"
+    )
+    assert _sha256_json(report.payload()) == (
+        "c9857e9162f3ba1ae333d1682eb199302665c2d02d68d63e8a443bd7a135b5ec"
     )
 
 
@@ -733,13 +774,16 @@ def test_seed_bounds_are_accepted():
 
 
 def test_coalesce_payload_equals_per_replica_reference():
-    # sha256 of the payload that one coalescence_times call per replica gave
-    # on the sample config at 2000 replicas
+    # sha256 of the v1 payload that one coalescence_times call per replica
+    # gave on the sample config at 2000 replicas
     cfg = load_config(CONFIGS / "coalesce-circle.yaml")
     cfg = dataclasses.replace(cfg, coalesce=dataclasses.replace(cfg.coalesce, replicas=2000))
-    body = json.dumps(run(cfg, write_artifacts=False).payload(), sort_keys=True).encode()
-    assert hashlib.sha256(body).hexdigest() == (
+    report = run(cfg, write_artifacts=False)
+    assert _sha256_json(_v1_payload(report)) == (
         "d16e3b0aab53ac933be0ccf94cfee7b3f9657d06f2d902994d6920ca5e042020"
+    )
+    assert _sha256_json(report.payload()) == (
+        "e374a86a954d06a3aa56cddd27a283e57b4daa9e64c5f9c0eda5f1667b72dc53"
     )
 
 
@@ -780,27 +824,42 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
 # artifacts
 
 # The replica count each sample config runs at below, and the sha256 of every
-# artifact it writes there, computed before report.json became compact JSON:
-# of each file's bytes, and for report.json of
+# artifact it writes there, computed under schema v1 before report.json became
+# compact JSON: of each file's bytes, and for report.json of
 # json.dumps(json.loads(text) less wall_clock_seconds, sort_keys=True).
 # report.json has since gained fields that these pins predate: the wall-time
 # `timings` and the kernel-check counters in `diagnostics`, pinned by
 # test_kernel_check_diagnostics_stay_outside_the_payload; _artifact_sha256
-# drops them too.
+# drops them too.  Schema v2 writes the decomposition rows to
+# decomposition.npy, and report.json carries their digest; with v1=True,
+# _artifact_sha256 rebuilds the v1 decomposition.csv and report.json from them.
 _KERNEL_COUNTERS = ("kernels_built", "semigroup_pairs", "gap_rows")
+_DECOMPOSITION_HEADER = "eps,replica,component,a1,a2,a3,a4,delta\n"
 
 
-def _artifact_sha256(out: Path) -> dict:
+def _v1_decomposition_csv(rows: np.ndarray) -> bytes:
+    """decomposition.csv as schema v1 wrote it: each value formatted with "%.17g"."""
+    line = ",".join(["%.17g"] * 8) + "\n"
+    return (_DECOMPOSITION_HEADER + "".join(line % tuple(row) for row in rows.tolist())).encode()
+
+
+def _artifact_sha256(out: Path, v1: bool = False) -> dict:
     written = {}
     for path in sorted(out.iterdir()):
-        body = path.read_bytes()
-        if path.name == "report.json":
+        name, body = path.name, path.read_bytes()
+        if name == "report.json":
             report = json.loads(body)
             del report["wall_clock_seconds"], report["timings"]
             for key in _KERNEL_COUNTERS:
                 report["diagnostics"].pop(key, None)
+            if v1:
+                report["schema"] = V1_SCHEMA
+                if "decompositions" in report["results"]:
+                    report["results"]["decompositions"] = np.load(out / "decomposition.npy").tolist()
             body = json.dumps(report, sort_keys=True).encode()
-        written[path.name] = hashlib.sha256(body).hexdigest()
+        elif name == "decomposition.npy" and v1:
+            name, body = "decomposition.csv", _v1_decomposition_csv(np.load(path))
+        written[name] = hashlib.sha256(body).hexdigest()
     return written
 
 
@@ -845,6 +904,23 @@ _ARTIFACT_SHA256 = {
 }
 
 
+# the files that schema v2 writes differently: decomposition.npy in place of
+# decomposition.csv, and report.json with the schema and the rows' digest
+_ARTIFACT_SHA256_V2 = {
+    "rates-cosine": {
+        "decomposition.npy": "052b48e27af2ad9ac4cd972e6294252eaf66ab3cfb7a8426b7cb1f1751395f37",
+        "report.json": "a06a089da5c003ad55993adde14e51cc40ebb4dd4ec874e153187042dc23d4f9",
+    },
+    "average-commuting": {
+        "decomposition.npy": "4ed43a22ae8eefdf9494647ab469cd68a7f45c2d214dc73bc8cfaabeba152748",
+        "report.json": "e623876d6e34ed8ee87c90b54dbde8fec217b0c5de70eb4b184eb0ce4f49c15b",
+    },
+    "coalesce-circle": {"report.json": "e6fe31252f9674094b235a4d574782d376c35785906dadb70a6d2d0e50ce04c4"},
+    "simulate-torus": {"report.json": "fc393db8479cf477a774081b25ade9e42c8b57ffcac03e3b7318b7fc58bebc85"},
+    "kernel-check": {"report.json": "93ff2449e17ce69bd10c9d7c900674473cf5eb713a644500b9343b064843c549"},
+}
+
+
 @pytest.mark.parametrize("name", sorted(_ARTIFACT_SHA256))
 def test_sample_config_artifacts_are_pinned(name):
     cfg = dataclasses.replace(load_config(CONFIGS / f"{name}.yaml"), output_dir="out")
@@ -852,11 +928,14 @@ def test_sample_config_artifacts_are_pinned(name):
     if section is not None:
         cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), replicas=replicas)})
     run(cfg)
-    assert _artifact_sha256(Path("out")) == _ARTIFACT_SHA256[name]
+    assert _artifact_sha256(Path("out"), v1=True) == _ARTIFACT_SHA256[name]
+    unchanged = {k: v for k, v in _ARTIFACT_SHA256[name].items() if k not in ("decomposition.csv", "report.json")}
+    assert _artifact_sha256(Path("out")) == {**unchanged, **_ARTIFACT_SHA256_V2[name]}
 
 
 def test_percent_17g_is_fmt_for_every_float():
-    # decomposition.csv formats rows with "%.17g"; the other CSVs with _fmt
+    # schema v1 formatted decomposition.csv rows with "%.17g", as
+    # _v1_decomposition_csv does; the CSVs written now use _fmt
     bits = np.random.default_rng(3).bytes(8 * 100_000)
     specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
                 1.7976931348623157e308, 0.1, 1.0 / 3.0, 3.0, -2.5, 1e16, 1e17, 123456789012345678.0]
@@ -864,21 +943,31 @@ def test_percent_17g_is_fmt_for_every_float():
         assert "%.17g" % x == _fmt(x)
 
 
-def test_decomposition_csv_formats_each_value_with_fmt(tmp_path):
-    # more rows than one format block, with nan, infinities, -0 and integers
+def test_decomposition_npy_keeps_every_row_bit(tmp_path):
+    # nan, infinities, -0, subnormals and integers: np.load gives back the
+    # rows byte for byte, and the payload digest is the sha256 of those bytes
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((9000, 8)) * 10.0 ** rng.integers(-300, 300, (9000, 8))
     rows[:3, 3:] = [[math.nan, math.inf, -math.inf, -0.0, 0.0]] * 3
+    rows[3:6, 3:] = [[5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, -math.nan]] * 3
     rows[:, 1] = np.arange(9000) // 2
     report = RunReport(
         experiment="average", config={},
         results={"eps_grid": [0.1], "errors": [0.0], "std_errors": [0.0], "G_values": [1.0],
-                 "decompositions": rows.tolist()},
+                 "decompositions": rows},
         replicas=4500, wall_clock_seconds=0.0,
     )
-    emit_plotdata(report, tmp_path)
+    assert tmp_path / "decomposition.npy" in emit_plotdata(report, tmp_path)
+    saved = np.load(tmp_path / "decomposition.npy")
+    assert saved.dtype.str == "<f8"
+    assert saved.shape == rows.shape
+    assert saved.tobytes() == rows.astype("<f8").tobytes()
+    assert report.payload()["results"]["decompositions"] == {
+        "sha256": hashlib.sha256(saved.tobytes()).hexdigest(), "shape": [9000, 8],
+    }
+    # the v1 CSV rendering of the saved rows is _fmt of every value
     expected = ["eps,replica,component,a1,a2,a3,a4,delta"] + [",".join(_fmt(v) for v in row) for row in rows]
-    assert (tmp_path / "decomposition.csv").read_text() == "\n".join(expected) + "\n"
+    assert _v1_decomposition_csv(saved).decode() == "\n".join(expected) + "\n"
 
 
 def test_report_json_is_compact_and_parses_to_the_report(tmp_path):
@@ -886,8 +975,44 @@ def test_report_json_is_compact_and_parses_to_the_report(tmp_path):
     text = (tmp_path / "report.json").read_text()
     assert "\n" not in text
     body = json.loads(text)
-    assert body["results"] == json.loads(json.dumps(report.results))
+    assert body["schema"] == REPORT_SCHEMA
+    assert body["results"] == json.loads(json.dumps(report.payload()["results"]))
     assert body["wall_clock_seconds"] == report.wall_clock_seconds
+    # the v1 report.json carried the rows themselves
+    body["results"]["decompositions"] = np.load(tmp_path / "decomposition.npy").tolist()
+    assert body["results"] == json.loads(json.dumps(_v1_payload(report)["results"]))
+
+
+@pytest.mark.parametrize("kind", ["rates", "average"])
+def test_payload_digest_matches_report_json_and_decomposition_npy(tmp_path, kind):
+    data = dict(_rates_config(out=str(tmp_path / "a"), replicas=7), experiment=kind)
+    report = run(parse_config(data))
+    digest = report.payload()["results"]["decompositions"]
+    written = json.loads((tmp_path / "a" / "report.json").read_text())["results"]["decompositions"]
+    saved = np.load(tmp_path / "a" / "decomposition.npy")
+    assert digest == written == {
+        "sha256": hashlib.sha256(saved.astype("<f8").tobytes()).hexdigest(), "shape": [7 * 3 * 2, 8],
+    }
+    assert saved.dtype.str == "<f8"
+    json.dumps(report.payload())
+    again = run(parse_config(dict(data, output_dir=str(tmp_path / "b")))).payload()
+    again["config"]["output_dir"] = data["output_dir"]
+    assert json.dumps(again, sort_keys=True) == json.dumps(report.payload(), sort_keys=True)
+
+
+def test_artifacts_written_from_the_computation_count_in_artifacts_s(tmp_path, monkeypatch):
+    # kernel dumps and kernel_defects.json are written after compute_s is taken
+    original = harness.write_kernel_json
+
+    def slow(kernel, path):
+        time.sleep(0.2)
+        original(kernel, path)
+
+    monkeypatch.setattr(harness, "write_kernel_json", slow)
+    data = {"experiment": "kernel-check", "output_dir": str(tmp_path), **_SMALL_RUNS["kernel-check"]}
+    report = run(parse_config(data))
+    assert report.timings["compute_s"] < 0.2 <= report.timings["artifacts_s"]
+    assert (tmp_path / "kernel_defects.json").exists()
 
 
 def test_empirical_rates_run_takes_the_averaged_field_once(monkeypatch):
