@@ -177,7 +177,7 @@ def _run_kernel_check(cfg: ExperimentConfig):
         for t, k1 in zip(kc.times, kernels):
             write_kernel_json(k1, out / f"kernel_t{t:.6f}.json")
         with open(out / "kernel_defects.json", "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=1)
+            fh.write(json.dumps(records, indent=1))
 
     n = grid.n_states  # law-gap rows: n^2 compatibility and n diagonal per time, n per pair
     diagnostics = {"kernels_built": 2 * len(kernels) + len(set(totals)), "semigroup_pairs": len(totals),

@@ -2,16 +2,17 @@
 
 A ``LeafGrid`` is a finite discretization of the circle foliation: m equally
 spaced angular sites on each of a list of (r, z)-labeled leaves.  Kernels are
-row-sparse (targets, weights) arrays: a rotation-jump kernel stores two pairs
-per row, so its 2-point kernel never forms an n^2 x n^2 matrix.  Every check
-below is an exact max-norm over the complete basis of grid indicator
-functions, computed on these arrays, not a sampled estimate.
+row-sparse (targets, weights) arrays, dumps included: a rotation-jump kernel
+stores two pairs per row, so its 2-point kernel never forms an n^2 x n^2
+matrix.  Every check below is an exact max-norm over the complete basis of
+grid indicator functions, computed column by column on these arrays in passes
+of at most _ROWS_PER_PASS rows, not a sampled estimate.
 
 Checks cover: compatibility of a 2-point kernel with its 1-point marginal,
 diagonal preservation, the foliated (off-leaf mass zero) property with its
 function-pair degeneracy variant, the semigroup composition law, and the
 absorb-on-diagonal coalescing construction.  The semigroup law is checked
-over all time pairs at once, in bounded batches of pairs per array pass.
+over all time pairs at once, as many pairs per array pass as fit in its rows.
 
 Feller continuity of the underlying semigroups is a topological limit
 statement with no finite-grid analog; it is out of scope for these numeric
@@ -31,8 +32,8 @@ from .geometry import TWO_PI
 
 ROW_SUM_TOL = 1e-12
 _ALIGN_TOL = 1e-9
-# semigroup pairs composed per array pass: bounds the batch temporaries
-_PAIRS_PER_PASS = 16
+# kernel rows compared per array pass: bounds the temporaries of every check
+_ROWS_PER_PASS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def _check_rows(targets: np.ndarray, weights: np.ndarray, n: int) -> None:
         raise ValueError(f"targets must be integer state indices in [0, {n})")
     if np.any(weights < 0.0):
         raise ValueError("kernel entries must be nonnegative")
-    worst = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
+    worst = float(np.max(np.abs(_row_sum([(w, None) for w in weights.T], weights.T.shape[1:]) - 1.0)))
     if not worst <= ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; worst defect {worst}")
 
@@ -111,13 +112,6 @@ def _compose_rows(targets_a, weights_a, targets_b, weights_b) -> tuple[np.ndarra
     shape = targets_a.shape[:2] + (-1,)
     weights = weights_a[..., np.newaxis] * weights_b[p, targets_a]
     return targets_b[p, targets_a].reshape(shape), weights.reshape(shape)
-
-
-def _dense(targets: np.ndarray, weights: np.ndarray, n_cols: int) -> np.ndarray:
-    """Dense (rows, n_cols) array with weights[x, j] added at (x, targets[x, j])."""
-    out = np.zeros((targets.shape[0], n_cols))
-    np.add.at(out, (np.arange(targets.shape[0])[:, np.newaxis], targets), weights)
-    return out
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,9 @@ class TransitionKernel:
 
     @property
     def matrix(self) -> np.ndarray:
-        return _dense(self.targets, self.weights, self.grid.n_states)
+        out = np.zeros((self.grid.n_states,) * 2)
+        np.add.at(out, (np.arange(len(out))[:, np.newaxis], self.targets), self.weights)
+        return out
 
     def compose(self, other: "TransitionKernel") -> "TransitionKernel":
         """self then other: row x sends weight W_A[x,i]*W_B[T_A[x,i],j] to T_B[T_A[x,i],j]."""
@@ -217,16 +213,39 @@ def independent_product_kernel(k1: TransitionKernel) -> TransitionKernel:
     return _flat(PairGrid(base=k1.grid), k1.t, targets, w * k1.weights[:, np.newaxis, :])
 
 
+def _row_sum(terms: list, shape: tuple) -> np.ndarray:
+    """Sum over terms (w, mask) of where(mask, w, 0.0) (w for mask None), an array of the given shape,
+    in numpy's order over len(terms) up to the sign of a zero: one by one below 8 terms, else 8 running
+    sums joined pairwise and then the rest; past 128 terms two halves, the first a multiple of 8 long."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half], shape) + _row_sum(terms[half:], shape)
+
+    def add(total, w, mask=None):
+        return np.add(total, w, out=total, where=True if mask is None else mask)
+
+    lanes, head = (8, n - n % 8) if n >= 8 else (1, n)
+    acc = [np.zeros(shape) for _ in range(lanes)]
+    for i in range(head):
+        add(acc[i % lanes], *terms[i])
+    while len(acc) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        acc = [add(a, b) for a, b in zip(acc[::2], acc[1::2])]
+    for t in terms[head:]:
+        add(acc[0], *t)
+    return acc[0]
+
+
 def _law_gap(targets_a, weights_a, targets_b, weights_b) -> np.ndarray:
     """Max over rows x, states y of |law_a(x){y} - law_b(x){y}| of each stacked (..., rows, width)
-    kernel, summing the signed weights of the columns that share a target one at a time (no sort)."""
-    targets = np.concatenate((targets_a, targets_b), axis=-1)
-    weights = np.concatenate((weights_a, -weights_b), axis=-1)
-    worst = np.zeros(targets.shape[:-2])
-    for j in range(targets.shape[-1]):
-        mass = np.where(targets == targets[..., j : j + 1], weights, 0.0).sum(axis=-1)
-        np.maximum(worst, np.abs(mass, out=mass).max(axis=-1), out=worst)
-    return worst
+    kernel, b broadcast to a's leading shape: column j's mass sum_i where(t_i == t_j, w_i, 0) over
+    the columns of a, then b negated, adds in the order of numpy's sum over a row of them."""
+    targets = [t[..., i] for t in (targets_a, targets_b) for i in range(t.shape[-1])]
+    weights = [w[..., i] for w in (weights_a, -weights_b) for i in range(w.shape[-1])]
+    same = {(i, j): targets[i] == targets[j] for j in range(len(targets)) for i in range(j)}
+    masses = (_row_sum([(w, None if i == j else same[min(i, j), max(i, j)]) for i, w in enumerate(weights)],
+                       targets_a.shape[:-1]) for j in range(len(weights)))
+    return np.max([np.abs(mass, out=mass).max(axis=-1) for mass in masses], axis=0)
 
 
 def kernel_distance(a: TransitionKernel, b: TransitionKernel) -> float:
@@ -239,8 +258,8 @@ def kernel_distance(a: TransitionKernel, b: TransitionKernel) -> float:
 def semigroup_gaps(kernels: list[TransitionKernel]) -> tuple[list[float], np.ndarray]:
     """Totals s + t and gaps kernel_distance(P_s.compose(P_t), P_{s+t}), bit for bit, of every
     pair i <= j of cylinder kernels on one grid, in the order (0,0), (0,1), ..., (1,1), ....
-    P_{s+t} is built once per distinct float total; each array pass composes
-    _PAIRS_PER_PASS pairs and checks their rows as the TransitionKernel constructor does."""
+    P_{s+t} is built once per distinct float total; each array pass composes the pairs that
+    fit in _ROWS_PER_PASS rows and checks their rows as the TransitionKernel constructor does."""
     grid = kernels[0].grid
     if any(k.grid != grid for k in kernels):
         raise ValueError("cannot compose kernels on different grids")
@@ -248,12 +267,12 @@ def semigroup_gaps(kernels: list[TransitionKernel]) -> tuple[list[float], np.nda
     totals = [kernels[i].t + kernels[j].t for i, j in zip(first.tolist(), second.tolist())]
     direct = {s: build_cylinder_kernel(grid, s) for s in dict.fromkeys(totals)}
     targets, weights = np.stack([k.targets for k in kernels]), np.stack([k.weights for k in kernels])
-    gaps = np.empty(len(totals))
-    for lo in range(0, len(totals), _PAIRS_PER_PASS):
-        i, j = first[lo : lo + _PAIRS_PER_PASS], second[lo : lo + _PAIRS_PER_PASS]
+    gaps, step = np.empty(len(totals)), max(1, _ROWS_PER_PASS // grid.n_states)
+    for lo in range(0, len(totals), step):
+        i, j = first[lo : lo + step], second[lo : lo + step]
         composed = _compose_rows(targets[i], weights[i], targets[j], weights[j])
         _check_rows(*composed, grid.n_states)
-        batch = [direct[s] for s in totals[lo : lo + _PAIRS_PER_PASS]]
+        batch = [direct[s] for s in totals[lo : lo + step]]
         gaps[lo : lo + len(batch)] = _law_gap(
             *composed, np.stack([k.targets for k in batch]), np.stack([k.weights for k in batch]))
     return totals, gaps
@@ -274,9 +293,11 @@ def check_compatibility(k2: TransitionKernel, k1: TransitionKernel) -> float:
     is the exact max-norm marginal defect (Def-style compatibility): row
     (x1, x2) of k2, projected to its first coordinate, against row x1 of k1.
     """
-    n = _require_pair_over(k2, k1)  # pair row x1*n + x2 meets k1's row x1, repeated n times
-    k1_rows = (k1.targets.repeat(n, axis=0), k1.weights.repeat(n, axis=0))
-    return float(_law_gap(k2.targets // n, k2.weights, *k1_rows))
+    n = _require_pair_over(k2, k1)  # k1's row x1 meets pair rows (x1, x2) for every x2
+    rows = [x.reshape(n, -1, x.shape[1]) for x in (k2.targets, k2.weights, k1.targets, k1.weights)]
+    step = max(1, _ROWS_PER_PASS // n)  # k1 rows per pass
+    blocks = ([x[lo : lo + step] for x in rows] for lo in range(0, n, step))
+    return float(max(_law_gap(t2 // n, w2, t1, w1).max() for t2, w2, t1, w1 in blocks))
 
 
 def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> float:
@@ -285,7 +306,7 @@ def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> flo
     For indicator f = 1_z this compares the (x,x) -> (z,z) mass with the
     1-point transition x -> z.
     """
-    n = _require_pair_over(k2, k1)
+    n = _require_pair_over(k2, k1)  # n diagonal rows against k1's n rows: no blocks needed
     diag = k2.grid.diagonal_indices()
     y1, y2 = np.divmod(k2.targets[diag], n)
     return float(_law_gap(y1, np.where(y1 == y2, k2.weights[diag], 0.0), k1.targets, k1.weights))
@@ -368,14 +389,13 @@ def cyclic_walk_kernel(m: int, p_left: float, leaf=(1.0, 0.0), t: float = 1.0) -
 
 def kernel_to_json(k: TransitionKernel) -> dict:
     base = k.grid if isinstance(k.grid, LeafGrid) else k.grid.base
-    kind = "leaf" if base is k.grid else "pair"
-    grid = {"kind": kind, "m": base.m, "leaves": [list(l) for l in base.leaves]}
-    return {"grid": grid, "t": k.t, "matrix": k.matrix.tolist()}
+    grid = {"kind": "leaf" if base is k.grid else "pair", "m": base.m, "leaves": [list(l) for l in base.leaves]}
+    return {"grid": grid, "t": k.t, "targets": k.targets.tolist(), "weights": k.weights.tolist()}
 
 
 def write_kernel_json(k: TransitionKernel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(kernel_to_json(k)))
+        fh.write(json.dumps(kernel_to_json(k), separators=(",", ":")))
 
 
 def defect_record(check: str, t: float, defect: float) -> dict:

@@ -415,6 +415,12 @@ def test_kernel_dense_payload_and_artifacts_are_pinned():
     assert hashlib.sha256(kernel_files.encode()).hexdigest() == (
         "b092522f89c3071296caa60e9681ef94e1c2d5862eb075397b5317204a0a72a8"
     )
+    # the row-sparse dumps as written
+    sparse = _artifact_sha256(Path("out"))
+    sparse_files = "\n".join(f"{name} {sha}" for name, sha in sparse.items() if name.startswith("kernel_t"))
+    assert hashlib.sha256(sparse_files.encode()).hexdigest() == (
+        "89451e35bfaabef75c9b6d00fd410e5cfd8a129811289aece8cddeabfc9a9b44"
+    )
     assert {name: sha for name, sha in written.items() if not name.startswith("kernel_t")} == {
         "kernel_defects.csv": "853dc75742a2d7ef61748596846742cdc5cfc2395d334421a290173c2f787355",
         "kernel_defects.json": "087dc67704182668dcc791af128fa33db1efd03d439b073488cfe2056c7efb54",
@@ -833,6 +839,8 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
 # drops them too.  Schema v2 writes the decomposition rows to
 # decomposition.npy, and report.json carries their digest; with v1=True,
 # _artifact_sha256 rebuilds the v1 decomposition.csv and report.json from them.
+# The kernel dumps kernel_t<t>.json are row-sparse (targets, weights) now; with
+# v1=True, _artifact_sha256 rebuilds the dense dump from each.
 _KERNEL_COUNTERS = ("kernels_built", "semigroup_pairs", "gap_rows")
 _DECOMPOSITION_HEADER = "eps,replica,component,a1,a2,a3,a4,delta\n"
 
@@ -841,6 +849,14 @@ def _v1_decomposition_csv(rows: np.ndarray) -> bytes:
     """decomposition.csv as schema v1 wrote it: each value formatted with "%.17g"."""
     line = ",".join(["%.17g"] * 8) + "\n"
     return (_DECOMPOSITION_HEADER + "".join(line % tuple(row) for row in rows.tolist())).encode()
+
+
+def _v1_kernel_json(dump: dict) -> bytes:
+    """kernel_t<t>.json as the dense dump wrote it: the matrix rebuilt from the row-sparse rows."""
+    targets, weights = np.array(dump["targets"]), np.array(dump["weights"])
+    matrix = np.zeros((len(targets), len(targets)))
+    np.add.at(matrix, (np.arange(len(targets))[:, np.newaxis], targets), weights)
+    return json.dumps({"grid": dump["grid"], "t": dump["t"], "matrix": matrix.tolist()}).encode()
 
 
 def _artifact_sha256(out: Path, v1: bool = False) -> dict:
@@ -859,6 +875,8 @@ def _artifact_sha256(out: Path, v1: bool = False) -> dict:
             body = json.dumps(report, sort_keys=True).encode()
         elif name == "decomposition.npy" and v1:
             name, body = "decomposition.csv", _v1_decomposition_csv(np.load(path))
+        elif name.startswith("kernel_t") and v1:
+            body = _v1_kernel_json(json.loads(body))
         written[name] = hashlib.sha256(body).hexdigest()
     return written
 
@@ -905,7 +923,8 @@ _ARTIFACT_SHA256 = {
 
 
 # the files that schema v2 writes differently: decomposition.npy in place of
-# decomposition.csv, and report.json with the schema and the rows' digest
+# decomposition.csv, and report.json with the schema and the rows' digest; and
+# the row-sparse kernel dumps
 _ARTIFACT_SHA256_V2 = {
     "rates-cosine": {
         "decomposition.npy": "052b48e27af2ad9ac4cd972e6294252eaf66ab3cfb7a8426b7cb1f1751395f37",
@@ -917,7 +936,11 @@ _ARTIFACT_SHA256_V2 = {
     },
     "coalesce-circle": {"report.json": "e6fe31252f9674094b235a4d574782d376c35785906dadb70a6d2d0e50ce04c4"},
     "simulate-torus": {"report.json": "fc393db8479cf477a774081b25ade9e42c8b57ffcac03e3b7318b7fc58bebc85"},
-    "kernel-check": {"report.json": "93ff2449e17ce69bd10c9d7c900674473cf5eb713a644500b9343b064843c549"},
+    "kernel-check": {
+        "kernel_t0.785398.json": "5c53987de6ccf6cec20938824056a82a656aebb69196ed22e647253f3a67420e",
+        "kernel_t1.570796.json": "3c2b68bc306245f4060aa85740c35704f492f42a389feb556859713abf7eb388",
+        "report.json": "93ff2449e17ce69bd10c9d7c900674473cf5eb713a644500b9343b064843c549",
+    },
 }
 
 
@@ -929,7 +952,8 @@ def test_sample_config_artifacts_are_pinned(name):
         cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), replicas=replicas)})
     run(cfg)
     assert _artifact_sha256(Path("out"), v1=True) == _ARTIFACT_SHA256[name]
-    unchanged = {k: v for k, v in _ARTIFACT_SHA256[name].items() if k not in ("decomposition.csv", "report.json")}
+    unchanged = {k: v for k, v in _ARTIFACT_SHA256[name].items()
+                 if k not in ("decomposition.csv", "report.json") and not k.startswith("kernel_t")}
     assert _artifact_sha256(Path("out")) == {**unchanged, **_ARTIFACT_SHA256_V2[name]}
 
 

@@ -209,15 +209,17 @@ _Q = math.pi / 4.0  # one site of m = 8
 _SIXTH = math.pi / 3.0  # one site of m = 6
 
 
-@pytest.mark.parametrize(
-    "m, leaves, times",
-    [
-        (8, TWO_LEAVES, [3 * _Q, _Q, 8 * _Q, 2 * _Q, 0.0, 5 * _Q]),  # unsorted, t = 0, 21 pairs
-        (8, TWO_LEAVES, [2 * _Q, _Q, 2 * _Q, 2 * _Q, 0.0, 0.0]),  # repeated times
-        (6, ((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)), [_SIXTH, 2 * _SIXTH, 3 * _SIXTH, 0.0]),  # 3 leaves
-        (8, ((1.0, 0.0),), [k * _Q for k in range(11)]),  # 66 pairs: four passes and a part
-    ],
-)
+# a row budget of 16 pairs of 8-row kernels per array pass
+_SMALL_PASS = 16 * 8
+_SEMIGROUP_CASES = [
+    (8, TWO_LEAVES, [3 * _Q, _Q, 8 * _Q, 2 * _Q, 0.0, 5 * _Q]),  # unsorted, t = 0, 21 pairs
+    (8, TWO_LEAVES, [2 * _Q, _Q, 2 * _Q, 2 * _Q, 0.0, 0.0]),  # repeated times
+    (6, ((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)), [_SIXTH, 2 * _SIXTH, 3 * _SIXTH, 0.0]),  # 3 leaves
+    (8, ((1.0, 0.0),), [k * _Q for k in range(11)]),  # 66 pairs: under _SMALL_PASS four passes and a part
+]
+
+
+@pytest.mark.parametrize("m, leaves, times", _SEMIGROUP_CASES)
 def test_semigroup_gaps_equal_the_per_pair_distance_bit_for_bit(m, leaves, times):
     grid = LeafGrid(m=m, leaves=leaves)
     kernels = [build_cylinder_kernel(grid, t) for t in times]
@@ -229,9 +231,18 @@ def test_semigroup_gaps_equal_the_per_pair_distance_bit_for_bit(m, leaves, times
     assert float(gaps.max()) <= TOL
 
 
+@pytest.mark.parametrize("m, leaves, times", _SEMIGROUP_CASES)
+def test_semigroup_gaps_in_small_passes_equal_the_per_pair_distance(m, leaves, times, monkeypatch):
+    monkeypatch.setattr(kernels_module, "_ROWS_PER_PASS", _SMALL_PASS)
+    test_semigroup_gaps_equal_the_per_pair_distance_bit_for_bit(m, leaves, times)
+
+
 def test_semigroup_gaps_span_several_passes():
-    # the 11-time case above must not be a whole number of passes
-    assert 66 % kernels_module._PAIRS_PER_PASS != 0 and 66 > 2 * kernels_module._PAIRS_PER_PASS
+    # under _SMALL_PASS the 11-time case above (8 rows per kernel) must span
+    # several passes and end in a partial one
+    pairs_per_pass = _SMALL_PASS // 8
+    assert 66 % pairs_per_pass != 0 and 66 > 2 * pairs_per_pass
+    assert kernels_module._ROWS_PER_PASS > _SMALL_PASS
 
 
 def test_semigroup_gaps_see_one_shifted_target_in_exactly_its_pairs():
@@ -252,7 +263,8 @@ def test_semigroup_gaps_see_one_shifted_target_in_exactly_its_pairs():
 @pytest.mark.parametrize(
     "row, message", [([1.5, -0.5], "nonnegative"), ([0.6, 0.5], "rows must sum to 1")]
 )
-def test_semigroup_gaps_validate_every_composed_pass(row, message):
+def test_semigroup_gaps_validate_every_composed_pass(row, message, monkeypatch):
+    monkeypatch.setattr(kernels_module, "_ROWS_PER_PASS", 16 * 16)  # 16 pairs of 16-row kernels
     grid = LeafGrid(m=8, leaves=TWO_LEAVES)
     kernels = [build_cylinder_kernel(grid, k * _Q) for k in range(7)]  # 28 pairs, two passes
     kernels[6].weights[3] = row  # a defect that construction would have refused
@@ -266,6 +278,88 @@ def test_semigroup_gaps_need_one_grid():
     kernels = [build_cylinder_kernel(LeafGrid(m=8, leaves=leaves), _Q) for leaves in (TWO_LEAVES, TWO_LEAVES[:1])]
     with pytest.raises(ValueError, match="different grids"):
         semigroup_gaps(kernels)
+
+
+# ---------------------------------------------------------------------------
+# law gap: column-wise sums against the concatenated oracle
+
+
+def _law_gap_oracle(targets_a, weights_a, targets_b, weights_b) -> np.ndarray:
+    """Max over rows x, states y of |law_a(x){y} - law_b(x){y}| of each stacked (..., rows, width)
+    kernel, summing the signed weights of the columns that share a target one at a time (no sort)."""
+    targets = np.concatenate((targets_a, targets_b), axis=-1)
+    weights = np.concatenate((weights_a, -weights_b), axis=-1)
+    worst = np.zeros(targets.shape[:-2])
+    for j in range(targets.shape[-1]):
+        mass = np.where(targets == targets[..., j : j + 1], weights, 0.0).sum(axis=-1)
+        np.maximum(worst, np.abs(mass, out=mass).max(axis=-1), out=worst)
+    return worst
+
+
+def _random_rows(rng, shape: tuple, width: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    # few states, so targets repeat within a row; a fifth of the weights are 0
+    targets = rng.integers(0, n_states, shape + (width,))
+    weights = rng.random(shape + (width,)) ** 3
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    return targets, weights
+
+
+def test_law_gap_equals_the_concatenated_oracle_bit_for_bit():
+    rng = np.random.default_rng(15)
+    widths = [(int(rng.integers(1, 41)), int(rng.integers(1, 41))) for _ in range(100)]
+    widths[:4] = [(1, 1), (1, 40), (7, 1), (100, 90)]  # 190 columns: numpy sums two halves
+    for width_a, width_b in widths:
+        shape = tuple(int(d) for d in rng.integers(1, 4, rng.integers(0, 3))) + (int(rng.integers(1, 301)),)
+        n_states = int(rng.integers(1, 12))
+        a = _random_rows(rng, shape, width_a, n_states)
+        b = _random_rows(rng, shape, width_b, n_states)
+        expected = _law_gap_oracle(*a, *b)
+        gap = kernels_module._law_gap(*a, *b)
+        assert np.shape(gap) == expected.shape
+        assert np.array_equal(gap, expected)
+        # b broadcast over a's rows and stack, as check_compatibility passes k1's rows
+        b_shape = tuple(d if rng.random() < 0.5 else 1 for d in shape)
+        b = _random_rows(rng, b_shape, width_b, n_states)
+        full = [np.broadcast_to(x, shape + (width_b,)) for x in b]
+        assert np.array_equal(kernels_module._law_gap(*a, *b), _law_gap_oracle(*a, *full))
+
+
+def _random_kernel(rng, grid, width: int, t: float = 1.0) -> TransitionKernel:
+    weights = rng.random((grid.n_states, width)) ** 3
+    weights[:, 1:][rng.random((grid.n_states, width - 1)) < 0.2] = 0.0
+    targets = rng.integers(0, min(grid.n_states, 2 * width), (grid.n_states, width))
+    targets = (targets + np.arange(grid.n_states)[:, np.newaxis]) % grid.n_states  # repeats in each row
+    weights /= weights.sum(axis=1, keepdims=True)
+    return TransitionKernel(grid=grid, t=t, targets=targets, weights=weights)
+
+
+@pytest.mark.parametrize("rows_per_pass", [1, 7, None])
+def test_checks_in_row_blocks_equal_the_oracle_bit_for_bit(rows_per_pass, monkeypatch):
+    # block edges move no bits: one row per pass, 7 rows per pass (at n = 3,
+    # two k1 rows per compatibility pass and then a partial pass; at n = 2,
+    # three semigroup pairs per pass and then a partial pass) and the default
+    if rows_per_pass is not None:
+        monkeypatch.setattr(kernels_module, "_ROWS_PER_PASS", rows_per_pass)
+    rng = np.random.default_rng(11)
+    for m, leaves in [(2, ((1.0, 0.0),)), (3, ((1.0, 0.0),)), (4, TWO_LEAVES)]:
+        grid = LeafGrid(m=m, leaves=leaves)
+        n = grid.n_states
+        k1, k2 = _random_kernel(rng, grid, 3), _random_kernel(rng, PairGrid(base=grid), 5)
+        k1_rows = (k1.targets.repeat(n, axis=0), k1.weights.repeat(n, axis=0))
+        assert np.array_equal(check_compatibility(k2, k1), _law_gap_oracle(k2.targets // n, k2.weights, *k1_rows))
+        diag = k2.grid.diagonal_indices()
+        y1, y2 = np.divmod(k2.targets[diag], n)
+        expected = _law_gap_oracle(y1, np.where(y1 == y2, k2.weights[diag], 0.0), k1.targets, k1.weights)
+        assert np.array_equal(check_diagonal_preserving(k2, k1), expected)
+    grid = LeafGrid(m=2, leaves=((1.0, 0.0),))
+    kernels = [_random_kernel(rng, grid, 3, t=k * math.pi) for k in range(4)]  # 10 pairs
+    totals, gaps = semigroup_gaps(kernels)
+    pairs = [(a, b) for i, a in enumerate(kernels) for b in kernels[i:]]
+    for (a, b), total, gap in zip(pairs, totals, gaps, strict=True):
+        composed, direct = a.compose(b), build_cylinder_kernel(grid, total)
+        expected = _law_gap_oracle(composed.targets, composed.weights, direct.targets, direct.weights)
+        assert np.array_equal(gap, expected)
+    assert float(gaps.max()) > 0.1
 
 
 @settings(deadline=None, max_examples=20)
@@ -373,6 +467,11 @@ def test_kernel_json_round_trip():
     k = build_cylinder_kernel(grid, math.pi / 2.0)
     blob = json.dumps(kernel_to_json(k))
     data = json.loads(blob)
+    assert list(data) == ["grid", "t", "targets", "weights"]
     assert data["grid"]["m"] == 4
     assert data["grid"]["leaves"] == [[1.0, 0.0], [2.0, 0.0]]
-    np.testing.assert_array_equal(np.array(data["matrix"]), k.matrix)
+    # row x sends weights[x][j] to targets[x][j]; repeated targets add
+    targets, weights = np.array(data["targets"]), np.array(data["weights"])
+    dense = np.zeros((len(targets), grid.n_states))
+    np.add.at(dense, (np.arange(len(targets))[:, np.newaxis], targets), weights)
+    np.testing.assert_array_equal(dense, k.matrix)
