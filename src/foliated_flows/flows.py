@@ -391,19 +391,11 @@ def cylinder_trajectory(
     perturbation: PerturbationField | None = None,
     eps: float = 0.0,
 ) -> Trajectory:
-    """Path on the dt grid plus all jump times (jump effects never aliased)."""
-    model = RotationJumpCylinder()
+    """Path on the dt grid plus all jump times; with no perturbation or eps = 0, the zero field's."""
     if perturbation is None or eps == 0.0:
-        angular = AngularJumpPath(start.theta, driver.jump_times[None, :])
-        ts = _record_grid(driver, driver.horizon)
-        states = np.column_stack(
-            (angular.theta(ts)[0], np.full(ts.size, start.r), np.full(ts.size, start.z))
-        )
-        return Trajectory(
-            model=model, start=start, times=ts, states=states, columns=("theta", "r", "z")
-        )
+        perturbation, eps = PerturbationField(), 0.0
     path = perturbed_cylinder_path(start, driver, driver.horizon, eps, perturbation)
-    return path.to_trajectory(model)
+    return path.to_trajectory(RotationJumpCylinder())
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +423,19 @@ def n_point_motion(
     perturbation: PerturbationField | None = None,
     eps: float = 0.0,
 ) -> NPointSeries:
-    """n points driven by one common DriverPath (flow-induced joint motion).
+    """The n-point motion of the model's flow, the pathwise realization of its n-point kernels.
 
-    This is the pathwise realization of the n-point kernels: every point sees
-    the same noise.  For n = 1 it reduces pathwise to the single-point
-    evolve; points with identical starts stay identical forever (diagonal
-    preservation).  On the rotation-jump cylinder, eps > 0 moves every point
-    by the eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).
+    On the torus and the cylinder every point sees one common DriverPath: for
+    n = 1 it is the single-point evolve, and identical starts stay identical
+    (diagonal preservation); on the cylinder, eps > 0 moves every point by the
+    eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).  On the
+    coalescing circle the points follow independent leafwise drivers and
+    merge on meeting (``evolve_coalescing_circle``).
     """
-    if isinstance(model, CoalescingCircle):
-        raise UnsupportedModel(
-            "the coalescing circle model uses independent leafwise drivers; "
-            "use evolve_coalescing_circle"
-        )
     if eps > 0.0 and not isinstance(model, RotationJumpCylinder):
         raise UnsupportedModel("the eps-perturbed motion is defined on the rotation-jump cylinder only")
+    if isinstance(model, CoalescingCircle):
+        return evolve_coalescing_circle(starts, key, horizon, dt, model.sigma)
     if not starts:
         raise ValueError("need at least one start point")
 

@@ -29,12 +29,7 @@ from .averaging import (
 )
 from .config import START_COORDS, ExperimentConfig
 from .drivers import StreamKey
-from .flows import (
-    coalescence_times,
-    evolve_coalescing_circle,
-    n_point_motion,
-    series_leaf_defects,
-)
+from .flows import coalescence_times, n_point_motion, series_leaf_defects
 from .geometry import CylPoint, TorusPoint, make_model
 from .kernels import (
     build_cylinder_kernel,
@@ -116,29 +111,21 @@ def _write_csv(path: Path, header: list[str], rows: list) -> Path:
 
 
 def _run_simulate(cfg: ExperimentConfig):
-    model_params = {}
-    if cfg.model.name == "torus-winding" and cfg.model.v is not None:
-        model_params["v"] = cfg.model.v
-    if cfg.model.name == "coalescing-circle":
-        model_params["sigma"] = cfg.model.sigma
-    model = make_model(cfg.model.name, **model_params)
+    model = make_model(**cfg.model.to_dict())
     starts = _simulate_starts(cfg)
     sim = cfg.simulate
     base = StreamKey(cfg.seed)
+    kept = []  # replica 0's series and defects, which trajectory.csv shows
 
-    def one(i: int):
-        key = base.replica(i)
-        if cfg.model.name == "coalescing-circle":
-            series = evolve_coalescing_circle(starts, key, sim.horizon, sim.dt, sigma=cfg.model.sigma)
-        else:
-            series = n_point_motion(
-                model, starts, key, sim.horizon, sim.dt, cfg.perturbation, sim.eps
-            )
-        return series, series_leaf_defects(series, starts)
+    def one(i: int) -> float:
+        series = n_point_motion(model, starts, base.replica(i), sim.horizon, sim.dt, cfg.perturbation, sim.eps)
+        defects = series_leaf_defects(series, starts)
+        if i == 0:
+            kept.append((series, defects))
+        return float(np.max(defects))
 
-    rows = map_indexed(one, sim.replicas)
-    defects = np.array([np.max(r[1]) for r in rows])
-    first, first_defects = rows[0]
+    defects = map_indexed(one, sim.replicas)
+    first, first_defects = kept[0]
 
     def write_trajectory(out: Path) -> None:
         times, class_ids = first.times.tolist(), first.class_ids.tolist()
@@ -152,7 +139,7 @@ def _run_simulate(cfg: ExperimentConfig):
 
     return {
         "max_leaf_defect": float(np.max(defects)),
-        "per_replica_defects": [float(d) for d in defects],
+        "per_replica_defects": defects,
         "horizon": sim.horizon,
         "dt": sim.dt,
         "eps": sim.eps,
@@ -170,6 +157,7 @@ def _run_kernel_check(cfg: ExperimentConfig):
         k2 = product_kernel_flow(k1)
         records.append(defect_record("compatibility", t, check_compatibility(k2, k1)))
         records.append(defect_record("diagonal-preserving", t, check_diagonal_preserving(k2, k1)))
+        del k2  # so the next time's 2-point kernel is built with this one freed
     totals, gaps = semigroup_gaps(kernels)
     records += [defect_record("semigroup-composition", s, g) for s, g in zip(totals, gaps.tolist())]
 

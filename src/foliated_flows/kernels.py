@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class TransitionKernel:
     t: float
     targets: np.ndarray
     weights: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n, targets = self.grid.n_states, self.targets
@@ -183,23 +182,22 @@ def build_cylinder_kernel(grid: LeafGrid, t: float) -> TransitionKernel:
         t=float(t),
         targets=grid.rotated([k, k + grid.m // 2]),
         weights=np.tile([p_stay, p_jump], (grid.n_states, 1)),
-        meta={"rotation_steps": int(k), "jump_prob": p_jump},
     )
 
 
 def product_kernel_flow(k1: TransitionKernel) -> TransitionKernel:
-    """2-point kernel induced by the common-noise flow of a cylinder kernel.
+    """2-point kernel induced by the common-noise flow of a random-map kernel.
 
-    Both coordinates receive the SAME rotation and the SAME jump outcome:
-    mass (1+e^{-2t})/2 on (both rotated) and (1-e^{-2t})/2 on (both rotated
-    antipodal), i.e. column j of k1 applied to both coordinates.
+    k1 has width 2 and one pair of weights (1 - p, p) in every row, as a
+    cylinder kernel has: both coordinates receive the SAME rotation and the
+    SAME jump outcome, i.e. column j of k1 applied to both coordinates.
     """
-    if "rotation_steps" not in k1.meta:
-        raise ValueError("product_kernel_flow needs a kernel built by build_cylinder_kernel")
     if not isinstance(k1.grid, LeafGrid):
         raise ValueError("k1 must live on a single-point LeafGrid")
+    if k1.weights.shape[1] != 2 or np.any(k1.weights != k1.weights[0]):
+        raise ValueError("product_kernel_flow needs a width-2 kernel whose rows all carry the same weights")
     n = k1.grid.n_states
-    p_jump = k1.meta["jump_prob"]
+    p_jump = k1.weights[0, 1]
     targets = k1.targets[:, np.newaxis, :] * n + k1.targets
     return _flat(PairGrid(base=k1.grid), k1.t, targets, np.tile([1.0 - p_jump, p_jump], (n, n, 1)))
 

@@ -497,14 +497,25 @@ def _cos_integral_second_moment(horizon: float) -> float:
     With E[cos theta_s cos theta_u] = 1/2 [cos(u - s) + cos(u + s)] e^{-2(u - s)}
     for s < u, the double integral is 2 Re int_0^T int_0^{T-s} of
     1/2 (1 + e^{2is}) e^{(i-2)d} dd ds, and both integrals are closed form.
+    The product e^{cT} e^{(2i-c)T} is written as e^{2iT}, whose modulus is 1,
+    so no factor overflows at long horizons.
     """
     c = complex(-2.0, 1.0)
     ect = cmath.exp(c * horizon)
+    e2it = cmath.exp(2j * horizon)
     plain = ((ect - 1.0) / c - horizon) / c
-    rotating = (
-        ect * (cmath.exp((2j - c) * horizon) - 1.0) / (2j - c) - (cmath.exp(2j * horizon) - 1.0) / 2j
-    ) / c
+    rotating = ((e2it - ect) / (2j - c) - (e2it - 1.0) / 2j) / c
     return (plain + rotating).real
+
+
+@pytest.mark.parametrize("horizon", [0.5, 5.0, 50.0, 200.0, 1000.0])
+def test_cos_integral_second_moment_nears_its_asymptote(horizon):
+    # E[F(T)^2] = 2T/5 - 3/25 plus terms bounded by e^{-2T}/5 (plain) and
+    # (1 + e^{-2T})/5 + 1/sqrt(5) (rotating): -1/c^2 has real part -3/25 and
+    # |c| = |2i - c| = sqrt(5); at T = 1000 every factor must stay finite
+    second = _cos_integral_second_moment(horizon)
+    slack = (1.0 + 2.0 * math.exp(-2.0 * horizon)) / 5.0 + 1.0 / math.sqrt(5.0)
+    assert abs(second - (0.4 * horizon - 0.12)) <= slack
 
 
 def test_averaging_error_matches_exact_law():

@@ -362,11 +362,20 @@ def test_n_point_cylinder_gap_constant():
     assert series.hit_times == {}
 
 
-def test_n_point_rejects_coalescing_model():
+def test_n_point_coalescing_circle_is_evolve_coalescing_circle():
+    # the coalescing circle's n-point motion: independent leafwise drivers
+    # that merge on meeting, with the model's sigma
+    starts = [CylPoint(0.0, 1.0, 0.0), CylPoint(0.2, 1.0, 0.0), CylPoint(0.0, 1.0, 0.0), CylPoint(3.0, 2.0, 0.0)]
+    key = StreamKey(SEED, 27)
+    series = n_point_motion(CoalescingCircle(sigma=0.7), starts, key, 2.0, 0.01)
+    reference = evolve_coalescing_circle(starts, key, 2.0, 0.01, sigma=0.7)
+    for name in ("times", "states", "class_ids"):
+        np.testing.assert_array_equal(getattr(series, name), getattr(reference, name))
+    assert series.hit_times == reference.hit_times
+    assert series.model == CoalescingCircle(sigma=0.7)
+    assert len(set(series.class_ids[-1].tolist())) < len(set(series.class_ids[0].tolist())) == 3
     with pytest.raises(UnsupportedModel):
-        n_point_motion(
-            CoalescingCircle(), [CylPoint(0.0, 1.0, 0.0)], StreamKey(SEED), 1.0, 0.1
-        )
+        n_point_motion(CoalescingCircle(), starts, key, 1.0, 0.1, PerturbationField(lambda0=1.0), 0.1)
 
 
 def test_n_point_perturbed_matches_per_point_trajectories():

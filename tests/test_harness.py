@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,10 @@ from foliated_flows.config import (
     parse_config,
 )
 from foliated_flows.drivers import StreamKey
-from foliated_flows.geometry import CylPoint, PerturbationField, RotationJumpCylinder, VerticalRegion
-from foliated_flows.flows import evolve_coalescing_circle
+from foliated_flows.geometry import (
+    CylPoint, PerturbationField, RotationJumpCylinder, TorusPoint, TorusWinding, VerticalRegion,
+)
+from foliated_flows.flows import evolve_coalescing_circle, n_point_motion
 from foliated_flows.harness import REPORT_SCHEMA, RunReport, _fmt, emit_plotdata, run
 
 SEED = 20250811
@@ -290,6 +293,96 @@ def test_simulate_perturbed_cylinder_repeated_start_shares_class(tmp_path):
     class_of = {pid: {r[5] for r in rows if r[1] == pid} for pid in ("0", "1", "2")}
     assert class_of == {"0": {"0"}, "1": {"1"}, "2": {"0"}}
     assert max(float(r[0]) for r in rows) == 1.005
+
+
+# One simulate run for each way n_point_motion moves its points, and the
+# sha256 of its payload, trajectory.csv and leaf_defects.csv, computed while
+# the harness still ran the coalescing circle through evolve_coalescing_circle
+# itself and cylinder_trajectory still built the eps = 0 path by hand.
+_SIMULATE_RUNS = {
+    "coalescing-circle": {
+        "model": {"name": "coalescing-circle", "sigma": 0.7},
+        "simulate": {"horizon": 2.0, "dt": 0.01, "replicas": 4,
+                     "starts": [{"theta": 0.0}, {"theta": 0.2}, {"theta": 0.0}, {"theta": 3.0, "r": 2.0}]},
+    },
+    "cylinder-eps0": {
+        "perturbation": {"lambda0": 1.0, "k3": "sine", "angular": "cosine"},
+        "simulate": {"horizon": 2.0, "dt": 0.01, "replicas": 3, "eps": 0.0,
+                     "starts": [{"theta": 0.3, "r": 1.0, "z": 0.5}, {"theta": 1.0, "r": 2.0}]},
+    },
+    "perturbed-cylinder": {
+        "perturbation": {"lambda0": 1.0, "k3": "sine", "angular": "cosine"},
+        "simulate": {"horizon": 1.005, "dt": 0.01, "replicas": 3, "eps": 0.1,
+                     "starts": [{"theta": 0.3, "r": 1.0, "z": 0.5}, {"theta": 1.0, "r": 2.0},
+                                {"theta": 0.3, "r": 1.0, "z": 0.5}]},
+    },
+    "torus-v": {
+        "model": {"name": "torus-winding", "v": [0.6, 0.8]},
+        "simulate": {"horizon": 2.0, "dt": 0.01, "replicas": 3,
+                     "starts": [{"a": 0.2, "b": 0.7}, {"a": 0.9, "b": 0.1}]},
+    },
+}
+_SIMULATE_SHA256 = {
+    "coalescing-circle": {
+        "payload": "f8820821913160489ae502de020c077e14769668b79a098c497679af1e1f7e6e",
+        "trajectory.csv": "7958e5527e2376f415a6ab6a7c0831c211d9a26cd23a04697038023dc248ac15",
+        "leaf_defects.csv": "32b7c0a48674cc8900ade7a02a71e2ade22f0ebb661a2bac603e64bb479c3697",
+    },
+    "cylinder-eps0": {
+        "payload": "bf2784a51dc50180d9ce5ac530b47c20bdb008677db4d5a279c9388f36dbc2aa",
+        "trajectory.csv": "8549d6bc28756aa4fb44bc1832a7ea9138fb724d89d395b7cfa529c29aca120d",
+        "leaf_defects.csv": "06f649bffb265cd99289a1bace665a3b169d1fea6a1e207ec5cb568b91726c3e",
+    },
+    "perturbed-cylinder": {
+        "payload": "927569ec17b88912185a801097334d447c8d1ffe1e7275702d365cfe43917eb8",
+        "trajectory.csv": "b995e36e80c673b7d980e59d4ded79e7dacdef5d8d04c2b7a6f67c58d57f159e",
+        "leaf_defects.csv": "76350efc10b07fc04a21cac3e1c12402ef9ecfc914541cf47cfcf343aec475dc",
+    },
+    "torus-v": {
+        "payload": "4b0545514bc9d615eca7a08c9db486b283c907c69ff5141e947ccbde2b9d04f2",
+        "trajectory.csv": "2b0171f3cd0027849388cd72b40b2fcb4f9885f1fb5b7d697b2764670f669d16",
+        "leaf_defects.csv": "ce2f4fc47353e281558aa100caee4da96c9e3ac3e16f042739a2a3d6da3d7403",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATE_RUNS))
+def test_simulate_payload_and_artifacts_are_pinned(name):
+    report = run(parse_config({"experiment": "simulate", "seed": SEED, "output_dir": "out", **_SIMULATE_RUNS[name]}))
+    written = {f: hashlib.sha256(Path("out", f).read_bytes()).hexdigest() for f in ("trajectory.csv", "leaf_defects.csv")}
+    assert {"payload": _sha256_json(report.payload()), **written} == _SIMULATE_SHA256[name]
+
+
+def test_simulate_coalescing_circle_trajectory_shows_its_merges():
+    # replica 0 merges point 1 into point 0; point 2 starts on point 0, and
+    # point 3, alone on its leaf, never merges
+    report = run(parse_config({"experiment": "simulate", "seed": SEED, "output_dir": "out",
+                               **_SIMULATE_RUNS["coalescing-circle"]}))
+    assert report.results["max_leaf_defect"] == 0.0
+    rows = [line.split(",") for line in Path("out/trajectory.csv").read_text().splitlines()[1:]]
+    class_of = {pid: {r[-2] for r in rows if r[1] == pid} for pid in ("0", "1", "2", "3")}
+    assert class_of == {"0": {"0"}, "1": {"1", "0"}, "2": {"0"}, "3": {"3"}}
+
+
+def _simulate_peak_bytes(replicas: int) -> int:
+    cfg = parse_config({"experiment": "simulate", "seed": SEED, "model": {"name": "torus-winding"},
+                        "simulate": {"horizon": 2.0, "dt": 0.001, "replicas": replicas}})
+    tracemalloc.start()
+    try:
+        run(cfg, write_artifacts=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_replicas():
+    # only replica 0's series outlives its iteration; every other replica
+    # leaves one float, so 8 replicas peak within one series of 2 replicas
+    series = n_point_motion(TorusWinding.dense_default(), [TorusPoint.from_coords(0.2, 0.7)],
+                            StreamKey(SEED), 2.0, 0.001)
+    one_series = series.times.nbytes + series.states.nbytes + series.class_ids.nbytes
+    _simulate_peak_bytes(2)  # first-call caches
+    assert abs(_simulate_peak_bytes(8) - _simulate_peak_bytes(2)) < one_series
 
 
 def test_rates_run_matches_manual_composition(tmp_path):

@@ -110,6 +110,27 @@ def test_flow_kernel_differs_from_independent_product():
     assert float(np.max(np.abs(flow.matrix - indep.matrix))) > 0.0
 
 
+def test_flow_pair_kernel_needs_a_random_map():
+    # a width-2 kernel whose rows all carry one pair of weights: the cyclic
+    # walk moves every state left together or right together
+    walk = cyclic_walk_kernel(6, 0.3)
+    k2 = product_kernel_flow(walk)
+    assert check_compatibility(k2, walk) <= TOL
+    assert check_diagonal_preserving(k2, walk) <= TOL
+    grid = LeafGrid(m=4, leaves=((1.0, 0.0),))
+    mixed = TransitionKernel(grid=grid, t=1.0, targets=grid.rotated([1, 2]),
+                             weights=np.array([[0.5, 0.5]] * 3 + [[0.25, 0.75]]))
+    others = [
+        mixed,  # rows with different weights
+        TransitionKernel.from_dense(grid, 0.0, np.eye(grid.n_states)),  # width 1
+        _uniform_kernel(grid),  # width 4
+        independent_product_kernel(walk),  # not on a LeafGrid
+    ]
+    for k in others:
+        with pytest.raises(ValueError):
+            product_kernel_flow(k)
+
+
 def test_compatibility_detects_corruption():
     grid = LeafGrid(m=4, leaves=((1.0, 0.0),))
     k1 = build_cylinder_kernel(grid, math.pi / 2.0)
