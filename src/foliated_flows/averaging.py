@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import ROLE_INDEPENDENT, StreamKey, replica_poisson_jumps, sample_poisson_jumps
-from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, manifold_exit_times
+from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, _bisect, manifold_exit_times
 from .geometry import (
     CylPoint,
     PerturbationField,
@@ -190,15 +190,8 @@ def solve_averaged_ode(
     times = np.linspace(0.0, T, max(1, int(math.ceil(T / step - _FLOOR_TOL))) + 1)
     exit_time = None
     if not region.contains(v(T)):
-        lo, hi = 0.0, T
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if region.contains(v(mid)):
-                lo = mid
-            else:
-                hi = mid
-        exit_time = hi
-        times = np.append(times[times < hi], hi)
+        exit_time = float(_bisect(lambda s: region.contains(v(s)), 0.0, T))
+        times = np.append(times[times < exit_time], exit_time)
     return AveragedTrajectory(times=times, values=v(times), radial_rate=q1, exit_time=exit_time)
 
 
@@ -500,19 +493,17 @@ def _replica_clocks(key: StreamKey, n: int, theta0: float, horizons: list[float]
     <= h of each row is the draw at h, and the clock at h is the first
     columns of the run's array, as many as its longest row at h needs: a
     slice, not a copy, whose rows may carry jumps past h that every reader
-    ignores.  With ``angular``, F at the jumps is computed once and sliced
-    the same way.
+    ignores.  F at the jumps is computed once and sliced the same way.
+    Without ``angular`` no reader needs a jump, so none is drawn.
     """
-    run = AngularJumpPath(theta0, replica_poisson_jumps(key, n, rate, max(horizons)))
-    prefix = run.jump_prefix if angular else None
+    jumps = replica_poisson_jumps(key, n, rate, max(horizons)) if angular else np.empty((n, 0))
+    run = AngularJumpPath(theta0, jumps)
     for h in horizons:
         width = int(np.count_nonzero(run.jumps <= h, axis=1).max(initial=0))
-        sliced = None if prefix is None else prefix[:, : width + 1]
-        yield AngularJumpPath(theta0, run.jumps[:, :width], sliced)
+        yield AngularJumpPath(theta0, run.jumps[:, :width], run.jump_prefix[:, : width + 1])
 
 
 def averaging_errors(
-    model: RotationJumpCylinder,
     perturbation: PerturbationField,
     eps_grid,
     t: float,
@@ -520,7 +511,6 @@ def averaging_errors(
     n_replicas: int,
     key: StreamKey,
     measure: InvariantMeasureSpec | None = None,
-    dt: float = 0.01,
     ode_step: float = 1e-3,
     region: VerticalRegion | None = None,
     f_choice: str = "sqrt",
@@ -537,11 +527,9 @@ def averaging_errors(
     its q1 are solved once.  Per eps, one array pass over all replicas then
     gives their end points, their A1..A4 decompositions, their exact manifold
     exits and the pathwise A1..A4 bound checks.  Requires t < T0 (the ODE
-    must not leave V before t).  Every quantity is exact, so ``dt`` has no
-    effect and ``ode_step`` only spaces the averaged ODE's record.
+    must not leave V before t).  Every quantity is exact, so ``ode_step``
+    only spaces the averaged ODE's record.
     """
-    if not isinstance(model, RotationJumpCylinder):
-        raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
     if p < 1.0:
         raise ValueError(f"p must be in [1, inf): {p}")
     if n_replicas < 1:
@@ -626,9 +614,11 @@ def averaging_error(
     rate_bound: RateBound | None = None,
     keep_decompositions: bool = False,
 ) -> AveragingErrorResult:
-    """``averaging_errors`` at the one eps."""
+    """``averaging_errors`` at the one eps; ``model`` must be the cylinder, and ``dt`` has no effect."""
+    if not isinstance(model, RotationJumpCylinder):
+        raise ValueError("the error decomposition is defined for the rotation-jump cylinder")
     return averaging_errors(
-        model, perturbation, [eps], t, p, n_replicas, key, measure, dt, ode_step, region,
+        perturbation, [eps], t, p, n_replicas, key, measure, ode_step, region,
         f_choice, start, rate_bound, keep_decompositions,
     )[0]
 

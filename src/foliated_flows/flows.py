@@ -222,12 +222,15 @@ class AngularJumpPath:
         """(replicas,) + ts.shape: F(ts) = integral of cos(theta(s)) ds over [0, ts], exact; ts sorted."""
         ts = np.asarray(ts, dtype=float)
         n_rows = self.jumps.shape[0]
-        counts = self.counts(ts).reshape(n_rows, ts.size)
-        last_jump = np.take_along_axis(self._nodes, counts, axis=1)
-        f = np.take_along_axis(self.jump_prefix, counts, axis=1) + (-1.0) ** counts * (
-            np.sin(self.theta0 + ts.ravel()) - np.sin(self.theta0 + last_jump)
-        )
+        f = self._cos_prefix_at(self.counts(ts).reshape(n_rows, ts.size), ts.ravel())
         return f.reshape((n_rows,) + ts.shape)
+
+    def _cos_prefix_at(self, counts: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """F at ts from each row's number of jumps <= ts: counts (replicas, k), ts broadcast to it."""
+        last_jump = np.take_along_axis(self._nodes, counts, axis=1)
+        return np.take_along_axis(self.jump_prefix, counts, axis=1) + (-1.0) ** counts * (
+            np.sin(self.theta0 + ts) - np.sin(self.theta0 + last_jump)
+        )
 
 
 def radius(r0: float, eps: float, perturbation: PerturbationField, s, cos_prefix=None):
@@ -248,6 +251,15 @@ def _critical_times(theta0: float, lambda0: float, horizon: float) -> np.ndarray
     return np.sort(s[(s > 0.0) & (s < horizon)])
 
 
+def _bisect(inside, lo, hi):
+    """hi after 80 halvings of each bracket [lo, hi] that keep inside(lo) true and inside(hi) false."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return hi
+
+
 def manifold_exit_times(
     clocks: AngularJumpPath, r0: float, eps: float, perturbation: PerturbationField, horizon: float
 ) -> np.ndarray:
@@ -259,10 +271,9 @@ def manifold_exit_times(
     cos theta = -lambda0, and r' keeps its sign everywhere unless there are
     angular modulation and |lambda0| < 1.  So r is monotone between
     consecutive candidates (0, the jumps, those critical times and the
-    horizon, or just 0 and the horizon when r is monotone), the first
-    candidate with r <= 0 brackets the first exit, and bisection on the
-    exact r finds it.  Rows that reach 0 nowhere are found with array
-    operations; only rows that exit are searched one at a time.
+    horizon, or just 0 and the horizon when r is monotone): the earliest
+    candidate with r <= 0 and the latest one before it bracket the first
+    exit, and bisection on the exact r finds it, for all exiting rows at once.
     """
     exits = np.full(clocks.jumps.shape[0], np.inf)
     shared = np.array([horizon])
@@ -270,30 +281,28 @@ def manifold_exit_times(
     if with_jumps:
         shared = np.append(_critical_times(clocks.theta0, perturbation.lambda0, horizon), horizon)
     prefix = clocks.cos_integral_prefix(shared) if perturbation.has_angular else None
-    hit = np.any(radius(r0, eps, perturbation, shared, prefix) <= 0.0, axis=-1)
+    down = np.broadcast_to(radius(r0, eps, perturbation, shared, prefix) <= 0.0, (exits.size, shared.size))
+    hit = down.any(axis=1)
     if with_jumps:
         at_jumps = radius(r0, eps, perturbation, clocks.jumps, clocks.jump_prefix[:, 1:])
-        hit |= np.any((at_jumps <= 0.0) & (clocks.jumps <= horizon), axis=1)  # NaN compares False
-    for i in np.flatnonzero(np.broadcast_to(hit, exits.shape)):
-        row = AngularJumpPath(clocks.theta0, clocks.jumps[i : i + 1], clocks.jump_prefix[i : i + 1])
-        jumps = row.jumps[0, row.jumps[0] <= horizon]
-        candidates = np.sort(np.concatenate((jumps, shared))) if with_jumps else shared
+        down_jumps = (at_jumps <= 0.0) & (clocks.jumps <= horizon)  # NaN compares False
+        hit |= down_jumps.any(axis=1)
+    rows = np.flatnonzero(hit)
+    if not rows.size:
+        return exits
+    path = AngularJumpPath(clocks.theta0, clocks.jumps[rows])
+    times, below = np.broadcast_to(shared, (rows.size, shared.size)), down[rows]
+    if with_jumps:
+        times, below = np.hstack((times, path.jumps)), np.hstack((below, down_jumps[rows]))
+    hi = np.where(below, times, np.inf).min(axis=1, keepdims=True)
+    lo = np.where(times < hi, times, 0.0).max(axis=1, keepdims=True)  # NaN compares False
 
-        def r_at(s):
-            return radius(r0, eps, perturbation, s, row.cos_integral_prefix(s)[0])
+    def inside(mid):
+        counts = np.count_nonzero(path.jumps <= mid, axis=1, keepdims=True)
+        f = path._cos_prefix_at(counts, mid) if perturbation.has_angular else None
+        return radius(r0, eps, perturbation, mid, f) > 0.0
 
-        below = np.flatnonzero(r_at(candidates) <= 0.0)
-        if not below.size:
-            continue
-        k = int(below[0])
-        lo, hi = (float(candidates[k - 1]) if k else 0.0), float(candidates[k])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if r_at(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        exits[i] = hi
+    exits[rows] = _bisect(inside, lo, hi)[:, 0]
     return exits
 
 

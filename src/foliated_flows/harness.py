@@ -182,14 +182,13 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool):
     av = cfg.averaging
     base = StreamKey(cfg.seed)
     start = CylPoint.from_angle(**av.start)
-    model = make_model(cfg.model.name)
     rb = default_rate_bound(cfg.perturbation, cfg.region, c1=cfg.bounds.c1, c2=cfg.bounds.c2)
 
     per_eps = []
     blocks = []
     n_violations = 0
     estimates = averaging_errors(
-        model, cfg.perturbation, av.eps_grid, av.t, av.p, av.replicas, base, measure=av.measure,
+        cfg.perturbation, av.eps_grid, av.t, av.p, av.replicas, base, measure=av.measure,
         ode_step=av.ode_step, region=cfg.region, f_choice=av.f_choice, start=start,
         rate_bound=rb, keep_decompositions=True,
     )

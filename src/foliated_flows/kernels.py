@@ -100,7 +100,8 @@ def _check_rows(targets: np.ndarray, weights: np.ndarray, n: int) -> None:
         raise ValueError(f"targets must be integer state indices in [0, {n})")
     if np.any(weights < 0.0):
         raise ValueError("kernel entries must be nonnegative")
-    worst = float(np.max(np.abs(_row_sum([(w, None) for w in weights.T], weights.T.shape[1:]) - 1.0)))
+    defect = _row_sum([(w, None) for w in weights.T], weights.T.shape[1:])
+    worst = float(np.max(np.abs(np.subtract(defect, 1.0, out=defect), out=defect)))
     if not worst <= ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; worst defect {worst}")
 
@@ -199,7 +200,7 @@ def product_kernel_flow(k1: TransitionKernel) -> TransitionKernel:
     n = k1.grid.n_states
     p_jump = k1.weights[0, 1]
     targets = k1.targets[:, np.newaxis, :] * n + k1.targets
-    return _flat(PairGrid(base=k1.grid), k1.t, targets, np.tile([1.0 - p_jump, p_jump], (n, n, 1)))
+    return _flat(PairGrid(base=k1.grid), k1.t, targets, np.broadcast_to([1.0 - p_jump, p_jump], (n * n, 2)))
 
 
 def independent_product_kernel(k1: TransitionKernel) -> TransitionKernel:

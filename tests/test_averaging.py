@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foliated_flows import averaging
 from foliated_flows.averaging import (
     InvariantMeasureSpec,
     _replica_clocks,
@@ -37,9 +38,11 @@ from foliated_flows.flows import (
     perturbed_cylinder_path,
 )
 from foliated_flows.geometry import (
+    CoalescingCircle,
     CylPoint,
     PerturbationField,
     RotationJumpCylinder,
+    TorusWinding,
     VerticalRegion,
 )
 
@@ -475,6 +478,13 @@ def test_averaging_error_requires_t_before_exit():
         averaging_error(MODEL, K, 0.1, 2.0, 2.0, 2, StreamKey(SEED))
 
 
+def test_averaging_error_is_defined_on_the_cylinder_only():
+    K = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
+    for model in (TorusWinding.dense_default(), CoalescingCircle()):
+        with pytest.raises(ValueError, match="rotation-jump cylinder"):
+            averaging_error(model, K, 0.1, 1.0, 2.0, 2, StreamKey(SEED))
+
+
 def test_averaging_error_decreases_with_eps():
     K = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
     results = [
@@ -657,6 +667,16 @@ def test_replica_clocks_redraw_a_row_that_runs_past_its_first_block(rate, horizo
     _assert_rows_are(clocks[h], theta0, h, rows)
 
 
+@pytest.mark.parametrize("angular, draws", [("none", 0), ("cosine", 1)])
+def test_a_run_draws_jump_clocks_only_where_the_cos_term_reads_them(monkeypatch, angular, draws):
+    # without the cos term neither the decomposition nor the exit search reads a jump
+    calls = []
+    monkeypatch.setattr(averaging, "replica_poisson_jumps", lambda *a: calls.append(a) or replica_poisson_jumps(*a))
+    K = PerturbationField(lambda0=1.0, k3="sine", angular=angular)
+    averaging_error(MODEL, K, 0.1, 1.0, 2.0, 20, StreamKey(SEED))
+    assert len(calls) == draws
+
+
 def test_a_clock_with_jumps_past_the_horizon_reads_as_the_clock_cut_there():
     # the exiting setup: rows drawn at four times the horizon, as a run with a
     # smaller eps slices them, against the same rows cut at t/eps
@@ -701,7 +721,7 @@ def test_averaging_error_is_its_entry_of_averaging_errors(measure):
         measure=measure, region=VerticalRegion(r_min=0.01), start=CylPoint(1.0, 0.25, 0.5),
         keep_decompositions=True,
     )
-    together = averaging_errors(MODEL, K, grid, t, 2.0, n, StreamKey(SEED), **kwargs)
+    together = averaging_errors(K, grid, t, 2.0, n, StreamKey(SEED), **kwargs)
     assert [res.eps for res in together] == grid
     assert sum(res.n_exited for res in together) > 0
     for eps, res in zip(grid, together):

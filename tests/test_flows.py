@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foliated_flows.drivers import DriverPath, StreamKey, sample_brownian, sample_jump_driver
+from foliated_flows.drivers import DriverPath, StreamKey, replica_poisson_jumps, sample_brownian, sample_jump_driver
 from foliated_flows.flows import (
     AngularJumpPath,
     ManifoldExit,
@@ -275,6 +276,53 @@ def test_manifold_exit_times_match_a_dense_grid():
         single = manifold_exit_times(angular, r0, eps, K, horizon)
         assert single[0] == exit_time
     assert 10 <= n_exits <= 110
+
+
+# sha256 of manifold_exit_times' output on 200 replicas' clocks drawn to twice
+# the horizon, computed while every exiting row was searched on its own:
+# field, r0 and the number of rows that exit
+_EXIT_SHA256 = {
+    "cos, |lambda0| < 1": (PerturbationField(lambda0=-0.4, k3="zero", angular="cosine"), 1.1, 120,
+                           "12c1a09d917fa73bb2711d52b6aaa4f813e396d188b8381c58ed97ef65f25acf"),
+    "cos, lambda0 <= -1": (PerturbationField(lambda0=-1.0, k3="zero", angular="cosine"), 2.6, 131,
+                           "b4e1ba424907ca597c36bc81f6ca0ddd6776b630a5d5af6dd9d751b25ccef210"),
+    "no cos, lambda0 < 0": (PerturbationField(lambda0=-0.3, k3="zero", angular="none"), 0.5, 200,
+                            "9afd941f6218cef290d8a96aa7dfce234e59f71ef1c05a7ab6202243e49be55a"),
+    "cos, lambda0 >= 1": (PerturbationField(lambda0=1.0, k3="zero", angular="cosine"), 0.05, 0,
+                          "157e53e4b09b7d6521aa268ec87be70b026d20b3e92d2f9962c5cc8d7290f209"),
+}
+
+
+def _exit_clocks():
+    # theta0 = 1 and clocks drawn to twice the horizon 6 that the exit tests use
+    return AngularJumpPath(1.0, replica_poisson_jumps(StreamKey(SEED), 200, 1.0, 12.0))
+
+
+@pytest.mark.parametrize("name", sorted(_EXIT_SHA256))
+def test_manifold_exit_times_are_pinned(name):
+    K, r0, n_exits, sha256 = _EXIT_SHA256[name]
+    exits = manifold_exit_times(_exit_clocks(), r0, 0.5, K, 6.0)
+    assert np.count_nonzero(np.isfinite(exits)) == n_exits
+    assert hashlib.sha256(exits.tobytes()).hexdigest() == sha256
+
+
+def test_exit_search_cost_in_f_evaluations_does_not_grow_with_exiting_rows(monkeypatch):
+    # every exiting row is bracketed and bisected in the same array passes
+    K, r0, _, _ = _EXIT_SHA256["cos, |lambda0| < 1"]
+    clocks = _exit_clocks()
+    exits = manifold_exit_times(clocks, r0, 0.5, K, 6.0)
+    out, stay = np.flatnonzero(np.isfinite(exits)), np.flatnonzero(np.isinf(exits))
+    calls = []
+    prefix = AngularJumpPath.cos_integral_prefix
+    monkeypatch.setattr(AngularJumpPath, "cos_integral_prefix", lambda self, ts: calls.append(1) or prefix(self, ts))
+    made = []
+    for n_out in (5, 50):
+        rows = np.concatenate((out[:n_out], stay[:50]))
+        calls.clear()
+        got = manifold_exit_times(AngularJumpPath(clocks.theta0, clocks.jumps[rows]), r0, 0.5, K, 6.0)
+        assert got.tobytes() == exits[rows].tobytes()
+        made.append(len(calls))
+    assert made[0] == made[1]
 
 
 def test_jump_clocks_rows_equal_their_angular_paths():

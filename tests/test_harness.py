@@ -156,6 +156,7 @@ def test_config_default_sections_are_the_dataclass_defaults():
 # dataclasses became the one serializer
 _CONFIG_SHA256 = {
     "average-commuting": "592ffddfef3df1e49dd9996d57133b4df1b2cbe86d7a10ba1f5de757973d398a",
+    "average-exits": "5e5b6b483158a1f31e7208fe087da7ed121edea2da50fa029edf9100f3a0c802",
     "coalesce-circle": "c2aac15d50e7640f1476427162b3adde80e013423019ed1b581f1fa37d79ca7b",
     "kernel-check": "a3567439999c3292acd686f303d9568cf048097ea81358235fae9bb04f9f521d",
     "rates-cosine": "de02de09261137b094905fa133f17129964d1e1a25bf875d0a84c5e528d45820",
@@ -657,6 +658,16 @@ def test_empirical_averaging_payload_is_pinned():
     )
     assert _sha256_json(report.payload()) == (
         "c9857e9162f3ba1ae333d1682eb199302665c2d02d68d63e8a443bd7a135b5ec"
+    )
+
+
+def test_average_exits_payload_is_pinned():
+    # sha256 of the payload computed while every exiting replica's exit was
+    # searched on its own; about 38 % of the replicas leave the manifold
+    report = run(load_config(CONFIGS / "average-exits.yaml"), write_artifacts=False)
+    assert [row["n_exited"] for row in report.results["per_eps"]] == [386, 378, 385]
+    assert _sha256_json(report.payload()) == (
+        "cfef8204bd91babdd2f5ca4108221acb39d18c930bdd788acd346836965c701e"
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,25 @@ def test_flow_pair_kernel_needs_a_random_map():
     for k in others:
         with pytest.raises(ValueError):
             product_kernel_flow(k)
+
+
+def test_flow_pair_kernel_peaks_at_its_targets_and_one_row_sum():
+    # the weights are one (1 - p, p) pair that every row reads, and the row
+    # check sums in place: past a row's 16 target bytes the build holds its
+    # 8-byte row sum and 2 bytes of sign mask
+    grid = LeafGrid(m=128, leaves=TWO_LEAVES)
+    k1 = build_cylinder_kernel(grid, math.pi / 4)
+    product_kernel_flow(k1)  # first-call caches
+    tracemalloc.start()
+    try:
+        k2 = product_kernel_flow(k1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = k2.targets.shape[0]
+    assert peak < k2.targets.nbytes + 12 * rows
+    assert not k2.weights.flags.writeable
+    assert k2.weights.tobytes() == np.tile(k1.weights[0], (rows, 1)).tobytes()
 
 
 def test_compatibility_detects_corruption():
