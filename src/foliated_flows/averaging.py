@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import ROLE_INDEPENDENT, StreamKey, replica_poisson_jumps, sample_poisson_jumps
+from .drivers import ROLE_INDEPENDENT, StreamKey, _n_full_steps, _n_steps, replica_poisson_jumps, sample_poisson_jumps
 from .flows import CYLINDER_JUMP_RATE, AngularJumpPath, _bisect, manifold_exit_times
 from .geometry import (
     CylPoint,
@@ -65,8 +65,6 @@ from .geometry import (
 )
 
 TRIANGLE_TOL = 1e-12
-
-_FLOOR_TOL = 1e-9
 
 F_CHOICES = ("sqrt", "log")
 MEASURE_MODES = ("analytic-uniform", "empirical")
@@ -187,7 +185,7 @@ def solve_averaged_ode(
         s = np.asarray(s, dtype=float)
         return np.stack((v0[0] + q1 * s, perturbation.vertical_flow(v0[1], s)), axis=-1)
 
-    times = np.linspace(0.0, T, max(1, int(math.ceil(T / step - _FLOOR_TOL))) + 1)
+    times = np.linspace(0.0, T, max(1, _n_steps(T, step)) + 1)
     exit_time = None
     if not region.contains(v(T)):
         exit_time = float(_bisect(lambda s: region.contains(v(s)), 0.0, T))
@@ -243,9 +241,8 @@ def make_partition(eps: float, t: float, f_choice: str = "sqrt", p: float = 2.0)
         raise ValueError(f"p must be >= 1: {p}")
     f = _f_value(eps, f_choice, p)
     delta_t = t / f
-    n = int(math.floor(f / eps + _FLOOR_TOL))
     return PartitionScheme(
-        eps=eps, t=t, f_choice=f_choice, p=p, f_value=f, delta_t=delta_t, n_intervals=n
+        eps=eps, t=t, f_choice=f_choice, p=p, f_value=f, delta_t=delta_t, n_intervals=_n_full_steps(f, eps)
     )
 
 
@@ -448,6 +445,8 @@ class AveragingErrorResult:
     errors: np.ndarray  # per-replica |pi(y_{t/eps}) - v(t)|
     n_replicas: int
     n_exited: int
+    n_jumps: int  # jumps <= t/eps on all replicas' clocks; none are drawn without a cos term
+    n_intervals: int  # full intervals of the partition of [0, t/eps]
     violations: tuple[BoundViolation, ...]
     max_triangle_slack: float
     max_a4_ratio: float
@@ -588,6 +587,8 @@ def averaging_errors(
                 errors=errors,
                 n_replicas=n_replicas,
                 n_exited=n_replicas - stayed.size,
+                n_jumps=int(np.count_nonzero(clock.jumps <= part.horizon)),
+                n_intervals=part.n_intervals,
                 violations=tuple(violations),
                 max_triangle_slack=worst_slack,
                 max_a4_ratio=worst_ratio,

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .averaging import F_CHOICES, InvariantMeasureSpec, MEASURE_MODES
-from .drivers import _GRID_TOL, _MAX_ID
-from .geometry import ANGULAR_CHOICES, K3_CHOICES, MODEL_NAMES, PerturbationField, VerticalRegion
+from .drivers import _MAX_ID, _grid_steps, _validate_horizon_dt
+from .geometry import ANGULAR_CHOICES, K3_CHOICES, MODEL_NAMES, TWO_PI, PerturbationField, VerticalRegion
 
 # The config section each experiment kind reads; its ``replicas``, if it has
 # one, is the run's replica count.
@@ -234,11 +234,17 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _check(problems: list[str], message: str, rule, *args) -> None:
+    """Report message if the library's rule raises ValueError on args."""
+    try:
+        rule(*args)
+    except ValueError:
+        problems.append(message)
+
+
 def _check_on_grid(problems: list[str], path: str, horizon: float, dt: float) -> None:
     """A Brownian grid of step dt ends at horizon only if horizon is a multiple of dt."""
-    steps = horizon / dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > _GRID_TOL:
-        problems.append(f"{path}.horizon: must be a multiple of dt={dt} (got {horizon!r})")
+    _check(problems, f"{path}.horizon: must be a multiple of dt={dt} (got {horizon!r})", _grid_steps, horizon, dt)
 
 
 def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
@@ -314,8 +320,9 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     sim = ssec.build()
     if name != "rotation-jump-cylinder":  # the cylinder's record grid ends exactly at horizon
         _check_on_grid(problems, "config.simulate", sim.horizon, sim.dt)
-    elif sim.horizon > 0.0 and sim.dt > sim.horizon * (1.0 + _GRID_TOL):
-        problems.append(f"config.simulate.dt: invalid step: dt={sim.dt} exceeds horizon={sim.horizon}")
+    else:
+        _check(problems, f"config.simulate.dt: invalid step: dt={sim.dt} exceeds horizon={sim.horizon}",
+               _validate_horizon_dt, sim.horizon, sim.dt)
     if sim.eps > 0.0 and name != "rotation-jump-cylinder":
         problems.append(
             "config.simulate.eps: perturbed simulation is defined for the rotation-jump-cylinder only"
@@ -334,16 +341,14 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
     times: list[float] = []
-    step = 2.0 * math.pi / m
     for i, tv in enumerate(ksec.take("times", list, bool, "need at least one time")):
         if _is_finite_number(tv):
             tv = float(tv)
+            where = f"config.kernel_check.times[{i}]: build_cylinder_kernel needs t"
             if tv < 0.0:
-                problems.append(f"config.kernel_check.times[{i}]: build_cylinder_kernel needs t >= 0")
-            elif abs(tv / step - round(tv / step)) > 1e-9:
-                problems.append(
-                    f"config.kernel_check.times[{i}]: build_cylinder_kernel needs t a multiple of 2*pi/m"
-                )
+                problems.append(f"{where} >= 0")
+            else:
+                _check(problems, f"{where} a multiple of 2*pi/m", _grid_steps, tv, TWO_PI / m)
             times.append(tv)
         else:
             problems.append(f"config.kernel_check.times[{i}]: expected a finite number")

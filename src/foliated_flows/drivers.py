@@ -207,9 +207,29 @@ class KeyedGenerators:
         return gen
 
 
+def _grid_steps(t: float, step: float) -> int:
+    """The one time-grid rule: t lies on the grid of step h iff t/h is within _GRID_TOL of a whole
+    number k, which is returned (ValueError if none).  Config and the library both ask it."""
+    ratio = t / step
+    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= _GRID_TOL):
+        raise ValueError(f"time {t} does not lie on the grid of step {step}")
+    return round(ratio)
+
+
 def _n_steps(horizon: float, dt: float) -> int:
-    # ceil with a tolerance so horizon/dt==integer never picks up a phantom step
+    """Steps of dt that cover horizon: a ratio within _GRID_TOL above a whole k needs no phantom step."""
     return int(math.ceil(horizon / dt - _GRID_TOL)) if horizon > 0.0 else 0
+
+
+def _n_full_steps(t: float, step: float) -> int:
+    """Whole steps that fit in t: a ratio within _GRID_TOL below a whole k still counts k."""
+    return int(math.floor(t / step + _GRID_TOL))
+
+
+def _check_in_horizon(t: float, horizon: float) -> None:
+    """t lies in [0, horizon], up to _GRID_TOL."""
+    if not -_GRID_TOL <= t <= horizon + _GRID_TOL:
+        raise ValueError(f"time {t} outside [0, {horizon}]")
 
 
 @dataclass(frozen=True)
@@ -259,12 +279,8 @@ class DriverPath:
 
     def grid_index(self, t: float) -> int:
         """Index of a grid-aligned time (raises if t is off the grid)."""
-        if t < -_GRID_TOL or t > self.horizon + _GRID_TOL:
-            raise ValueError(f"time {t} outside driver horizon {self.horizon}")
-        k = int(round(t / self.dt))
-        if abs(t - k * self.dt) > _GRID_TOL * max(1.0, abs(t)):
-            raise ValueError(f"time {t} does not lie on the dt={self.dt} grid")
-        return min(k, self.n_steps)
+        _check_in_horizon(t, self.horizon)
+        return min(_grid_steps(t, self.dt), self.n_steps)
 
     def brownian_at(self, t: float) -> float:
         return float(self.brownian[self.grid_index(t)])
@@ -279,13 +295,10 @@ class DriverPath:
         s must lie on the dt grid when a Brownian component is present;
         jump-only drivers shift at arbitrary times.
         """
-        if self.brownian_increments.size:
-            k = self.grid_index(s)
-            increments = self.brownian_increments[k:]
-        else:
-            if s < -_GRID_TOL or s > self.horizon + _GRID_TOL:
-                raise ValueError(f"time {s} outside driver horizon {self.horizon}")
-            increments = self.brownian_increments
+        _check_in_horizon(s, self.horizon)
+        increments = self.brownian_increments
+        if increments.size:
+            increments = increments[self.grid_index(s) :]
         jumps = self.jump_times[self.jump_times > s] - s
         return DriverPath(
             key=self.key,

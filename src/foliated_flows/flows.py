@@ -37,10 +37,13 @@ import numpy as np
 
 from .drivers import (
     _DOMAIN_BROWNIAN,
+    _GRID_TOL,
     ROLE_INDEPENDENT,
     DriverPath,
     KeyedGenerators,
     StreamKey,
+    _check_in_horizon,
+    _n_full_steps,
     _n_steps,
     _validate_horizon_dt,
     philox_keys,
@@ -57,12 +60,11 @@ from .geometry import (
     TorusPoint,
     TorusWinding,
     UnsupportedModel,
+    _leaf_defects,
     wrap_angle,
 )
 
 CYLINDER_JUMP_RATE = 1.0
-
-_TIME_TOL = 1e-9
 
 # Steps of Brownian increments that coalescence_times draws per point at a time.
 _DRAW_BLOCK = 512
@@ -126,29 +128,15 @@ class NPointSeries:
 
 def evolve_torus(model: TorusWinding, start: TorusPoint, driver: DriverPath, t: float) -> TorusPoint:
     """phi_t(x) = x + v B_t on the cover, displayed mod Z^2 (t on the driver grid)."""
-    if t > driver.horizon + _TIME_TOL:
-        raise ValueError(f"t={t} beyond driver horizon {driver.horizon}")
     b = driver.brownian_at(t)
     return TorusPoint.from_lift((start.lift[0] + model.v[0] * b, start.lift[1] + model.v[1] * b))
 
 
 def torus_trajectory(model: TorusWinding, start: TorusPoint, driver: DriverPath) -> Trajectory:
     """Full path on the driver's dt grid, carrying cover lifts."""
-    b = driver.brownian
-    lifts = np.empty((b.size, 2))
-    lifts[:, 0] = start.lift[0] + model.v[0] * b
-    lifts[:, 1] = start.lift[1] + model.v[1] * b
-    states = np.empty((b.size, 4))
-    states[:, 0] = lifts[:, 0] - np.floor(lifts[:, 0])
-    states[:, 1] = lifts[:, 1] - np.floor(lifts[:, 1])
-    states[:, 2:] = lifts
-    return Trajectory(
-        model=model,
-        start=start,
-        times=driver.times,
-        states=states,
-        columns=("a", "b", "lift_a", "lift_b"),
-    )
+    lifts = np.array(start.lift) + np.outer(driver.brownian, model.v)
+    states = np.hstack((lifts - np.floor(lifts), lifts))
+    return Trajectory(model, start, driver.times, states, ("a", "b", "lift_a", "lift_b"))
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +296,17 @@ def manifold_exit_times(
 
 def evolve_cylinder(start: CylPoint, driver: DriverPath, t: float) -> CylPoint:
     """Unperturbed flow: rotate by t, jump by pi at each driver jump time <= t."""
-    if t > driver.horizon + _TIME_TOL:
-        raise ValueError(f"t={t} beyond driver horizon {driver.horizon}")
-    if t < 0.0:
-        raise ValueError(f"negative time {t}")
+    _check_in_horizon(t, driver.horizon)
     theta = wrap_angle(start.theta + t + math.pi * driver.jump_count(t))
     return CylPoint(theta=theta, r=start.r, z=start.z)
 
 
 def _record_grid(driver: DriverPath, t: float) -> np.ndarray:
     """dt grid up to t, plus t and the jump times, sorted unique."""
-    n_full = int(math.floor(t / driver.dt + _TIME_TOL))
-    grid = np.arange(n_full + 1) * driver.dt
+    grid = np.arange(_n_full_steps(t, driver.dt) + 1) * driver.dt
     ts = np.unique(np.concatenate((grid, [t], driver.jump_times[driver.jump_times <= t])))
     # collapse near-duplicates (e.g. a jump landing within tolerance of a grid point)
-    keep = np.concatenate(([True], np.diff(ts) > _TIME_TOL * max(1.0, t)))
+    keep = np.concatenate(([True], np.diff(ts) > _GRID_TOL * max(1.0, t)))
     ts = ts[keep]
     ts[0] = 0.0
     ts[-1] = t
@@ -353,19 +337,13 @@ class PerturbedCylinderPath:
         best = k
         if k >= self.times.size or (k > 0 and t - self.times[k - 1] < self.times[k] - t):
             best = k - 1
-        if abs(self.times[best] - t) > _TIME_TOL * max(1.0, self.times[-1]):
+        if abs(self.times[best] - t) > _GRID_TOL * max(1.0, self.times[-1]):
             raise ValueError(f"time {t} not on the recorded grid")
         return best
 
     def to_trajectory(self, model: RotationJumpCylinder) -> Trajectory:
         states = np.column_stack((self.angular.theta(self.times)[0], self.r, self.z))
-        return Trajectory(
-            model=model,
-            start=self.start,
-            times=self.times,
-            states=states,
-            columns=("theta", "r", "z"),
-        )
+        return Trajectory(model, self.start, self.times, states, ("theta", "r", "z"))
 
 
 def perturbed_cylinder_path(
@@ -376,8 +354,7 @@ def perturbed_cylinder_path(
     perturbation: PerturbationField,
 ) -> PerturbedCylinderPath:
     """Simulate the perturbed flow up to time t (t <= driver horizon)."""
-    if t > driver.horizon + _TIME_TOL:
-        raise ValueError(f"t={t} beyond driver horizon {driver.horizon}")
+    _check_in_horizon(t, driver.horizon)
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0: {eps}")
     angular = AngularJumpPath(start.theta, driver.jump_times[None, :])
@@ -451,12 +428,10 @@ def n_point_motion(
     if isinstance(model, TorusWinding):
         driver = sample_brownian(key, horizon, dt)
         trajs = [torus_trajectory(model, p, driver) for p in starts]
-        columns = ("a", "b", "lift_a", "lift_b")
         same = lambda p, q: p.lift == q.lift
     else:
         driver = sample_jump_driver(key, horizon, dt, rate=CYLINDER_JUMP_RATE)
         trajs = [cylinder_trajectory(p, driver, perturbation, eps) for p in starts]
-        columns = ("theta", "r", "z")
         same = lambda p, q: (p.theta, p.r, p.z) == (q.theta, q.r, q.z)
 
     times = trajs[0].times
@@ -464,12 +439,7 @@ def n_point_motion(
     ids0, hit_times = _initial_partition(starts, same)
     class_ids = np.tile(np.array(ids0, dtype=int), (times.size, 1))
     return NPointSeries(
-        model=model,
-        times=times,
-        states=states,
-        columns=columns,
-        class_ids=class_ids,
-        hit_times=hit_times,
+        model=model, times=times, states=states, columns=trajs[0].columns, class_ids=class_ids, hit_times=hit_times
     )
 
 
@@ -728,13 +698,8 @@ def _scan_chunk(starts, ids0, live0, drawers, generators, chunk_hits, n_steps, d
 
 def leaf_defects(trajectory: Trajectory) -> np.ndarray:
     """The leaf defect of a trajectory at each recorded time, relative to its start point."""
-    model = trajectory.model
-    if isinstance(model, TorusWinding):
-        d = trajectory.states[:, 2:4] - np.array(trajectory.start.lift)
-        return np.abs(d @ np.array(model.v_perp))
-    dr = trajectory.states[:, 1] - trajectory.start.r
-    dz = trajectory.states[:, 2] - trajectory.start.z
-    return np.hypot(dr, dz)
+    coords = trajectory.states[:, 2:4] if isinstance(trajectory.model, TorusWinding) else trajectory.states[:, 1:3]
+    return _leaf_defects(trajectory.model, trajectory.start, coords)
 
 
 def check_leaf_invariance(trajectory: Trajectory) -> float:

@@ -219,7 +219,14 @@ def project_vertical(model: FoliatedModel, p: CylPoint) -> np.ndarray:
         )
     if not isinstance(p, CylPoint):
         raise TypeError(f"expected CylPoint, got {type(p).__name__}")
-    return np.array([p.r, p.z])
+    return np.array(p.leaf)
+
+
+def _leaf_defects(model: FoliatedModel, start, coords: np.ndarray) -> np.ndarray:
+    """``leaf_defect`` from start of each row of coords, a torus cover lift or a cylinder (r, z)."""
+    if isinstance(model, TorusWinding):
+        return np.abs((coords - np.array(start.lift)) @ np.array(model.v_perp))
+    return np.hypot(coords[:, 0] - start.r, coords[:, 1] - start.z)
 
 
 def leaf_defect(model: FoliatedModel, start, current) -> float:
@@ -228,16 +235,11 @@ def leaf_defect(model: FoliatedModel, start, current) -> float:
     Torus: |<lift(current) - lift(start), v_perp>| on the universal cover.
     Cylinder models: Euclidean distance between vertical coordinates.
     """
-    if isinstance(model, TorusWinding):
-        if not (isinstance(start, TorusPoint) and isinstance(current, TorusPoint)):
-            raise ValueError("torus leaf_defect needs TorusPoint inputs carrying lifts")
-        da = current.lift[0] - start.lift[0]
-        db = current.lift[1] - start.lift[1]
-        px, py = (-model.v[1], model.v[0])
-        return abs(da * px + db * py)
-    if not (isinstance(start, CylPoint) and isinstance(current, CylPoint)):
-        raise ValueError("cylinder leaf_defect needs CylPoint inputs")
-    return math.hypot(current.r - start.r, current.z - start.z)
+    torus = isinstance(model, TorusWinding)
+    point = TorusPoint if torus else CylPoint  # a torus point carries its cover lift
+    if not (isinstance(start, point) and isinstance(current, point)):
+        raise ValueError(f"{model.name} leaf_defect needs {point.__name__} inputs")
+    return float(_leaf_defects(model, start, np.array([current.lift if torus else current.leaf]))[0])
 
 
 _K3_FUNCS = {

@@ -186,14 +186,18 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool):
 
     per_eps = []
     blocks = []
-    n_violations = 0
     estimates = averaging_errors(
         cfg.perturbation, av.eps_grid, av.t, av.p, av.replicas, base, measure=av.measure,
         ode_step=av.ode_step, region=cfg.region, f_choice=av.f_choice, start=start,
         rate_bound=rb, keep_decompositions=True,
     )
+    diagnostics = {  # one count per eps, in eps_grid order
+        "jumps": [res.n_jumps for res in estimates],
+        "partition_intervals": [res.n_intervals for res in estimates],
+        "exits": [res.n_exited for res in estimates],
+        "violations": [len(res.violations) for res in estimates],
+    }
     for res in estimates:
-        n_violations += len(res.violations)
         per_eps.append(
             {
                 "eps": res.eps,
@@ -217,7 +221,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool):
         "std_errors": [row["std_error"] for row in per_eps],
         "G_values": [row["bound_G"] for row in per_eps],
         "per_eps": per_eps,
-        "pathwise_bound_violations": n_violations,
+        "pathwise_bound_violations": sum(diagnostics["violations"]),
         "decompositions": np.vstack(blocks),
     }
     if fit:
@@ -235,7 +239,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool):
         leaves = [tuple(v) for v in ode.values[:: max(1, len(ode.values) // 16)]]
         results["averaged_field_lipschitz_measured"] = measured_lipschitz(cfg.perturbation, leaves)
         results["gronwall_C"] = rb.gronwall_c
-    return results, {}, None
+    return results, diagnostics, None
 
 
 def _run_coalesce(cfg: ExperimentConfig):

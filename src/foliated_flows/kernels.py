@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drivers import _grid_steps
 from .geometry import TWO_PI
 
 ROW_SUM_TOL = 1e-12
-_ALIGN_TOL = 1e-9
 # kernel rows compared per array pass: bounds the temporaries of every check
 _ROWS_PER_PASS = 1 << 12
 
@@ -172,18 +172,14 @@ def build_cylinder_kernel(grid: LeafGrid, t: float) -> TransitionKernel:
     """
     if grid.m % 2 != 0:
         raise ValueError(f"antipodal map needs an even number of sites, got m={grid.m}")
-    step = TWO_PI / grid.m
-    k = round(t / step)
-    if abs(t - k * step) > _ALIGN_TOL:
-        raise ValueError(f"t={t} does not align with the grid: must be a multiple of 2*pi/{grid.m}")
+    return TransitionKernel(grid, float(t), *_cylinder_rows(grid, t, _grid_steps(t, TWO_PI / grid.m)))
+
+
+def _cylinder_rows(grid: LeafGrid, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and weights of the rotation-jump kernel at time t, which turns k sites."""
     p_jump = 0.5 * (1.0 - math.exp(-2.0 * t))
     p_stay = 0.5 * (1.0 + math.exp(-2.0 * t))
-    return TransitionKernel(
-        grid=grid,
-        t=float(t),
-        targets=grid.rotated([k, k + grid.m // 2]),
-        weights=np.tile([p_stay, p_jump], (grid.n_states, 1)),
-    )
+    return grid.rotated([k, k + grid.m // 2]), np.tile([p_stay, p_jump], (grid.n_states, 1))
 
 
 def product_kernel_flow(k1: TransitionKernel) -> TransitionKernel:
@@ -257,23 +253,29 @@ def kernel_distance(a: TransitionKernel, b: TransitionKernel) -> float:
 def semigroup_gaps(kernels: list[TransitionKernel]) -> tuple[list[float], np.ndarray]:
     """Totals s + t and gaps kernel_distance(P_s.compose(P_t), P_{s+t}), bit for bit, of every
     pair i <= j of cylinder kernels on one grid, in the order (0,0), (0,1), ..., (1,1), ....
-    P_{s+t} is built once per distinct float total; each array pass composes the pairs that
-    fit in _ROWS_PER_PASS rows and checks their rows as the TransitionKernel constructor does."""
+    The rows of P_{s+t} are built once per distinct float total, with weights from the total
+    and the rotation of s plus that of t: a sum of two grid times may lie up to twice the
+    grid tolerance off the grid.  Each array pass composes the pairs that fit in
+    _ROWS_PER_PASS rows and checks their rows as the TransitionKernel constructor does."""
     grid = kernels[0].grid
     if any(k.grid != grid for k in kernels):
         raise ValueError("cannot compose kernels on different grids")
     first, second = np.triu_indices(len(kernels))
     totals = [kernels[i].t + kernels[j].t for i, j in zip(first.tolist(), second.tolist())]
-    direct = {s: build_cylinder_kernel(grid, s) for s in dict.fromkeys(totals)}
+    sites = [_grid_steps(k.t, TWO_PI / grid.m) for k in kernels]
+    turns = {}  # each distinct total: its slot among the direct rows and the sites it turns
+    for s, i, j in zip(totals, first.tolist(), second.tolist()):
+        turns.setdefault(s, (len(turns), sites[i] + sites[j]))
+    rows = [_cylinder_rows(grid, s, k) for s, (_, k) in turns.items()]
+    direct = np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    index = np.array([turns[s][0] for s in totals])
     targets, weights = np.stack([k.targets for k in kernels]), np.stack([k.weights for k in kernels])
     gaps, step = np.empty(len(totals)), max(1, _ROWS_PER_PASS // grid.n_states)
     for lo in range(0, len(totals), step):
         i, j = first[lo : lo + step], second[lo : lo + step]
         composed = _compose_rows(targets[i], weights[i], targets[j], weights[j])
         _check_rows(*composed, grid.n_states)
-        batch = [direct[s] for s in totals[lo : lo + step]]
-        gaps[lo : lo + len(batch)] = _law_gap(
-            *composed, np.stack([k.targets for k in batch]), np.stack([k.weights for k in batch]))
+        gaps[lo : lo + len(i)] = _law_gap(*composed, *(x[index[lo : lo + step]] for x in direct))
     return totals, gaps
 
 

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from foliated_flows import averaging, harness
-from foliated_flows.averaging import InvariantMeasureSpec, averaging_error
+from foliated_flows.averaging import TRIANGLE_TOL, InvariantMeasureSpec, averaging_error
 from foliated_flows.cli import main as cli_main
 from foliated_flows.config import (
     EXPERIMENT_KINDS,
@@ -26,7 +26,7 @@ from foliated_flows.config import (
     load_config,
     parse_config,
 )
-from foliated_flows.drivers import StreamKey
+from foliated_flows.drivers import StreamKey, sample_poisson_jumps
 from foliated_flows.geometry import (
     CylPoint, PerturbationField, RotationJumpCylinder, TorusPoint, TorusWinding, VerticalRegion,
 )
@@ -671,6 +671,45 @@ def test_average_exits_payload_is_pinned():
     )
 
 
+# the payload sha256 of each averaging sample config at a replica count,
+# computed before averaging runs reported their diagnostics
+_AVERAGING_PAYLOAD_SHA256 = {
+    "rates-cosine": (200, "7c65e123b5e2f4aaaf8128271b4cd5365f3feb0f922480ebd1ee0acdb8d08503"),
+    "average-commuting": (40, "0ab8e1e7ecaafe2fd52e3b2675c6d453cadcec40630b2f27f295919c191a742b"),
+    "average-exits": (1000, "cfef8204bd91babdd2f5ca4108221acb39d18c930bdd788acd346836965c701e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AVERAGING_PAYLOAD_SHA256))
+def test_averaging_diagnostics_are_direct_recounts(name):
+    replicas, payload_sha256 = _AVERAGING_PAYLOAD_SHA256[name]
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    av = dataclasses.replace(cfg.averaging, replicas=replicas)
+    report = run(dataclasses.replace(cfg, averaging=av), write_artifacts=False)
+    assert _sha256_json(report.payload()) == payload_sha256
+    assert av.f_choice == "sqrt"
+    key, angular = StreamKey(cfg.seed), cfg.perturbation.has_angular
+    # the jumps on [0, t/eps] of every replica's own stream; without a cos term none is read
+    jumps = [sum(sample_poisson_jumps(key.replica(i), 1.0, av.t / eps).size for i in range(replicas)) * angular
+             for eps in av.eps_grid]
+    # the sqrt partition has int(eps^(-1/2)) full intervals
+    intervals = [{0.2: 2, 0.1: 3, 0.05: 4, 0.025: 6, 0.0125: 8, 0.01: 10}[eps] for eps in av.eps_grid]
+    # the decomposition rows (eps, replica, component, a1..a4, delta) hold two rows per replica that stayed
+    rows = report.results["decompositions"]
+    exits = [replicas - int(np.count_nonzero(rows[:, 0] == eps)) // 2 for eps in av.eps_grid]
+    a = np.abs(rows[:, 3:])
+    sup_g = np.array([cfg.perturbation.sup_radial(), cfg.perturbation.sup_vertical(cfg.region)])
+    limit = sup_g[rows[:, 2].astype(int) - 1] * av.t * np.sqrt(rows[:, 0])
+    failed = (a[:, 4] - a[:, :4].sum(axis=1) > TRIANGLE_TOL).astype(int) + (a[:, 3] > limit + TRIANGLE_TOL)
+    violations = [int(failed[rows[:, 0] == eps].sum()) for eps in av.eps_grid]
+    assert report.diagnostics == {
+        "jumps": jumps, "partition_intervals": intervals, "exits": exits, "violations": violations,
+    }
+    assert exits == [row["n_exited"] for row in report.results["per_eps"]]
+    assert sum(violations) == report.results["pathwise_bound_violations"]
+    assert all(jumps) == angular
+
+
 def test_averaged_side_is_exact_on_the_sample_configs():
     # rates-cosine: v(t) = (r0 + lambda0 t, z0) = (2, 0).  average-commuting:
     # K = (0, 1, sin z) commutes, so every replica ends exactly on v(t), and
@@ -938,14 +977,15 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
 # compact JSON: of each file's bytes, and for report.json of
 # json.dumps(json.loads(text) less wall_clock_seconds, sort_keys=True).
 # report.json has since gained fields that these pins predate: the wall-time
-# `timings` and the kernel-check counters in `diagnostics`, pinned by
-# test_kernel_check_diagnostics_stay_outside_the_payload; _artifact_sha256
-# drops them too.  Schema v2 writes the decomposition rows to
+# `timings`, and in `diagnostics` the kernel-check counters, pinned by
+# test_kernel_check_diagnostics_stay_outside_the_payload, and the averaging
+# counters, pinned by test_averaging_diagnostics_are_direct_recounts;
+# _artifact_sha256 drops them too.  Schema v2 writes the decomposition rows to
 # decomposition.npy, and report.json carries their digest; with v1=True,
 # _artifact_sha256 rebuilds the v1 decomposition.csv and report.json from them.
 # The kernel dumps kernel_t<t>.json are row-sparse (targets, weights) now; with
 # v1=True, _artifact_sha256 rebuilds the dense dump from each.
-_KERNEL_COUNTERS = ("kernels_built", "semigroup_pairs", "gap_rows")
+_RUN_COUNTERS = ("kernels_built", "semigroup_pairs", "gap_rows", "jumps", "partition_intervals", "exits", "violations")
 _DECOMPOSITION_HEADER = "eps,replica,component,a1,a2,a3,a4,delta\n"
 
 
@@ -970,7 +1010,7 @@ def _artifact_sha256(out: Path, v1: bool = False) -> dict:
         if name == "report.json":
             report = json.loads(body)
             del report["wall_clock_seconds"], report["timings"]
-            for key in _KERNEL_COUNTERS:
+            for key in _RUN_COUNTERS:
                 report["diagnostics"].pop(key, None)
             if v1:
                 report["schema"] = V1_SCHEMA
