@@ -184,26 +184,23 @@ class KeyedGenerators:
     Slots are numbered from 0 and first used in that order.  A reset sets
     counter 0, the key, an empty buffer (``buffer_pos`` 4) and no cached
     32-bit half (``has_uint32`` 0), which is the state a fresh seeding gives,
-    so no draw of a slot's previous key leaks into the next.
+    so no draw of a slot's previous key leaks into the next.  A key is a
+    (2,) uint64 array, such as a row of ``philox_keys``.
     """
 
     def __init__(self):
         self._slots: list[np.random.Generator] = []
+        zeros = [0, 0, 0, 0]
+        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None}, "buffer": zeros,
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def reset(self, slot: int, key: np.ndarray) -> np.random.Generator:
         if slot == len(self._slots):
             self._slots.append(_fresh_generator(key))
             return self._slots[slot]
         gen = self._slots[slot]
-        zeros = np.zeros(4, dtype=np.uint64)
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._state["state"]["key"] = key
+        gen.bit_generator.state = self._state
         return gen
 
 

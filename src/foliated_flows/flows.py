@@ -10,8 +10,11 @@
   afterwards.  Points on different leaves can never meet.  When only the hit
   times are wanted, ``coalescence_times`` draws the paths in blocks and stops
   once every leaf is one class; a point alone on its leaf draws nothing.  It
-  runs many replicas as one batch: pooled generators reset to keys hashed in
-  one pass, and one array scan per block over a chunk of replicas.
+  runs many replicas as one batch: slots that each hold one replica at its
+  own block, pooled generators reset to keys hashed in one pass, draws
+  straight into one reused buffer, and one array scan per block over the
+  busy slots, which wraps the gaps to ``np.mod``'s bits but calls it only
+  on the rare rows whose gap leaves [-3 pi, 3 pi).
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
@@ -68,7 +71,7 @@ CYLINDER_JUMP_RATE = 1.0
 
 # Steps of Brownian increments that coalescence_times draws per point at a time.
 _DRAW_BLOCK = 512
-# Replicas that coalescence_times scans together; bounds its block temporaries.
+# Replicas that coalescence_times scans together: the slots of its block buffer.
 _REPLICA_CHUNK = 16
 
 
@@ -463,7 +466,42 @@ def _live_pairs(ids: list[int], leaves: list) -> list[tuple[int, int]]:
     return [(a, b) for bi, b in enumerate(reps) for a in reps[:bi] if leaves[a] == leaves[b]]
 
 
-def _meetings(theta: np.ndarray, a: np.ndarray, b: np.ndarray, delta_c: float):
+def _wrap_gap(gap: np.ndarray) -> np.ndarray:
+    """Set gap to ``np.mod(gap + pi, TWO_PI) - pi`` in place, to the bit where y = gap + pi lies in [-TWO_PI, 2 TWO_PI).
+
+    There ``np.mod(y, TWO_PI)`` is y + TWO_PI for y < 0, y - TWO_PI for
+    y >= TWO_PI and y otherwise: fmod is exact (y, y - TWO_PI, or -0.0 at
+    -TWO_PI), numpy adds TWO_PI once to a negative remainder and makes a zero
+    +0.0, and y - TWO_PI is exact (Sterbenz).  The -0.0 this leaves where
+    numpy has +0.0 gives the same bits after the - pi.  Returns the mask of
+    the entries outside that range, whose value this leaves wrong.
+    """
+    gap += math.pi
+    work = np.empty_like(gap)
+    outside = ~((-TWO_PI <= gap) & (gap < 2.0 * TWO_PI))
+    np.greater_equal(gap, TWO_PI, out=work)
+    gap -= np.multiply(work, TWO_PI, out=work)
+    np.less(gap, 0.0, out=work)
+    gap += np.multiply(work, TWO_PI, out=work)
+    gap -= math.pi
+    return outside
+
+
+def _hits(g: np.ndarray, delta_c: float) -> np.ndarray:
+    """hit[..., r]: the wrapped gaps g (..., steps) meet at step r + 1, by the rule of ``_meetings``."""
+    # consecutive steps on the flat array, so no pass copies an operand; the
+    # last step of each row pairs with the next row and is cut
+    head, tail = g.reshape(-1)[:-1], g.reshape(-1)[1:]
+    work = np.empty_like(head)
+    hit = np.empty(g.shape, dtype=bool)
+    flat = hit.reshape(-1)[:-1]
+    np.less_equal(np.multiply(head, tail, out=work), 0.0, out=flat)
+    flat &= np.abs(np.subtract(tail, head, out=work), out=work) <= math.pi
+    flat |= np.abs(tail, out=work) < delta_c
+    return hit[..., :-1]
+
+
+def _meetings(theta: np.ndarray, a, b, delta_c: float):
     """Whether and at which step each pair (a[p], b[p]) first meets along the last axis of theta.
 
     theta is (..., points, steps), the angles at consecutive steps.  A pair
@@ -472,10 +510,18 @@ def _meetings(theta: np.ndarray, a: np.ndarray, b: np.ndarray, delta_c: float):
     or its magnitude drops below delta_c.  Returns the (..., pairs) arrays
     ``met`` and ``first``, the first meeting step less 1 where ``met``.
     """
-    g = np.mod(theta[..., a, :] - theta[..., b, :] + math.pi, TWO_PI) - math.pi
-    crossing = (g[..., :-1] * g[..., 1:] <= 0.0) & (np.abs(np.diff(g)) <= math.pi)
-    hit = crossing | (np.abs(g[..., 1:]) < delta_c)
-    return hit.any(axis=-1), hit.argmax(axis=-1)
+    g = np.empty((len(a),) + theta.shape[:-2] + theta.shape[-1:])  # pair-major
+    for p, (i, j) in enumerate(zip(a, b)):
+        np.subtract(theta[..., i, :], theta[..., j, :], out=g[p])
+    # the few rows with a gap the wrap leaves wrong are wrapped with np.mod
+    rows = np.nonzero(_wrap_gap(g).any(axis=-1))
+    if rows[0].size:
+        at = rows[1:]
+        gap = theta[at + (np.asarray(a)[rows[0]],)] - theta[at + (np.asarray(b)[rows[0]],)]
+        g[rows] = np.mod(gap + math.pi, TWO_PI) - math.pi
+    hit = _hits(g, delta_c)
+    met, first = hit.any(axis=-1), hit.argmax(axis=-1)
+    return np.moveaxis(met, 0, -1), np.moveaxis(first, 0, -1)
 
 
 def _apply_meetings(events: list, ids: list[int], dt: float, hit_times: dict) -> list:
@@ -593,11 +639,9 @@ def coalescence_times(
     block's Brownian sum starts from the last value of the one before, so the
     angles are the full path's to the bit.  A replica stops drawing once
     every leaf is one class; a point alone on its leaf opens no stream.
-    Replicas run _REPLICA_CHUNK at a time: all their Philox keys are hashed
-    in one pass up front, each drawing (replica, point) of a chunk gets one
-    pooled generator reset to its key, the meetings of each block are found
-    in one array pass over the chunk's replicas, and only replicas with a
-    meeting in the block go through the ordered merge loop.
+    _REPLICA_CHUNK slots each hold one replica at its own block (see
+    ``_scan_slots``): the slots' normals fill one reused buffer, and one
+    array pass finds the meetings of every slot's block.
     """
     sig, ids0, hits0 = _coalescing_start(starts, sigma)
     _validate_horizon_dt(horizon, dt)
@@ -608,88 +652,94 @@ def coalescence_times(
     for pq, t in hits0.items():
         hit_times[:, pairs.index(pq)] = t
     live0 = _live_pairs(ids0, [p.leaf for p in starts])
-    drawers = sorted({i for pq in live0 for i in pq})
     n_steps = _n_steps(horizon, dt)
-    counts = np.zeros(3, dtype=np.int64)  # streams opened, normals drawn, merges
-    if drawers and n_steps:
-        keys = np.stack(
-            [
-                philox_keys(key.point(i).with_role(ROLE_INDEPENDENT), replica_ids, _DOMAIN_BROWNIAN)
-                for i in drawers
-            ],
-            axis=1,
-        )
-        pool = KeyedGenerators()
-        for c0 in range(0, replica_ids.size, _REPLICA_CHUNK):
-            chunk = keys[c0 : c0 + _REPLICA_CHUNK]
-            generators = [
-                [pool.reset(c * len(drawers) + d, k) for d, k in enumerate(row)]
-                for c, row in enumerate(chunk)
-            ]
-            chunk_hits = [{} for _ in generators]  # the merges' hit times
-            counts += _scan_chunk(
-                starts, ids0, live0, drawers, generators, chunk_hits, n_steps, dt, sig
-            )
-            for c, hits in enumerate(chunk_hits):
-                for pq, t in hits.items():
-                    hit_times[c0 + c, pairs.index(pq)] = t
-    return CoalescenceBatch(pairs, hit_times, *(int(c) for c in counts))
+    counts = (0, 0, 0)  # streams opened, normals drawn, merges
+    if live0 and n_steps and replica_ids.size:
+        counts = _scan_slots(starts, ids0, live0, key, replica_ids, hit_times, pairs, n_steps, dt, sig)
+    return CoalescenceBatch(pairs, hit_times, *counts)
 
 
-def _scan_chunk(starts, ids0, live0, drawers, generators, chunk_hits, n_steps, dt, sig) -> np.ndarray:
-    """Draw and scan the blocks of a chunk of replicas until each has every leaf one class.
+def _scan_slots(starts, ids0, live0, key, replica_ids, hit_times, pairs, n_steps, dt, sig) -> tuple:
+    """Draw and scan blocks until each replica has every leaf one class or reaches n_steps.
 
-    ``generators[c][d]`` draws point ``drawers[d]`` of replica c, whose hit
-    times go into ``chunk_hits[c]``.  Returns the counts (streams opened,
-    normals drawn, merges).
+    Replica ``replica_ids[r]`` of key has its hit times put in row r of
+    hit_times.  Each slot holds one replica at its own block start; a slot
+    whose replica is done takes the next one, and once none is left the last
+    busy slot moves into it, so every block scans busy slots only.  Returns
+    (streams opened, normals drawn, merges).
     """
-    n_rep, n = len(generators), len(starts)
-    a, b = np.array(live0).T
-    col = {i: d for d, i in enumerate(drawers)}
-    a_col, b_col = [col[i] for i in a], [col[i] for i in b]
+    drawers = sorted({i for pq in live0 for i in pq})
+    keys = np.stack(
+        [philox_keys(key.point(i).with_role(ROLE_INDEPENDENT), replica_ids, _DOMAIN_BROWNIAN) for i in drawers],
+        axis=1,
+    )
+    n_rep, n_draw, slots = replica_ids.size, len(drawers), min(_REPLICA_CHUNK, replica_ids.size)
+    a_col, b_col = ([drawers.index(pq[e]) for pq in live0] for e in (0, 1))
     sd = math.sqrt(dt)
     delta_c = sig * sd / 10.0
-    theta0 = np.array([starts[i].theta for i in drawers])[:, None]
-    ids = [list(ids0) for _ in range(n_rep)]
-    brownian = np.zeros((n_rep, len(drawers)))  # B at the last drawn step
-    last = np.tile(theta0[:, 0], (n_rep, 1))  # the last step scanned
-    normals = merges = 0
-    for k0 in range(0, n_steps, _DRAW_BLOCK):
-        is_rep = np.array(ids) == np.arange(n)
-        live = is_rep[:, a] & is_rep[:, b]
-        rows_live = np.flatnonzero(live.any(axis=1))
-        if not rows_live.size:
-            break
-        live = live[rows_live]
-        drawing = np.zeros((rows_live.size, len(drawers)), dtype=bool)
-        for p in range(a.size):
-            drawing[:, a_col[p]] |= live[:, p]
-            drawing[:, b_col[p]] |= live[:, p]
-        steps = min(_DRAW_BLOCK, n_steps - k0)
-        # (replica, drawer, step): the start, then B and the angle at steps
-        # k0 + 1 .. k0 + steps; drawers that no longer draw keep stale angles
-        theta = np.zeros((rows_live.size, len(drawers), steps + 1))
-        for l, (c, row) in enumerate(zip(rows_live, drawing.tolist())):
-            for d, draws in enumerate(row):
+    theta0 = np.array([starts[i].theta for i in drawers])[:, None, None]
+    pool = KeyedGenerators()
+    # (drawer, slot, step): B at the block's start, then the normals and B at
+    # its steps, then the angles; drawers that no longer draw add zeros.  A
+    # drawer's rows are contiguous, so no in-place pass copies its operands.
+    buf = np.zeros((n_draw, slots, _DRAW_BLOCK + 1))
+    blocks = [list(buf[:, s, 1:]) for s in range(slots)]  # each slot's draws, by drawer
+    carry = np.zeros((n_draw, slots))  # B at each slot's last drawn step
+    rep, k0, gens, ids, hits, drawing = ([None] * slots for _ in range(6))
+
+    def start(s, r):
+        rep[s], k0[s], ids[s], hits[s], drawing[s] = r, 0, list(ids0), {}, [True] * n_draw
+        gens[s] = [pool.reset(s * n_draw + d, k) for d, k in enumerate(keys[r])]
+        carry[:, s] = 0.0
+
+    for s in range(slots):
+        start(s, s)
+    queued, busy, normals, merges = slots, slots, 0, 0
+    while busy:
+        steps = [min(_DRAW_BLOCK, n_steps - k) for k in k0[:busy]]
+        for s, n in enumerate(steps):
+            if n < _DRAW_BLOCK:
+                buf[:, s, n + 1 :] = 0.0
+            for gen, out, draws in zip(gens[s], blocks[s], drawing[s]):
                 if draws:
-                    theta[l, d, 1:] = generators[c][d].normal(0.0, sd, size=steps)
-        normals += steps * int(drawing.sum())
-        path = theta[:, :, 1:]
-        path[:, :, 0] += brownian[rows_live]
-        np.cumsum(path, axis=-1, out=path)
-        brownian[rows_live] = path[:, :, -1]
-        path *= sig
-        path += theta0
-        theta[:, :, 0] = last[rows_live]
-        last[rows_live] = theta[:, :, -1]
+                    gen.standard_normal(out=out[:n])
+                else:
+                    out.fill(0.0)
+            normals += n * sum(drawing[s])
+        theta = buf[:, :busy]
+        theta *= sd  # normal(0, sd) is 0.0 + sd * z: the same bits once summed
+        theta[:, :, 0] = carry[:, :busy]
+        np.cumsum(theta, axis=-1, out=theta)
+        carry[:, :busy] = theta[:, :, -1]
+        theta *= sig
+        theta += theta0
         # a pair with an absorbed end scans stale angles; its meetings are
         # no-ops in _apply_meetings
-        met, first = _meetings(theta, a_col, b_col, delta_c)
-        for l in np.flatnonzero(met.any(axis=1)):
-            c = rows_live[l]
-            events = [(k0 + 1 + int(first[l, p]), int(b[p]), int(a[p])) for p in np.flatnonzero(met[l])]
-            merges += len(_apply_meetings(events, ids[c], dt, chunk_hits[c]))
-    return np.array([n_rep * len(drawers), normals, merges])
+        scan = theta[:, :, : max(steps) + 1].transpose(1, 0, 2)  # (slot, drawer, step)
+        met, first = (x.tolist() for x in _meetings(scan, a_col, b_col, delta_c))
+        for s in reversed(range(busy)):
+            n = steps[s]
+            if any(met[s]):
+                events = [(k0[s] + 1 + f, j, i) for (i, j), m, f in zip(live0, met[s], first[s]) if m and f < n]
+                if merged := _apply_meetings(events, ids[s], dt, hits[s]):
+                    merges += len(merged)
+                    c = ids[s]
+                    live = [pq for pq in live0 if c[pq[0]] == pq[0] and c[pq[1]] == pq[1]]
+                    drawing[s] = [any(x in pq for pq in live) for x in drawers]
+            k0[s] += n
+            if k0[s] < n_steps and any(drawing[s]):
+                continue
+            for pq, t in hits[s].items():
+                hit_times[rep[s], pairs.index(pq)] = t
+            if queued < n_rep:
+                start(s, queued)
+                queued += 1
+            else:
+                busy -= 1
+                for slot in (rep, k0, gens, ids, hits, drawing):
+                    slot[s] = slot[busy]
+                carry[:, s] = carry[:, busy]
+    return n_rep * n_draw, normals, merges
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,11 @@ def _run_coalesce(cfg: ExperimentConfig):
     same_leaf = np.array([starts[i].leaf == starts[j].leaf for i, j in batch.pairs], dtype=bool)
     curve_times = np.linspace(0.0, co.horizon, co.curve_points)
     if same_leaf.any():
-        same_hits = batch.hit_times[:, same_leaf]
-        fraction = [float(np.mean(same_hits <= tt)) for tt in curve_times]
+        # a hit counts from the first curve time at or after it; count / n is
+        # the mean of the 0/1 values hit <= t, to the bit
+        first = np.searchsorted(curve_times, batch.hit_times[:, same_leaf], side="left")
+        counts = np.cumsum(np.bincount(first.ravel(), minlength=curve_times.size + 1))[:-1]
+        fraction = (counts / first.size).tolist()
     else:
         fraction = [0.0 for _ in curve_times]
     n_hit = np.isfinite(batch.hit_times).sum(axis=0)

@@ -1,12 +1,13 @@
 """coalescence_times against the full-path reference evolve_coalescing_circle.
 
 coalescence_times draws each stream in blocks of _DRAW_BLOCK steps, scans
-replicas in chunks of _REPLICA_CHUNK and stops early, so every case compares
-its hit times with the reference's bit for bit: dict equality of floats is
-exact equality, and batch rows are compared as bytes.
+_REPLICA_CHUNK replicas at a time in slots and stops early, so every case
+compares its hit times with the reference's bit for bit: dict equality of
+floats is exact equality, and batch rows are compared as bytes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,8 +135,8 @@ def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypa
         def __init__(self, rng, point_id):
             self.rng, self.point_id = rng, point_id
 
-        def normal(self, *args, **kwargs):
-            out = self.rng.normal(*args, **kwargs)
+        def standard_normal(self, *args, **kwargs):
+            out = self.rng.standard_normal(*args, **kwargs)
             opened[self.point_id] += out.size
             return out
 
@@ -241,3 +242,141 @@ def test_batch_rows_are_the_reference_hit_times(n_replicas):
             ref = evolve_coalescing_circle(starts, StreamKey(SEED, int(rep)), horizon, dt, sigma)
             expected = [ref.hit_times.get(pq, np.inf) for pq in batch.pairs]
             assert row.tobytes() == np.array(expected).tobytes()
+
+
+def _mod_wrap(x):
+    return np.mod(x + math.pi, 2.0 * math.pi) - math.pi
+
+
+def _reference_meetings(theta, a, b, delta_c):
+    """The meeting scan written with np.mod on every gap."""
+    g = _mod_wrap(theta[..., a, :] - theta[..., b, :])
+    crossing = (g[..., :-1] * g[..., 1:] <= 0.0) & (np.abs(np.diff(g)) <= math.pi)
+    hit = crossing | (np.abs(g[..., 1:]) < delta_c)
+    return hit.any(axis=-1), hit.argmax(axis=-1)
+
+
+def _count_mod_elements(monkeypatch):
+    """Patch np.mod to count the elements it wraps; returns the running count."""
+    seen = [0]
+    original = np.mod
+
+    def counting(x, *args, **kwargs):
+        seen[0] += np.size(x)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "mod", counting)
+    return seen
+
+
+def test_gap_wrap_is_the_mod_wrap_bit_for_bit():
+    # the scan wraps pair gaps by adding or subtracting 2 pi, which is
+    # np.mod's result to the bit for gaps in [-3 pi, 3 pi), and flags every
+    # gap outside, whose wrap it leaves wrong
+    edges = [5e-324, -5e-324]
+    for v in (0.0, math.pi, 2.0 * math.pi):
+        for x in (v, -v):
+            edges += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    rng = np.random.default_rng(SEED)
+    fast = np.vstack([np.resize(edges, 1000), rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (100, 1000))])
+    far = rng.uniform(20.0, 1e4, (10, 1000)) * rng.choice([-1.0, 1.0], (10, 1000))
+    far[:, :2] = [1e4, -1e4]
+    far[:, 2::2] = rng.uniform(-1.0, 1.0, (10, 499))  # half of each row is in range
+    bounds = [y for x in (-3.0 * math.pi, 3.0 * math.pi) for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+    past = rng.uniform(3.0 * math.pi, 5.0 * math.pi, (2, 1000)) * np.array([[1.0], [-1.0]])
+    flagged = []
+    for x in (fast, far, np.array(bounds), past):
+        gap = x.copy()
+        outside = flows._wrap_gap(gap)
+        assert gap[~outside].tobytes() == _mod_wrap(x)[~outside].tobytes()
+        y = x + math.pi
+        assert (outside == ((y < -2.0 * math.pi) | (y >= 4.0 * math.pi))).all()
+        flagged.append(outside)
+    assert not flagged[0].any()
+    assert (flagged[1] == (np.abs(far) >= 20.0)).all()
+    assert flagged[3].all()
+
+
+@pytest.mark.parametrize("step", [0.05, 0.5, 2.0, 20.0])
+def test_meeting_scan_equals_the_mod_scan(step):
+    # random walks whose steps carry many gaps out of [-3 pi, 3 pi), before
+    # or after their first meeting; a row with such a gap is wrapped with
+    # np.mod
+    rng = np.random.default_rng(SEED)
+    for _ in range(20):
+        theta = rng.uniform(0.0, 2.0 * math.pi, (6, 4, 1)) + np.cumsum(rng.normal(0.0, step, (6, 4, 300)), axis=-1)
+        a, b = np.array([(0, 1), (0, 2), (1, 3), (2, 3)]).T
+        met, first = flows._meetings(theta, a, b, 0.01)
+        ref_met, ref_first = _reference_meetings(theta, a, b, 0.01)
+        assert met.tolist() == ref_met.tolist()
+        assert first[met].tolist() == ref_first[ref_met].tolist()
+
+
+def test_meetings_next_to_a_block_end_gap_outside_the_fast_wrap_range():
+    # each row's one gap outside [-3 pi, 3 pi) is at the block's last or
+    # first step, next to its meeting: within delta_c of 4 pi or -4 pi, or a
+    # zero crossing to or from near 2 pi; the fast wrap alone reads |g| >= pi
+    # there and sees no meeting
+    two_pi = 2.0 * math.pi
+    gaps = np.array(
+        [
+            [1.0, 1.5, 2.0, 2.5, 2.0 * two_pi - 0.001],
+            [-1.0, -1.5, -2.0, -2.5, -2.0 * two_pi + 0.001],
+            [two_pi + 0.5, two_pi + 0.4, two_pi + 0.3, two_pi + 0.1, 1.5 * two_pi + 0.2],
+            [-two_pi - 0.5, -two_pi - 0.4, -two_pi - 0.3, -two_pi - 0.1, -1.5 * two_pi - 0.2],
+            [1.5 * two_pi + 0.1, two_pi + 0.05, two_pi + 0.5, two_pi + 1.0, two_pi + 1.5],
+            [-1.5 * two_pi - 0.1, -two_pi - 0.05, -two_pi - 0.5, -two_pi - 1.0, -two_pi - 1.5],
+        ]
+    )
+    theta = np.stack([gaps, np.zeros_like(gaps)], axis=1)  # (row, point, step)
+    met, first = flows._meetings(theta, [0], [1], 0.01)
+    ref_met, ref_first = _reference_meetings(theta, np.array([0]), np.array([1]), 0.01)
+    assert ref_met.all() and ref_first[:, 0].tolist() == [3, 3, 3, 3, 0, 0]
+    assert met.tolist() == ref_met.tolist()
+    assert first.tolist() == ref_first.tolist()
+
+
+def test_blocks_whose_gap_leaves_the_fast_wrap_range_match_the_reference(monkeypatch):
+    # on steps this coarse a pair gap often jumps by more than pi, which is
+    # no meeting, so it can pass zero unseen and leave [-3 pi, 3 pi) before
+    # its hit; those rows must take np.mod (a scan without it gives other
+    # hit times for 9 of these 40 replicas)
+    starts = [CylPoint(0.0, 1.0, 0.0), CylPoint(3.0, 1.0, 0.0), CylPoint(0.5, 2.0, 0.0), CylPoint(5.5, 2.0, 0.0)]
+    horizon, dt, sigma = 20.0, 0.5, 2.0
+    replicas = np.arange(40)
+    # the reference shares the scan, so it scans with np.mod here
+    monkeypatch.setattr(flows, "_meetings", _reference_meetings)
+    refs = [evolve_coalescing_circle(starts, StreamKey(SEED, int(r)), horizon, dt, sigma) for r in replicas]
+    monkeypatch.undo()
+    seen = _count_mod_elements(monkeypatch)
+    batch = coalescence_times(starts, StreamKey(SEED), horizon, dt, sigma, replicas=replicas)
+    assert seen[0] > 0
+    assert batch.merges > 0
+    for row, ref in zip(batch.hit_times, refs):
+        expected = [ref.hit_times.get(pq, np.inf) for pq in batch.pairs]
+        assert row.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "starts, n_drawers, horizon, slack",
+    [
+        (CIRCLE_STARTS, 2, 50.0, 436_585),
+        ([CylPoint(1.5 * i, 1.0, 0.0) for i in range(4)] + [CylPoint(0.0, 3.0, 0.0)], 4, 8.0, 1_543_725),
+    ],
+)
+def test_scan_memory_grows_with_replicas_only_by_hit_times_and_keys(starts, n_drawers, horizon, slack):
+    # tracemalloc peak less the (R, pairs) float64 hit times and the (R,
+    # drawers, 2) uint64 Philox keys; slack is what the chunked scan this one
+    # replaced peaked above them at 64 replicas (at 2048 it reached 449 408
+    # and 1 558 866 bytes, its key hashing growing with R)
+    n_pairs = len(starts) * (len(starts) - 1) // 2
+    coalescence_times(starts, StreamKey(SEED), horizon, 0.01, 1.0, replicas=np.arange(4))
+    for n_rep in (64, 2048):
+        replicas = np.arange(n_rep)
+        tracemalloc.start()
+        try:
+            coalescence_times(starts, StreamKey(SEED), horizon, 0.01, 1.0, replicas=replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n_rep * (8 * n_pairs + 16 * n_drawers) <= slack
