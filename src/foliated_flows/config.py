@@ -21,6 +21,7 @@ import yaml
 from .averaging import F_CHOICES, InvariantMeasureSpec, MEASURE_MODES
 from .drivers import _MAX_ID, _grid_steps, _validate_horizon_dt
 from .geometry import ANGULAR_CHOICES, K3_CHOICES, MODEL_NAMES, TWO_PI, PerturbationField, VerticalRegion
+from .kernels import kernel_dump_name
 
 # The config section each experiment kind reads; its ``replicas``, if it has
 # one, is the run's replica count.
@@ -341,6 +342,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
     times: list[float] = []
+    dumps: dict[str, int] = {}  # each kernel dump's name: the first time that writes it
     for i, tv in enumerate(ksec.take("times", list, bool, "need at least one time")):
         if _is_finite_number(tv):
             tv = float(tv)
@@ -349,6 +351,12 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
                 problems.append(f"{where} >= 0")
             else:
                 _check(problems, f"{where} a multiple of 2*pi/m", _grid_steps, tv, TWO_PI / m)
+            first = dumps.setdefault(kernel_dump_name(tv), i)
+            if tv in times:
+                problems.append(f"config.kernel_check.times[{i}]: repeats times[{times.index(tv)}] = {tv}")
+            elif first != i:
+                problems.append(f"config.kernel_check.times[{i}]: its dump {kernel_dump_name(tv)} "
+                                f"would overwrite that of times[{first}]")
             times.append(tv)
         else:
             problems.append(f"config.kernel_check.times[{i}]: expected a finite number")

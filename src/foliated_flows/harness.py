@@ -32,13 +32,13 @@ from .drivers import StreamKey
 from .flows import coalescence_times, n_point_motion, series_leaf_defects
 from .geometry import CylPoint, TorusPoint, make_model
 from .kernels import (
+    FLOW_CHECKS,
     build_cylinder_kernel,
-    check_compatibility,
-    check_diagonal_preserving,
-    check_foliated,
     defect_record,
+    defects_json,
+    flow_defects,
+    kernel_dump_name,
     LeafGrid,
-    product_kernel_flow,
     semigroup_gaps,
     write_kernel_json,
 )
@@ -149,23 +149,17 @@ def _run_simulate(cfg: ExperimentConfig):
 def _run_kernel_check(cfg: ExperimentConfig):
     kc = cfg.kernel_check
     grid = LeafGrid(m=kc.m, leaves=kc.leaves)
-    records = []
     kernels = [build_cylinder_kernel(grid, t) for t in kc.times]
-    for t, k1 in zip(kc.times, kernels):
-        records.append(defect_record("row-sums", t, float(np.max(np.abs(k1.weights.sum(axis=1) - 1.0)))))
-        records.append(defect_record("foliated-off-leaf-mass", t, check_foliated(k1)))
-        k2 = product_kernel_flow(k1)
-        records.append(defect_record("compatibility", t, check_compatibility(k2, k1)))
-        records.append(defect_record("diagonal-preserving", t, check_diagonal_preserving(k2, k1)))
-        del k2  # so the next time's 2-point kernel is built with this one freed
+    records = [defect_record(check, t, d) for t, row in zip(kc.times, flow_defects(kernels).tolist())
+               for check, d in zip(FLOW_CHECKS, row)]
     totals, gaps = semigroup_gaps(kernels)
     records += [defect_record("semigroup-composition", s, g) for s, g in zip(totals, gaps.tolist())]
 
     def write_kernels(out: Path) -> None:
         for t, k1 in zip(kc.times, kernels):
-            write_kernel_json(k1, out / f"kernel_t{t:.6f}.json")
+            write_kernel_json(k1, out / kernel_dump_name(t))
         with open(out / "kernel_defects.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(records, indent=1))
+            fh.write(defects_json(records))
 
     n = grid.n_states  # law-gap rows: n^2 compatibility and n diagonal per time, n per pair
     diagnostics = {"kernels_built": 2 * len(kernels) + len(set(totals)), "semigroup_pairs": len(totals),

@@ -11,8 +11,11 @@ of at most _ROWS_PER_PASS rows, not a sampled estimate.
 Checks cover: compatibility of a 2-point kernel with its 1-point marginal,
 diagonal preservation, the foliated (off-leaf mass zero) property with its
 function-pair degeneracy variant, the semigroup composition law, and the
-absorb-on-diagonal coalescing construction.  The semigroup law is checked
-over all time pairs at once, as many pairs per array pass as fit in its rows.
+absorb-on-diagonal coalescing construction.  Over a list of times,
+``flow_defects`` and ``semigroup_gaps`` run them on the stacked (times, rows,
+width) arrays of as many kernels as fit in a pass, of which the single-kernel
+checks are the batch-of-one case; only compatibility runs once per time, on
+the one 2-point kernel held at a time.
 
 Feller continuity of the underlying semigroups is a topological limit
 statement with no finite-grid analog; it is out of scope for these numeric
@@ -34,6 +37,8 @@ from .geometry import TWO_PI
 ROW_SUM_TOL = 1e-12
 # kernel rows compared per array pass: bounds the temporaries of every check
 _ROWS_PER_PASS = 1 << 12
+# the checks of flow_defects, in the order of its columns
+FLOW_CHECKS = ("row-sums", "foliated-off-leaf-mass", "compatibility", "diagonal-preserving")
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,26 @@ def _flat(grid, t: float, targets: np.ndarray, weights: np.ndarray) -> "Transiti
     """Kernel whose row x holds every (target, weight) in targets[x, ...], weights[x, ...]."""
     n = grid.n_states
     return TransitionKernel(grid=grid, t=t, targets=targets.reshape(n, -1), weights=weights.reshape(n, -1))
+
+
+def _passes(count: int, rows: int) -> list[slice]:
+    """Slices of range(count) that take as many items of the given number of kernel rows as fit in
+    _ROWS_PER_PASS rows, and at least one."""
+    step = max(1, _ROWS_PER_PASS // rows)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _one_grid(kernels: list):
+    """The grid of a nonempty list of kernels that all live on it."""
+    if not kernels:
+        raise ValueError("need at least one kernel")
+    if any(k.grid != kernels[0].grid for k in kernels):
+        raise ValueError("kernels live on different grids")
+    return kernels[0].grid
+
+
+def _stacked(kernels: list) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([k.targets for k in kernels]), np.stack([k.weights for k in kernels])
 
 
 def _check_rows(targets: np.ndarray, weights: np.ndarray, n: int) -> None:
@@ -172,14 +197,18 @@ def build_cylinder_kernel(grid: LeafGrid, t: float) -> TransitionKernel:
     """
     if grid.m % 2 != 0:
         raise ValueError(f"antipodal map needs an even number of sites, got m={grid.m}")
-    return TransitionKernel(grid, float(t), *_cylinder_rows(grid, t, _grid_steps(t, TWO_PI / grid.m)))
+    targets, weights = _cylinder_rows(grid, [t], [_grid_steps(t, TWO_PI / grid.m)])
+    return TransitionKernel(grid, float(t), targets[0], weights[0])
 
 
-def _cylinder_rows(grid: LeafGrid, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and weights of the rotation-jump kernel at time t, which turns k sites."""
-    p_jump = 0.5 * (1.0 - math.exp(-2.0 * t))
-    p_stay = 0.5 * (1.0 + math.exp(-2.0 * t))
-    return grid.rotated([k, k + grid.m // 2]), np.tile([p_stay, p_jump], (grid.n_states, 1))
+def _cylinder_rows(grid: LeafGrid, times: list, sites: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and weights, each (len(times), n_states, 2), of the rotation-jump kernel at each
+    time, which turns the matching number of sites: one rotation pass for every time."""
+    n, half = grid.n_states, grid.m // 2
+    targets = grid.rotated([s for k in sites for s in (k, k + half)]).reshape(n, len(sites), 2)
+    decay = [math.exp(-2.0 * t) for t in times]
+    weights = np.array([(0.5 * (1.0 + e), 0.5 * (1.0 - e)) for e in decay])  # stay, jump
+    return targets.swapaxes(0, 1), np.repeat(weights[:, np.newaxis], n, axis=1)
 
 
 def product_kernel_flow(k1: TransitionKernel) -> TransitionKernel:
@@ -253,30 +282,50 @@ def kernel_distance(a: TransitionKernel, b: TransitionKernel) -> float:
 def semigroup_gaps(kernels: list[TransitionKernel]) -> tuple[list[float], np.ndarray]:
     """Totals s + t and gaps kernel_distance(P_s.compose(P_t), P_{s+t}), bit for bit, of every
     pair i <= j of cylinder kernels on one grid, in the order (0,0), (0,1), ..., (1,1), ....
-    The rows of P_{s+t} are built once per distinct float total, with weights from the total
-    and the rotation of s plus that of t: a sum of two grid times may lie up to twice the
-    grid tolerance off the grid.  Each array pass composes the pairs that fit in
+    The rows of P_{s+t} are built in one pass, once per distinct float total, with weights
+    from the total and the rotation of s plus that of t: a sum of two grid times may lie up
+    to twice the grid tolerance off the grid.  Each array pass composes the pairs that fit in
     _ROWS_PER_PASS rows and checks their rows as the TransitionKernel constructor does."""
-    grid = kernels[0].grid
-    if any(k.grid != grid for k in kernels):
-        raise ValueError("cannot compose kernels on different grids")
+    grid, (targets, weights) = _one_grid(kernels), _stacked(kernels)
     first, second = np.triu_indices(len(kernels))
     totals = [kernels[i].t + kernels[j].t for i, j in zip(first.tolist(), second.tolist())]
     sites = [_grid_steps(k.t, TWO_PI / grid.m) for k in kernels]
     turns = {}  # each distinct total: its slot among the direct rows and the sites it turns
     for s, i, j in zip(totals, first.tolist(), second.tolist()):
         turns.setdefault(s, (len(turns), sites[i] + sites[j]))
-    rows = [_cylinder_rows(grid, s, k) for s, (_, k) in turns.items()]
-    direct = np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    direct = _cylinder_rows(grid, list(turns), [k for _, k in turns.values()])
     index = np.array([turns[s][0] for s in totals])
-    targets, weights = np.stack([k.targets for k in kernels]), np.stack([k.weights for k in kernels])
-    gaps, step = np.empty(len(totals)), max(1, _ROWS_PER_PASS // grid.n_states)
-    for lo in range(0, len(totals), step):
-        i, j = first[lo : lo + step], second[lo : lo + step]
+    gaps = np.empty(len(totals))
+    for part in _passes(len(totals), grid.n_states):
+        i, j = first[part], second[part]
         composed = _compose_rows(targets[i], weights[i], targets[j], weights[j])
         _check_rows(*composed, grid.n_states)
-        gaps[lo : lo + len(i)] = _law_gap(*composed, *(x[index[lo : lo + step]] for x in direct))
+        gaps[part] = _law_gap(*composed, *(x[index[part]] for x in direct))
     return totals, gaps
+
+
+def flow_defects(kernels: list[TransitionKernel]) -> np.ndarray:
+    """(len(kernels), 4) defects, columns in FLOW_CHECKS order, of each 1-point kernel k1 on one
+    grid and k2 = product_kernel_flow(k1), bit for bit: max |row sum - 1| of k1, check_foliated(k1),
+    check_compatibility(k2, k1) and check_diagonal_preserving(k2, k1).  Each k2 lives only for its
+    compatibility check; the other checks run in stacked passes over as many kernels as fit in
+    _ROWS_PER_PASS rows."""
+    grid = _one_grid(kernels)
+    n, diag, defects = grid.n_states, PairGrid(base=grid).diagonal_indices(), []
+    for part in _passes(len(kernels), n):
+        compatibility, diagonals = [], []
+        for k1 in kernels[part]:
+            k2 = product_kernel_flow(k1)
+            compatibility.append(check_compatibility(k2, k1))
+            diagonals.append((k2.targets[diag], k2.weights[diag]))
+            del k2  # so the next 2-point kernel is built with this one freed
+        targets, weights = _stacked(kernels[part])
+        diagonal = _diagonal_gaps(*(np.stack(x) for x in zip(*diagonals)), targets, weights, n)
+        row_sums = np.abs(weights.sum(axis=-1) - 1.0).max(axis=-1)
+        off_leaf = _off_leaf_mass(grid, targets, weights)
+        defects.append(np.column_stack([row_sums, off_leaf, compatibility, diagonal]))
+        del targets, weights  # so the next pass builds its 2-point kernels with these freed
+    return np.concatenate(defects)
 
 
 def _require_pair_over(k2: TransitionKernel, k1: TransitionKernel) -> int:
@@ -296,8 +345,7 @@ def check_compatibility(k2: TransitionKernel, k1: TransitionKernel) -> float:
     """
     n = _require_pair_over(k2, k1)  # k1's row x1 meets pair rows (x1, x2) for every x2
     rows = [x.reshape(n, -1, x.shape[1]) for x in (k2.targets, k2.weights, k1.targets, k1.weights)]
-    step = max(1, _ROWS_PER_PASS // n)  # k1 rows per pass
-    blocks = ([x[lo : lo + step] for x in rows] for lo in range(0, n, step))
+    blocks = ([x[part] for x in rows] for part in _passes(n, n))  # k1 rows with all their pair rows
     return float(max(_law_gap(t2 // n, w2, t1, w1).max() for t2, w2, t1, w1 in blocks))
 
 
@@ -309,8 +357,15 @@ def check_diagonal_preserving(k2: TransitionKernel, k1: TransitionKernel) -> flo
     """
     n = _require_pair_over(k2, k1)  # n diagonal rows against k1's n rows: no blocks needed
     diag = k2.grid.diagonal_indices()
-    y1, y2 = np.divmod(k2.targets[diag], n)
-    return float(_law_gap(y1, np.where(y1 == y2, k2.weights[diag], 0.0), k1.targets, k1.weights))
+    return float(_diagonal_gaps(k2.targets[diag], k2.weights[diag], k1.targets, k1.weights, n))
+
+
+def _diagonal_gaps(diag_targets, diag_weights, targets, weights, n: int) -> np.ndarray:
+    """check_diagonal_preserving of each stacked (..., n, width) pair of 2-point diagonal rows
+    and 1-point kernel rows on n states: the mass the diagonal row (x, x) sends to each (z, z)
+    against the 1-point mass x -> z."""
+    y1, y2 = np.divmod(diag_targets, n)
+    return _law_gap(y1, np.where(y1 == y2, diag_weights, 0.0), targets, weights)
 
 
 def check_foliated(k: TransitionKernel) -> float:
@@ -320,9 +375,14 @@ def check_foliated(k: TransitionKernel) -> float:
     the support of every transition measure stays inside the leaf); on a
     PairGrid a state's label is the pair of its coordinates' leaves.
     """
-    labels = k.grid.leaf_labels()
-    off = labels[k.targets] != labels[:, np.newaxis]
-    return float(np.max(np.where(off, k.weights, 0.0).sum(axis=1)))
+    return float(_off_leaf_mass(k.grid, k.targets, k.weights))
+
+
+def _off_leaf_mass(grid, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """check_foliated of each stacked (..., n_states, width) kernel on the grid."""
+    labels = grid.leaf_labels()
+    off = labels[targets] != labels[:, np.newaxis]
+    return np.where(off, weights, 0.0).sum(axis=-1).max(axis=-1)
 
 
 def function_pair_degeneracy_gap(k: TransitionKernel, f: np.ndarray, g: np.ndarray, leaf_i: int) -> float:
@@ -399,5 +459,22 @@ def write_kernel_json(k: TransitionKernel, path) -> None:
         fh.write(json.dumps(kernel_to_json(k), separators=(",", ":")))
 
 
+def kernel_dump_name(t: float) -> str:
+    """File name of the dump of the kernel at time t; times that share it would overwrite one dump."""
+    return f"kernel_t{t:.6f}.json"
+
+
 def defect_record(check: str, t: float, defect: float) -> dict:
     return {"check": check, "t": t, "defect": defect}
+
+
+def defects_json(records: list[dict]) -> str:
+    """json.dumps(records, indent=1) of defect records, byte for byte, without json's Python indent
+    encoder: json's C encoder writes every check name and number, and no number holds ", "."""
+    if not records:
+        return "[]"
+    names = {c: json.dumps(c) for c in {r["check"] for r in records}}
+    numbers = json.dumps([x for r in records for x in (r["t"], r["defect"])])[1:-1].split(", ")
+    rows = (f' {{\n  "check": {names[r["check"]]},\n  "t": {t},\n  "defect": {d}\n }}'
+            for r, t, d in zip(records, numbers[::2], numbers[1::2]))
+    return "[\n" + ",\n".join(rows) + "\n]"

@@ -842,6 +842,11 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
         ("average", {"model": {"name": "coalescing-circle"}}, "config.model.name"),
         ("kernel-check", {"kernel_check": {"times": [-math.pi / 4.0]}}, "config.kernel_check.times[0]"),
         ("simulate", {"simulate": {"horizon": 0.005, "dt": 0.01}}, "config.simulate.dt"),
+        # times that repeat, or whose kernel dumps would share one file name
+        ("kernel-check", {"kernel_check": {"times": [math.pi, 0.0, math.pi]}}, "config.kernel_check.times[2]"),
+        ("kernel-check", {"kernel_check": {"times": [0.0, -0.0]}}, "config.kernel_check.times[1]"),
+        ("kernel-check", {"kernel_check": {"times": [math.pi / 4.0, math.nextafter(math.pi / 4.0, 1.0)]}},
+         "config.kernel_check.times[1]"),
     ],
 )
 def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):

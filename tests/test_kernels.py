@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foliated_flows import harness
+from foliated_flows.config import parse_config
 from foliated_flows.kernels import (
+    FLOW_CHECKS,
     LeafGrid,
     PairGrid,
     TransitionKernel,
@@ -16,6 +19,9 @@ from foliated_flows.kernels import (
     check_foliated,
     coalesce_two_point,
     cyclic_walk_kernel,
+    defect_record,
+    defects_json,
+    flow_defects,
     function_pair_degeneracy_gap,
     independent_product_kernel,
     kernel_distance,
@@ -319,6 +325,100 @@ def test_semigroup_gaps_need_one_grid():
     kernels = [build_cylinder_kernel(LeafGrid(m=8, leaves=leaves), _Q) for leaves in (TWO_LEAVES, TWO_LEAVES[:1])]
     with pytest.raises(ValueError, match="different grids"):
         semigroup_gaps(kernels)
+    with pytest.raises(ValueError, match="different grids"):
+        flow_defects(kernels)
+
+
+@pytest.mark.parametrize("check", [semigroup_gaps, flow_defects])
+def test_stacked_checks_need_at_least_one_kernel(check):
+    with pytest.raises(ValueError, match="need at least one kernel"):
+        check([])
+
+
+# ---------------------------------------------------------------------------
+# the kernel check's stacked passes against the per-kernel checks
+
+
+def _up(t: float) -> float:
+    return math.nextafter(t, math.inf)
+
+
+def _down(t: float) -> float:
+    return math.nextafter(t, -math.inf)
+
+
+_THREE_LEAVES = ((1.0, 0.0), (2.0, 0.0), (1.0, 1.0))
+_TURN = 2.0 * math.pi
+# t = 0 in every case, and times one ulp off the grid, so that some totals
+# turn the same sites but differ in the last bit (at m = 32, t1 + t12 and
+# t2 + t11 already do)
+_KERNEL_CHECK_CASES = [
+    (2, ((1.0, 0.0),), [0.0, math.pi, _up(_TURN), 3.0 * math.pi]),
+    (4, TWO_LEAVES, [math.pi / 2.0, 0.0, _up(math.pi), 1.5 * math.pi, _down(math.pi / 2.0) * 5.0]),
+    (6, _THREE_LEAVES, [0.0, _down(_SIXTH), 2.0 * _SIXTH, math.pi, 5.0 * _SIXTH]),
+    (32, TWO_LEAVES, [_TURN * k / 32 for k in (0, 1, 2, 11, 12)] + [_up(_TURN * 31 / 32)]),
+    (32, ((1.0, 0.0),), [_TURN * 3 / 32, 0.0, _up(_TURN * 16 / 32), _TURN * 19 / 32]),
+]
+
+
+def _per_kernel_records(m: int, leaves, times) -> list[dict]:
+    # the one-kernel-at-a-time checks that the kernel check stacks, in its
+    # record order; the foliated and diagonal checks also meet their oracles
+    grid = LeafGrid(m=m, leaves=leaves)
+    kernels = [build_cylinder_kernel(grid, t) for t in times]
+    labels, n = grid.leaf_labels(), grid.n_states
+    records = []
+    for t, k1 in zip(times, kernels):
+        k2 = product_kernel_flow(k1)
+        foliated = check_foliated(k1)
+        assert foliated == np.max(np.where(labels[k1.targets] != labels[:, np.newaxis], k1.weights, 0.0).sum(axis=1))
+        diagonal, diag = check_diagonal_preserving(k2, k1), k2.grid.diagonal_indices()
+        y1, y2 = np.divmod(k2.targets[diag], n)
+        diag_weights = np.where(y1 == y2, k2.weights[diag], 0.0)
+        assert diagonal == _law_gap_oracle(y1, diag_weights, k1.targets, k1.weights)
+        row_sums = float(np.max(np.abs(k1.weights.sum(axis=1) - 1.0)))
+        defects = (row_sums, foliated, check_compatibility(k2, k1), diagonal)
+        records += [defect_record(check, t, d) for check, d in zip(FLOW_CHECKS, defects)]
+    records += [defect_record("semigroup-composition", a.t + b.t, gap)
+                for (a, b), gap in zip([(a, b) for i, a in enumerate(kernels) for b in kernels[i:]],
+                                       _per_pair_gaps(kernels))]
+    return records
+
+
+@pytest.mark.parametrize("rows_per_pass", [1, 7, None])
+@pytest.mark.parametrize("m, leaves, times", _KERNEL_CHECK_CASES)
+def test_kernel_check_records_equal_the_per_kernel_checks(m, leaves, times, rows_per_pass, monkeypatch):
+    # one row per pass, 7 rows per pass (at n = 2 the diagonal passes take 3
+    # times and then a partial pass) and the default
+    if rows_per_pass is not None:
+        monkeypatch.setattr(kernels_module, "_ROWS_PER_PASS", rows_per_pass)
+    cfg = parse_config({"experiment": "kernel-check",
+                        "kernel_check": {"m": m, "leaves": [list(l) for l in leaves], "times": times}})
+    records = harness._run_kernel_check(cfg)[0]["records"]
+    expected = _per_kernel_records(m, leaves, times)
+    assert records == expected
+    assert json.dumps(records) == json.dumps(expected)  # the sign of every zero too
+    totals = [r["t"] for r in records if r["check"] == "semigroup-composition"]
+    step = _TURN / m
+    assert len({round(s / step) for s in totals}) < len(set(totals))  # same sites, other bits
+
+
+def test_kernel_check_at_the_bench_shape_peaks_no_higher_than_per_time_passes():
+    # the benchmark's kernel-dense shape: m = 32 on 2 leaves, 32 times.  With
+    # every check run one time at a time, the kernel check peaked at 1 508 616
+    # to 1 517 477 traced bytes, on first and later calls; the slack is about
+    # twice that spread
+    m = 32
+    cfg = parse_config({"experiment": "kernel-check",
+                        "kernel_check": {"m": m, "leaves": [list(l) for l in TWO_LEAVES],
+                                         "times": [_TURN * k / m for k in range(1, m + 1)]}})
+    tracemalloc.start()
+    try:
+        harness._run_kernel_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_517_477 + 16 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +601,20 @@ def test_coalesce_rejects_multi_leaf():
 
 # ---------------------------------------------------------------------------
 # export
+
+
+_DEFECT_RECORDS = [
+    [],
+    [defect_record("row-sums", 0.25, 0.0)],
+    [defect_record("compatibility", t, d) for t, d in [(0.5, math.inf), (1.0, -math.inf), (1.5, math.nan)]],
+    [defect_record("diagonal-preserving", t, d) for t, d in [(-0.0, 5e-324), (1e16, -0.0), (5e-324, 1e16)]],
+    [defect_record(check, 1.0, 1e-17) for check in ['say "semi"\\group', "é\n\t", ", "]],
+]
+
+
+@pytest.mark.parametrize("records", _DEFECT_RECORDS)
+def test_defects_json_is_the_indented_json_byte_for_byte(records):
+    assert defects_json(records) == json.dumps(records, indent=1)
 
 
 def test_kernel_json_round_trip():
