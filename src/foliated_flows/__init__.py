@@ -63,7 +63,6 @@ from .kernels import (
     check_foliated,
     coalesce_two_point,
     cyclic_walk_kernel,
-    function_pair_degeneracy_gap,
     independent_product_kernel,
     kernel_distance,
     product_kernel_flow,

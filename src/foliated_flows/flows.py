@@ -7,14 +7,16 @@
   keeps the exact same rotation and jumps (common noise).
 * Coalescing circle: each point follows an independent leafwise Brownian
   motion; same-leaf trajectories merge when they meet and move together
-  afterwards.  Points on different leaves can never meet.  When only the hit
-  times are wanted, ``coalescence_times`` draws the paths in blocks and stops
+  afterwards.  Points on different leaves can never meet.  One scan finds
+  every merge: ``coalescence_times`` draws the paths in blocks and stops
   once every leaf is one class; a point alone on its leaf draws nothing.  It
   runs many replicas as one batch: slots that each hold one replica at its
   own block, pooled generators reset to keys hashed in one pass, draws
   straight into one reused buffer, and one array scan per block over the
   busy slots, which wraps the gaps to ``np.mod``'s bits but calls it only
-  on the rare rows whose gap leaves [-3 pi, 3 pi).
+  on the rare rows whose gap leaves [-3 pi, 3 pi).  ``evolve_coalescing_circle``
+  is its one-key case; it draws the displayed paths whole, and only when
+  its ``states`` are read.
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
@@ -33,6 +35,7 @@ too, so a manifold exit (r reaching 0) is located exactly, not on a time grid
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,18 +110,20 @@ class NPointSeries:
     ``class_ids[k, i]`` is the canonical label (lowest member index) of the
     partition class of point i at sample time k; classes only ever merge.
     ``hit_times`` maps unordered index pairs to their first meeting time.
+    ``states`` (n_times, n_points, n_coords) is what ``draw_states`` returns
+    the first time it is read.
     """
 
     model: FoliatedModel
     times: np.ndarray
-    states: np.ndarray  # (n_times, n_points, n_coords)
     columns: tuple[str, ...]
     class_ids: np.ndarray  # (n_times, n_points) int
-    hit_times: dict[tuple[int, int], float] = field(default_factory=dict)
+    hit_times: dict[tuple[int, int], float]
+    draw_states: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
-    @property
-    def n_points(self) -> int:
-        return self.states.shape[1]
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self.draw_states()
 
     def trajectory(self, i: int, start) -> Trajectory:
         """Point i's path as a single-point Trajectory from ``start``."""
@@ -419,7 +424,8 @@ def n_point_motion(
     (diagonal preservation); on the cylinder, eps > 0 moves every point by the
     eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).  On the
     coalescing circle the points follow independent leafwise drivers and
-    merge on meeting (``evolve_coalescing_circle``).
+    merge on meeting (``evolve_coalescing_circle``): the hit times and classes
+    come from the merge scan, and the states are drawn on their first read.
     """
     if eps > 0.0 and not isinstance(model, RotationJumpCylinder):
         raise UnsupportedModel("the eps-perturbed motion is defined on the rotation-jump cylinder only")
@@ -442,7 +448,8 @@ def n_point_motion(
     ids0, hit_times = _initial_partition(starts, same)
     class_ids = np.tile(np.array(ids0, dtype=int), (times.size, 1))
     return NPointSeries(
-        model=model, times=times, states=states, columns=trajs[0].columns, class_ids=class_ids, hit_times=hit_times
+        model=model, times=times, columns=trajs[0].columns, class_ids=class_ids, hit_times=hit_times,
+        draw_states=lambda: states,
     )
 
 
@@ -545,61 +552,44 @@ def _apply_meetings(events: list, ids: list[int], dt: float, hit_times: dict) ->
     return merges
 
 
-def _merge_meetings(
-    theta: np.ndarray, k0: int, pairs: list, ids: list[int], dt: float, delta_c: float, hit_times: dict
-) -> list[tuple[int, int, int]]:
-    """Merge the classes whose representatives meet on the rows of theta.
-
-    Row r holds the angles at step k0 + r; row 0 was scanned before (or is the
-    start).  Updates ids and hit_times (see ``_apply_meetings``); returns the
-    merges as (step, absorbed, survivor).
-    """
-    if not pairs or len(theta) < 2:
-        return []
-    a, b = np.array(pairs).T
-    met, first = _meetings(theta.T, a, b, delta_c)
-    events = [(k0 + 1 + int(first[p]), pairs[p][1], pairs[p][0]) for p in np.flatnonzero(met)]
-    return _apply_meetings(events, ids, dt, hit_times)
-
-
 def evolve_coalescing_circle(
     starts: list[CylPoint], key: StreamKey, horizon: float, dt: float, sigma: float | None = None
 ) -> NPointSeries:
-    """Independent leafwise Brownian points with merge-on-meeting.
+    """Independent leafwise Brownian points with merge-on-meeting: the one-key case of ``coalescence_times``.
 
-    Each point consumes its own stream (point_id = index, role independent)
-    over the whole horizon.  Two same-leaf points merge when their signed
-    circular gap changes sign within a step (a true zero crossing, not an
-    antipodal wrap) or its magnitude drops below sigma*sqrt(dt)/10; the merged
-    class adopts the lowest-index driver.  Cross-leaf pairs never merge.
-    ``coalescence_times`` gives the same ``hit_times`` from the same merge
-    scan, drawing only until every leaf is one class and never for a point
-    alone on its leaf.
+    The hit times are the scan's, and point j's class at step k is the
+    lowest i whose hit time with j is at most times[k], or j: hits are
+    step * dt, as the times are, so the comparison is exact.  ``states`` is
+    drawn the first time it is read: every point's full path from its
+    stream with ``sample_brownian``, point i at step k showing its class's
+    path there, wrapped into [0, 2 pi).
     """
-    sig, ids, hit_times = _coalescing_start(starts, sigma)
-    paths = [
-        sample_brownian(key.point(i).with_role(ROLE_INDEPENDENT), horizon, dt)
-        for i in range(len(starts))
-    ]
-    times = paths[0].times
-    # identical starts share their representative's path from time 0
-    theta = np.column_stack([starts[c].theta + sig * paths[c].brownian for c in ids])
-    class_ids = np.tile(np.array(ids, dtype=int), (times.size, 1))
-    pairs = _live_pairs(ids, [p.leaf for p in starts])
-    for k, absorbed, survivor in _merge_meetings(
-        theta, 0, pairs, ids, dt, sig * math.sqrt(dt) / 10.0, hit_times
-    ):
-        mask = class_ids[k] == absorbed
-        class_ids[k:, mask] = survivor
-        theta[k:, mask] = theta[k:, [survivor]]
+    batch = coalescence_times(starts, key, horizon, dt, sigma)
+    model = CoalescingCircle(sigma=1.0 if sigma is None else sigma)
+    n = len(starts)
+    times = np.arange(_n_steps(horizon, dt) + 1) * float(dt)
+    class_ids = np.tile(np.arange(n), (times.size, 1))
+    hit_times = {}
+    for (i, j), t in zip(batch.pairs, batch.hit_times[0].tolist()):
+        if t < math.inf:
+            hit_times[(i, j)] = t
+            joined = class_ids[np.searchsorted(times, t) :, j]
+            np.minimum(joined, i, out=joined)
 
-    states = np.empty((times.size, len(starts), 3))
-    states[:, :, 0] = np.mod(theta, TWO_PI)
-    states[:, :, 1] = [p.r for p in starts]
-    states[:, :, 2] = [p.z for p in starts]
+    def draw_states() -> np.ndarray:
+        theta = np.column_stack([
+            p.theta + model.sigma * sample_brownian(key.point(i).with_role(ROLE_INDEPENDENT), horizon, dt).brownian
+            for i, p in enumerate(starts)
+        ])
+        states = np.empty((times.size, n, 3))
+        states[:, :, 0] = np.mod(np.take_along_axis(theta, class_ids, axis=1), TWO_PI)
+        states[:, :, 1] = [p.r for p in starts]
+        states[:, :, 2] = [p.z for p in starts]
+        return states
+
     return NPointSeries(
-        model=CoalescingCircle(sigma=sig), times=times, states=states,
-        columns=("theta", "r", "z"), class_ids=class_ids, hit_times=hit_times,
+        model=model, times=times, columns=("theta", "r", "z"),
+        class_ids=class_ids, hit_times=hit_times, draw_states=draw_states,
     )
 
 
@@ -627,17 +617,23 @@ def coalescence_times(
     sigma: float | None = None,
     replicas=None,
 ) -> CoalescenceBatch:
-    """The ``hit_times`` of ``evolve_coalescing_circle``, bit for bit, for many replicas.
+    """Pair hit times of independent leafwise Brownian points that merge on meeting, for many replicas.
 
     Row r of the returned ``CoalescenceBatch`` holds the hit times of
     ``key.replica(replicas[r])``; ``replicas`` defaults to ``[key.replica_id]``,
-    the one key on its own.
+    the one key on its own (``evolve_coalescing_circle``).
+
+    Each point consumes its own stream (point_id = index, role independent).
+    Identical starts hit at 0.  Two same-leaf points merge when their signed
+    circular gap changes sign within a step (a true zero crossing, not an
+    antipodal wrap) or its magnitude drops below sigma*sqrt(dt)/10; the
+    merged class adopts the lowest-index driver.  Cross-leaf pairs never merge.
 
     Only representatives sharing their leaf with another class draw, each
-    from its stream in ``evolve_coalescing_circle``, _DRAW_BLOCK steps at a
-    time.  Normals drawn in blocks are the numbers of one call, and each
-    block's Brownian sum starts from the last value of the one before, so the
-    angles are the full path's to the bit.  A replica stops drawing once
+    from its stream, _DRAW_BLOCK steps at a time.  Normals drawn in blocks
+    are the numbers of one call, and each block's Brownian sum starts from
+    the last value of the one before, so the angles are those of the whole
+    path ``sample_brownian`` draws, to the bit.  A replica stops drawing once
     every leaf is one class; a point alone on its leaf opens no stream.
     _REPLICA_CHUNK slots each hold one replica at its own block (see
     ``_scan_slots``): the slots' normals fill one reused buffer, and one

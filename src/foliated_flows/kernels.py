@@ -9,13 +9,15 @@ grid indicator functions, computed column by column on these arrays in passes
 of at most _ROWS_PER_PASS rows, not a sampled estimate.
 
 Checks cover: compatibility of a 2-point kernel with its 1-point marginal,
-diagonal preservation, the foliated (off-leaf mass zero) property with its
-function-pair degeneracy variant, the semigroup composition law, and the
-absorb-on-diagonal coalescing construction.  Over a list of times,
-``flow_defects`` and ``semigroup_gaps`` run them on the stacked (times, rows,
-width) arrays of as many kernels as fit in a pass, of which the single-kernel
-checks are the batch-of-one case; only compatibility runs once per time, on
-the one 2-point kernel held at a time.
+diagonal preservation, the foliated (off-leaf mass zero) property, the
+semigroup composition law, and the absorb-on-diagonal coalescing
+construction.  The off-leaf mass also bounds how far the kernel tells apart
+two functions that agree on a leaf: |P(f - g)| on the leaf is at most that
+mass times max|f - g|, with equality at f - g = 1 off the leaf.  Over a list
+of times, ``flow_defects`` and ``semigroup_gaps`` run them on the stacked
+(times, rows, width) arrays of as many kernels as fit in a pass, of which the
+single-kernel checks are the batch-of-one case; only compatibility runs once
+per time, on the one 2-point kernel held at a time.
 
 Feller continuity of the underlying semigroups is a topological limit
 statement with no finite-grid analog; it is out of scope for these numeric
@@ -383,24 +385,6 @@ def _off_leaf_mass(grid, targets: np.ndarray, weights: np.ndarray) -> np.ndarray
     labels = grid.leaf_labels()
     off = labels[targets] != labels[:, np.newaxis]
     return np.where(off, weights, 0.0).sum(axis=-1).max(axis=-1)
-
-
-def function_pair_degeneracy_gap(k: TransitionKernel, f: np.ndarray, g: np.ndarray, leaf_i: int) -> float:
-    """Max over states x on the given leaf of |P_t f(x) - P_t g(x)|.
-
-    f and g must agree on the leaf; for a foliated kernel the gap is 0 (the
-    action at x only sees the restriction of the test function to the leaf).
-    """
-    if not isinstance(k.grid, LeafGrid):
-        raise ValueError("function-pair degeneracy is a 1-point kernel check")
-    labels = k.grid.leaf_labels()
-    on_leaf = labels == leaf_i
-    if not np.any(on_leaf):
-        raise ValueError(f"no such leaf index {leaf_i}")
-    if np.max(np.abs(f[on_leaf] - g[on_leaf])) > 0.0:
-        raise ValueError("test functions must agree on the leaf")
-    action = (k.weights * (f - g)[k.targets]).sum(axis=1)
-    return float(np.max(np.abs(action[on_leaf])))
 
 
 def _is_irreducible(k: TransitionKernel) -> bool:

@@ -1,9 +1,14 @@
-"""coalescence_times against the full-path reference evolve_coalescing_circle.
+"""coalescence_times against a full-path reference written in this file.
 
-coalescence_times draws each stream in blocks of _DRAW_BLOCK steps, scans
-_REPLICA_CHUNK replicas at a time in slots and stops early, so every case
-compares its hit times with the reference's bit for bit: dict equality of
-floats is exact equality, and batch rows are compared as bytes.
+The reference draws every point's whole path with sample_brownian, finds the
+pair meetings with np.mod on every gap and applies them in order; it calls
+neither coalescence_times nor a private helper of flows.  coalescence_times
+draws each stream in blocks of _DRAW_BLOCK steps, scans _REPLICA_CHUNK
+replicas at a time in slots and stops early, so every case compares its hit
+times with the reference's bit for bit: dict equality of floats is exact
+equality, and batch rows are compared as bytes.  evolve_coalescing_circle is
+the one-key case of coalescence_times; its lazily drawn states are checked
+against the reference's paths.
 """
 
 import math
@@ -15,7 +20,7 @@ import pytest
 from foliated_flows import flows
 from foliated_flows.drivers import KeyedGenerators, StreamKey, philox_keys, sample_brownian
 from foliated_flows.flows import _DRAW_BLOCK, coalescence_times, evolve_coalescing_circle
-from foliated_flows.geometry import CylPoint
+from foliated_flows.geometry import CylPoint, wrap_angle
 
 SEED = 20250811
 
@@ -26,6 +31,62 @@ CIRCLE_STARTS = [
 ]
 
 
+def _mod_wrap(x):
+    return np.mod(x + math.pi, 2.0 * math.pi) - math.pi
+
+
+def _reference_meetings(theta, a, b, delta_c):
+    """The meeting scan written with np.mod on every gap."""
+    g = _mod_wrap(theta[..., a, :] - theta[..., b, :])
+    crossing = (g[..., :-1] * g[..., 1:] <= 0.0) & (np.abs(np.diff(g)) <= math.pi)
+    hit = crossing | (np.abs(g[..., 1:]) < delta_c)
+    return hit.any(axis=-1), hit.argmax(axis=-1)
+
+
+def _paths(starts, key, horizon, dt, sigma):
+    """(points, steps + 1): every point's whole angle path from its own stream."""
+    return np.array([
+        p.theta + sigma * sample_brownian(key.point(i).with_role("independent"), horizon, dt).brownian
+        for i, p in enumerate(starts)
+    ])
+
+
+def _reference(starts, key, horizon, dt, sigma):
+    """Hit times and merges (step, absorbed, survivor) from the full paths.
+
+    Equal starts hit at 0.0.  The pairs of representatives on one leaf meet
+    where _reference_meetings says, over the whole path; the meetings are
+    applied in (step, higher index, lower index) order, and a pair with an
+    absorbed end merges nothing.
+    """
+    n = len(starts)
+    ids = list(range(n))
+    for j in range(n):
+        ids[j] = next(
+            (i for i in range(j) if ids[i] == i and starts[i].leaf == starts[j].leaf
+             and wrap_angle(starts[i].theta - starts[j].theta) == 0.0),
+            j,
+        )
+    hits = {(i, j): 0.0 for j in range(n) for i in range(j) if ids[i] == ids[j]}
+    reps = [i for i in range(n) if ids[i] == i]
+    pairs = [(i, j) for j in reps for i in reps if i < j and starts[i].leaf == starts[j].leaf]
+    theta = _paths(starts, key, horizon, dt, sigma)
+    events = []
+    if pairs and theta.shape[1] > 1:
+        met, first = _reference_meetings(theta, *np.array(pairs).T, sigma * math.sqrt(dt) / 10.0)
+        events = sorted((int(f) + 1, j, i) for (i, j), m, f in zip(pairs, met, first) if m)
+    merges = []
+    for k, absorbed, survivor in events:
+        if ids[absorbed] != absorbed or ids[survivor] != survivor:
+            continue
+        survivors = [y for y in range(n) if ids[y] == survivor]
+        for x in [x for x in range(n) if ids[x] == absorbed]:
+            ids[x] = survivor
+            hits.update({(min(x, y), max(x, y)): k * dt for y in survivors})
+        merges.append((k, absorbed, survivor))
+    return hits, merges
+
+
 def _hits(starts, key, horizon, dt, sigma):
     """The one-key batch of coalescence_times as a hit-time dict, like the reference's."""
     batch = coalescence_times(starts, key, horizon, dt, sigma=sigma)
@@ -34,20 +95,16 @@ def _hits(starts, key, horizon, dt, sigma):
 
 
 def _assert_same_hits(starts, key, horizon, dt, sigma):
-    ref = evolve_coalescing_circle(starts, key, horizon, dt, sigma=sigma)
-    assert _hits(starts, key, horizon, dt, sigma) == ref.hit_times
-    return ref
-
-
-def _merge_steps(series, dt):
-    return {round(t / dt) for t in series.hit_times.values()}
+    hits, merges = _reference(starts, key, horizon, dt, sigma)
+    assert _hits(starts, key, horizon, dt, sigma) == hits
+    return hits, merges
 
 
 def test_matches_reference_on_coalesce_circle_replicas():
     n_hit = 0
     for rep in range(1000):
-        ref = _assert_same_hits(CIRCLE_STARTS, StreamKey(SEED, rep), 50.0, 0.01, 1.0)
-        n_hit += (0, 1) in ref.hit_times
+        hits, _ = _assert_same_hits(CIRCLE_STARTS, StreamKey(SEED, rep), 50.0, 0.01, 1.0)
+        n_hit += (0, 1) in hits
     assert n_hit >= 950  # the 5000-step horizon is not a whole number of blocks
 
 
@@ -56,8 +113,8 @@ def test_matches_reference_with_chained_merges_on_one_leaf(n_points):
     starts = [CylPoint(2.0 * math.pi * i / n_points, 1.0, 0.0) for i in range(n_points)]
     chained = 0
     for rep in range(150):
-        ref = _assert_same_hits(starts, StreamKey(SEED, rep), 20.0, 0.01, 1.0)
-        chained += len(set(ref.class_ids[-1].tolist())) == 1
+        _, merges = _assert_same_hits(starts, StreamKey(SEED, rep), 20.0, 0.01, 1.0)
+        chained += len(merges) == n_points - 1  # one class at the end
     assert chained >= 100
 
 
@@ -67,9 +124,9 @@ def test_matches_reference_when_merges_tie_on_one_step():
     starts = [CylPoint(2.0 * math.pi * i / 6, 1.0, 0.0) for i in range(6)]
     ties = 0
     for rep in range(100):
-        ref = _assert_same_hits(starts, StreamKey(SEED, rep), 10.0, 0.5, 2.0)
-        n_classes = np.array([len(set(row.tolist())) for row in ref.class_ids])
-        ties += int(np.any(np.diff(n_classes) <= -2))
+        _, merges = _assert_same_hits(starts, StreamKey(SEED, rep), 10.0, 0.5, 2.0)
+        steps = [k for k, _, _ in merges]
+        ties += len(set(steps)) < len(steps)
     assert ties >= 10
 
 
@@ -79,9 +136,13 @@ def test_merge_scan_applies_same_step_meetings_in_order():
     theta = np.array(
         [[0.0, 1.5, 3.0], [0.1, 0.0, -0.1], [0.1, 0.0, -0.1], [0.1, 0.0, 0.15]]
     )
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    met, first = flows._meetings(theta.T, *np.array(pairs).T, 0.01)
+    assert met.tolist() == [True] * 3 and first.tolist() == [0, 2, 0]
     for k0 in (0, 10):
+        events = [(k0 + 1 + int(f), j, i) for (i, j), f in zip(pairs, first)]
         ids, hits = [0, 1, 2], {}
-        merges = flows._merge_meetings(theta, k0, [(0, 1), (0, 2), (1, 2)], ids, 0.5, 0.01, hits)
+        merges = flows._apply_meetings(events, ids, 0.5, hits)
         # 1 joins 0 first, so the 1-2 meeting no longer merges anything
         assert merges == [(k0 + 1, 1, 0), (k0 + 3, 2, 0)]
         assert ids == [0, 0, 0]
@@ -121,8 +182,8 @@ def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
 def test_identical_starts_hit_at_zero():
     starts = [CylPoint(1.0, 1.0, 0.0), CylPoint(1.0, 1.0, 0.0), CylPoint(4.0, 1.0, 0.0)]
     for rep in range(20):
-        ref = _assert_same_hits(starts, StreamKey(SEED, rep), 5.0, 0.01, 1.0)
-        assert ref.hit_times[(0, 1)] == 0.0
+        hits, _ = _assert_same_hits(starts, StreamKey(SEED, rep), 5.0, 0.01, 1.0)
+        assert hits[(0, 1)] == 0.0
 
 
 def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypatch):
@@ -153,12 +214,12 @@ def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypa
             tuple(philox_keys(key.point(i).with_role("independent"), [rep], 0)[0]): i
             for i in range(len(CIRCLE_STARTS))
         }
-        ref = evolve_coalescing_circle(CIRCLE_STARTS, key, horizon, dt, sigma=1.0)
+        ref, _ = _reference(CIRCLE_STARTS, key, horizon, dt, 1.0)
         opened.clear()
         monkeypatch.setattr(KeyedGenerators, "reset", reset)
         hits = _hits(CIRCLE_STARTS, key, horizon, dt, 1.0)
         monkeypatch.setattr(KeyedGenerators, "reset", original)
-        assert hits == ref.hit_times
+        assert hits == ref
         assert set(opened) == {0, 1}
         if (0, 1) in hits:
             k = round(hits[(0, 1)] / dt)
@@ -189,12 +250,12 @@ def test_matches_reference_when_the_hit_is_a_block_first_step():
     horizon, dt = 10.3, 0.01
     for rep in range(5000):
         key = StreamKey(SEED, rep)
-        ref = evolve_coalescing_circle(starts, key, horizon, dt, sigma=1.0)
-        if any(k > 1 and (k - 1) % _DRAW_BLOCK == 0 for k in _merge_steps(ref, dt)):
+        ref, merges = _reference(starts, key, horizon, dt, 1.0)
+        if any(k > 1 and (k - 1) % _DRAW_BLOCK == 0 for k, _, _ in merges):
             break
     else:
         pytest.fail("no key with a merge on the first step of a later block")
-    assert _hits(starts, key, horizon, dt, 1.0) == ref.hit_times
+    assert _hits(starts, key, horizon, dt, 1.0) == ref
 
 
 @pytest.mark.parametrize("replica_id", [2**32 - 1, 2**32, 2**40, 2**64 - 1])
@@ -204,7 +265,7 @@ def test_one_key_matches_reference_at_wide_replica_ids(replica_id):
     _assert_same_hits(CIRCLE_STARTS, StreamKey(2**64 - 1, replica_id, 5), 20.0, 0.01, 1.0)
 
 
-def test_rejects_what_the_reference_rejects():
+def test_series_and_batch_reject_bad_arguments():
     key = StreamKey(SEED)
     for args in [
         ([], key, 1.0, 0.01, 1.0),
@@ -218,6 +279,55 @@ def test_rejects_what_the_reference_rejects():
             evolve_coalescing_circle(*args)
         with pytest.raises(ValueError):
             coalescence_times(*args)
+
+
+@pytest.mark.parametrize(
+    "starts, horizon, dt, sigma",
+    [
+        # equal starts, a point alone on its leaf, and merges on a fine grid
+        (
+            [CylPoint(0.0, 1.0, 0.0), CylPoint(0.2, 1.0, 0.0), CylPoint(0.0, 1.0, 0.0), CylPoint(3.0, 2.0, 0.0),
+             CylPoint(2.0, 1.0, 0.0)],
+            5.0, 0.01, 1.0,
+        ),
+        ([CylPoint(2.0 * math.pi * i / 6, 1.0, 0.0) for i in range(6)], 10.0, 0.5, 2.0),  # ties on coarse steps
+        (CIRCLE_STARTS, 0.0, 0.01, 1.0),
+    ],
+)
+def test_series_draws_its_paths_the_first_time_states_is_read(monkeypatch, starts, horizon, dt, sigma):
+    # the series holds the scan's hit times and classes, and draws each point's
+    # path once, on the first read of states; point i at step k shows the path
+    # of its class there, the lowest j whose hit time with i is <= times[k]
+    calls = [0]
+    original = flows.sample_brownian
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    n = len(starts)
+    for rep in range(10):
+        key = StreamKey(SEED, rep)
+        hits, _ = _reference(starts, key, horizon, dt, sigma)
+        times = sample_brownian(key, horizon, dt).times
+        class_ids = np.array([[min([j for j in range(i) if hits.get((j, i), np.inf) <= t] + [i]) for i in range(n)]
+                              for t in times])
+        expected = np.empty((times.size, n, 3))
+        expected[:, :, 0] = np.mod(_paths(starts, key, horizon, dt, sigma)[class_ids, np.arange(times.size)[:, None]],
+                                   2.0 * math.pi)
+        expected[:, :, 1:] = [(p.r, p.z) for p in starts]
+        monkeypatch.setattr(flows, "sample_brownian", counting)
+        calls[0] = 0
+        series = evolve_coalescing_circle(starts, key, horizon, dt, sigma)
+        assert series.hit_times == hits
+        assert series.times.tobytes() == times.tobytes()
+        assert series.class_ids.tobytes() == class_ids.tobytes()
+        assert calls[0] == 0
+        states = series.states
+        assert calls[0] == n
+        assert series.states is states and calls[0] == n
+        monkeypatch.undo()
+        assert states.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -239,21 +349,9 @@ def test_batch_rows_are_the_reference_hit_times(n_replicas):
         assert batch.hit_times.shape == (n_replicas, len(batch.pairs))
         assert n_replicas == 1 or batch.merges > 0
         for row, rep in zip(batch.hit_times, replicas):
-            ref = evolve_coalescing_circle(starts, StreamKey(SEED, int(rep)), horizon, dt, sigma)
-            expected = [ref.hit_times.get(pq, np.inf) for pq in batch.pairs]
+            ref, _ = _reference(starts, StreamKey(SEED, int(rep)), horizon, dt, sigma)
+            expected = [ref.get(pq, np.inf) for pq in batch.pairs]
             assert row.tobytes() == np.array(expected).tobytes()
-
-
-def _mod_wrap(x):
-    return np.mod(x + math.pi, 2.0 * math.pi) - math.pi
-
-
-def _reference_meetings(theta, a, b, delta_c):
-    """The meeting scan written with np.mod on every gap."""
-    g = _mod_wrap(theta[..., a, :] - theta[..., b, :])
-    crossing = (g[..., :-1] * g[..., 1:] <= 0.0) & (np.abs(np.diff(g)) <= math.pi)
-    hit = crossing | (np.abs(g[..., 1:]) < delta_c)
-    return hit.any(axis=-1), hit.argmax(axis=-1)
 
 
 def _count_mod_elements(monkeypatch):
@@ -344,16 +442,13 @@ def test_blocks_whose_gap_leaves_the_fast_wrap_range_match_the_reference(monkeyp
     starts = [CylPoint(0.0, 1.0, 0.0), CylPoint(3.0, 1.0, 0.0), CylPoint(0.5, 2.0, 0.0), CylPoint(5.5, 2.0, 0.0)]
     horizon, dt, sigma = 20.0, 0.5, 2.0
     replicas = np.arange(40)
-    # the reference shares the scan, so it scans with np.mod here
-    monkeypatch.setattr(flows, "_meetings", _reference_meetings)
-    refs = [evolve_coalescing_circle(starts, StreamKey(SEED, int(r)), horizon, dt, sigma) for r in replicas]
-    monkeypatch.undo()
+    refs = [_reference(starts, StreamKey(SEED, int(r)), horizon, dt, sigma)[0] for r in replicas]
     seen = _count_mod_elements(monkeypatch)
     batch = coalescence_times(starts, StreamKey(SEED), horizon, dt, sigma, replicas=replicas)
     assert seen[0] > 0
     assert batch.merges > 0
     for row, ref in zip(batch.hit_times, refs):
-        expected = [ref.hit_times.get(pq, np.inf) for pq in batch.pairs]
+        expected = [ref.get(pq, np.inf) for pq in batch.pairs]
         assert row.tobytes() == np.array(expected).tobytes()
 
 

@@ -22,7 +22,6 @@ from foliated_flows.kernels import (
     defect_record,
     defects_json,
     flow_defects,
-    function_pair_degeneracy_gap,
     independent_product_kernel,
     kernel_distance,
     kernel_to_json,
@@ -217,18 +216,27 @@ def test_foliated_pair_kernel():
     assert check_foliated(product_kernel_flow(k1)) == 0.0
 
 
-def test_function_pair_degeneracy():
-    grid = LeafGrid(m=8, leaves=TWO_LEAVES)
-    k = build_cylinder_kernel(grid, math.pi / 4.0)
+def test_function_pair_gap_at_unit_off_leaf_difference_is_the_off_leaf_mass():
+    # P f and P g on a leaf where f = g differ by at most the off-leaf mass
+    # times max|f - g|, with equality at f - g = 1 off the leaf; so the
+    # largest such gap over leaves is check_foliated
     rng = np.random.default_rng(7)
-    f = rng.normal(size=grid.n_states)
-    g = f.copy()
-    g[grid.m :] += rng.normal(size=grid.m)  # differ off leaf 0 only
-    assert function_pair_degeneracy_gap(k, f, g, leaf_i=0) == 0.0
-    # a non-foliated kernel sees the off-leaf modification
-    assert function_pair_degeneracy_gap(_uniform_kernel(grid), f, g, leaf_i=0) > 0.0
-    with pytest.raises(ValueError):
-        function_pair_degeneracy_gap(k, f, f + 1.0, leaf_i=0)
+    for grid in (LeafGrid(m=8, leaves=TWO_LEAVES), LeafGrid(m=4, leaves=TWO_LEAVES + ((3.0, 1.0),))):
+        labels = grid.leaf_labels()
+        for k, foliated in ((build_cylinder_kernel(grid, math.pi / 2.0), True), (_uniform_kernel(grid), False)):
+            off_mass = np.where(labels[k.targets] != labels[:, None], k.weights, 0.0).sum(axis=1)
+            gaps = []
+            for leaf in np.unique(labels):
+                on_leaf = labels == leaf
+                unit = (~on_leaf).astype(float)
+                gap = np.abs((k.weights * unit[k.targets]).sum(axis=1))[on_leaf].max()
+                assert gap == off_mass[on_leaf].max()
+                diff = np.where(on_leaf, 0.0, rng.normal(size=grid.n_states))
+                action = np.abs((k.weights * diff[k.targets]).sum(axis=1))[on_leaf]
+                assert np.all(action <= off_mass[on_leaf] * np.abs(diff).max() + TOL)
+                gaps.append(gap)
+            assert max(gaps) == check_foliated(k)
+            assert (max(gaps) == 0.0) == foliated
 
 
 # ---------------------------------------------------------------------------
