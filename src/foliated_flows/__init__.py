@@ -51,7 +51,6 @@ from .geometry import (
     VerticalRegion,
     leaf_defect,
     make_model,
-    project_vertical,
 )
 from .kernels import (
     LeafGrid,

@@ -443,7 +443,6 @@ class AveragingErrorResult:
     bound_g: float
     averaged: AveragedTrajectory  # the averaged ODE's solution v on [0, t]
     errors: np.ndarray  # per-replica |pi(y_{t/eps}) - v(t)|
-    n_replicas: int
     n_exited: int
     n_jumps: int  # jumps <= t/eps on all replicas' clocks; none are drawn without a cos term
     n_intervals: int  # full intervals of the partition of [0, t/eps]
@@ -585,7 +584,6 @@ def averaging_errors(
                 bound_g=rb.G(part.eps, t),
                 averaged=ode,
                 errors=errors,
-                n_replicas=n_replicas,
                 n_exited=n_replicas - stayed.size,
                 n_jumps=int(np.count_nonzero(clock.jumps <= part.horizon)),
                 n_intervals=part.n_intervals,

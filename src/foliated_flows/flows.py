@@ -16,7 +16,8 @@
   busy slots, which wraps the gaps to ``np.mod``'s bits but calls it only
   on the rare rows whose gap leaves [-3 pi, 3 pi).  ``evolve_coalescing_circle``
   is its one-key case; it draws the displayed paths whole, and only when
-  its ``states`` are read.
+  its ``states`` are read.  Its leaf defects come from the starts, since
+  the points move only in theta.
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
@@ -110,8 +111,9 @@ class NPointSeries:
     ``class_ids[k, i]`` is the canonical label (lowest member index) of the
     partition class of point i at sample time k; classes only ever merge.
     ``hit_times`` maps unordered index pairs to their first meeting time.
-    ``states`` (n_times, n_points, n_coords) is what ``draw_states`` returns
-    the first time it is read.
+    ``leaf_defects[k, i]`` is point i's ``leaf_defect`` from its start at
+    sample time k.  ``states`` (n_times, n_points, n_coords) is what
+    ``draw_states`` returns the first time it is read.
     """
 
     model: FoliatedModel
@@ -119,15 +121,12 @@ class NPointSeries:
     columns: tuple[str, ...]
     class_ids: np.ndarray  # (n_times, n_points) int
     hit_times: dict[tuple[int, int], float]
+    leaf_defects: np.ndarray  # (n_times, n_points)
     draw_states: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def states(self) -> np.ndarray:
         return self.draw_states()
-
-    def trajectory(self, i: int, start) -> Trajectory:
-        """Point i's path as a single-point Trajectory from ``start``."""
-        return Trajectory(self.model, start, self.times, self.states[:, i, :], self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +348,6 @@ class PerturbedCylinderPath:
             raise ValueError(f"time {t} not on the recorded grid")
         return best
 
-    def to_trajectory(self, model: RotationJumpCylinder) -> Trajectory:
-        states = np.column_stack((self.angular.theta(self.times)[0], self.r, self.z))
-        return Trajectory(model, self.start, self.times, states, ("theta", "r", "z"))
-
 
 def perturbed_cylinder_path(
     start: CylPoint,
@@ -389,7 +384,8 @@ def cylinder_trajectory(
     if perturbation is None or eps == 0.0:
         perturbation, eps = PerturbationField(), 0.0
     path = perturbed_cylinder_path(start, driver, driver.horizon, eps, perturbation)
-    return path.to_trajectory(RotationJumpCylinder())
+    states = np.column_stack((path.angular.theta(path.times)[0], path.r, path.z))
+    return Trajectory(RotationJumpCylinder(), start, path.times, states, ("theta", "r", "z"))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +418,12 @@ def n_point_motion(
     On the torus and the cylinder every point sees one common DriverPath: for
     n = 1 it is the single-point evolve, and identical starts stay identical
     (diagonal preservation); on the cylinder, eps > 0 moves every point by the
-    eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).  On the
+    eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).  There
+    the leaf defects are ``leaf_defects`` of each point's trajectory.  On the
     coalescing circle the points follow independent leafwise drivers and
     merge on meeting (``evolve_coalescing_circle``): the hit times and classes
-    come from the merge scan, and the states are drawn on their first read.
+    come from the merge scan, the leaf defects from the starts, and the
+    states are drawn on their first read.
     """
     if eps > 0.0 and not isinstance(model, RotationJumpCylinder):
         raise UnsupportedModel("the eps-perturbed motion is defined on the rotation-jump cylinder only")
@@ -449,7 +447,7 @@ def n_point_motion(
     class_ids = np.tile(np.array(ids0, dtype=int), (times.size, 1))
     return NPointSeries(
         model=model, times=times, columns=trajs[0].columns, class_ids=class_ids, hit_times=hit_times,
-        draw_states=lambda: states,
+        leaf_defects=np.column_stack([leaf_defects(tr) for tr in trajs]), draw_states=lambda: states,
     )
 
 
@@ -559,10 +557,12 @@ def evolve_coalescing_circle(
 
     The hit times are the scan's, and point j's class at step k is the
     lowest i whose hit time with j is at most times[k], or j: hits are
-    step * dt, as the times are, so the comparison is exact.  ``states`` is
-    drawn the first time it is read: every point's full path from its
-    stream with ``sample_brownian``, point i at step k showing its class's
-    path there, wrapped into [0, 2 pi).
+    step * dt, as the times are, so the comparison is exact.  The points move
+    only in theta, so each point's leaf defect is the one of its start at
+    every time; nothing is drawn for it.  ``states`` is drawn the first time
+    it is read: every point's full path from its stream with
+    ``sample_brownian``, point i at step k showing its class's path there,
+    wrapped into [0, 2 pi).
     """
     batch = coalescence_times(starts, key, horizon, dt, sigma)
     model = CoalescingCircle(sigma=1.0 if sigma is None else sigma)
@@ -587,9 +587,10 @@ def evolve_coalescing_circle(
         states[:, :, 2] = [p.z for p in starts]
         return states
 
+    defects = np.concatenate([_leaf_defects(model, p, np.array([p.leaf])) for p in starts])
     return NPointSeries(
-        model=model, times=times, columns=("theta", "r", "z"),
-        class_ids=class_ids, hit_times=hit_times, draw_states=draw_states,
+        model=model, times=times, columns=("theta", "r", "z"), class_ids=class_ids, hit_times=hit_times,
+        leaf_defects=np.broadcast_to(defects, class_ids.shape), draw_states=draw_states,
     )
 
 
@@ -751,8 +752,3 @@ def leaf_defects(trajectory: Trajectory) -> np.ndarray:
 def check_leaf_invariance(trajectory: Trajectory) -> float:
     """Max leaf defect of a trajectory relative to its start point."""
     return float(np.max(leaf_defects(trajectory)))
-
-
-def series_leaf_defects(series: NPointSeries, starts: list) -> np.ndarray:
-    """(n_times, n_points): the leaf defect of every point of an n-point series at each time."""
-    return np.column_stack([leaf_defects(series.trajectory(i, start)) for i, start in enumerate(starts)])

@@ -1,4 +1,4 @@
-"""Foliated model geometry: points, charts, vertical projection, leaf defects.
+"""Foliated model geometry: points, models, leaf defects, the perturbing field.
 
 Three concrete foliated spaces are supported:
 
@@ -8,7 +8,7 @@ Three concrete foliated spaces are supported:
   their cover lift.
 * ``rotation-jump-cylinder`` -- R^3 minus the z-axis, foliated by horizontal
   circles.  Cylindrical coordinates (theta, r, z) give one global chart; the
-  vertical (transversal) coordinate is (r, z).
+  vertical (transversal) coordinate is (r, z), a point's ``leaf``.
 * ``coalescing-circle`` -- the same circle foliation, carrying independent
   leafwise Brownian motions that may coalesce.
 """
@@ -100,16 +100,6 @@ class CylPoint:
     @classmethod
     def from_angle(cls, theta: float, r: float, z: float) -> "CylPoint":
         return cls(theta=wrap_angle(float(theta)), r=float(r), z=float(z))
-
-    @classmethod
-    def from_ambient(cls, x: float, y: float, z: float) -> "CylPoint":
-        r = math.hypot(x, y)
-        if r <= 0.0:
-            raise ValueError("ambient point lies on the z-axis")
-        return cls(theta=wrap_angle(math.atan2(y, x)), r=r, z=float(z))
-
-    def to_ambient(self) -> tuple[float, float, float]:
-        return (self.r * math.cos(self.theta), self.r * math.sin(self.theta), self.z)
 
     @property
     def leaf(self) -> tuple[float, float]:
@@ -206,22 +196,6 @@ def make_model(name: str, **params) -> FoliatedModel:
     raise ValueError(f"unknown model {name!r}; valid names: {MODEL_NAMES}")
 
 
-def project_vertical(model: FoliatedModel, p: CylPoint) -> np.ndarray:
-    """Vertical (transversal) coordinate pi(p) = (r, z); independent of theta.
-
-    Raises UnsupportedModel for the torus: with dense leaves there is no global
-    transversal coordinate, only the leaf-defect predicate on cover lifts.
-    """
-    if isinstance(model, TorusWinding):
-        raise UnsupportedModel(
-            "torus-winding has no global vertical coordinate (dense leaves); "
-            "use leaf_defect on lifted points instead"
-        )
-    if not isinstance(p, CylPoint):
-        raise TypeError(f"expected CylPoint, got {type(p).__name__}")
-    return np.array(p.leaf)
-
-
 def _leaf_defects(model: FoliatedModel, start, coords: np.ndarray) -> np.ndarray:
     """``leaf_defect`` from start of each row of coords, a torus cover lift or a cylinder (r, z)."""
     if isinstance(model, TorusWinding):
@@ -275,13 +249,6 @@ class PerturbationField:
     @property
     def has_angular(self) -> bool:
         return self.angular == "cosine"
-
-    def radial_rate(self, theta):
-        """dpi_1(K) at angle theta: lambda0 plus the angular modulation."""
-        out = np.asarray(theta, dtype=float) * 0.0 + self.lambda0
-        if self.has_angular:
-            out = out + np.cos(theta)
-        return out if out.ndim else float(out)
 
     def vertical_rate(self, z):
         """dpi_2(K) = k3(z)."""

@@ -29,7 +29,7 @@ from .averaging import (
 )
 from .config import START_COORDS, ExperimentConfig
 from .drivers import StreamKey
-from .flows import coalescence_times, n_point_motion, series_leaf_defects
+from .flows import coalescence_times, n_point_motion
 from .geometry import CylPoint, TorusPoint, make_model
 from .kernels import (
     FLOW_CHECKS,
@@ -115,23 +115,22 @@ def _run_simulate(cfg: ExperimentConfig):
     starts = _simulate_starts(cfg)
     sim = cfg.simulate
     base = StreamKey(cfg.seed)
-    kept = []  # replica 0's series and defects, which trajectory.csv shows
+    kept = []  # replica 0's series, which trajectory.csv shows; only its writer reads states
 
     def one(i: int) -> float:
         series = n_point_motion(model, starts, base.replica(i), sim.horizon, sim.dt, cfg.perturbation, sim.eps)
-        defects = series_leaf_defects(series, starts)
         if i == 0:
-            kept.append((series, defects))
-        return float(np.max(defects))
+            kept.append(series)
+        return float(np.max(series.leaf_defects))
 
     defects = map_indexed(one, sim.replicas)
-    first, first_defects = kept[0]
+    first = kept[0]
 
     def write_trajectory(out: Path) -> None:
         times, class_ids = first.times.tolist(), first.class_ids.tolist()
         csv_rows = []
         for pid in range(len(starts)):
-            states, d = first.states[:, pid].tolist(), first_defects[:, pid].tolist()
+            states, d = first.states[:, pid].tolist(), first.leaf_defects[:, pid].tolist()
             for k, tk in enumerate(times):
                 csv_rows.append((tk, pid, *states[k], class_ids[k][pid], d[k]))
         header = ["time", "point_id", *first.columns, "class_id", "leaf_defect"]

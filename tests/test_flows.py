@@ -9,11 +9,13 @@ from foliated_flows.drivers import DriverPath, StreamKey, replica_poisson_jumps,
 from foliated_flows.flows import (
     AngularJumpPath,
     ManifoldExit,
+    Trajectory,
     check_leaf_invariance,
     cylinder_trajectory,
     evolve_coalescing_circle,
     evolve_cylinder,
     evolve_torus,
+    leaf_defects,
     manifold_exit_times,
     n_point_motion,
     perturbed_cylinder_path,
@@ -455,6 +457,31 @@ def test_n_point_rejects_perturbation_on_torus():
         n_point_motion(TorusWinding.dense_default(), starts, StreamKey(SEED), 1.0, 0.1, k, 0.1)
     series = n_point_motion(TorusWinding.dense_default(), starts, StreamKey(SEED), 1.0, 0.1, k, 0.0)
     assert series.states.shape[1] == 1
+
+
+@pytest.mark.parametrize(
+    "model, starts, eps",
+    [
+        (TorusWinding.dense_default(), [TorusPoint.from_coords(0.1, 0.2), TorusPoint.from_lift((2.5, -0.9))], 0.0),
+        (RotationJumpCylinder(), [CylPoint(0.3, 1.0, 0.5), CylPoint(2.0, 2.0, -1.0)], 0.0),
+        (RotationJumpCylinder(), [CylPoint(0.3, 1.0, 0.5), CylPoint(2.0, 2.0, -1.0), CylPoint(0.3, 1.0, 0.5)], 0.1),
+        # a start at z = inf has a NaN defect, which the series must keep
+        (CoalescingCircle(sigma=0.7), [CylPoint(0.0, 1.0, 0.0), CylPoint(0.2, 1.0, 0.0), CylPoint(0.0, 1.0, 0.0),
+                                       CylPoint(3.0, 2.0, 0.0), CylPoint(1.0, 1.0, math.inf)], 0.0),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # inf - inf
+def test_series_leaf_defects_are_each_points_trajectory_defects(model, starts, eps):
+    k = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
+    series = n_point_motion(model, starts, StreamKey(SEED, 28), 2.0, 0.01, k, eps)
+    reference = np.column_stack([
+        leaf_defects(Trajectory(model, p, series.times, series.states[:, i], series.columns))
+        for i, p in enumerate(starts)
+    ])
+    assert series.leaf_defects.shape == reference.shape == (series.times.size, len(starts))
+    assert series.leaf_defects.dtype == reference.dtype
+    assert np.ascontiguousarray(series.leaf_defects).tobytes() == reference.tobytes()
+    assert (np.nanmax(reference) > 1e-9) == (eps > 0.0)  # only the perturbation moves a point off its leaf
 
 
 # ---------------------------------------------------------------------------

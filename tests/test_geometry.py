@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +9,10 @@ from foliated_flows.geometry import (
     RotationJumpCylinder,
     TorusPoint,
     TorusWinding,
-    UnsupportedModel,
     VerticalRegion,
     circular_distance,
     leaf_defect,
     make_model,
-    project_vertical,
     wrap_angle,
 )
 
@@ -37,37 +34,6 @@ def test_torus_point_rejects_mismatched_lift():
 def test_cyl_point_rejects_axis():
     with pytest.raises(ValueError):
         CylPoint(theta=0.0, r=0.0, z=1.0)
-    with pytest.raises(ValueError):
-        CylPoint.from_ambient(0.0, 0.0, 3.0)
-
-
-def test_cyl_point_ambient_round_trip():
-    p = CylPoint.from_ambient(3.0, 4.0, 1.0)
-    assert p.r == pytest.approx(5.0, abs=1e-12)
-    x, y, z = p.to_ambient()
-    assert (x, y, z) == pytest.approx((3.0, 4.0, 1.0), abs=1e-12)
-
-
-def test_project_vertical_from_ambient():
-    # r = sqrt(x^2 + y^2) by definition
-    model = RotationJumpCylinder()
-    v = project_vertical(model, CylPoint.from_ambient(3.0, 4.0, 1.0))
-    assert v == pytest.approx([5.0, 1.0], abs=1e-12)
-
-
-def test_project_vertical_discards_theta():
-    model = RotationJumpCylinder()
-    v = project_vertical(model, CylPoint(theta=1.2, r=2.0, z=-3.0))
-    assert v.tolist() == [2.0, -3.0]
-    # same leaf => identical vertical coordinate, exactly
-    v0 = project_vertical(model, CylPoint(theta=0.0, r=2.0, z=-3.0))
-    vpi = project_vertical(model, CylPoint(theta=math.pi, r=2.0, z=-3.0))
-    assert v0.tolist() == vpi.tolist()
-
-
-def test_project_vertical_unsupported_on_torus():
-    with pytest.raises(UnsupportedModel):
-        project_vertical(TorusWinding.dense_default(), CylPoint(0.0, 1.0, 0.0))
 
 
 def test_leaf_defect_torus_on_leaf_line():
@@ -145,8 +111,6 @@ def test_vertical_region_contains_is_open():
 
 def test_perturbation_field_catalog():
     k = PerturbationField(lambda0=1.5, k3="sine", angular="cosine")
-    assert k.radial_rate(0.0) == pytest.approx(2.5)
-    assert k.radial_rate(math.pi) == pytest.approx(0.5)
     assert k.vertical_rate(math.pi / 2.0) == pytest.approx(1.0)
     assert k.k3_lipschitz() == 1.0
 
@@ -156,7 +120,6 @@ def test_perturbation_field_catalog():
     assert k.sup_norm(region) == pytest.approx(math.hypot(2.5, 1.0))
 
     kz = PerturbationField(lambda0=-2.0, k3="negate", angular="none")
-    assert kz.radial_rate(1.0) == -2.0
     assert kz.vertical_rate(3.0) == -3.0
     assert kz.sup_vertical(region) == 5.0
 
@@ -164,9 +127,3 @@ def test_perturbation_field_catalog():
         PerturbationField(k3="tanh")
     with pytest.raises(ValueError):
         PerturbationField(angular="sine")
-
-
-def test_radial_rate_vectorized():
-    k = PerturbationField(lambda0=1.0, k3="zero", angular="cosine")
-    thetas = np.array([0.0, math.pi / 2.0, math.pi])
-    np.testing.assert_allclose(k.radial_rate(thetas), [2.0, 1.0, 0.0], atol=1e-15)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from foliated_flows import averaging, harness
+from foliated_flows import averaging, flows, harness
 from foliated_flows.averaging import TRIANGLE_TOL, InvariantMeasureSpec, averaging_error
 from foliated_flows.cli import main as cli_main
 from foliated_flows.config import (
@@ -363,6 +363,26 @@ def test_simulate_coalescing_circle_trajectory_shows_its_merges():
     rows = [line.split(",") for line in Path("out/trajectory.csv").read_text().splitlines()[1:]]
     class_of = {pid: {r[-2] for r in rows if r[1] == pid} for pid in ("0", "1", "2", "3")}
     assert class_of == {"0": {"0"}, "1": {"1", "0"}, "2": {"0"}, "3": {"3"}}
+
+
+@pytest.mark.parametrize("write_artifacts", [True, False])
+def test_simulate_coalescing_circle_draws_only_the_paths_trajectory_csv_shows(monkeypatch, write_artifacts):
+    # every replica's leaf defects come from the starts; only replica 0's
+    # trajectory.csv reads states, one sample_brownian path per point
+    calls = []
+    original = flows.sample_brownian
+
+    def counting(key, *args, **kwargs):
+        calls.append(key.replica_id)
+        return original(key, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "sample_brownian", counting)
+    cfg = parse_config({"experiment": "simulate", "seed": SEED, "output_dir": "out",
+                        **_SIMULATE_RUNS["coalescing-circle"]})
+    report = run(cfg, write_artifacts=write_artifacts)
+    assert cfg.simulate.replicas == 4
+    assert calls == ([0] * len(cfg.simulate.starts) if write_artifacts else [])
+    assert _sha256_json(report.payload()) == _SIMULATE_SHA256["coalescing-circle"]["payload"]
 
 
 def _simulate_peak_bytes(replicas: int) -> int:
