@@ -430,7 +430,6 @@ class BoundViolation:
     replica_id: int
     component: int
     kind: str  # "triangle" or "a4"
-    amount: float
 
 
 @dataclass(frozen=True)
@@ -473,9 +472,8 @@ def check_pathwise_bounds(
     limit = sup_g * batch.partition.t * batch.partition.f_value
     ratio = np.divide(a[..., 3], limit, out=np.zeros(a.shape[:-1]), where=limit > 0.0)
     failed = np.stack((slack > TRIANGLE_TOL, a[..., 3] > limit + TRIANGLE_TOL), axis=-1)
-    amount = np.stack((slack, a[..., 3] - limit), axis=-1)
     violations = [
-        BoundViolation(int(rows[i]), int(c) + 1, ("triangle", "a4")[k], float(amount[i, c, k]))
+        BoundViolation(int(rows[i]), int(c) + 1, ("triangle", "a4")[k])
         for i, c, k in np.argwhere(failed)
     ]
     worst_slack = float(slack.max()) if slack.size else -math.inf

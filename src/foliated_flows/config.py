@@ -211,9 +211,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return _plain(self)
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
-
 
 def _take_coords(sec: _Section, coords: tuple[str, ...]) -> dict:
     """The coordinates given, as finite floats with r > 0."""
@@ -330,8 +327,10 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
         )
 
     ksec = root.sub("kernel_check", KernelCheckConfig)
+    n_problems = len(problems)
     m = ksec.take("m", int, lambda x: x >= 2 and x % 2 == 0,
                   "build_cylinder_kernel needs an even m >= 2")
+    m_valid = len(problems) == n_problems  # a rejected m has no grid to check the times against
     leaves: list[tuple[float, float]] = []
     for i, lf in enumerate(ksec.take("leaves", list, bool, "need at least one leaf")):
         if isinstance(lf, (list, tuple)) and len(lf) == 2 and all(map(_is_finite_number, lf)) and lf[0] > 0:
@@ -349,7 +348,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             where = f"config.kernel_check.times[{i}]: build_cylinder_kernel needs t"
             if tv < 0.0:
                 problems.append(f"{where} >= 0")
-            else:
+            elif m_valid:
                 _check(problems, f"{where} a multiple of 2*pi/m", _grid_steps, tv, TWO_PI / m)
             first = dumps.setdefault(kernel_dump_name(tv), i)
             if tv in times:
@@ -414,8 +413,14 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
 
 
 def load_config(path, experiment: str | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    """Parse a YAML file; one that is not UTF-8 YAML raises ConfigError naming the parser's line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}, line {mark.line + 1}, column {mark.column + 1}" if mark else str(path)
+        raise ConfigError([f"{where}: not valid UTF-8 YAML: {getattr(exc, 'problem', None) or exc}"]) from exc
     if data is None:
         data = {}
     return parse_config(data, experiment=experiment)

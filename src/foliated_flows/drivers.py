@@ -239,7 +239,6 @@ class DriverPath:
     bit-exactly.
     """
 
-    key: StreamKey
     horizon: float
     dt: float
     brownian_increments: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -298,7 +297,6 @@ class DriverPath:
             increments = increments[self.grid_index(s) :]
         jumps = self.jump_times[self.jump_times > s] - s
         return DriverPath(
-            key=self.key,
             horizon=self.horizon - s,
             dt=self.dt,
             brownian_increments=increments,
@@ -321,7 +319,7 @@ def sample_brownian(key: StreamKey, horizon: float, dt: float) -> DriverPath:
     n = _n_steps(horizon, dt)
     rng = key.generator(_DOMAIN_BROWNIAN)
     increments = rng.normal(0.0, math.sqrt(dt), size=n)
-    return DriverPath(key=key, horizon=float(horizon), dt=float(dt), brownian_increments=increments)
+    return DriverPath(horizon=float(horizon), dt=float(dt), brownian_increments=increments)
 
 
 def _validate_rate_horizon(rate: float, horizon: float) -> None:
@@ -397,5 +395,5 @@ def sample_jump_driver(key: StreamKey, horizon: float, dt: float, rate: float = 
     """Jump-clock-only driver (no Brownian component); dt sets the recording grid."""
     _validate_horizon_dt(horizon, dt)
     jumps = sample_poisson_jumps(key, rate, horizon)
-    return DriverPath(key=key, horizon=float(horizon), dt=float(dt), jump_times=jumps)
+    return DriverPath(horizon=float(horizon), dt=float(dt), jump_times=jumps)
 

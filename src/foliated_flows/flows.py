@@ -111,7 +111,7 @@ class NPointSeries:
     ``class_ids[k, i]`` is the canonical label (lowest member index) of the
     partition class of point i at sample time k; classes only ever merge.
     ``hit_times`` maps unordered index pairs to their first meeting time.
-    ``leaf_defects[k, i]`` is point i's ``leaf_defect`` from its start at
+    ``leaf_defects[k, i]`` is point i's distance from its start's leaf at
     sample time k.  ``states`` (n_times, n_points, n_coords) is what
     ``draw_states`` returns the first time it is read.
     """

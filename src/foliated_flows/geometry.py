@@ -43,12 +43,6 @@ def wrap_angle(theta: float) -> float:
     return theta + TWO_PI if theta < 0.0 else theta
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two angles on the circle of circumference 2*pi."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """Point on the flat 2-torus, carrying its universal-cover lift.
@@ -197,23 +191,11 @@ def make_model(name: str, **params) -> FoliatedModel:
 
 
 def _leaf_defects(model: FoliatedModel, start, coords: np.ndarray) -> np.ndarray:
-    """``leaf_defect`` from start of each row of coords, a torus cover lift or a cylinder (r, z)."""
+    """Distance of each row of coords from start's leaf: |<lift - lift(start), v_perp>| for
+    torus cover lifts, the Euclidean distance from start's (r, z) for cylinder (r, z) rows."""
     if isinstance(model, TorusWinding):
         return np.abs((coords - np.array(start.lift)) @ np.array(model.v_perp))
     return np.hypot(coords[:, 0] - start.r, coords[:, 1] - start.z)
-
-
-def leaf_defect(model: FoliatedModel, start, current) -> float:
-    """Distance of ``current`` from the leaf through ``start`` (0 iff on the leaf).
-
-    Torus: |<lift(current) - lift(start), v_perp>| on the universal cover.
-    Cylinder models: Euclidean distance between vertical coordinates.
-    """
-    torus = isinstance(model, TorusWinding)
-    point = TorusPoint if torus else CylPoint  # a torus point carries its cover lift
-    if not (isinstance(start, point) and isinstance(current, point)):
-        raise ValueError(f"{model.name} leaf_defect needs {point.__name__} inputs")
-    return float(_leaf_defects(model, start, np.array([current.lift if torus else current.leaf]))[0])
 
 
 _K3_FUNCS = {

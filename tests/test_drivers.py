@@ -131,7 +131,6 @@ def test_poisson_odd_count_probability_matches_antipodal_weight():
 
 def test_jump_count_and_grid_lookup():
     path = DriverPath(
-        key=StreamKey(SEED),
         horizon=1.0,
         dt=0.25,
         brownian_increments=np.array([0.1, -0.2, 0.3, 0.4]),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,10 +11,8 @@ from foliated_flows.geometry import (
     TorusPoint,
     TorusWinding,
     VerticalRegion,
-    circular_distance,
-    leaf_defect,
+    _leaf_defects,
     make_model,
-    wrap_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -43,7 +42,7 @@ def test_leaf_defect_torus_on_leaf_line():
     current = TorusPoint.from_lift(
         (start.lift[0] + lam * model.v[0], start.lift[1] + lam * model.v[1])
     )
-    assert leaf_defect(model, start, current) < 1e-14
+    assert _leaf_defects(model, start, np.array([current.lift]))[0] < 1e-14
 
 
 def test_leaf_defect_cylinder():
@@ -51,9 +50,8 @@ def test_leaf_defect_cylinder():
     a = CylPoint(0.0, 1.0, 0.0)
     b = CylPoint(math.pi / 2.0, 1.0, 0.0)
     c = CylPoint(0.0, 2.0, 0.0)
-    assert leaf_defect(model, a, b) == 0.0  # same circle
-    assert leaf_defect(model, a, c) == 1.0  # radial distance
-    assert leaf_defect(model, a, a) == 0.0
+    defects = _leaf_defects(model, a, np.array([b.leaf, c.leaf, a.leaf]))
+    assert defects.tolist() == [0.0, 1.0, 0.0]  # same circle, radial distance, itself
 
 
 @given(
@@ -67,14 +65,8 @@ def test_leaf_defect_cylinder():
 def test_leaf_defect_symmetric_nonnegative(r1, z1, r2, z2, th1, th2):
     model = RotationJumpCylinder()
     a, b = CylPoint(th1, r1, z1), CylPoint(th2, r2, z2)
-    assert leaf_defect(model, a, b) == leaf_defect(model, b, a) >= 0.0
-
-
-@given(a=st.floats(-50.0, 50.0), b=st.floats(-50.0, 50.0))
-def test_circular_distance_matches_min_form(a, b):
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    assert circular_distance(a, b) == pytest.approx(min(d, TWO_PI - d), abs=1e-12)
-    assert 0.0 <= circular_distance(a, b) <= math.pi + 1e-12
+    ab = _leaf_defects(model, a, np.array([b.leaf]))[0]
+    assert ab == _leaf_defects(model, b, np.array([a.leaf]))[0] >= 0.0
 
 
 def test_dense_default_direction_is_golden_slope_unit_vector():

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -76,8 +79,8 @@ def _rates_config(seed=SEED, out="out", replicas=20):
 
 def test_config_round_trip_is_idempotent():
     cfg = parse_config(_rates_config())
-    once = cfg.to_yaml()
-    again = parse_config(yaml.safe_load(once)).to_yaml()
+    once = yaml.safe_dump(cfg.to_dict(), sort_keys=True)
+    again = yaml.safe_dump(parse_config(yaml.safe_load(once)).to_dict(), sort_keys=True)
     assert once == again
 
 
@@ -837,6 +840,24 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"coalesce: {horizon: 1.0\n", 2),  # unclosed flow mapping: a parser error
+        (b"coalesce:\n\thorizon: 1.0\n", 2),  # a tab cannot start a token: a scanner error
+        (b"\xff\xfe", None),  # not UTF-8
+    ],
+)
+def test_cli_malformed_yaml_exit_2(tmp_path, capsys, content, line):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(content)
+    assert cli_main(["coalesce", "--config", str(path), "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    [field] = record["fields"]
+    assert field.startswith(f"{path}, line {line}," if line else f"{path}: ")
+
+
+@pytest.mark.parametrize(
     "kind, section, field",
     [
         ("simulate", {"simulate": {"starts": [{"theta": "abc"}]}}, "config.simulate.starts[0].theta"),
@@ -884,6 +905,18 @@ def test_cli_rejects_replicas_for_kernel_check(tmp_path, capsys):
     assert record["error"] == "config"
     assert record["fields"] == ["--replicas: kernel-check runs no replicas"]
     assert not (tmp_path / "out").exists()
+
+
+def test_kernel_times_are_checked_against_an_accepted_m_only():
+    # 2*pi/3 lies on the grid of m = 3, which is rejected, but not on that of the default m = 8
+    with pytest.raises(ConfigError) as info:
+        parse_config({"experiment": "kernel-check", "kernel_check": {"m": 3, "times": [2.0 * math.pi / 3.0]}})
+    assert info.value.problems == ["config.kernel_check.m: build_cylinder_kernel needs an even m >= 2 (got 3)"]
+    with pytest.raises(ConfigError) as info:
+        parse_config({"experiment": "kernel-check", "kernel_check": {"m": 4, "times": [2.0 * math.pi / 3.0]}})
+    assert info.value.problems == [
+        "config.kernel_check.times[0]: build_cylinder_kernel needs t a multiple of 2*pi/m"
+    ]
 
 
 def test_config_checks_averaging_start_only_for_averaging_kinds():
@@ -1229,3 +1262,33 @@ def test_empirical_rates_run_takes_the_averaged_field_once(monkeypatch):
     results = run(cfg, write_artifacts=False).results
     assert len(calls) == 1
     assert len(results["errors"]) == 5 and "averaged_field_lipschitz_measured" in results
+
+
+# ---------------------------------------------------------------------------
+# package
+
+
+_IMPORT_EACH_FIRST = """
+import importlib, sys
+
+def purge():
+    for name in [n for n in sys.modules if n == "foliated_flows" or n.startswith("foliated_flows.")]:
+        del sys.modules[name]
+
+for name in sys.argv[1:]:
+    purge()
+    importlib.import_module("foliated_flows." + name)
+purge()
+from foliated_flows import config, harness
+assert callable(config.load_config) and callable(harness.run)
+"""
+
+
+def test_each_module_imports_first_in_a_fresh_interpreter():
+    # the package root imports nothing, so no module may lean on another being loaded first
+    src = Path(harness.__file__).parent
+    names = sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__")
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_EACH_FIRST, *names], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
