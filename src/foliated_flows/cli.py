@@ -80,7 +80,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         found = {**report.results, **report.diagnostics}
         for key in ("max_leaf_defect", "max_defect", "slope", "cross_leaf_coalescences",
-                    "pathwise_bound_violations", "streams_opened", "normals_drawn", "semigroup_pairs"):
+                    "pathwise_bound_violations", "streams_opened", "normals_drawn", "uniforms_drawn",
+                    "semigroup_pairs"):
             if key in found:
                 summary[key] = found[key]
         if "per_eps" in report.results:

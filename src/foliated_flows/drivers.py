@@ -13,8 +13,9 @@ integer arithmetic, so ``philox_keys`` runs it over a whole array of replica
 ids at once, and ``KeyedGenerators`` resets a reused generator to a key, which
 puts it in the very state a fresh seeding gives.  Loops over replicas thus pay
 one array hash plus a state reset per stream instead of building a
-``SeedSequence``, a ``Philox`` and a ``Generator`` each time; ``coalescence_times``
-and ``replica_poisson_jumps`` draw that way, with the bits of ``StreamKey.generator``.
+``SeedSequence``, a ``Philox`` and a ``Generator`` each time; ``coalescence_times``,
+``coalescence_batch`` and ``replica_poisson_jumps`` draw that way, with the bits of
+``StreamKey.generator``.
 The seed's part of the hash is cached, so opening one stream costs only its
 spawn key's part.
 
@@ -37,9 +38,10 @@ ROLE_COMMON = "common"
 ROLE_INDEPENDENT = "independent"
 _ROLE_CODES = {ROLE_COMMON: 0, ROLE_INDEPENDENT: 1}
 
-# Sub-stream domains keep Brownian and Poisson draws from one key disjoint.
+# Sub-stream domains keep Brownian, Poisson and exit-time draws from one key disjoint.
 _DOMAIN_BROWNIAN = 0
 _DOMAIN_POISSON = 1
+_DOMAIN_EXIT = 2
 
 # numpy's SeedSequence hash: a pool of 4 32-bit words and its multipliers
 _M32 = 0xFFFFFFFF
@@ -184,8 +186,10 @@ class KeyedGenerators:
     Slots are numbered from 0 and first used in that order.  A reset sets
     counter 0, the key, an empty buffer (``buffer_pos`` 4) and no cached
     32-bit half (``has_uint32`` 0), which is the state a fresh seeding gives,
-    so no draw of a slot's previous key leaks into the next.  A key is a
-    (2,) uint64 array, such as a row of ``philox_keys``.
+    so no draw of a slot's previous key leaks into the next.  A key is two
+    64-bit words, such as a row of ``philox_keys``; it is made a uint64
+    array first, since ``Philox(key=...)`` reads a list of ints through
+    float64 and would round words of 2^53 or more on a fresh slot.
     """
 
     def __init__(self):
@@ -194,7 +198,8 @@ class KeyedGenerators:
         self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None}, "buffer": zeros,
                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def reset(self, slot: int, key: np.ndarray) -> np.random.Generator:
+    def reset(self, slot: int, key) -> np.random.Generator:
+        key = np.asarray(key, dtype=np.uint64)
         if slot == len(self._slots):
             self._slots.append(_fresh_generator(key))
             return self._slots[slot]

@@ -7,17 +7,24 @@
   keeps the exact same rotation and jumps (common noise).
 * Coalescing circle: each point follows an independent leafwise Brownian
   motion; same-leaf trajectories merge when they meet and move together
-  afterwards.  Points on different leaves can never meet.  One scan finds
-  every merge: ``coalescence_times`` draws the paths in blocks and stops
-  once every leaf is one class; a point alone on its leaf draws nothing.  It
-  runs many replicas as one batch: slots that each hold one replica at its
-  own block, pooled generators reset to keys hashed in one pass, draws
-  straight into one reused buffer, and one array scan per block over the
-  busy slots, which wraps the gaps to ``np.mod``'s bits but calls it only
-  on the rare rows whose gap leaves [-3 pi, 3 pi).  ``evolve_coalescing_circle``
-  is its one-key case; it draws the displayed paths whole, and only when
-  its ``states`` are read.  Its leaf defects come from the starts, since
-  the points move only in theta.
+  afterwards.  Points on different leaves can never meet.
+  ``coalescence_batch``, which the coalesce experiment runs, picks the
+  engine.  When every leaf holds at most two classes, a leaf's pair merges
+  at the exit time of its gap from (0, 2 pi), drawn with no grid from one
+  uniform per replica (``_gap_exit_times``), so dt does not enter it.
+  Otherwise the slot scan ``coalescence_times`` finds every merge on the dt
+  grid: it draws the paths in blocks and stops once every leaf is one
+  class; a point alone on its leaf draws nothing.  It runs many replicas as
+  one batch: slots that each hold one replica at its own block, pooled
+  generators reset to keys hashed in one pass, draws straight into one
+  reused buffer, and one array scan per block over the busy slots, which
+  wraps the gaps to ``np.mod``'s bits but calls it only on the rare rows
+  whose gap leaves [-3 pi, 3 pi).  ``evolve_coalescing_circle`` is the
+  scan's one-key case, whatever the starts, so the paths it draws agree
+  with its hit times; it draws them whole, and only when its ``states`` are
+  read.  The scan, and so ``simulate``, keeps the grid law and its bias.
+  Its leaf defects come from the starts, since the points move only in
+  theta.
 
 The angular path of the cylinder models is piecewise linear between jump
 times, so time integrals of trigonometric functions along it are computed in
@@ -44,6 +51,7 @@ import numpy as np
 
 from .drivers import (
     _DOMAIN_BROWNIAN,
+    _DOMAIN_EXIT,
     _GRID_TOL,
     ROLE_INDEPENDENT,
     DriverPath,
@@ -77,6 +85,21 @@ CYLINDER_JUMP_RATE = 1.0
 _DRAW_BLOCK = 512
 # Replicas that coalescence_times scans together: the slots of its block buffer.
 _REPLICA_CHUNK = 16
+# Replicas whose exit times coalescence_batch draws and inverts together.
+_EXIT_CHUNK = 4096
+# The exit law's CDF is summed by images below this scaled time and by
+# Dirichlet modes above it; its terms past these counts are below 1e-17 of it.
+_IMAGE_END = 0.05
+_IMAGE_TERMS = 2
+_EIGEN_TERMS = 7
+# Points of the tables that give the first guesses; the erfc argument at the
+# small-time table's end, where the CDF is below 1e-32 < 2^-53; and the
+# large-time table's end, where 1 - F < 1.3 exp(-pi^2 s / 2) is below 2^-53.
+_TABLE_POINTS = 33
+_TABLE_ERFC_END = 8.5
+_TABLE_S_END = 8.5
+_NEWTON_STEPS = 100
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 class ManifoldExit(RuntimeError):
@@ -608,6 +631,20 @@ class CoalescenceBatch:
     streams_opened: int
     normals_drawn: int
     merges: int
+    uniforms_drawn: int = 0
+
+
+def _batch_start(starts, key, horizon, dt, sigma, replicas) -> tuple:
+    """Validated sigma, class ids, live pairs, replica ids, all pairs and hit times holding the equal starts' 0s."""
+    sig, ids0, hits0 = _coalescing_start(starts, sigma)
+    _validate_horizon_dt(horizon, dt)
+    replica_ids = np.asarray([key.replica_id] if replicas is None else replicas)
+    n = len(starts)
+    pairs = tuple((i, j) for j in range(n) for i in range(j))
+    hit_times = np.full((replica_ids.size, len(pairs)), np.inf)
+    for pq, t in hits0.items():
+        hit_times[:, pairs.index(pq)] = t
+    return sig, ids0, _live_pairs(ids0, [p.leaf for p in starts]), replica_ids, pairs, hit_times
 
 
 def coalescence_times(
@@ -640,15 +677,7 @@ def coalescence_times(
     ``_scan_slots``): the slots' normals fill one reused buffer, and one
     array pass finds the meetings of every slot's block.
     """
-    sig, ids0, hits0 = _coalescing_start(starts, sigma)
-    _validate_horizon_dt(horizon, dt)
-    replica_ids = np.asarray([key.replica_id] if replicas is None else replicas)
-    n = len(starts)
-    pairs = tuple((i, j) for j in range(n) for i in range(j))
-    hit_times = np.full((replica_ids.size, len(pairs)), np.inf)
-    for pq, t in hits0.items():
-        hit_times[:, pairs.index(pq)] = t
-    live0 = _live_pairs(ids0, [p.leaf for p in starts])
+    sig, ids0, live0, replica_ids, pairs, hit_times = _batch_start(starts, key, horizon, dt, sigma, replicas)
     n_steps = _n_steps(horizon, dt)
     counts = (0, 0, 0)  # streams opened, normals drawn, merges
     if live0 and n_steps and replica_ids.size:
@@ -737,6 +766,141 @@ def _scan_slots(starts, ids0, live0, key, replica_ids, hit_times, pairs, n_steps
                     slot[s] = slot[busy]
                 carry[:, s] = carry[:, busy]
     return n_rep * n_draw, normals, merges
+
+
+def coalescence_batch(
+    starts: list[CylPoint],
+    key: StreamKey,
+    horizon: float,
+    dt: float,
+    sigma: float | None = None,
+    replicas=None,
+) -> CoalescenceBatch:
+    """The pair hit times of ``coalescence_times``'s points, exact wherever a pair is alone on its leaf.
+
+    When every leaf holds at most two classes once equal starts are joined,
+    each leaf's pair merges when its circular gap, a Brownian motion of
+    variance 2 sigma^2 per unit time, first leaves (0, 2 pi), and that time
+    is drawn with no grid: one uniform of the stream keyed by (replica, the
+    pair's lower point, independent role) in the exit domain, inverted
+    through the gap's exit-time CDF (``_gap_exit_times``).  Hit times past the
+    horizon are inf, and dt is validated but not used.  Otherwise a leaf
+    holds three classes or more and every hit comes from the slot scan of
+    ``coalescence_times``, on the dt grid.
+    """
+    sig, ids0, live0, replica_ids, pairs, hit_times = _batch_start(starts, key, horizon, dt, sigma, replicas)
+    if len({i for pq in live0 for i in pq}) < 2 * len(live0):  # some point is in two live pairs
+        return coalescence_times(starts, key, horizon, dt, sigma, replicas)
+    if not (live0 and horizon > 0.0 and replica_ids.size):
+        return CoalescenceBatch(pairs, hit_times, 0, 0, 0)
+    pool = KeyedGenerators()
+    merges = 0
+    for a, b in live0:
+        gap = abs(math.remainder(starts[b].theta - starts[a].theta, TWO_PI))  # exact, so never 0 here
+        stream = key.point(a).with_role(ROLE_INDEPENDENT)
+        column = hit_times[:, pairs.index((a, b))]
+        for lo in range(0, replica_ids.size, _EXIT_CHUNK):
+            keys = philox_keys(stream, replica_ids[lo : lo + _EXIT_CHUNK], _DOMAIN_EXIT)
+            u = np.fromiter((pool.reset(0, k).random() for k in keys), float, len(keys))
+            column[lo : lo + u.size] = _gap_exit_times(u, gap, 2.0 * sig * sig)
+        column[column > horizon] = np.inf
+        merges += int(np.isfinite(column).sum())
+        # every pair across the two classes merges with their representatives
+        members = [[i for i, c in enumerate(ids0) if c == rep] for rep in (a, b)]
+        hit_times[:, [pairs.index((min(i, j), max(i, j))) for i in members[0] for j in members[1]]] = column[:, None]
+    draws = len(live0) * replica_ids.size
+    return CoalescenceBatch(pairs, hit_times, draws, 0, merges, uniforms_drawn=draws)
+
+
+def _image_cdf(s: np.ndarray, xi: float) -> tuple:
+    """F(s) and F'(s), F the CDF of the exit time of (0, 1) from xi by the image series, term by term."""
+    r = 1.0 / np.sqrt(2.0 * s)
+    f, df = np.zeros_like(s), np.zeros_like(s)
+    for k in range(_IMAGE_TERMS):
+        sign = -1.0 if k % 2 else 1.0
+        for a in (k + xi, k + 1.0 - xi):
+            z = a * r
+            f += sign * np.asarray(_ERFC(z), dtype=float)
+            df += sign * a * np.exp(-z * z)
+    df *= (2.0 / math.sqrt(math.pi)) * r**3
+    return f, df
+
+
+def _eigen_survival(s: np.ndarray, xi: float) -> tuple:
+    """1 - F(s) and its derivative by the Dirichlet eigenfunction series, term by term."""
+    g, dg = np.zeros_like(s), np.zeros_like(s)
+    for k in range(1, 2 * _EIGEN_TERMS, 2):
+        e = math.sin(k * math.pi * xi) * np.exp(-0.5 * (k * math.pi) ** 2 * s)
+        g += (4.0 / (k * math.pi)) * e
+        dg -= (2.0 * k * math.pi) * e
+    return g, dg
+
+
+def _solve(h, target: np.ndarray, table: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Each x with H(x) = target, H increasing, table = H(xs) and h(x, rows) = (H(x) - target[rows], H'(x)).
+
+    Newton steps start from the table's interpolation of the target, in the
+    bracket of the table cell around it; a step that leaves the bracket the
+    signs of h keep is replaced by bisection.  Each root stops after a step
+    below 1e-12 of it, past which Newton's quadratic convergence leaves only
+    rounding, so no root's steps depend on the others.
+    """
+    cell = np.clip(np.searchsorted(table, target), 1, xs.size - 1)
+    x, lo, hi = np.interp(target, table, xs), xs[cell - 1], xs[cell]
+    rows = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        if not rows.size:
+            break
+        old = x[rows]
+        value, slope = h(old, rows)
+        lo[rows] = np.where(value < 0.0, old, lo[rows])
+        hi[rows] = np.where(value > 0.0, old, hi[rows])
+        new = old - value / slope
+        outside = ~((lo[rows] <= new) & (new <= hi[rows]))  # NaN too
+        new[outside] = 0.5 * (lo[rows] + hi[rows])[outside]
+        x[rows] = new
+        rows = rows[(np.abs(new - old) > 1e-12 * np.abs(new)) & (value != 0.0)]
+    return x
+
+
+def _gap_exit_times(u: np.ndarray, gap: float, variance_rate: float) -> np.ndarray:
+    """The u-quantiles, u in [0, 1), of the first time a Brownian gap of variance ``variance_rate`` per unit time leaves (0, 2 pi).
+
+    The gap starts at ``gap`` in (0, pi], the start gap folded by the
+    symmetry x -> 2 pi - x.  In the scaled time s = variance_rate * t / (2 pi)^2
+    this is the exit time of (0, 1) by a standard Brownian motion from
+    xi = gap / (2 pi), whose CDF F this solves F(s) = u for: below
+    _IMAGE_END, -log F = -log u in w = 1/s, where it is near linear; above
+    it, -log(1 - F) = -log(1 - u) in s, where it is.  Tables of both give
+    the first guesses.  Each time depends on its own u only.
+    """
+    xi = gap / TWO_PI
+    to_time = TWO_PI**2 / variance_rate
+    out = np.zeros(u.shape)
+    f_image = float(_image_cdf(np.array([_IMAGE_END]), xi)[0][0])
+    early = np.flatnonzero((u > 0.0) & (u <= f_image))
+    if early.size:
+        y = -np.log(u[early])
+        z0 = xi / math.sqrt(2.0 * _IMAGE_END)
+        w = 2.0 * (np.linspace(z0, max(z0, _TABLE_ERFC_END), _TABLE_POINTS) / xi) ** 2
+        w[0] = 1.0 / _IMAGE_END
+
+        def h(w, rows):
+            f, df = _image_cdf(1.0 / w, xi)
+            return -np.log(f) - y[rows], df / (w * w * f)
+
+        out[early] = to_time / _solve(h, y, -np.log(_image_cdf(1.0 / w, xi)[0]), w)
+    late = np.flatnonzero(u > f_image)
+    if late.size:
+        y = -np.log(1.0 - u[late])
+        s = np.linspace(_IMAGE_END, _TABLE_S_END, _TABLE_POINTS)
+
+        def h(s, rows):
+            g, dg = _eigen_survival(s, xi)
+            return -np.log(g) - y[rows], -dg / g
+
+        out[late] = to_time * _solve(h, y, -np.log(_eigen_survival(s, xi)[0]), s)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .averaging import (
 )
 from .config import START_COORDS, ExperimentConfig
 from .drivers import StreamKey
-from .flows import coalescence_times, n_point_motion
+from .flows import coalescence_batch, n_point_motion
 from .geometry import CylPoint, TorusPoint, make_model
 from .kernels import (
     FLOW_CHECKS,
@@ -60,7 +60,7 @@ class RunReport:
     replicas: int
     wall_clock_seconds: float
     schema: str = REPORT_SCHEMA
-    # what the run did, e.g. the streams and normals a coalesce run drew
+    # what the run did, e.g. the streams, normals and uniforms a coalesce run drew
     diagnostics: dict = field(default_factory=dict)
     # compute_s (= wall_clock_seconds) and artifacts_s, every artifact written after it but report.json
     timings: dict = field(default_factory=dict)
@@ -238,7 +238,7 @@ def _run_averaging(cfg: ExperimentConfig, fit: bool):
 def _run_coalesce(cfg: ExperimentConfig):
     co = cfg.coalesce
     starts = [CylPoint.from_angle(**s) for s in co.starts]
-    batch = coalescence_times(
+    batch = coalescence_batch(
         starts, StreamKey(cfg.seed), co.horizon, co.dt, sigma=cfg.model.sigma,
         replicas=np.arange(co.replicas),
     )
@@ -270,6 +270,7 @@ def _run_coalesce(cfg: ExperimentConfig):
     diagnostics = {
         "streams_opened": batch.streams_opened,
         "normals_drawn": batch.normals_drawn,
+        "uniforms_drawn": batch.uniforms_drawn,
         "merges": batch.merges,
     }
     return results, diagnostics, None

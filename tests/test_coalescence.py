@@ -9,20 +9,30 @@ times with the reference's bit for bit: dict equality of floats is exact
 equality, and batch rows are compared as bytes.  evolve_coalescing_circle is
 the one-key case of coalescence_times; its lazily drawn states are checked
 against the reference's paths.
+
+coalescence_batch draws the hit time of a pair alone on its leaf exactly.
+Those tests check its law against closed forms that did not sample it: the
+Laplace transform of the exit time, and the first-passage series of the
+acceptance suite for the whole curve.
 """
 
+import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from foliated_flows import flows
 from foliated_flows.drivers import KeyedGenerators, StreamKey, philox_keys, sample_brownian
-from foliated_flows.flows import _DRAW_BLOCK, coalescence_times, evolve_coalescing_circle
+from foliated_flows.config import load_config
+from foliated_flows.flows import _DRAW_BLOCK, coalescence_batch, coalescence_times, evolve_coalescing_circle
 from foliated_flows.geometry import CylPoint, wrap_angle
+from foliated_flows.harness import run
 
 SEED = 20250811
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CIRCLE_STARTS = [
     CylPoint(0.0, 1.0, 0.0),
@@ -475,3 +485,138 @@ def test_scan_memory_grows_with_replicas_only_by_hit_times_and_keys(starts, n_dr
         finally:
             tracemalloc.stop()
         assert peak - n_rep * (8 * n_pairs + 16 * n_drawers) <= slack
+
+
+# ---------------------------------------------------------------------------
+# the exact path: a pair alone on its leaf merges at its gap's exit time
+
+
+def _exact(starts, horizon, sigma, replicas, seed=SEED, dt=0.01):
+    return coalescence_batch(starts, StreamKey(seed), horizon, dt, sigma, replicas=np.asarray(replicas))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+@pytest.mark.parametrize("theta1, g0", [(math.pi, math.pi), (1.5, 1.0)])
+def test_exact_hit_times_have_the_exit_laplace_transform(theta1, g0, sigma):
+    # E exp(-lam tau) = cosh((g0 - pi) sqrt(lam) / sigma) / cosh(pi sqrt(lam) / sigma)
+    # for the exit time of (0, 2 pi) by a gap of variance 2 sigma^2 per unit
+    # time from g0; at this horizon P(tau > horizon) < 1e-40, and no hit is inf
+    starts = [CylPoint(theta1 - g0, 1.0, 0.0), CylPoint(theta1, 1.0, 0.0), CylPoint(0.0, 2.0, 0.0)]
+    n = 100_000
+    tau = _exact(starts, 400.0, sigma, np.arange(n)).hit_times[:, 0]
+    assert np.isfinite(tau).all() and (tau > 0.0).all()
+    for lam in (0.1, 1.0, 10.0):
+        x = np.exp(-lam * tau)
+        root = math.sqrt(lam) / sigma
+        exact = math.cosh((g0 - math.pi) * root) / math.cosh(math.pi * root)
+        se = x.std(ddof=1) / math.sqrt(n)
+        assert abs(x.mean() - exact) <= 4.0 * se, (lam, x.mean(), exact, se)
+
+
+def test_exact_curve_lies_on_the_first_passage_series():
+    # the sample config through the harness at 10^5 replicas: every curve
+    # point on (0, 50] within 4 se of the exact absorption probability
+    from test_acceptance import _absorption_probability
+
+    cfg = load_config(CONFIGS / "coalesce-circle.yaml")
+    n = 100_000
+    report = run(dataclasses.replace(cfg, coalesce=dataclasses.replace(cfg.coalesce, replicas=n)),
+                 write_artifacts=False)
+    assert report.diagnostics["normals_drawn"] == 0 and report.diagnostics["uniforms_drawn"] == n
+    res = report.results
+    assert res["cross_leaf_coalescences"] == 0
+    for t, frac in zip(res["curve_times"][1:], res["fraction_coalesced"][1:]):
+        p = _absorption_probability(t, math.pi, 2.0 * math.pi, 2.0)
+        assert abs(frac - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (t, frac, p)
+
+
+def test_exact_hit_time_of_a_replica_is_the_same_in_any_batch():
+    # ids that are not 0..R-1, batches across the inversion's chunks, reruns
+    # byte for byte, and the one-key default
+    starts = [CylPoint(0.2, 1.0, 0.0), CylPoint(2.9, 1.0, 0.0), CylPoint(1.0, 2.0, 0.0), CylPoint(1.1, 2.0, 0.0)]
+    ids = 3 + 7 * np.arange(max(1500, flows._EXIT_CHUNK + 9))
+    big = _exact(starts, 12.0, 1.0, ids)
+    assert big.hit_times.tobytes() == _exact(starts, 12.0, 1.0, ids).hit_times.tobytes()
+    assert _exact(starts, 12.0, 1.0, ids[:7]).hit_times.tobytes() == big.hit_times[:7].tobytes()
+    assert _exact(starts, 12.0, 1.0, ids[:1500]).hit_times.tobytes() == big.hit_times[:1500].tobytes()
+    for r in (0, 1499, ids.size - 1):
+        one = coalescence_batch(starts, StreamKey(SEED, int(ids[r])), 12.0, 0.01, 1.0)
+        assert one.hit_times.tobytes() == big.hit_times[r : r + 1].tobytes()
+    finite = np.isfinite(big.hit_times)
+    assert 0 < finite[:, 0].sum() < ids.size and 0 < finite[:, 5].sum() < ids.size
+
+
+def test_exact_path_takes_no_grid():
+    # dt is validated but no hit time depends on it; a pair's hit times lie
+    # in [0, horizon] and are inf past it
+    starts = CIRCLE_STARTS
+    a = _exact(starts, 8.0, 1.0, np.arange(500), dt=0.01)
+    b = _exact(starts, 8.0, 1.0, np.arange(500), dt=0.5)
+    assert a.hit_times.tobytes() == b.hit_times.tobytes()
+    tau = a.hit_times[:, 0]
+    assert ((tau > 0.0) & (tau <= 8.0) | (tau == np.inf)).all()
+    assert not np.isin(tau[tau < np.inf], 0.01 * np.arange(801)).all()  # off the grid
+    with pytest.raises(ValueError):
+        _exact(starts, 8.0, 1.0, np.arange(5), dt=0.0)
+    # a longer horizon keeps every hit time below the shorter one
+    c = _exact(starts, 30.0, 1.0, np.arange(500))
+    below = tau < np.inf
+    assert c.hit_times[below, 0].tobytes() == tau[below].tobytes()
+    assert (c.hit_times[~below, 0] > 8.0).all()
+
+
+def test_exact_path_hits_identical_starts_at_zero_and_never_across_leaves():
+    # points 0 and 1 start equal, so leaf r = 1 holds two classes and takes
+    # the exact path: 0-2 and 1-2 merge at one time; 3 and 4 share leaf
+    # r = 2, and no pair across the leaves ever merges
+    starts = [CylPoint(1.0, 1.0, 0.0), CylPoint(1.0, 1.0, 0.0), CylPoint(4.0, 1.0, 0.0),
+              CylPoint(1.0, 2.0, 0.0), CylPoint(1.0, 2.0, 0.5)]
+    batch = _exact(starts, 20.0, 1.0, np.arange(300))
+    col = {pq: batch.hit_times[:, p] for p, pq in enumerate(batch.pairs)}
+    assert (col[(0, 1)] == 0.0).all()
+    assert col[(0, 2)].tobytes() == col[(1, 2)].tobytes()
+    assert np.isfinite(col[(0, 2)]).sum() > 250
+    for i in range(3):
+        for j in (3, 4):
+            assert (col[(i, j)] == np.inf).all()
+    assert (col[(3, 4)] == np.inf).all()  # different z: different leaves
+    assert (batch.streams_opened, batch.uniforms_drawn, batch.normals_drawn) == (300, 300, 0)
+    assert batch.merges == int(np.isfinite(col[(0, 2)]).sum())
+
+
+def test_three_classes_on_a_leaf_keep_the_scan_bit_for_bit():
+    # coalescence_batch is coalescence_times wherever a leaf holds three
+    # classes or more, the pair alone on another leaf included
+    starts = [CylPoint(0.0, 1.0, 0.0), CylPoint(2.0, 1.0, 0.0), CylPoint(4.0, 1.0, 0.0),
+              CylPoint(0.5, 2.0, 0.0), CylPoint(2.5, 2.0, 0.0)]
+    replicas = np.arange(40)
+    scan = coalescence_times(starts, StreamKey(SEED), 10.0, 0.01, 1.0, replicas=replicas)
+    batch = coalescence_batch(starts, StreamKey(SEED), 10.0, 0.01, 1.0, replicas=replicas)
+    assert batch == dataclasses.replace(scan, hit_times=batch.hit_times)
+    assert batch.hit_times.tobytes() == scan.hit_times.tobytes()
+    assert batch.uniforms_drawn == 0 and batch.normals_drawn > 0
+
+
+@pytest.mark.parametrize(
+    "starts",
+    [CIRCLE_STARTS, [CylPoint(0.0, 1.0, 0.0), CylPoint(1.0, 1.0, 0.0), CylPoint(0.0, 2.0, 0.0), CylPoint(5.0, 2.0, 0.0)]],
+)
+def test_exact_memory_grows_with_replicas_only_by_hit_times(starts):
+    # tracemalloc peak less the (R, pairs) float64 hit times: the keys,
+    # uniforms and series sums of one chunk of replicas at a time, each
+    # series summed term by term, so no (terms x replicas) array exists and
+    # nothing else grows with R
+    n_pairs = len(starts) * (len(starts) - 1) // 2
+    _exact(starts, 50.0, 1.0, np.arange(4))
+    above = []
+    for n_rep in (2 * flows._EXIT_CHUNK, 6 * flows._EXIT_CHUNK + 5):
+        replicas = np.arange(n_rep)
+        tracemalloc.start()
+        try:
+            _exact(starts, 50.0, 1.0, replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above.append(peak - n_rep * 8 * n_pairs)
+    assert abs(above[1] - above[0]) <= 16_384
+    assert above[0] <= 300 * flows._EXIT_CHUNK * n_pairs

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from foliated_flows.drivers import (
     _DOMAIN_BROWNIAN,
+    _DOMAIN_EXIT,
     _DOMAIN_POISSON,
     DriverPath,
     KeyedGenerators,
@@ -272,6 +273,27 @@ def test_reset_draws_equal_a_fresh_generator(draw):
         )
         assert reset.bit_generator.state["has_uint32"] == 0
         assert draw(reset).tobytes() == draw(fresh).tobytes()
+
+
+def test_a_list_key_draws_its_uint64_stream_on_a_fresh_and_a_reused_slot():
+    # Philox(key=[...]) reads Python ints through float64, which rounds
+    # 12345678901234567890 to 12345678901234567168; the pool makes the list
+    # a uint64 array first, as the state setter of a reused slot keeps it
+    words = [12345678901234567890, 987654321987654321]
+    assert [int(w) for w in np.array(words, dtype=float)] != words
+    exact = np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64))).standard_normal(9)
+    pool = KeyedGenerators()
+    assert pool.reset(0, words).standard_normal(9).tobytes() == exact.tobytes()  # fresh slot
+    pool.reset(1, [1, 2]).standard_normal(3)
+    assert pool.reset(1, words).standard_normal(9).tobytes() == exact.tobytes()  # reused slot
+
+
+def test_exit_domain_is_a_fourth_spawn_word_apart_from_brownian_and_poisson():
+    key = StreamKey(SEED, 3, 1, "independent")
+    rows = [philox_keys(key, [3], domain)[0].tolist() for domain in (_DOMAIN_BROWNIAN, _DOMAIN_POISSON, _DOMAIN_EXIT)]
+    assert len({tuple(r) for r in rows}) == 3
+    seq = np.random.SeedSequence(SEED, spawn_key=(3, 1, 1, _DOMAIN_EXIT))
+    assert rows[2] == seq.generate_state(2, np.uint64).tolist()
 
 
 @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 7])

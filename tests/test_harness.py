@@ -980,25 +980,89 @@ def test_seed_bounds_are_accepted():
         assert parse_config({"experiment": "coalesce", "seed": seed}).seed == seed
 
 
+# three distinct classes on one leaf, which only the slot scan serves, and
+# one point on its own leaf
+_SCAN_STARTS = [{"theta": 0.0, "r": 1.0, "z": 0.0}, {"theta": 2.0, "r": 1.0, "z": 0.0},
+                {"theta": 4.0, "r": 1.0, "z": 0.0}, {"theta": 0.0, "r": 2.0, "z": 0.0}]
+
+
 def test_coalesce_payload_equals_per_replica_reference():
-    # sha256 of the v1 payload that one coalescence_times call per replica
-    # gave on the sample config at 2000 replicas
+    # sha256 of the v1 and v2 payloads of the sample config with these starts
+    # at 2000 replicas, as the scan gave them when harness called
+    # coalescence_times directly, whose rows were then one call per replica's
     cfg = load_config(CONFIGS / "coalesce-circle.yaml")
-    cfg = dataclasses.replace(cfg, coalesce=dataclasses.replace(cfg.coalesce, replicas=2000))
-    report = run(cfg, write_artifacts=False)
+    co = dataclasses.replace(cfg.coalesce, replicas=2000, starts=tuple(_SCAN_STARTS))
+    report = run(dataclasses.replace(cfg, coalesce=co), write_artifacts=False)
     assert _sha256_json(_v1_payload(report)) == (
-        "d16e3b0aab53ac933be0ccf94cfee7b3f9657d06f2d902994d6920ca5e042020"
+        "ae27ced39e33a53d201cf12b60b5c4a9e50435f902a1553fa65dfc44f67d4642"
     )
     assert _sha256_json(report.payload()) == (
-        "e374a86a954d06a3aa56cddd27a283e57b4daa9e64c5f9c0eda5f1667b72dc53"
+        "5e4bf21951e9f9bd66ba6504ddcdb1d506bacebc44c34c298e18ff39e72f44a6"
     )
+    points = [CylPoint.from_angle(**s) for s in _SCAN_STARTS]
+    replicas = np.arange(0, 2000, 97)
+    batch = flows.coalescence_batch(points, StreamKey(SEED), 50.0, 0.01, 1.0, replicas=replicas)
+    for rep, row in zip(replicas, batch.hit_times):
+        one = flows.coalescence_times(points, StreamKey(SEED, int(rep)), 50.0, 0.01, 1.0)
+        assert one.hit_times[0].tobytes() == row.tobytes()
+
+
+def _scan_recount(points, horizon, dt, sigma, replicas):
+    """Normals and merges of the slot scan, recounted from each replica's hit times.
+
+    A point draws whole blocks of 512 steps, up to the horizon, until the
+    block in which it stops sharing its leaf with another class: when it
+    meets a lower point (its class is absorbed) or the last other class on
+    its leaf joins it.
+    """
+    n_steps, normals, merges = round(horizon / dt), 0, 0
+    n = len(points)
+    for rep in range(replicas):
+        hits = evolve_coalescing_circle(points, StreamKey(SEED, rep), horizon, dt, sigma=sigma).hit_times
+        for x in range(n):
+            leaf = [j for j in range(n) if j != x and points[j].leaf == points[x].leaf]
+            if not leaf:
+                continue
+            absorbed = min([hits.get((i, x), math.inf) for i in range(x)] + [math.inf])
+            alone = max(hits.get((min(x, j), max(x, j)), math.inf) for j in leaf)
+            stop = min(absorbed, alone)
+            k = n_steps if stop == math.inf else round(stop / dt)
+            normals += min(n_steps, -(-k // 512) * 512)
+        merges += sum(1 for j in range(n) if any(hits.get((i, j), math.inf) < math.inf for i in range(j)))
+    return normals, merges
 
 
 def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, capsys):
-    # points 0 and 1 share a leaf, 2 is alone: 0 and 1 each open one stream
-    # and draw whole blocks of 512 steps until the block of their merge
+    # points 0, 1 and 2 share a leaf, 3 is alone: 0, 1 and 2 each open one
+    # stream per replica and draw until their class no longer can merge
+    data = {
+        "experiment": "coalesce",
+        "seed": SEED,
+        "output_dir": str(tmp_path / "out"),
+        "model": {"name": "coalescing-circle", "sigma": 0.5},
+        "coalesce": {"horizon": 15.0, "dt": 0.01, "replicas": 30, "starts": _SCAN_STARTS},
+    }
+    report = run(parse_config(data), write_artifacts=False)
+    points = [CylPoint.from_angle(**s) for s in _SCAN_STARTS]
+    expected_normals, merged = _scan_recount(points, 15.0, 0.01, 0.5, 30)
+    assert (expected_normals, merged) == (112_672, 40)  # as the scan counted them before the exact path
+    assert report.diagnostics == {
+        "streams_opened": 90, "normals_drawn": expected_normals, "uniforms_drawn": 0, "merges": merged,
+    }
+    assert set(report.payload()) == {"schema", "experiment", "config", "replicas", "results"}
+    assert json.loads(report.to_json())["diagnostics"] == report.diagnostics
+    assert cli_main(["coalesce", "--config", _write_cfg(tmp_path, data)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary["streams_opened"] == 90
+    assert summary["normals_drawn"] == expected_normals
+    assert summary["uniforms_drawn"] == 0
+
+
+def test_coalesce_exact_path_counts_one_uniform_per_pair_and_replica(tmp_path, capsys):
+    # a pair alone on each of two leaves: no normals, one stream and one
+    # uniform per pair and replica, and a merge for each finite hit time
     starts = [{"theta": 0.0, "r": 1.0, "z": 0.0}, {"theta": 3.0, "r": 1.0, "z": 0.0},
-              {"theta": 0.0, "r": 2.0, "z": 0.0}]
+              {"theta": 1.0, "r": 2.0, "z": 0.0}, {"theta": 1.5, "r": 2.0, "z": 0.0}]
     data = {
         "experiment": "coalesce",
         "seed": SEED,
@@ -1007,24 +1071,32 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
         "coalesce": {"horizon": 15.0, "dt": 0.01, "replicas": 30, "starts": starts},
     }
     report = run(parse_config(data), write_artifacts=False)
-    n_steps, expected_normals, merged = 1500, 0, 0
-    points = [CylPoint.from_angle(s["theta"], s["r"], s["z"]) for s in starts]
-    for rep in range(30):
-        hits = evolve_coalescing_circle(points, StreamKey(SEED, rep), 15.0, 0.01, sigma=0.5).hit_times
-        k = round(hits[(0, 1)] / 0.01) if (0, 1) in hits else n_steps
-        expected_normals += 2 * min(n_steps, -(-k // 512) * 512)
-        merged += (0, 1) in hits
-    assert 0 < merged < 30
-    assert report.diagnostics == {
-        "streams_opened": 60, "normals_drawn": expected_normals, "merges": merged,
-    }
-    assert report.results["pairs"]["0-1"]["coalesced"] == merged
-    assert set(report.payload()) == {"schema", "experiment", "config", "replicas", "results"}
-    assert json.loads(report.to_json())["diagnostics"] == report.diagnostics
+    pairs = report.results["pairs"]
+    merged = pairs["0-1"]["coalesced"] + pairs["2-3"]["coalesced"]
+    assert 0 < pairs["0-1"]["coalesced"] < 30
+    assert report.diagnostics == {"streams_opened": 60, "normals_drawn": 0, "uniforms_drawn": 60, "merges": merged}
     assert cli_main(["coalesce", "--config", _write_cfg(tmp_path, data)]) == 0
     summary = json.loads(capsys.readouterr().out.strip())
-    assert summary["streams_opened"] == 60
-    assert summary["normals_drawn"] == expected_normals
+    assert (summary["normals_drawn"], summary["uniforms_drawn"]) == (0, 60)
+
+
+def test_coalesce_config_with_three_classes_on_a_leaf_keeps_the_scan_bit_for_bit():
+    # one leaf holds three classes (points 0 and 1 start equal), so every
+    # leaf runs the scan, the pair alone on the second leaf too: the payload
+    # sha256 and the diagnostics are those the scan gave before the exact path
+    starts = [{"theta": 0.5, "r": 1.0, "z": 0.0}, {"theta": 0.5, "r": 1.0, "z": 0.0},
+              {"theta": 2.5, "r": 1.0, "z": 0.0}, {"theta": 4.5, "r": 1.0, "z": 0.0},
+              {"theta": 1.0, "r": 2.0, "z": 0.0}, {"theta": 4.0, "r": 2.0, "z": 0.0}]
+    data = {
+        "experiment": "coalesce", "seed": 7, "output_dir": "out",
+        "model": {"name": "coalescing-circle", "sigma": 1.5},
+        "coalesce": {"horizon": 20.0, "dt": 0.01, "replicas": 300, "starts": starts, "curve_points": 50},
+    }
+    report = run(parse_config(data), write_artifacts=False)
+    assert _sha256_json(report.payload()) == "0183dcf823f4341ae9ff54154a9c2bf9400871ce0cfd6862dd15eb2c9deaa7d1"
+    assert report.diagnostics == {
+        "streams_opened": 1500, "normals_drawn": 838_656, "uniforms_drawn": 0, "merges": 900,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1104,9 +1176,10 @@ _ARTIFACT_SHA256 = {
         "rates_error.csv": "4c99f285b7ab42a91afc28426a5ab9fad54711c6db543fd10448726339a7ffcc",
         "report.json": "30d56a60b2d276cf5a39200d194ce9d8c04ec09c12b1984245064dc93454986e",
     },
+    # the pair alone on its leaf merges at its exact exit time, with no grid
     "coalesce-circle": {
-        "coalescence_fraction.csv": "cef6764396f97e1e2cb7cb56f3456cc637b4b2f4c1251964ea2d214a9cfb06ad",
-        "report.json": "ee84ead544808fe0b3c16d9a2a0ccaa04625cb8ce7f855c46a599b25270c2746",
+        "coalescence_fraction.csv": "2ce784b4b4b25e1a396963a630c1c48f8b9b7da419ec6f0aa83c1a120812aef8",
+        "report.json": "94c1b9f852c1cd7c1a3fec65d2b792807d30b982c3d9b5ce35ca53b8fe3db00a",
     },
     "simulate-torus": {
         "leaf_defects.csv": "72549829ff6077cf6214a990e1a13d1ae19a8724271691b7991ff5adf98102f3",
@@ -1136,7 +1209,7 @@ _ARTIFACT_SHA256_V2 = {
         "decomposition.npy": "4ed43a22ae8eefdf9494647ab469cd68a7f45c2d214dc73bc8cfaabeba152748",
         "report.json": "e623876d6e34ed8ee87c90b54dbde8fec217b0c5de70eb4b184eb0ce4f49c15b",
     },
-    "coalesce-circle": {"report.json": "e6fe31252f9674094b235a4d574782d376c35785906dadb70a6d2d0e50ce04c4"},
+    "coalesce-circle": {"report.json": "d71a51a696be09825fdc160e0ad703ec4586159f0c2ef018a72eea738e6d31f5"},
     "simulate-torus": {"report.json": "fc393db8479cf477a774081b25ade9e42c8b57ffcac03e3b7318b7fc58bebc85"},
     "kernel-check": {
         "kernel_t0.785398.json": "5c53987de6ccf6cec20938824056a82a656aebb69196ed22e647253f3a67420e",
