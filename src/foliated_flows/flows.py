@@ -12,14 +12,11 @@
   engine.  When every leaf holds at most two classes, a leaf's pair merges
   at the exit time of its gap from (0, 2 pi), drawn with no grid from one
   uniform per replica (``_gap_exit_times``), so dt does not enter it.
-  Otherwise the slot scan ``coalescence_times`` finds every merge on the dt
-  grid: it draws the paths in blocks and stops once every leaf is one
-  class; a point alone on its leaf draws nothing.  It runs many replicas as
-  one batch: slots that each hold one replica at its own block, pooled
-  generators reset to keys hashed in one pass, draws straight into one
-  reused buffer, and one array scan per block over the busy slots, which
-  wraps the gaps to ``np.mod``'s bits but calls it only on the rare rows
-  whose gap leaves [-3 pi, 3 pi).  ``evolve_coalescing_circle`` is the
+  Otherwise the scan ``coalescence_times`` finds every merge on the dt
+  grid: one replica at a time, it draws the paths in blocks from pooled
+  generators reset to keys hashed in one pass, finds each block's pair
+  meetings in one array pass and stops once every leaf is one class; a
+  point alone on its leaf draws nothing.  ``evolve_coalescing_circle`` is the
   scan's one-key case, whatever the starts, so the paths it draws agree
   with its hit times; it draws them whole, and only when its ``states`` are
   read.  The scan, and so ``simulate``, keeps the grid law and its bias.
@@ -83,8 +80,6 @@ CYLINDER_JUMP_RATE = 1.0
 
 # Steps of Brownian increments that coalescence_times draws per point at a time.
 _DRAW_BLOCK = 512
-# Replicas that coalescence_times scans together: the slots of its block buffer.
-_REPLICA_CHUNK = 16
 # Replicas whose exit times coalescence_batch draws and inverts together.
 _EXIT_CHUNK = 4096
 # The exit law's CDF is summed by images below this scaled time and by
@@ -483,7 +478,7 @@ def _coalescing_start(starts: list[CylPoint], sigma: float | None):
         if not isinstance(p, CylPoint):
             raise ValueError("coalescing circle starts must be CylPoints")
     ids, hit_times = _initial_partition(
-        starts, lambda p, q: p.leaf == q.leaf and wrap_angle(p.theta - q.theta) == 0.0
+        starts, lambda p, q: p.leaf == q.leaf and p.theta == q.theta
     )
     return sig, ids, hit_times
 
@@ -494,62 +489,20 @@ def _live_pairs(ids: list[int], leaves: list) -> list[tuple[int, int]]:
     return [(a, b) for bi, b in enumerate(reps) for a in reps[:bi] if leaves[a] == leaves[b]]
 
 
-def _wrap_gap(gap: np.ndarray) -> np.ndarray:
-    """Set gap to ``np.mod(gap + pi, TWO_PI) - pi`` in place, to the bit where y = gap + pi lies in [-TWO_PI, 2 TWO_PI).
-
-    There ``np.mod(y, TWO_PI)`` is y + TWO_PI for y < 0, y - TWO_PI for
-    y >= TWO_PI and y otherwise: fmod is exact (y, y - TWO_PI, or -0.0 at
-    -TWO_PI), numpy adds TWO_PI once to a negative remainder and makes a zero
-    +0.0, and y - TWO_PI is exact (Sterbenz).  The -0.0 this leaves where
-    numpy has +0.0 gives the same bits after the - pi.  Returns the mask of
-    the entries outside that range, whose value this leaves wrong.
-    """
-    gap += math.pi
-    work = np.empty_like(gap)
-    outside = ~((-TWO_PI <= gap) & (gap < 2.0 * TWO_PI))
-    np.greater_equal(gap, TWO_PI, out=work)
-    gap -= np.multiply(work, TWO_PI, out=work)
-    np.less(gap, 0.0, out=work)
-    gap += np.multiply(work, TWO_PI, out=work)
-    gap -= math.pi
-    return outside
-
-
-def _hits(g: np.ndarray, delta_c: float) -> np.ndarray:
-    """hit[..., r]: the wrapped gaps g (..., steps) meet at step r + 1, by the rule of ``_meetings``."""
-    # consecutive steps on the flat array, so no pass copies an operand; the
-    # last step of each row pairs with the next row and is cut
-    head, tail = g.reshape(-1)[:-1], g.reshape(-1)[1:]
-    work = np.empty_like(head)
-    hit = np.empty(g.shape, dtype=bool)
-    flat = hit.reshape(-1)[:-1]
-    np.less_equal(np.multiply(head, tail, out=work), 0.0, out=flat)
-    flat &= np.abs(np.subtract(tail, head, out=work), out=work) <= math.pi
-    flat |= np.abs(tail, out=work) < delta_c
-    return hit[..., :-1]
-
-
 def _meetings(theta: np.ndarray, a, b, delta_c: float):
     """Whether and at which step each pair (a[p], b[p]) first meets along the last axis of theta.
 
     theta is (..., points, steps), the angles at consecutive steps.  A pair
-    meets at step r >= 1 when its wrapped gap changes sign from step r - 1
-    with a jump of at most pi (a true zero crossing, not an antipodal wrap)
-    or its magnitude drops below delta_c.  Returns the (..., pairs) arrays
-    ``met`` and ``first``, the first meeting step less 1 where ``met``.
+    meets at step r >= 1 when its gap, wrapped into [-pi, pi), changes sign
+    from step r - 1 with a jump of at most pi (a true zero crossing, not an
+    antipodal wrap) or its magnitude drops below delta_c.  Returns the
+    (..., pairs) arrays ``met`` and ``first``, the first meeting step less 1
+    where ``met``.
     """
-    g = np.empty((len(a),) + theta.shape[:-2] + theta.shape[-1:])  # pair-major
-    for p, (i, j) in enumerate(zip(a, b)):
-        np.subtract(theta[..., i, :], theta[..., j, :], out=g[p])
-    # the few rows with a gap the wrap leaves wrong are wrapped with np.mod
-    rows = np.nonzero(_wrap_gap(g).any(axis=-1))
-    if rows[0].size:
-        at = rows[1:]
-        gap = theta[at + (np.asarray(a)[rows[0]],)] - theta[at + (np.asarray(b)[rows[0]],)]
-        g[rows] = np.mod(gap + math.pi, TWO_PI) - math.pi
-    hit = _hits(g, delta_c)
-    met, first = hit.any(axis=-1), hit.argmax(axis=-1)
-    return np.moveaxis(met, 0, -1), np.moveaxis(first, 0, -1)
+    g = np.mod(theta[..., a, :] - theta[..., b, :] + math.pi, TWO_PI) - math.pi
+    head, tail = g[..., :-1], g[..., 1:]
+    hit = (head * tail <= 0.0) & (np.abs(tail - head) <= math.pi) | (np.abs(tail) < delta_c)
+    return hit.any(axis=-1), hit.argmax(axis=-1)
 
 
 def _apply_meetings(events: list, ids: list[int], dt: float, hit_times: dict) -> list:
@@ -671,101 +624,52 @@ def coalescence_times(
     from its stream, _DRAW_BLOCK steps at a time.  Normals drawn in blocks
     are the numbers of one call, and each block's Brownian sum starts from
     the last value of the one before, so the angles are those of the whole
-    path ``sample_brownian`` draws, to the bit.  A replica stops drawing once
-    every leaf is one class; a point alone on its leaf opens no stream.
-    _REPLICA_CHUNK slots each hold one replica at its own block (see
-    ``_scan_slots``): the slots' normals fill one reused buffer, and one
-    array pass finds the meetings of every slot's block.
+    path ``sample_brownian`` draws, to the bit.  The replicas run one at a
+    time: each resets one pooled generator per drawing point, scans each
+    block's pair gaps with ``_meetings`` and stops drawing once every leaf is
+    one class; a point alone on its leaf opens no stream.
     """
     sig, ids0, live0, replica_ids, pairs, hit_times = _batch_start(starts, key, horizon, dt, sigma, replicas)
     n_steps = _n_steps(horizon, dt)
-    counts = (0, 0, 0)  # streams opened, normals drawn, merges
-    if live0 and n_steps and replica_ids.size:
-        counts = _scan_slots(starts, ids0, live0, key, replica_ids, hit_times, pairs, n_steps, dt, sig)
-    return CoalescenceBatch(pairs, hit_times, *counts)
-
-
-def _scan_slots(starts, ids0, live0, key, replica_ids, hit_times, pairs, n_steps, dt, sig) -> tuple:
-    """Draw and scan blocks until each replica has every leaf one class or reaches n_steps.
-
-    Replica ``replica_ids[r]`` of key has its hit times put in row r of
-    hit_times.  Each slot holds one replica at its own block start; a slot
-    whose replica is done takes the next one, and once none is left the last
-    busy slot moves into it, so every block scans busy slots only.  Returns
-    (streams opened, normals drawn, merges).
-    """
+    if not (live0 and n_steps and replica_ids.size):
+        return CoalescenceBatch(pairs, hit_times, 0, 0, 0)
     drawers = sorted({i for pq in live0 for i in pq})
     keys = np.stack(
         [philox_keys(key.point(i).with_role(ROLE_INDEPENDENT), replica_ids, _DOMAIN_BROWNIAN) for i in drawers],
         axis=1,
     )
-    n_rep, n_draw, slots = replica_ids.size, len(drawers), min(_REPLICA_CHUNK, replica_ids.size)
-    a_col, b_col = ([drawers.index(pq[e]) for pq in live0] for e in (0, 1))
     sd = math.sqrt(dt)
     delta_c = sig * sd / 10.0
-    theta0 = np.array([starts[i].theta for i in drawers])[:, None, None]
+    theta0 = np.array([starts[i].theta for i in drawers])[:, None]
     pool = KeyedGenerators()
-    # (drawer, slot, step): B at the block's start, then the normals and B at
-    # its steps, then the angles; drawers that no longer draw add zeros.  A
-    # drawer's rows are contiguous, so no in-place pass copies its operands.
-    buf = np.zeros((n_draw, slots, _DRAW_BLOCK + 1))
-    blocks = [list(buf[:, s, 1:]) for s in range(slots)]  # each slot's draws, by drawer
-    carry = np.zeros((n_draw, slots))  # B at each slot's last drawn step
-    rep, k0, gens, ids, hits, drawing = ([None] * slots for _ in range(6))
-
-    def start(s, r):
-        rep[s], k0[s], ids[s], hits[s], drawing[s] = r, 0, list(ids0), {}, [True] * n_draw
-        gens[s] = [pool.reset(s * n_draw + d, k) for d, k in enumerate(keys[r])]
-        carry[:, s] = 0.0
-
-    for s in range(slots):
-        start(s, s)
-    queued, busy, normals, merges = slots, slots, 0, 0
-    while busy:
-        steps = [min(_DRAW_BLOCK, n_steps - k) for k in k0[:busy]]
-        for s, n in enumerate(steps):
-            if n < _DRAW_BLOCK:
-                buf[:, s, n + 1 :] = 0.0
-            for gen, out, draws in zip(gens[s], blocks[s], drawing[s]):
-                if draws:
-                    gen.standard_normal(out=out[:n])
-                else:
-                    out.fill(0.0)
-            normals += n * sum(drawing[s])
-        theta = buf[:, :busy]
-        theta *= sd  # normal(0, sd) is 0.0 + sd * z: the same bits once summed
-        theta[:, :, 0] = carry[:, :busy]
-        np.cumsum(theta, axis=-1, out=theta)
-        carry[:, :busy] = theta[:, :, -1]
-        theta *= sig
-        theta += theta0
-        # a pair with an absorbed end scans stale angles; its meetings are
-        # no-ops in _apply_meetings
-        scan = theta[:, :, : max(steps) + 1].transpose(1, 0, 2)  # (slot, drawer, step)
-        met, first = (x.tolist() for x in _meetings(scan, a_col, b_col, delta_c))
-        for s in reversed(range(busy)):
-            n = steps[s]
-            if any(met[s]):
-                events = [(k0[s] + 1 + f, j, i) for (i, j), m, f in zip(live0, met[s], first[s]) if m and f < n]
-                if merged := _apply_meetings(events, ids[s], dt, hits[s]):
-                    merges += len(merged)
-                    c = ids[s]
-                    live = [pq for pq in live0 if c[pq[0]] == pq[0] and c[pq[1]] == pq[1]]
-                    drawing[s] = [any(x in pq for pq in live) for x in drawers]
-            k0[s] += n
-            if k0[s] < n_steps and any(drawing[s]):
-                continue
-            for pq, t in hits[s].items():
-                hit_times[rep[s], pairs.index(pq)] = t
-            if queued < n_rep:
-                start(s, queued)
-                queued += 1
-            else:
-                busy -= 1
-                for slot in (rep, k0, gens, ids, hits, drawing):
-                    slot[s] = slot[busy]
-                carry[:, s] = carry[:, busy]
-    return n_rep * n_draw, normals, merges
+    normals = merges = 0
+    for r, replica_keys in enumerate(keys):
+        gens = [pool.reset(d, k) for d, k in enumerate(replica_keys)]
+        ids, hits, live, k0 = list(ids0), {}, live0, 0
+        carry = np.zeros(len(drawers))  # B at the last drawn step
+        while live and k0 < n_steps:
+            n = min(_DRAW_BLOCK, n_steps - k0)
+            # B at the block's start, then the normals and B at its steps;
+            # a drawer in no live pair adds zeros
+            bm = np.zeros((len(drawers), n + 1))
+            for d, gen in enumerate(gens):
+                if any(drawers[d] in pq for pq in live):
+                    gen.standard_normal(out=bm[d, 1:])
+                    normals += n
+            bm *= sd  # normal(0, sd) is 0.0 + sd * z: the same bits once summed
+            bm[:, 0] = carry
+            np.cumsum(bm, axis=-1, out=bm)
+            carry = bm[:, -1]
+            a_col, b_col = ([drawers.index(pq[e]) for pq in live] for e in (0, 1))
+            met, first = _meetings(sig * bm + theta0, a_col, b_col, delta_c)
+            events = [(k0 + 1 + f, j, i) for (i, j), m, f in zip(live, met.tolist(), first.tolist()) if m]
+            if merged := _apply_meetings(events, ids, dt, hits):
+                merges += len(merged)
+                live = [(i, j) for i, j in live if ids[i] == i and ids[j] == j]
+            k0 += n
+        for pq, t in hits.items():
+            hit_times[r, pairs.index(pq)] = t
+    return CoalescenceBatch(pairs, hit_times, replica_ids.size * len(drawers), normals, merges)
 
 
 def coalescence_batch(
@@ -785,7 +689,7 @@ def coalescence_batch(
     pair's lower point, independent role) in the exit domain, inverted
     through the gap's exit-time CDF (``_gap_exit_times``).  Hit times past the
     horizon are inf, and dt is validated but not used.  Otherwise a leaf
-    holds three classes or more and every hit comes from the slot scan of
+    holds three classes or more and every hit comes from the scan of
     ``coalescence_times``, on the dt grid.
     """
     sig, ids0, live0, replica_ids, pairs, hit_times = _batch_start(starts, key, horizon, dt, sigma, replicas)
@@ -872,8 +776,14 @@ def _gap_exit_times(u: np.ndarray, gap: float, variance_rate: float) -> np.ndarr
     xi = gap / (2 pi), whose CDF F this solves F(s) = u for: below
     _IMAGE_END, -log F = -log u in w = 1/s, where it is near linear; above
     it, -log(1 - F) = -log(1 - u) in s, where it is.  Tables of both give
-    the first guesses.  Each time depends on its own u only.
+    the first guesses.  Each time depends on its own u only.  Below a gap of
+    1e-70 the far barrier's terms are 0 in double at every quantile, so the
+    time is the first passage to 0, which scales as gap^2: it is taken from
+    the gap 1e-70, since the w of the small-time solve overflows when squared
+    below about 1.2e-75.
     """
+    if gap < 1e-70:
+        return _gap_exit_times(u, 1e-70, variance_rate) * (gap / 1e-70) ** 2
     xi = gap / TWO_PI
     to_time = TWO_PI**2 / variance_rate
     out = np.zeros(u.shape)

@@ -38,9 +38,11 @@ def wrap_unit(x: float) -> float:
 
 
 def wrap_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
+    """Reduce an angle to [0, 2*pi); a tiny negative angle whose sum with 2*pi rounds to 2*pi gives 0.0."""
     theta = math.fmod(theta, TWO_PI)
-    return theta + TWO_PI if theta < 0.0 else theta
+    if theta < 0.0:
+        theta += TWO_PI
+    return theta if theta < TWO_PI else 0.0
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 The reference draws every point's whole path with sample_brownian, finds the
 pair meetings with np.mod on every gap and applies them in order; it calls
 neither coalescence_times nor a private helper of flows.  coalescence_times
-draws each stream in blocks of _DRAW_BLOCK steps, scans _REPLICA_CHUNK
-replicas at a time in slots and stops early, so every case compares its hit
-times with the reference's bit for bit: dict equality of floats is exact
-equality, and batch rows are compared as bytes.  evolve_coalescing_circle is
+draws each stream in blocks of _DRAW_BLOCK steps, one replica at a time, and
+stops early, so every case compares its hit times with the reference's bit
+for bit: dict equality of floats is exact equality, and batch rows are
+compared as bytes.  evolve_coalescing_circle is
 the one-key case of coalescence_times; its lazily drawn states are checked
 against the reference's paths.
 
@@ -28,7 +28,7 @@ from foliated_flows import flows
 from foliated_flows.drivers import KeyedGenerators, StreamKey, philox_keys, sample_brownian
 from foliated_flows.config import load_config
 from foliated_flows.flows import _DRAW_BLOCK, coalescence_batch, coalescence_times, evolve_coalescing_circle
-from foliated_flows.geometry import CylPoint, wrap_angle
+from foliated_flows.geometry import CylPoint
 from foliated_flows.harness import run
 
 SEED = 20250811
@@ -74,7 +74,7 @@ def _reference(starts, key, horizon, dt, sigma):
     for j in range(n):
         ids[j] = next(
             (i for i in range(j) if ids[i] == i and starts[i].leaf == starts[j].leaf
-             and wrap_angle(starts[i].theta - starts[j].theta) == 0.0),
+             and starts[i].theta == starts[j].theta),
             j,
         )
     hits = {(i, j): 0.0 for j in range(n) for i in range(j) if ids[i] == ids[j]}
@@ -161,9 +161,9 @@ def test_merge_scan_applies_same_step_meetings_in_order():
 
 
 def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
-    # each block reaches the meeting scan as a (replicas, drawing points,
-    # steps) array, the drawing points being 0 and 1, which share a leaf;
-    # with one replica, scan number k is the block from step k * _DRAW_BLOCK
+    # each block reaches the meeting scan as a (drawing points, steps)
+    # array, the drawing points being 0 and 1, which share a leaf; scan
+    # number k is the block from step k * _DRAW_BLOCK
     scans = []
     original = flows._meetings
 
@@ -181,7 +181,6 @@ def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
         assert len(scans) >= 2
         for block, (theta, a, b) in enumerate(scans):
             k0 = block * _DRAW_BLOCK
-            (theta,) = theta
             assert theta.shape[0] == 2
             for i in set(a) | set(b):
                 path = sample_brownian(key.point(i).with_role("independent"), horizon, dt)
@@ -340,13 +339,10 @@ def test_series_draws_its_paths_the_first_time_states_is_read(monkeypatch, start
         assert states.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize(
-    "n_replicas", [1, flows._REPLICA_CHUNK - 1, flows._REPLICA_CHUNK + 1, 2 * flows._REPLICA_CHUNK + 3]
-)
+@pytest.mark.parametrize("n_replicas", [1, 15, 17, 35])
 def test_batch_rows_are_the_reference_hit_times(n_replicas):
-    # replica counts that are not whole chunks, ids that are not 0..R-1, a
-    # leaf of four points that merge in chains, and six points whose merges
-    # tie on coarse steps
+    # several replica counts, ids that are not 0..R-1, a leaf of four points
+    # that merge in chains, and six points whose merges tie on coarse steps
     replicas = 3 + 7 * np.arange(n_replicas)
     for starts, horizon, dt, sigma in [
         (CIRCLE_STARTS, 12.0, 0.01, 1.0),
@@ -375,34 +371,6 @@ def _count_mod_elements(monkeypatch):
 
     monkeypatch.setattr(np, "mod", counting)
     return seen
-
-
-def test_gap_wrap_is_the_mod_wrap_bit_for_bit():
-    # the scan wraps pair gaps by adding or subtracting 2 pi, which is
-    # np.mod's result to the bit for gaps in [-3 pi, 3 pi), and flags every
-    # gap outside, whose wrap it leaves wrong
-    edges = [5e-324, -5e-324]
-    for v in (0.0, math.pi, 2.0 * math.pi):
-        for x in (v, -v):
-            edges += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
-    rng = np.random.default_rng(SEED)
-    fast = np.vstack([np.resize(edges, 1000), rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (100, 1000))])
-    far = rng.uniform(20.0, 1e4, (10, 1000)) * rng.choice([-1.0, 1.0], (10, 1000))
-    far[:, :2] = [1e4, -1e4]
-    far[:, 2::2] = rng.uniform(-1.0, 1.0, (10, 499))  # half of each row is in range
-    bounds = [y for x in (-3.0 * math.pi, 3.0 * math.pi) for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
-    past = rng.uniform(3.0 * math.pi, 5.0 * math.pi, (2, 1000)) * np.array([[1.0], [-1.0]])
-    flagged = []
-    for x in (fast, far, np.array(bounds), past):
-        gap = x.copy()
-        outside = flows._wrap_gap(gap)
-        assert gap[~outside].tobytes() == _mod_wrap(x)[~outside].tobytes()
-        y = x + math.pi
-        assert (outside == ((y < -2.0 * math.pi) | (y >= 4.0 * math.pi))).all()
-        flagged.append(outside)
-    assert not flagged[0].any()
-    assert (flagged[1] == (np.abs(far) >= 20.0)).all()
-    assert flagged[3].all()
 
 
 @pytest.mark.parametrize("step", [0.05, 0.5, 2.0, 20.0])
@@ -447,8 +415,8 @@ def test_meetings_next_to_a_block_end_gap_outside_the_fast_wrap_range():
 def test_blocks_whose_gap_leaves_the_fast_wrap_range_match_the_reference(monkeypatch):
     # on steps this coarse a pair gap often jumps by more than pi, which is
     # no meeting, so it can pass zero unseen and leave [-3 pi, 3 pi) before
-    # its hit; those rows must take np.mod (a scan without it gives other
-    # hit times for 9 of these 40 replicas)
+    # its hit; those gaps need np.mod, not one add of 2 pi (a scan without
+    # it gives other hit times for 9 of these 40 replicas)
     starts = [CylPoint(0.0, 1.0, 0.0), CylPoint(3.0, 1.0, 0.0), CylPoint(0.5, 2.0, 0.0), CylPoint(5.5, 2.0, 0.0)]
     horizon, dt, sigma = 20.0, 0.5, 2.0
     replicas = np.arange(40)
@@ -620,3 +588,24 @@ def test_exact_memory_grows_with_replicas_only_by_hit_times(starts):
         above.append(peak - n_rep * 8 * n_pairs)
     assert abs(above[1] - above[0]) <= 16_384
     assert above[0] <= 300 * flows._EXIT_CHUNK * n_pairs
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gap", [1e-80, 1e-150])
+def test_exact_hit_times_of_tiny_gaps_scale_as_the_gap_squared(gap):
+    # far below any gap the far barrier can see, the exit time is the first
+    # passage to 0, so hit / gap^2 has one law; no numpy warning is raised
+    u = np.random.default_rng(SEED).random(2000)
+    scaled = flows._gap_exit_times(u, gap, 2.0) / gap**2
+    ref = flows._gap_exit_times(u, 1e-10, 2.0) / 1e-20
+    assert np.isfinite(ref).all() and (ref > 0.0).all()
+    assert np.allclose(scaled, ref, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_hit_times_of_the_smallest_gap_are_finite():
+    u = np.append(np.random.default_rng(SEED).random(500), 0.0)
+    tau = flows._gap_exit_times(u, 5e-324, 2.0)
+    assert np.isfinite(tau).all() and (tau >= 0.0).all()
+    batch = _exact([CylPoint(0.0, 1.0, 0.0), CylPoint(5e-324, 1.0, 0.0)], 10.0, 1.0, np.arange(50))
+    assert np.isfinite(batch.hit_times).all() and (batch.hit_times >= 0.0).all()

@@ -13,6 +13,7 @@ from foliated_flows.geometry import (
     VerticalRegion,
     _leaf_defects,
     make_model,
+    wrap_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -33,6 +34,19 @@ def test_torus_point_rejects_mismatched_lift():
 def test_cyl_point_rejects_axis():
     with pytest.raises(ValueError):
         CylPoint(theta=0.0, r=0.0, z=1.0)
+
+
+def test_wrap_angle_lies_in_the_half_open_circle():
+    # a tiny negative angle plus 2 pi rounds to 2 pi, which wraps to 0.0
+    rng = np.random.default_rng(7)
+    angles = [-5e-324, -1e-17, -4e-16, -TWO_PI, TWO_PI, 0.0]
+    angles += list(rng.uniform(-100.0, 100.0, 1000)) + list(rng.uniform(-1e-15, 1e-15, 1000))
+    for x in angles:
+        y = wrap_angle(x)
+        assert 0.0 <= y < TWO_PI, (x, y)
+    assert [wrap_angle(x) for x in (-5e-324, -1e-17, -4e-16)] == [0.0, 0.0, 0.0]
+    assert wrap_angle(-5e-16) == np.nextafter(TWO_PI, 0.0)  # past half an ulp of 2 pi
+    assert CylPoint.from_angle(-1e-17, 1.0, 0.0).theta == 0.0
 
 
 def test_leaf_defect_torus_on_leaf_line():

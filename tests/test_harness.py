@@ -980,7 +980,7 @@ def test_seed_bounds_are_accepted():
         assert parse_config({"experiment": "coalesce", "seed": seed}).seed == seed
 
 
-# three distinct classes on one leaf, which only the slot scan serves, and
+# three distinct classes on one leaf, which only the scan serves, and
 # one point on its own leaf
 _SCAN_STARTS = [{"theta": 0.0, "r": 1.0, "z": 0.0}, {"theta": 2.0, "r": 1.0, "z": 0.0},
                 {"theta": 4.0, "r": 1.0, "z": 0.0}, {"theta": 0.0, "r": 2.0, "z": 0.0}]
@@ -1008,7 +1008,7 @@ def test_coalesce_payload_equals_per_replica_reference():
 
 
 def _scan_recount(points, horizon, dt, sigma, replicas):
-    """Normals and merges of the slot scan, recounted from each replica's hit times.
+    """Normals and merges of the scan, recounted from each replica's hit times.
 
     A point draws whole blocks of 512 steps, up to the horizon, until the
     block in which it stops sharing its leaf with another class: when it
@@ -1056,6 +1056,23 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
     assert summary["streams_opened"] == 90
     assert summary["normals_drawn"] == expected_normals
     assert summary["uniforms_drawn"] == 0
+
+
+def test_coalesce_start_a_hair_below_zero_runs(tmp_path):
+    # theta + 2 pi rounds to 2 pi for theta = -1e-17; the start wraps to 0.0,
+    # so it equals a start at 0.0 and merges with it at time 0
+    starts = [{"theta": -1.0e-17, "r": 1.0, "z": 0.0}, {"theta": 0.0, "r": 1.0, "z": 0.0},
+              {"theta": 2.0, "r": 1.0, "z": 0.0}]
+    data = {
+        "experiment": "coalesce",
+        "seed": SEED,
+        "output_dir": str(tmp_path / "out"),
+        "model": {"name": "coalescing-circle", "sigma": 0.5},
+        "coalesce": {"horizon": 1.0, "dt": 0.01, "replicas": 3, "starts": starts},
+    }
+    assert cli_main(["coalesce", "--config", _write_cfg(tmp_path, data), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["pairs"]["0-1"]["coalesced"] == 3
 
 
 def test_coalesce_exact_path_counts_one_uniform_per_pair_and_replica(tmp_path, capsys):
