@@ -651,6 +651,8 @@ def fit_rate_exponent(pairs) -> RateFit:
         return RateFit(slope=None, intercept=None, r_squared=None, flag="exact", n_zero=n_zero)
     if np.sum(usable) < 3:
         raise ValueError("need at least 3 pairs with positive error to fit a rate")
+    if len(set(eps[usable].tolist())) < 2:  # not np.unique: its first call imports numpy.ma
+        raise ValueError("need at least 2 distinct eps with positive error to fit a rate")
     x = np.log(eps[usable])
     y = np.log(err[usable])
     slope, intercept = np.polyfit(x, y, 1)

@@ -366,8 +366,11 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
     asec.take("t", float, lambda x: x > 0.0, "make_partition requires t > 0")
     asec.take("p", float, lambda x: x >= 1.0, "p must lie in [1, inf)")
     eps_grid: list[float] = []
-    for i, ev in enumerate(asec.take("eps_grid", list, bool, "need at least one eps")):
+    raw_grid = asec.take("eps_grid", list, bool, "need at least one eps")
+    for i, ev in enumerate(raw_grid):
         if isinstance(ev, (int, float)) and 0.0 < float(ev) < 1.0:
+            if raw_grid.index(ev) != i:  # an equal value lies in (0, 1) too, so it was accepted
+                problems.append(f"config.averaging.eps_grid[{i}]: repeats eps_grid[{raw_grid.index(ev)}] = {ev}")
             eps_grid.append(float(ev))
         else:
             problems.append(

@@ -106,25 +106,8 @@ class ManifoldExit(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Single-point sample path on a model, recorded on explicit times."""
-
-    model: FoliatedModel
-    start: TorusPoint | CylPoint
-    times: np.ndarray
-    states: np.ndarray
-    columns: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.times[0] != 0.0:
-            raise ValueError("trajectory must start at time 0")
-        if len(self.times) != len(self.states):
-            raise ValueError("times/states length mismatch")
-
-
-@dataclass(frozen=True)
 class NPointSeries:
-    """n simultaneous trajectories plus the coalescence bookkeeping.
+    """n simultaneous trajectories, one path being n = 1, plus the coalescence bookkeeping.
 
     ``class_ids[k, i]`` is the canonical label (lowest member index) of the
     partition class of point i at sample time k; classes only ever merge.
@@ -147,6 +130,11 @@ class NPointSeries:
         return self.draw_states()
 
 
+def check_leaf_invariance(series: NPointSeries) -> float:
+    """Max leaf defect of a series over every point and time."""
+    return float(np.max(series.leaf_defects))
+
+
 # ---------------------------------------------------------------------------
 # Torus winding flow
 
@@ -157,11 +145,9 @@ def evolve_torus(model: TorusWinding, start: TorusPoint, driver: DriverPath, t: 
     return TorusPoint.from_lift((start.lift[0] + model.v[0] * b, start.lift[1] + model.v[1] * b))
 
 
-def torus_trajectory(model: TorusWinding, start: TorusPoint, driver: DriverPath) -> Trajectory:
-    """Full path on the driver's dt grid, carrying cover lifts."""
-    lifts = np.array(start.lift) + np.outer(driver.brownian, model.v)
-    states = np.hstack((lifts - np.floor(lifts), lifts))
-    return Trajectory(model, start, driver.times, states, ("a", "b", "lift_a", "lift_b"))
+def torus_trajectory(model: TorusWinding, start: TorusPoint, driver: DriverPath) -> NPointSeries:
+    """The one-start series on the driver's dt grid, carrying cover lifts."""
+    return _common_noise_motion(model, [start], driver)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +383,9 @@ def cylinder_trajectory(
     driver: DriverPath,
     perturbation: PerturbationField | None = None,
     eps: float = 0.0,
-) -> Trajectory:
-    """Path on the dt grid plus all jump times; with no perturbation or eps = 0, the zero field's."""
-    if perturbation is None or eps == 0.0:
-        perturbation, eps = PerturbationField(), 0.0
-    path = perturbed_cylinder_path(start, driver, driver.horizon, eps, perturbation)
-    states = np.column_stack((path.angular.theta(path.times)[0], path.r, path.z))
-    return Trajectory(RotationJumpCylinder(), start, path.times, states, ("theta", "r", "z"))
+) -> NPointSeries:
+    """The one-start series on the dt grid plus all jump times; with no perturbation or eps = 0, the zero field's."""
+    return _common_noise_motion(RotationJumpCylinder(), [start], driver, perturbation, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +404,41 @@ def _initial_partition(starts: list, same_point) -> tuple[list[int], dict]:
     return ids, {(i, j): 0.0 for j in range(n) for i in range(j) if ids[i] == ids[j]}
 
 
+def _common_noise_motion(
+    model: FoliatedModel,
+    starts: list,
+    driver: DriverPath,
+    perturbation: PerturbationField | None = None,
+    eps: float = 0.0,
+) -> NPointSeries:
+    """Every start moved by the one driver: the torus winding, or the cylinder's eps-perturbed flow.
+
+    Each start's leaf defects come from its own cover lifts (torus) or
+    (r, z) (cylinder); equal starts share a class, with hit time 0.
+    """
+    if not starts:
+        raise ValueError("need at least one start point")
+    if isinstance(model, TorusWinding):
+        lifts = [np.array(p.lift) + np.outer(driver.brownian, model.v) for p in starts]
+        paths = [np.hstack((lift - np.floor(lift), lift)) for lift in lifts]
+        times, columns, leaf = driver.times, ("a", "b", "lift_a", "lift_b"), slice(2, 4)
+        same = lambda p, q: p.lift == q.lift
+    else:
+        if perturbation is None or eps == 0.0:
+            perturbation, eps = PerturbationField(), 0.0
+        cyl = [perturbed_cylinder_path(p, driver, driver.horizon, eps, perturbation) for p in starts]
+        paths = [np.column_stack((path.angular.theta(path.times)[0], path.r, path.z)) for path in cyl]
+        times, columns, leaf = cyl[0].times, ("theta", "r", "z"), slice(1, 3)
+        same = lambda p, q: (p.theta, p.r, p.z) == (q.theta, q.r, q.z)
+    states = np.stack(paths, axis=1)
+    ids0, hit_times = _initial_partition(starts, same)
+    return NPointSeries(
+        model=model, times=times, columns=columns, class_ids=np.tile(np.array(ids0, dtype=int), (times.size, 1)),
+        hit_times=hit_times, draw_states=lambda: states,
+        leaf_defects=np.column_stack([_leaf_defects(model, p, path[:, leaf]) for p, path in zip(starts, paths)]),
+    )
+
+
 def n_point_motion(
     model: FoliatedModel,
     starts: list,
@@ -434,10 +451,9 @@ def n_point_motion(
     """The n-point motion of the model's flow, the pathwise realization of its n-point kernels.
 
     On the torus and the cylinder every point sees one common DriverPath: for
-    n = 1 it is the single-point evolve, and identical starts stay identical
-    (diagonal preservation); on the cylinder, eps > 0 moves every point by the
-    eps-perturbed flow of ``perturbation`` (``cylinder_trajectory``).  There
-    the leaf defects are ``leaf_defects`` of each point's trajectory.  On the
+    n = 1 it is ``torus_trajectory`` or ``cylinder_trajectory``, and identical
+    starts stay identical (diagonal preservation); on the cylinder, eps > 0
+    moves every point by the eps-perturbed flow of ``perturbation``.  On the
     coalescing circle the points follow independent leafwise drivers and
     merge on meeting (``evolve_coalescing_circle``): the hit times and classes
     come from the merge scan, the leaf defects from the starts, and the
@@ -447,26 +463,11 @@ def n_point_motion(
         raise UnsupportedModel("the eps-perturbed motion is defined on the rotation-jump cylinder only")
     if isinstance(model, CoalescingCircle):
         return evolve_coalescing_circle(starts, key, horizon, dt, model.sigma)
-    if not starts:
-        raise ValueError("need at least one start point")
-
     if isinstance(model, TorusWinding):
         driver = sample_brownian(key, horizon, dt)
-        trajs = [torus_trajectory(model, p, driver) for p in starts]
-        same = lambda p, q: p.lift == q.lift
     else:
         driver = sample_jump_driver(key, horizon, dt, rate=CYLINDER_JUMP_RATE)
-        trajs = [cylinder_trajectory(p, driver, perturbation, eps) for p in starts]
-        same = lambda p, q: (p.theta, p.r, p.z) == (q.theta, q.r, q.z)
-
-    times = trajs[0].times
-    states = np.stack([tr.states for tr in trajs], axis=1)
-    ids0, hit_times = _initial_partition(starts, same)
-    class_ids = np.tile(np.array(ids0, dtype=int), (times.size, 1))
-    return NPointSeries(
-        model=model, times=times, columns=trajs[0].columns, class_ids=class_ids, hit_times=hit_times,
-        leaf_defects=np.column_stack([leaf_defects(tr) for tr in trajs]), draw_states=lambda: states,
-    )
+    return _common_noise_motion(model, starts, driver, perturbation, eps)
 
 
 def _coalescing_start(starts: list[CylPoint], sigma: float | None):
@@ -811,18 +812,3 @@ def _gap_exit_times(u: np.ndarray, gap: float, variance_rate: float) -> np.ndarr
 
         out[late] = to_time * _solve(h, y, -np.log(_eigen_survival(s, xi)[0]), s)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Leaf invariance
-
-
-def leaf_defects(trajectory: Trajectory) -> np.ndarray:
-    """The leaf defect of a trajectory at each recorded time, relative to its start point."""
-    coords = trajectory.states[:, 2:4] if isinstance(trajectory.model, TorusWinding) else trajectory.states[:, 1:3]
-    return _leaf_defects(trajectory.model, trajectory.start, coords)
-
-
-def check_leaf_invariance(trajectory: Trajectory) -> float:
-    """Max leaf defect of a trajectory relative to its start point."""
-    return float(np.max(leaf_defects(trajectory)))

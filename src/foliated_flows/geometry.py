@@ -33,8 +33,9 @@ class UnsupportedModel(ValueError):
 
 
 def wrap_unit(x: float) -> float:
-    """Reduce to [0, 1)."""
-    return x - math.floor(x)
+    """Reduce to [0, 1); a tiny negative x whose difference with its floor rounds to 1 gives 0.0."""
+    x -= math.floor(x)
+    return x if x < 1.0 else 0.0
 
 
 def wrap_angle(theta: float) -> float:

@@ -62,9 +62,6 @@ class LeafGrid:
     def n_states(self) -> int:
         return self.m * len(self.leaves)
 
-    def index(self, leaf_i: int, site: int) -> int:
-        return leaf_i * self.m + site % self.m
-
     def rotated(self, steps) -> np.ndarray:
         """(n_states, len(steps)): every state rotated by each step count within its leaf."""
         states = np.arange(self.n_states)[:, np.newaxis]
@@ -164,16 +161,6 @@ class TransitionKernel:
         _check_rows(targets, self.weights, n)
         if self.t < 0.0:
             raise ValueError(f"t must be >= 0: {self.t}")
-
-    @classmethod
-    def from_dense(cls, grid: LeafGrid | PairGrid, t: float, matrix) -> "TransitionKernel":
-        """The kernel of a dense row-stochastic matrix: its nonzero entries, in column order."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (grid.n_states, grid.n_states):
-            raise ValueError(f"matrix shape {matrix.shape} != grid size {grid.n_states}")
-        width = max(1, int(np.count_nonzero(matrix, axis=1).max()))  # nonzeros first, in column order
-        targets = np.argsort(matrix == 0.0, axis=1, kind="stable")[:, :width]
-        return cls(grid=grid, t=t, targets=targets, weights=np.take_along_axis(matrix, targets, axis=1))
 
     @property
     def matrix(self) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Replica fan-out in index order.
 
 Replicas run serially, so every reduction downstream sees its operands in
-index order and reports are reproducible bit-for-bit.  Every replica loop
-goes through ``map_indexed``, which gives a tracer one name to time the
-fan-out and each replica by.
+index order and reports are reproducible bit-for-bit.  Only ``simulate``'s
+replica loop goes through ``map_indexed``: ``coalescence_times``,
+``coalescence_batch`` and ``replica_poisson_jumps`` loop without it.  It
+stays while the bench tracer times the fan-out by this name.
 """
 
 from __future__ import annotations

@@ -756,6 +756,15 @@ def test_fit_rate_exponent_needs_three_points():
         fit_rate_exponent([(0.1, 1.0), (0.05, 0.0), (0.025, 0.0), (0.0125, 0.3)])
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_rate_exponent_needs_two_distinct_eps():
+    # three copies of one error admit any slope; polyfit would still return one
+    with pytest.raises(ValueError, match="2 distinct eps"):
+        fit_rate_exponent([(0.1, 0.3), (0.1, 0.3), (0.1, 0.3)])
+    with pytest.raises(ValueError, match="2 distinct eps"):  # the zero error at 0.05 is not usable
+        fit_rate_exponent([(0.1, 0.3), (0.05, 0.0), (0.1, 0.2), (0.1, 0.4)])
+
+
 @settings(deadline=None, max_examples=10)
 @given(
     seed=st.integers(0, 2**31),

@@ -9,13 +9,11 @@ from foliated_flows.drivers import DriverPath, StreamKey, replica_poisson_jumps,
 from foliated_flows.flows import (
     AngularJumpPath,
     ManifoldExit,
-    Trajectory,
     check_leaf_invariance,
     cylinder_trajectory,
     evolve_coalescing_circle,
     evolve_cylinder,
     evolve_torus,
-    leaf_defects,
     manifold_exit_times,
     n_point_motion,
     perturbed_cylinder_path,
@@ -387,7 +385,7 @@ def test_n_point_single_point_matches_evolve():
     key = StreamKey(SEED, 22)
     series = n_point_motion(model, [CylPoint(0.5, 1.0, 0.0)], key, horizon=3.0, dt=0.05)
     traj = cylinder_trajectory(CylPoint(0.5, 1.0, 0.0), sample_jump_driver(key, 3.0, 0.05))
-    np.testing.assert_array_equal(series.states[:, 0, :], traj.states)
+    np.testing.assert_array_equal(series.states[:, 0, :], traj.states[:, 0, :])
 
 
 def test_n_point_torus_common_noise_rigid():
@@ -436,7 +434,7 @@ def test_n_point_perturbed_matches_per_point_trajectories():
     for i, p in enumerate(starts):
         traj = cylinder_trajectory(p, driver, k, 0.1)
         np.testing.assert_array_equal(series.times, traj.times)
-        np.testing.assert_array_equal(series.states[:, i, :], traj.states)
+        np.testing.assert_array_equal(series.states[:, i, :], traj.states[:, 0, :])
     assert np.ptp(series.states[:, 0, 1]) > 0.0  # the perturbation moved r
 
 
@@ -473,14 +471,41 @@ def test_n_point_rejects_perturbation_on_torus():
 def test_series_leaf_defects_are_each_points_trajectory_defects(model, starts, eps):
     k = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
     series = n_point_motion(model, starts, StreamKey(SEED, 28), 2.0, 0.01, k, eps)
-    reference = np.column_stack([
-        leaf_defects(Trajectory(model, p, series.times, series.states[:, i], series.columns))
-        for i, p in enumerate(starts)
-    ])
+    leaf = slice(2, 4) if isinstance(model, TorusWinding) else slice(1, 3)  # the cover lifts, or (r, z)
+    reference = np.column_stack([_leaf_defects(model, p, series.states[:, i, leaf]) for i, p in enumerate(starts)])
     assert series.leaf_defects.shape == reference.shape == (series.times.size, len(starts))
     assert series.leaf_defects.dtype == reference.dtype
     assert np.ascontiguousarray(series.leaf_defects).tobytes() == reference.tobytes()
     assert (np.nanmax(reference) > 1e-9) == (eps > 0.0)  # only the perturbation moves a point off its leaf
+
+
+@pytest.mark.parametrize(
+    "model, start, eps",
+    [
+        (TorusWinding.dense_default(), TorusPoint.from_lift((2.5, -0.9)), 0.0),
+        (RotationJumpCylinder(), CylPoint(0.3, 1.0, 0.5), 0.0),
+        (RotationJumpCylinder(), CylPoint(0.3, 1.0, 0.5), 0.1),
+    ],
+)
+def test_one_start_trajectory_is_the_n_point_motions_one_start_series(model, start, eps):
+    # one record for a path: the trajectory is the n = 1 series, field for field
+    k = PerturbationField(lambda0=1.0, k3="sine", angular="cosine")
+    key = StreamKey(SEED, 29)
+    series = n_point_motion(model, [start], key, 2.0, 0.01, k, eps)
+    if isinstance(model, TorusWinding):
+        traj = torus_trajectory(model, start, sample_brownian(key, 2.0, 0.01))
+    else:
+        traj = cylinder_trajectory(start, sample_jump_driver(key, 2.0, 0.01), k, eps)
+    assert traj.model == series.model and traj.columns == series.columns
+    assert traj.hit_times == series.hit_times == {}
+    for name in ("times", "states", "class_ids", "leaf_defects"):
+        assert getattr(traj, name).shape == getattr(series, name).shape, name
+        assert getattr(traj, name).tobytes() == getattr(series, name).tobytes(), name
+    assert traj.states.shape[1] == 1
+    if eps > 0.0:
+        pair = n_point_motion(model, [start, CylPoint(2.0, 2.0, -1.0)], key, 2.0, 0.01, k, eps)
+        assert check_leaf_invariance(pair) == max(pair.leaf_defects[:, 0].max(), pair.leaf_defects[:, 1].max())
+        assert pair.leaf_defects[:, 1].max() != pair.leaf_defects[:, 0].max()
 
 
 # ---------------------------------------------------------------------------

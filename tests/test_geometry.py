@@ -14,6 +14,7 @@ from foliated_flows.geometry import (
     _leaf_defects,
     make_model,
     wrap_angle,
+    wrap_unit,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -47,6 +48,19 @@ def test_wrap_angle_lies_in_the_half_open_circle():
     assert [wrap_angle(x) for x in (-5e-324, -1e-17, -4e-16)] == [0.0, 0.0, 0.0]
     assert wrap_angle(-5e-16) == np.nextafter(TWO_PI, 0.0)  # past half an ulp of 2 pi
     assert CylPoint.from_angle(-1e-17, 1.0, 0.0).theta == 0.0
+
+
+def test_wrap_unit_lies_in_the_half_open_interval():
+    # a tiny negative x minus its floor (-1) rounds to 1.0, which wraps to 0.0
+    rng = np.random.default_rng(8)
+    xs = [-5e-324, -1e-17, -4e-17, -1.0, 1.0, 0.0]
+    xs += list(rng.uniform(-100.0, 100.0, 1000)) + list(rng.uniform(-1e-15, 1e-15, 1000))
+    for x in xs:
+        y = wrap_unit(x)
+        assert 0.0 <= y < 1.0, (x, y)
+    assert [wrap_unit(x) for x in (-5e-324, -1e-17, -4e-17)] == [0.0, 0.0, 0.0]
+    assert wrap_unit(-1e-16) == np.nextafter(1.0, 0.0)  # past half an ulp of 1
+    assert TorusPoint.from_coords(-1e-17, 0.5).lift == (0.0, 0.5)
 
 
 def test_leaf_defect_torus_on_leaf_line():

@@ -879,6 +879,7 @@ def test_cli_malformed_yaml_exit_2(tmp_path, capsys, content, line):
         ("kernel-check", {"kernel_check": {"times": []}}, "config.kernel_check.times"),
         ("kernel-check", {"kernel_check": {"leaves": []}}, "config.kernel_check.leaves"),
         ("rates", {"averaging": {"eps_grid": []}}, "config.averaging.eps_grid"),
+        ("rates", {"averaging": {"eps_grid": [0.1, 0.1, 0.1]}}, "config.averaging.eps_grid[1]"),
         ("rates", {"model": {"name": "torus-winding"}}, "config.model.name"),
         ("average", {"model": {"name": "coalescing-circle"}}, "config.model.name"),
         ("kernel-check", {"kernel_check": {"times": [-math.pi / 4.0]}}, "config.kernel_check.times[0]"),
@@ -896,6 +897,16 @@ def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert any(f.startswith(field + ":") for f in record["fields"])
+
+
+def test_config_rejects_a_repeated_eps():
+    # a repeated eps would give the rate fit several copies of one error
+    with pytest.raises(ConfigError) as info:
+        parse_config({"experiment": "rates", "averaging": {"eps_grid": [0.1, 0.05, 0.1]}})
+    assert info.value.problems == ["config.averaging.eps_grid[2]: repeats eps_grid[0] = 0.1"]
+    with pytest.raises(ConfigError) as info:  # an invalid entry does not shift the indices
+        parse_config({"experiment": "rates", "averaging": {"eps_grid": [2.0, 0.1, 0.05, 0.1]}})
+    assert info.value.problems[1:] == ["config.averaging.eps_grid[3]: repeats eps_grid[1] = 0.1"]
 
 
 def test_cli_rejects_replicas_for_kernel_check(tmp_path, capsys):
@@ -1073,6 +1084,20 @@ def test_coalesce_start_a_hair_below_zero_runs(tmp_path):
     assert cli_main(["coalesce", "--config", _write_cfg(tmp_path, data), "--quiet"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["results"]["pairs"]["0-1"]["coalesced"] == 3
+
+
+def test_simulate_torus_start_a_hair_below_zero_runs(tmp_path):
+    # -1e-17 minus its floor rounds to 1.0; the start wraps to a = 0.0
+    data = {
+        "experiment": "simulate",
+        "seed": SEED,
+        "output_dir": str(tmp_path / "out"),
+        "model": {"name": "torus-winding"},
+        "simulate": {"horizon": 0.1, "dt": 0.01, "replicas": 2, "starts": [{"a": -1.0e-17, "b": 0.5}]},
+    }
+    assert cli_main(["simulate", "--config", _write_cfg(tmp_path, data), "--quiet"]) == 0
+    first = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1].split(",")
+    assert [float(x) for x in first[2:6]] == [0.0, 0.5, 0.0, 0.5]
 
 
 def test_coalesce_exact_path_counts_one_uniform_per_pair_and_replica(tmp_path, capsys):

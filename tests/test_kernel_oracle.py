@@ -30,6 +30,8 @@ from foliated_flows.kernels import (
     product_kernel_flow,
 )
 
+from kernel_helpers import from_dense, site_index
+
 LEAVES = ((1.0, 0.0), (2.0, 0.0), (3.0, 1.0))
 CHECK_TOL = 1e-15
 
@@ -53,9 +55,9 @@ def _dense_cylinder(grid: LeafGrid, t: float) -> np.ndarray:
     out = np.zeros((grid.n_states, grid.n_states))
     for leaf_i in range(len(grid.leaves)):
         for site in range(grid.m):
-            row = grid.index(leaf_i, site)
-            out[row, grid.index(leaf_i, site + k)] += p_stay
-            out[row, grid.index(leaf_i, site + k + grid.m // 2)] += p_jump
+            row = site_index(grid, leaf_i, site)
+            out[row, site_index(grid, leaf_i, site + k)] += p_stay
+            out[row, site_index(grid, leaf_i, site + k + grid.m // 2)] += p_jump
     return out
 
 
@@ -65,7 +67,7 @@ def _dense_flow_pair(grid: LeafGrid, t: float) -> np.ndarray:
     n = grid.n_states
 
     def moved(state: int, extra: int) -> int:
-        return grid.index(state // grid.m, state % grid.m + k + extra)
+        return site_index(grid, state // grid.m, state % grid.m + k + extra)
 
     out = np.zeros((n * n, n * n))
     for s1 in range(n):
@@ -138,7 +140,7 @@ def _dense_foliated(grid, matrix: np.ndarray) -> float:
 def _random_kernel(grid, rng, density: float = 0.3) -> TransitionKernel:
     n = grid.n_states
     raw = rng.random((n, n)) * (rng.random((n, n)) < density) + np.eye(n) * 1e-3
-    return TransitionKernel.from_dense(grid, 1.0, raw / raw.sum(axis=1, keepdims=True))
+    return from_dense(grid, 1.0, raw / raw.sum(axis=1, keepdims=True))
 
 
 def _assert_checks_match(k2: TransitionKernel, k1: TransitionKernel) -> None:
@@ -222,7 +224,7 @@ def test_irreducibility_matches_dense_closure():
         np.array([[0.5, 0.5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1.0, 0, 0, 0]]),
     )
     for matrix in chains:
-        k1 = TransitionKernel.from_dense(grid, 1.0, matrix)
+        k1 = from_dense(grid, 1.0, matrix)
         assert _coalesce_warns(k1) == (not _dense_irreducible(matrix))
     assert [_dense_irreducible(mx) for mx in chains] == [True, False, False, False, True]
 
@@ -231,9 +233,9 @@ def test_from_dense_round_trip_and_validation():
     rng = np.random.default_rng(3)
     grid = _grid(4, 2)
     k = _random_kernel(grid, rng)
-    np.testing.assert_array_equal(TransitionKernel.from_dense(grid, 1.0, k.matrix).matrix, k.matrix)
+    np.testing.assert_array_equal(from_dense(grid, 1.0, k.matrix).matrix, k.matrix)
     with pytest.raises(ValueError):
-        TransitionKernel.from_dense(grid, 1.0, np.eye(grid.n_states - 1))
+        from_dense(grid, 1.0, np.eye(grid.n_states - 1))
     n = grid.n_states
     ones = np.ones((n, 1))
     with pytest.raises(ValueError):  # target out of range
@@ -266,7 +268,7 @@ def test_diagonal_check_sees_mass_leaving_the_diagonal():
     targets, weights = _widened(k2)
     row = k2.grid.diagonal_indices()[5]
     y1 = targets[row, 0] // n
-    targets[row, 2] = y1 * n + grid.index(y1 // grid.m, y1 % grid.m + 1)  # (y1, y1 + 1 site)
+    targets[row, 2] = y1 * n + site_index(grid, y1 // grid.m, y1 % grid.m + 1)  # (y1, y1 + 1 site)
     weights[row, 0] -= 0.1
     weights[row, 2] = 0.1
     bad = TransitionKernel(grid=k2.grid, t=k2.t, targets=targets, weights=weights)
@@ -292,7 +294,7 @@ def test_semigroup_distance_sees_one_shifted_target():
     b = build_cylinder_kernel(grid, _time(8, 3))
     targets = b.targets.copy()
     z = 9
-    targets[z, 0] = grid.index(z // grid.m, z % grid.m + 4)  # a site no row-z target uses
+    targets[z, 0] = site_index(grid, z // grid.m, z % grid.m + 4)  # a site no row-z target uses
     shifted = TransitionKernel(grid=grid, t=b.t, targets=targets, weights=b.weights)
     identity = build_cylinder_kernel(grid, 0.0)
     assert kernel_distance(identity.compose(b), b) == 0.0

@@ -30,13 +30,15 @@ from foliated_flows.kernels import (
 )
 from foliated_flows import kernels as kernels_module
 
+from kernel_helpers import from_dense, site_index
+
 TOL = 1e-12
 TWO_LEAVES = ((1.0, 0.0), (2.0, 0.0))
 
 
 def _uniform_kernel(grid: LeafGrid) -> TransitionKernel:
     n = grid.n_states
-    return TransitionKernel.from_dense(grid, 1.0, np.full((n, n), 1.0 / n))
+    return from_dense(grid, 1.0, np.full((n, n), 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +58,9 @@ def test_kernel_m4_quarter_turn_masses():
     k = build_cylinder_kernel(grid, t)
     p_stay = 0.5 * (1.0 + math.exp(-math.pi))
     p_jump = 0.5 * (1.0 - math.exp(-math.pi))
-    row = k.matrix[grid.index(0, 0)]
-    assert row[grid.index(0, 1)] == pytest.approx(p_stay, abs=TOL)  # theta = pi/2
-    assert row[grid.index(0, 3)] == pytest.approx(p_jump, abs=TOL)  # theta = 3*pi/2
+    row = k.matrix[site_index(grid, 0, 0)]
+    assert row[site_index(grid, 0, 1)] == pytest.approx(p_stay, abs=TOL)  # theta = pi/2
+    assert row[site_index(grid, 0, 3)] == pytest.approx(p_jump, abs=TOL)  # theta = 3*pi/2
     assert np.count_nonzero(row) == 2
 
 
@@ -80,9 +82,9 @@ def test_kernel_alignment_errors():
 def test_kernel_rejects_bad_matrix():
     grid = LeafGrid(m=2, leaves=((1.0, 0.0),))
     with pytest.raises(ValueError):
-        TransitionKernel.from_dense(grid, 0.0, np.array([[0.5, 0.4], [0.0, 1.0]]))
+        from_dense(grid, 0.0, np.array([[0.5, 0.4], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        TransitionKernel.from_dense(grid, 0.0, np.array([[1.5, -0.5], [0.0, 1.0]]))
+        from_dense(grid, 0.0, np.array([[1.5, -0.5], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,7 @@ def test_flow_pair_kernel_needs_a_random_map():
                              weights=np.array([[0.5, 0.5]] * 3 + [[0.25, 0.75]]))
     others = [
         mixed,  # rows with different weights
-        TransitionKernel.from_dense(grid, 0.0, np.eye(grid.n_states)),  # width 1
+        from_dense(grid, 0.0, np.eye(grid.n_states)),  # width 1
         _uniform_kernel(grid),  # width 4
         independent_product_kernel(walk),  # not on a LeafGrid
     ]
@@ -166,15 +168,15 @@ def test_compatibility_detects_corruption():
     dst = np.argmin(corrupted[row])
     corrupted[row, src] -= 0.1
     corrupted[row, dst] += 0.1
-    bad = TransitionKernel.from_dense(k2.grid, k2.t, corrupted)
+    bad = from_dense(k2.grid, k2.t, corrupted)
     assert check_compatibility(bad, k1) >= 0.05
 
 
 def test_compatibility_identity_kernels():
     grid = LeafGrid(m=4, leaves=((1.0, 0.0),))
-    k1 = TransitionKernel.from_dense(grid, 0.0, np.eye(grid.n_states))
+    k1 = from_dense(grid, 0.0, np.eye(grid.n_states))
     pair = PairGrid(base=grid)
-    k2 = TransitionKernel.from_dense(pair, 0.0, np.eye(pair.n_states))
+    k2 = from_dense(pair, 0.0, np.eye(pair.n_states))
     assert check_compatibility(k2, k1) == 0.0
     assert check_diagonal_preserving(k2, k1) == 0.0
 
@@ -206,7 +208,7 @@ def test_uniform_kernel_off_leaf_mass():
 
 def test_identity_kernel_is_foliated():
     grid = LeafGrid(m=4, leaves=TWO_LEAVES)
-    k = TransitionKernel.from_dense(grid, 0.0, np.eye(grid.n_states))
+    k = from_dense(grid, 0.0, np.eye(grid.n_states))
     assert check_foliated(k) == 0.0
 
 
@@ -306,7 +308,7 @@ def test_semigroup_gaps_see_one_shifted_target_in_exactly_its_pairs():
     kernels = [build_cylinder_kernel(grid, t) for t in times]
     bad = kernels[2]
     targets = bad.targets.copy()
-    targets[13, 0] = grid.index(1, targets[13, 0] + 1)  # state 13 is site 5 of leaf 1
+    targets[13, 0] = site_index(grid, 1, targets[13, 0] + 1)  # state 13 is site 5 of leaf 1
     kernels[2] = TransitionKernel(grid=grid, t=bad.t, targets=targets, weights=bad.weights)
     _, gaps = semigroup_gaps(kernels)
     uses = np.array([2 in (i, j) for i in range(6) for j in range(i, 6)])
@@ -596,7 +598,7 @@ def test_coalesce_diagonal_mass_nondecreasing():
 
 def test_coalesce_warns_on_reducible_chain():
     grid = LeafGrid(m=2, leaves=((1.0, 0.0),))
-    k1 = TransitionKernel.from_dense(grid, 1.0, np.eye(2))
+    k1 = from_dense(grid, 1.0, np.eye(2))
     with pytest.warns(UserWarning):
         coalesce_two_point(k1)
 
