@@ -879,7 +879,6 @@ def test_cli_malformed_yaml_exit_2(tmp_path, capsys, content, line):
         ("kernel-check", {"kernel_check": {"times": []}}, "config.kernel_check.times"),
         ("kernel-check", {"kernel_check": {"leaves": []}}, "config.kernel_check.leaves"),
         ("rates", {"averaging": {"eps_grid": []}}, "config.averaging.eps_grid"),
-        ("rates", {"averaging": {"eps_grid": [0.1, 0.1, 0.1]}}, "config.averaging.eps_grid[1]"),
         ("rates", {"model": {"name": "torus-winding"}}, "config.model.name"),
         ("average", {"model": {"name": "coalescing-circle"}}, "config.model.name"),
         ("kernel-check", {"kernel_check": {"times": [-math.pi / 4.0]}}, "config.kernel_check.times[0]"),
@@ -889,6 +888,8 @@ def test_cli_malformed_yaml_exit_2(tmp_path, capsys, content, line):
         ("kernel-check", {"kernel_check": {"times": [0.0, -0.0]}}, "config.kernel_check.times[1]"),
         ("kernel-check", {"kernel_check": {"times": [math.pi / 4.0, math.nextafter(math.pi / 4.0, 1.0)]}},
          "config.kernel_check.times[1]"),
+        # an eps repeated right after itself
+        ("rates", {"averaging": {"eps_grid": [0.1, 0.1, 0.1]}}, "config.averaging.eps_grid[1]"),
     ],
 )
 def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):
