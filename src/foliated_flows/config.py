@@ -340,7 +340,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             leaves.append(leaf)
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
-    times: list[float] = []
+    times: dict[float, int] = {}  # each finite time: the index of its first entry (0.0 and -0.0 are one)
     dumps: dict[str, int] = {}  # each kernel dump's name: the first time that writes it
     for i, tv in enumerate(ksec.take("times", list, bool, "need at least one time")):
         if _is_finite_number(tv):
@@ -351,12 +351,11 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             elif m_valid:
                 _check(problems, f"{where} a multiple of 2*pi/m", _grid_steps, tv, TWO_PI / m)
             first = dumps.setdefault(kernel_dump_name(tv), i)
-            if tv in times:
-                problems.append(f"config.kernel_check.times[{i}]: repeats times[{times.index(tv)}] = {tv}")
+            if (j := times.setdefault(tv, i)) != i:
+                problems.append(f"config.kernel_check.times[{i}]: repeats times[{j}] = {tv}")
             elif first != i:
                 problems.append(f"config.kernel_check.times[{i}]: its dump {kernel_dump_name(tv)} "
                                 f"would overwrite that of times[{first}]")
-            times.append(tv)
         else:
             problems.append(f"config.kernel_check.times[{i}]: expected a finite number")
     ksec.values.update(leaves=tuple(leaves), times=tuple(times))

@@ -10,11 +10,15 @@ n-point motion, consume one and the same path.
 A key becomes a Philox key through numpy's ``SeedSequence`` hash of the entropy
 (seed) and spawn key (replica, point, role, domain).  That hash is 32-bit
 integer arithmetic, so ``philox_keys`` runs it over a whole array of replica
-ids at once, and ``KeyedGenerators`` resets a reused generator to a key, which
-puts it in the very state a fresh seeding gives.  Loops over replicas thus pay
-one array hash plus a state reset per stream instead of building a
-``SeedSequence``, a ``Philox`` and a ``Generator`` each time; ``coalescence_times``,
-``coalescence_batch`` and ``replica_poisson_jumps`` draw that way, with the bits of
+ids at once.  A stream whose only draw is one uniform needs no generator:
+``first_uniforms`` runs the ten Philox rounds over every key at once, and
+``coalescence_batch`` draws its exit uniforms that way without importing
+``numpy.random``.  Normals and exponentials come from numpy's ziggurat, so
+streams that draw them get a generator: ``KeyedGenerators`` resets a reused
+one to a key, which puts it in the very state a fresh seeding gives, and the
+scan ``coalescence_times`` and ``replica_poisson_jumps`` pay one array hash
+plus a state reset per stream instead of building a ``SeedSequence``, a
+``Philox`` and a ``Generator`` each time.  Both ways give the bits of
 ``StreamKey.generator``.
 The seed's part of the hash is cached, so opening one stream costs only its
 spawn key's part.
@@ -50,6 +54,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MAX_ID = (1 << 64) - 1
+
+# Philox-4x64-10 (Salmon et al., SC'11): the round multipliers and the key's Weyl bumps
+_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
 
 _GRID_TOL = 1e-9
 
@@ -176,12 +185,44 @@ def philox_keys(key: StreamKey, replica_ids, domain: int) -> np.ndarray:
     return out
 
 
+def _mulhilo(mult: int, x: np.ndarray) -> tuple:
+    """The high and low 64-bit words of the 128-bit product mult * x, from the 32-bit halves of both."""
+    m_lo, m_hi = np.uint64(mult & _M32), np.uint64(mult >> 32)
+    x_lo, x_hi = x & _M32, x >> 32
+    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
+    return m_hi * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), mid << 32 | ll & _M32
+
+
+def first_uniforms(keys) -> np.ndarray:
+    """(R,) float64: ``Generator(Philox(key=k)).random()``, bit for bit, for each row k of the (R, 2) uint64 keys.
+
+    A fresh stream's first draw is word 0 of the Philox-4x64-10 block at
+    counter (1, 0, 0, 0), shifted right by 11 and scaled by 2^-53.  The ten
+    rounds run over every key at once, each operation on whole uint64 arrays,
+    whose products and sums wrap mod 2^64; so no ``numpy.random`` is needed.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    k0, k1 = keys[:, 0], keys[:, 1]
+    c0, c1, c2, c3 = np.ones_like(k0), np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> 11) * 2.0**-53
+
+
 def _fresh_generator(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
 class KeyedGenerators:
     """Generators handed out reset to a Philox key; one generator per slot, reused.
+
+    The scan ``coalescence_times`` and ``replica_poisson_jumps`` draw through
+    it; a stream read for one uniform only takes ``first_uniforms`` instead.
 
     Slots are numbered from 0 and first used in that order.  A reset sets
     counter 0, the key, an empty buffer (``buffer_pos`` 4) and no cached

@@ -11,7 +11,8 @@
   ``coalescence_batch``, which the coalesce experiment runs, picks the
   engine.  When every leaf holds at most two classes, a leaf's pair merges
   at the exit time of its gap from (0, 2 pi), drawn with no grid from one
-  uniform per replica (``_gap_exit_times``), so dt does not enter it.
+  uniform per replica (``_gap_exit_times``), so dt does not enter it; those
+  uniforms are Philox rounds over an array of keys, not generator draws.
   Otherwise the scan ``coalescence_times`` finds every merge on the dt
   grid: one replica at a time, it draws the paths in blocks from pooled
   generators reset to keys hashed in one pass, finds each block's pair
@@ -58,6 +59,7 @@ from .drivers import (
     _n_full_steps,
     _n_steps,
     _validate_horizon_dt,
+    first_uniforms,
     philox_keys,
     sample_brownian,
     sample_jump_driver,
@@ -315,8 +317,9 @@ def evolve_cylinder(start: CylPoint, driver: DriverPath, t: float) -> CylPoint:
 def _record_grid(driver: DriverPath, t: float) -> np.ndarray:
     """dt grid up to t, plus t and the jump times, sorted unique."""
     grid = np.arange(_n_full_steps(t, driver.dt) + 1) * driver.dt
-    ts = np.unique(np.concatenate((grid, [t], driver.jump_times[driver.jump_times <= t])))
-    # collapse near-duplicates (e.g. a jump landing within tolerance of a grid point)
+    ts = np.sort(np.concatenate((grid, [t], driver.jump_times[driver.jump_times <= t])))
+    # collapse repeats and near-duplicates (e.g. a jump landing within tolerance of a grid point);
+    # not np.unique, whose first call in a process imports numpy.ma
     keep = np.concatenate(([True], np.diff(ts) > _GRID_TOL * max(1.0, t)))
     ts = ts[keep]
     ts[0] = 0.0
@@ -686,9 +689,11 @@ def coalescence_batch(
     When every leaf holds at most two classes once equal starts are joined,
     each leaf's pair merges when its circular gap, a Brownian motion of
     variance 2 sigma^2 per unit time, first leaves (0, 2 pi), and that time
-    is drawn with no grid: one uniform of the stream keyed by (replica, the
-    pair's lower point, independent role) in the exit domain, inverted
-    through the gap's exit-time CDF (``_gap_exit_times``).  Hit times past the
+    is drawn with no grid: the first uniform of the stream keyed by (replica,
+    the pair's lower point, independent role) in the exit domain, computed
+    for a chunk of keys at once by ``first_uniforms`` with no generator and no
+    ``numpy.random``, and inverted through the gap's exit-time CDF
+    (``_gap_exit_times``).  Hit times past the
     horizon are inf, and dt is validated but not used.  Otherwise a leaf
     holds three classes or more and every hit comes from the scan of
     ``coalescence_times``, on the dt grid.
@@ -698,15 +703,13 @@ def coalescence_batch(
         return coalescence_times(starts, key, horizon, dt, sigma, replicas)
     if not (live0 and horizon > 0.0 and replica_ids.size):
         return CoalescenceBatch(pairs, hit_times, 0, 0, 0)
-    pool = KeyedGenerators()
     merges = 0
     for a, b in live0:
         gap = abs(math.remainder(starts[b].theta - starts[a].theta, TWO_PI))  # exact, so never 0 here
         stream = key.point(a).with_role(ROLE_INDEPENDENT)
         column = hit_times[:, pairs.index((a, b))]
         for lo in range(0, replica_ids.size, _EXIT_CHUNK):
-            keys = philox_keys(stream, replica_ids[lo : lo + _EXIT_CHUNK], _DOMAIN_EXIT)
-            u = np.fromiter((pool.reset(0, k).random() for k in keys), float, len(keys))
+            u = first_uniforms(philox_keys(stream, replica_ids[lo : lo + _EXIT_CHUNK], _DOMAIN_EXIT))
             column[lo : lo + u.size] = _gap_exit_times(u, gap, 2.0 * sig * sig)
         column[column > horizon] = np.inf
         merges += int(np.isfinite(column).sum())

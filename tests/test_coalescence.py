@@ -30,6 +30,7 @@ from foliated_flows.config import load_config
 from foliated_flows.flows import _DRAW_BLOCK, coalescence_batch, coalescence_times, evolve_coalescing_circle
 from foliated_flows.geometry import CylPoint
 from foliated_flows.harness import run
+from fresh_python import run_snippet
 
 SEED = 20250811
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -512,6 +513,34 @@ def test_exact_hit_time_of_a_replica_is_the_same_in_any_batch():
         assert one.hit_times.tobytes() == big.hit_times[r : r + 1].tobytes()
     finite = np.isfinite(big.hit_times)
     assert 0 < finite[:, 0].sum() < ids.size and 0 < finite[:, 5].sum() < ids.size
+
+
+def test_exact_hit_times_invert_each_streams_first_random():
+    # the uniform of replica r is Generator(Philox(key)).random() on its exit-domain key
+    starts = CIRCLE_STARTS
+    ids = np.arange(40) + 2**32 - 20
+    batch = _exact(starts, 50.0, 1.0, ids)
+    keys = philox_keys(StreamKey(SEED).with_role("independent"), ids, flows._DOMAIN_EXIT)
+    u = np.array([np.random.Generator(np.random.Philox(key=k)).random() for k in keys])
+    expected = flows._gap_exit_times(u, math.pi, 2.0)
+    expected[expected > 50.0] = np.inf
+    assert batch.hit_times[:, 0].tobytes() == expected.tobytes()
+
+
+_COALESCE_RUN = """
+import sys
+from foliated_flows.cli import main
+assert main(["coalesce", "--config", sys.argv[1], "--quiet"]) == 0
+assert "numpy.random" not in sys.modules, "the exact coalesce path imported numpy.random"
+"""
+
+
+def test_lone_pair_coalesce_run_does_not_import_numpy_random(tmp_path):
+    # every pair of the sample config is alone on its leaf, so the run draws
+    # only first uniforms, which need no generator
+    proc = run_snippet(_COALESCE_RUN, str(CONFIGS / "coalesce-circle.yaml"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "coalesce-circle" / "report.json").is_file()
 
 
 def test_exact_path_takes_no_grid():

@@ -13,6 +13,7 @@ from foliated_flows.drivers import (
     KeyedGenerators,
     StreamKey,
     _arrival_block,
+    first_uniforms,
     philox_keys,
     replica_poisson_jumps,
     sample_brownian,
@@ -286,6 +287,39 @@ def test_a_list_key_draws_its_uint64_stream_on_a_fresh_and_a_reused_slot():
     assert pool.reset(0, words).standard_normal(9).tobytes() == exact.tobytes()  # fresh slot
     pool.reset(1, [1, 2]).standard_normal(3)
     assert pool.reset(1, words).standard_normal(9).tobytes() == exact.tobytes()  # reused slot
+
+
+def _first_random(keys):
+    return np.array([np.random.Generator(np.random.Philox(key=k)).random() for k in keys])
+
+
+@pytest.mark.filterwarnings("error")
+def test_first_uniforms_are_a_fresh_philox_generators_first_random_bit_for_bit():
+    # edge words (0, 2^64 - 1, at and past 2^53 where float64 would round),
+    # random words, and the hash's keys for ids past 32 bits; a uint64
+    # overflow warning would fail the test
+    top = 2**64 - 1
+    edge = np.array([[0, 0], [top, top], [0, top], [top, 0], [2**53, 2**53 + 1], [2**63, 2**63 - 1]],
+                    dtype=np.uint64)
+    rng = np.random.default_rng(SEED)
+    random_keys = rng.integers(0, 2**64, size=(3000, 2), dtype=np.uint64, endpoint=False)
+    ids = np.array([2**32, 2**32 + 1, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+    wide = philox_keys(StreamKey(SEED, point_id=2, role="independent"), ids, _DOMAIN_EXIT)
+    for keys in (edge, random_keys, wide):
+        u = first_uniforms(keys)
+        assert u.dtype == np.float64 and u.shape == (len(keys),)
+        assert u.tobytes() == _first_random(keys).tobytes()
+    key = StreamKey(SEED, 2**33, 1, "independent")
+    assert first_uniforms(philox_keys(key, [2**33], _DOMAIN_EXIT))[0] == key.generator(_DOMAIN_EXIT).random()
+
+
+@pytest.mark.filterwarnings("error")
+def test_first_uniforms_of_no_key_and_of_one_key():
+    assert first_uniforms(np.empty((0, 2), dtype=np.uint64)).shape == (0,)
+    assert first_uniforms(philox_keys(StreamKey(SEED), [], _DOMAIN_EXIT)).shape == (0,)
+    for key in ([[0, 0]], [[2**64 - 1, 2**64 - 1]], [[12345678901234567890, 987654321987654321]]):
+        u = first_uniforms(np.array(key, dtype=np.uint64))
+        assert u.shape == (1,) and u.tobytes() == _first_random(np.array(key, dtype=np.uint64)).tobytes()
 
 
 def test_exit_domain_is_a_fourth_spawn_word_apart_from_brownian_and_poisson():

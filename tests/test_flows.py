@@ -9,6 +9,7 @@ from foliated_flows.drivers import DriverPath, StreamKey, replica_poisson_jumps,
 from foliated_flows.flows import (
     AngularJumpPath,
     ManifoldExit,
+    _record_grid,
     check_leaf_invariance,
     cylinder_trajectory,
     evolve_coalescing_circle,
@@ -31,6 +32,7 @@ from foliated_flows.geometry import (
     UnsupportedModel,
     _leaf_defects,
 )
+from fresh_python import run_snippet
 
 SEED = 20250811
 
@@ -184,6 +186,34 @@ def test_perturbed_eps_zero_reduces_to_unperturbed():
     a = _perturbed_end(start, driver, 2.0, 0.0, K)
     b = evolve_cylinder(start, driver, 2.0)
     assert a == b
+
+
+def test_record_grid_keeps_one_copy_of_a_jump_on_a_grid_point_or_at_t():
+    # jumps at 0.5 = 50 dt and at t = 1 fall on grid points, and one at
+    # 0.3 + 1e-12 within _GRID_TOL of one: each time is recorded once
+    grid = np.arange(101) * 0.01
+    driver = DriverPath(horizon=1.0, dt=0.01, jump_times=np.array([0.123, 0.3 + 1e-12, 0.5, 1.0]))
+    assert _record_grid(driver, 1.0).tobytes() == np.insert(grid, 13, 0.123).tobytes()
+    assert _record_grid(driver, 0.5).tobytes() == np.insert(grid[:51], 13, 0.123).tobytes()
+
+
+_CYLINDER_PATH = """
+import sys
+import numpy as np
+from foliated_flows.drivers import DriverPath
+from foliated_flows.flows import cylinder_trajectory
+from foliated_flows.geometry import CylPoint
+
+driver = DriverPath(horizon=1.0, dt=0.01, jump_times=np.array([0.123, 0.5, 1.0]))
+assert cylinder_trajectory(CylPoint(0.3, 1.0, 0.0), driver).times.size == 102
+assert "numpy.ma" not in sys.modules, "building a cylinder path imported numpy.ma"
+"""
+
+
+def test_cylinder_path_does_not_import_numpy_ma():
+    # np.unique's first call in a process imports numpy.ma, about 13 ms and 1.7 MB
+    proc = run_snippet(_CYLINDER_PATH)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_perturbed_radial_closed_form():

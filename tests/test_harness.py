@@ -2,9 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -35,6 +32,7 @@ from foliated_flows.geometry import (
 )
 from foliated_flows.flows import evolve_coalescing_circle, n_point_motion
 from foliated_flows.harness import REPORT_SCHEMA, RunReport, _fmt, emit_plotdata, run
+from fresh_python import run_snippet
 
 SEED = 20250811
 V1_SCHEMA = "foliated-flows/run-report-v1"
@@ -890,6 +888,9 @@ def test_cli_malformed_yaml_exit_2(tmp_path, capsys, content, line):
          "config.kernel_check.times[1]"),
         # an eps repeated right after itself
         ("rates", {"averaging": {"eps_grid": [0.1, 0.1, 0.1]}}, "config.averaging.eps_grid[1]"),
+        # a time repeated after a rejected entry
+        ("kernel-check", {"kernel_check": {"times": [float("nan"), math.pi / 4.0, math.pi / 4.0]}},
+         "config.kernel_check.times[2]"),
     ],
 )
 def test_cli_invalid_start_or_leaf_exit_2(tmp_path, capsys, kind, section, field):
@@ -908,6 +909,20 @@ def test_config_rejects_a_repeated_eps():
     with pytest.raises(ConfigError) as info:  # an invalid entry does not shift the indices
         parse_config({"experiment": "rates", "averaging": {"eps_grid": [2.0, 0.1, 0.05, 0.1]}})
     assert info.value.problems[1:] == ["config.averaging.eps_grid[3]: repeats eps_grid[1] = 0.1"]
+
+
+def test_config_names_the_config_index_of_a_repeated_times_first_entry():
+    # a rejected entry before the repeat does not shift the index named
+    with pytest.raises(ConfigError) as info:
+        parse_config({"experiment": "kernel-check",
+                      "kernel_check": {"times": [float("nan"), math.pi / 4.0, math.pi / 4.0]}})
+    assert info.value.problems == [
+        "config.kernel_check.times[0]: expected a finite number",
+        f"config.kernel_check.times[2]: repeats times[1] = {math.pi / 4.0}",
+    ]
+    with pytest.raises(ConfigError) as info:  # -0.0 repeats 0.0
+        parse_config({"experiment": "kernel-check", "kernel_check": {"times": ["x", 0.0, math.pi, -0.0]}})
+    assert info.value.problems[1:] == ["config.kernel_check.times[3]: repeats times[1] = -0.0"]
 
 
 def test_cli_rejects_replicas_for_kernel_check(tmp_path, capsys):
@@ -1402,9 +1417,6 @@ assert callable(config.load_config) and callable(harness.run)
 
 def test_each_module_imports_first_in_a_fresh_interpreter():
     # the package root imports nothing, so no module may lean on another being loaded first
-    src = Path(harness.__file__).parent
-    names = sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__")
-    env = {**os.environ, "PYTHONPATH": str(src.parent)}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_EACH_FIRST, *names], env=env,
-                          capture_output=True, text=True, timeout=120)
+    names = sorted(path.stem for path in Path(harness.__file__).parent.glob("*.py") if path.stem != "__init__")
+    proc = run_snippet(_IMPORT_EACH_FIRST, *names)
     assert proc.returncode == 0, proc.stderr
