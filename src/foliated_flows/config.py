@@ -340,7 +340,7 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
             leaves.append(leaf)
         else:
             problems.append(f"config.kernel_check.leaves[{i}]: expected [r, z] of finite numbers, r > 0")
-    times: dict[float, int] = {}  # each finite time: the index of its first entry (0.0 and -0.0 are one)
+    times: dict[float, int] = {}  # each finite time: the index of its first entry (-0.0 is 0.0)
     dumps: dict[str, int] = {}  # each kernel dump's name: the first time that writes it
     for i, tv in enumerate(ksec.take("times", list, bool, "need at least one time")):
         if _is_finite_number(tv):
@@ -350,11 +350,12 @@ def parse_config(data: dict, experiment: str | None = None) -> ExperimentConfig:
                 problems.append(f"{where} >= 0")
             elif m_valid:
                 _check(problems, f"{where} a multiple of 2*pi/m", _grid_steps, tv, TWO_PI / m)
-            first = dumps.setdefault(kernel_dump_name(tv), i)
-            if (j := times.setdefault(tv, i)) != i:
+            t = tv + 0.0  # a -0.0 entry is time 0, named and recorded as 0.0
+            first = dumps.setdefault(kernel_dump_name(t), i)
+            if (j := times.setdefault(t, i)) != i:
                 problems.append(f"config.kernel_check.times[{i}]: repeats times[{j}] = {tv}")
             elif first != i:
-                problems.append(f"config.kernel_check.times[{i}]: its dump {kernel_dump_name(tv)} "
+                problems.append(f"config.kernel_check.times[{i}]: its dump {kernel_dump_name(t)} "
                                 f"would overwrite that of times[{first}]")
         else:
             problems.append(f"config.kernel_check.times[{i}]: expected a finite number")

@@ -16,8 +16,10 @@ two functions that agree on a leaf: |P(f - g)| on the leaf is at most that
 mass times max|f - g|, with equality at f - g = 1 off the leaf.  Over a list
 of times, ``flow_defects`` and ``semigroup_gaps`` run them on the stacked
 (times, rows, width) arrays of as many kernels as fit in a pass, of which the
-single-kernel checks are the batch-of-one case; only compatibility runs once
-per time, on the one 2-point kernel held at a time.
+single-kernel checks are the batch-of-one case.  Only compatibility runs once
+per time, and no 2-point flow kernel is built whole: its rows are built and
+checked one pass of first coordinates at a time (``product_kernel_flow`` is
+the all-rows case), and its diagonal rows are built directly.
 
 Feller continuity of the underlying semigroups is a topological limit
 statement with no finite-grid analog; it is out of scope for these numeric
@@ -132,11 +134,13 @@ def _check_rows(targets: np.ndarray, weights: np.ndarray, n: int) -> None:
 
 def _compose_rows(targets_a, weights_a, targets_b, weights_b) -> tuple[np.ndarray, np.ndarray]:
     """Stacked kernels A[p] then B[p], (P, n, ka) and (P, n, kb) -> (P, n, ka*kb): row x
-    sends weight W_A[p,x,i]*W_B[p,T_A[p,x,i],j] to T_B[p,T_A[p,x,i],j]."""
-    p = np.arange(len(targets_a))[:, np.newaxis, np.newaxis]
+    sends weight W_A[p,x,i]*W_B[p,T_A[p,x,i],j] to T_B[p,T_A[p,x,i],j], gathered by np.take
+    from B's rows flattened over the stack."""
+    p, n = len(targets_a), targets_b.shape[1]
+    rows = targets_a + (np.arange(p) * n)[:, np.newaxis, np.newaxis]
+    targets, weights = (np.take(x.reshape(p * n, -1), rows, axis=0) for x in (targets_b, weights_b))
     shape = targets_a.shape[:2] + (-1,)
-    weights = weights_a[..., np.newaxis] * weights_b[p, targets_a]
-    return targets_b[p, targets_a].reshape(shape), weights.reshape(shape)
+    return targets.reshape(shape), (weights_a[..., np.newaxis] * weights).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -205,16 +209,43 @@ def product_kernel_flow(k1: TransitionKernel) -> TransitionKernel:
 
     k1 has width 2 and one pair of weights (1 - p, p) in every row, as a
     cylinder kernel has: both coordinates receive the SAME rotation and the
-    SAME jump outcome, i.e. column j of k1 applied to both coordinates.
+    SAME jump outcome, i.e. column j of k1 applied to both coordinates.  The
+    weights are that one pair, broadcast read-only to every row.
     """
+    targets, weights = _product_rows(k1, slice(None), _flow_weights(k1))
+    return _flat(PairGrid(base=k1.grid), k1.t, targets, weights)
+
+
+def _flow_weights(k1: TransitionKernel) -> np.ndarray:
+    """The (1 - p, p) weights of every product_kernel_flow(k1) row."""
     if not isinstance(k1.grid, LeafGrid):
         raise ValueError("k1 must live on a single-point LeafGrid")
     if k1.weights.shape[1] != 2 or np.any(k1.weights != k1.weights[0]):
         raise ValueError("product_kernel_flow needs a width-2 kernel whose rows all carry the same weights")
-    n = k1.grid.n_states
     p_jump = k1.weights[0, 1]
-    targets = k1.targets[:, np.newaxis, :] * n + k1.targets
-    return _flat(PairGrid(base=k1.grid), k1.t, targets, np.broadcast_to([1.0 - p_jump, p_jump], (n * n, 2)))
+    return np.array([1.0 - p_jump, p_jump])
+
+
+def _product_rows(k1: TransitionKernel, first: slice, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Targets (rows, n, 2) and weights of the product_kernel_flow(k1) rows (x1, x2) for x1 in the
+    slice first of k1's n states: column j is k1's column j at x1 times n outer-added to k1's column
+    j at every x2, and the weights are pair, broadcast read-only to every row."""
+    n, rows = k1.grid.n_states, k1.targets[first]
+    targets = np.empty((len(rows), n, 2), dtype=k1.targets.dtype)
+    for j in range(2):
+        np.add.outer(rows[:, j] * n, k1.targets[:, j], out=targets[..., j])
+    return targets, np.broadcast_to(pair, targets.shape)
+
+
+def _flow_blocks(k1: TransitionKernel, pair: np.ndarray):
+    """check_compatibility's blocks of product_kernel_flow(k1), whose weights are pair, never built
+    whole: one pass of first coordinates x1 at a time, its pair rows (x1, x2), (rows, n, 2),
+    validated as the TransitionKernel constructor does, and k1's rows x1, (rows, 1, 2)."""
+    n = k1.grid.n_states
+    for first in _passes(n, n):
+        targets, weights = _product_rows(k1, first, pair)
+        _check_rows(targets, weights, n * n)
+        yield targets, weights, k1.targets[first, np.newaxis], k1.weights[first, np.newaxis]
 
 
 def independent_product_kernel(k1: TransitionKernel) -> TransitionKernel:
@@ -289,31 +320,28 @@ def semigroup_gaps(kernels: list[TransitionKernel]) -> tuple[list[float], np.nda
         i, j = first[part], second[part]
         composed = _compose_rows(targets[i], weights[i], targets[j], weights[j])
         _check_rows(*composed, grid.n_states)
-        gaps[part] = _law_gap(*composed, *(x[index[part]] for x in direct))
+        gaps[part] = _law_gap(*composed, *(np.take(x, index[part], axis=0) for x in direct))
     return totals, gaps
 
 
 def flow_defects(kernels: list[TransitionKernel]) -> np.ndarray:
     """(len(kernels), 4) defects, columns in FLOW_CHECKS order, of each 1-point kernel k1 on one
     grid and k2 = product_kernel_flow(k1), bit for bit: max |row sum - 1| of k1, check_foliated(k1),
-    check_compatibility(k2, k1) and check_diagonal_preserving(k2, k1).  Each k2 lives only for its
-    compatibility check; the other checks run in stacked passes over as many kernels as fit in
-    _ROWS_PER_PASS rows."""
+    check_compatibility(k2, k1) and check_diagonal_preserving(k2, k1).  No k2 is built whole: its
+    rows are built, validated and checked for compatibility one pass of first coordinates at a time
+    (as many as fit in _ROWS_PER_PASS rows, and at least one), and its diagonal rows (x, x), which
+    send the pair of weights to (y, y) for each target y of k1's row x, are built directly.  The other checks run in stacked passes over as many
+    kernels as fit in _ROWS_PER_PASS rows."""
     grid = _one_grid(kernels)
-    n, diag, defects = grid.n_states, PairGrid(base=grid).diagonal_indices(), []
+    n, defects = grid.n_states, []
     for part in _passes(len(kernels), n):
-        compatibility, diagonals = [], []
-        for k1 in kernels[part]:
-            k2 = product_kernel_flow(k1)
-            compatibility.append(check_compatibility(k2, k1))
-            diagonals.append((k2.targets[diag], k2.weights[diag]))
-            del k2  # so the next 2-point kernel is built with this one freed
+        pairs = [_flow_weights(k1) for k1 in kernels[part]]
+        compatibility = [_compatibility(_flow_blocks(k1, pair), n) for k1, pair in zip(kernels[part], pairs)]
         targets, weights = _stacked(kernels[part])
-        diagonal = _diagonal_gaps(*(np.stack(x) for x in zip(*diagonals)), targets, weights, n)
+        diagonal = _diagonal_gaps(targets * (n + 1), np.stack(pairs)[:, np.newaxis], targets, weights, n)
         row_sums = np.abs(weights.sum(axis=-1) - 1.0).max(axis=-1)
         off_leaf = _off_leaf_mass(grid, targets, weights)
         defects.append(np.column_stack([row_sums, off_leaf, compatibility, diagonal]))
-        del targets, weights  # so the next pass builds its 2-point kernels with these freed
     return np.concatenate(defects)
 
 
@@ -330,11 +358,18 @@ def check_compatibility(k2: TransitionKernel, k1: TransitionKernel) -> float:
 
     Test functions are f(x1, x2) = g(x1) over all grid indicators g, so this
     is the exact max-norm marginal defect (Def-style compatibility): row
-    (x1, x2) of k2, projected to its first coordinate, against row x1 of k1.
+    (x1, x2) of k2, projected to its first coordinate, against row x1 of k1,
+    in blocks of k1's rows with all of their pair rows.  flow_defects runs the
+    same block check on flow rows that it builds one pass at a time.
     """
     n = _require_pair_over(k2, k1)  # k1's row x1 meets pair rows (x1, x2) for every x2
     rows = [x.reshape(n, -1, x.shape[1]) for x in (k2.targets, k2.weights, k1.targets, k1.weights)]
-    blocks = ([x[part] for x in rows] for part in _passes(n, n))  # k1 rows with all their pair rows
+    return _compatibility(([x[part] for x in rows] for part in _passes(n, n)), n)
+
+
+def _compatibility(blocks, n: int) -> float:
+    """check_compatibility over blocks (pair targets, pair weights, k1 targets, k1 weights) on n
+    states: pair rows (x1, x2), (rows, n, width), against k1's rows x1, (rows, 1, width)."""
     return float(max(_law_gap(t2 // n, w2, t1, w1).max() for t2, w2, t1, w1 in blocks))
 
 
@@ -426,8 +461,16 @@ def kernel_to_json(k: TransitionKernel) -> dict:
 
 
 def write_kernel_json(k: TransitionKernel, path) -> None:
+    """Write json.dumps(kernel_to_json(k), separators=(",", ":")), byte for byte, encoding each
+    distinct weight row once and reusing its text: a cylinder kernel's rows all carry one pair."""
+    doc = kernel_to_json(k)
+    rows, size = doc.pop("weights"), k.weights.shape[1] * k.weights.itemsize
+    data = k.weights.tobytes()
+    keys = [data[i : i + size] for i in range(0, len(data), size)]  # equal bytes, equal text
+    texts = {key: json.dumps(row, separators=(",", ":")) for key, row in dict(zip(keys, rows)).items()}
+    head = json.dumps(doc, separators=(",", ":"))[:-1]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(kernel_to_json(k), separators=(",", ":")))
+        fh.write(f'{head},"weights":[{",".join(map(texts.__getitem__, keys))}]}}')
 
 
 def kernel_dump_name(t: float) -> str:

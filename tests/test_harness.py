@@ -946,6 +946,24 @@ def test_kernel_times_are_checked_against_an_accepted_m_only():
     ]
 
 
+def test_a_negative_zero_kernel_time_is_time_0(tmp_path):
+    # -0.0 passes t >= 0; it once named its dump kernel_t-0.000000.json and
+    # recorded t = -0.0, which the CSV wrote as -0
+    cfg = parse_config({"experiment": "kernel-check", "output_dir": str(tmp_path),
+                        "kernel_check": {"m": 4, "times": [-0.0, math.pi / 2.0]}})
+    assert math.copysign(1.0, cfg.kernel_check.times[0]) == 1.0
+    report = run(cfg)
+    assert sorted(p.name for p in tmp_path.glob("kernel_t*.json")) == [
+        "kernel_t0.000000.json", "kernel_t1.570796.json"]
+    assert json.loads((tmp_path / "kernel_t0.000000.json").read_text())["t"] == 0.0
+    records = report.results["records"]
+    assert [r["t"] for r in records[:4]] == [0.0] * 4 and records[8]["t"] == 0.0
+    assert all(math.copysign(1.0, r["t"]) == 1.0 for r in records)
+    assert all(math.copysign(1.0, r["t"]) == 1.0 for r in json.loads((tmp_path / "kernel_defects.json").read_text()))
+    csv = (tmp_path / "kernel_defects.csv").read_text()
+    assert "row-sums,0," in csv and ",-0," not in csv
+
+
 def test_config_checks_averaging_start_only_for_averaging_kinds():
     # the default averaging start (r, z) = (1, 1) lies outside this region
     for kind in ("simulate", "kernel-check", "coalesce"):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +28,16 @@ from foliated_flows.kernels import (
     kernel_to_json,
     product_kernel_flow,
     semigroup_gaps,
+    write_kernel_json,
 )
 from foliated_flows import kernels as kernels_module
 
+from fresh_python import run_snippet
 from kernel_helpers import from_dense, site_index
 
 TOL = 1e-12
 TWO_LEAVES = ((1.0, 0.0), (2.0, 0.0))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _uniform_kernel(grid: LeafGrid) -> TransitionKernel:
@@ -431,6 +435,23 @@ def test_kernel_check_at_the_bench_shape_peaks_no_higher_than_per_time_passes():
     assert peak <= 1_517_477 + 16 * 1024
 
 
+@pytest.mark.parametrize("m", [64, 256])
+def test_flow_defects_never_hold_a_whole_pair_kernel(m):
+    # the 2-point rows are built one pass of at most _ROWS_PER_PASS rows at a
+    # time; built whole at m = 256, the pair targets alone take 4 MiB, and
+    # the check peaked at 6.02 MiB
+    grid = LeafGrid(m=m, leaves=TWO_LEAVES)
+    kernels = [build_cylinder_kernel(grid, t) for t in (math.pi / 4.0, math.pi / 2.0)]
+    flow_defects(kernels)  # first-call caches
+    tracemalloc.start()
+    try:
+        flow_defects(kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # law gap: column-wise sums against the concatenated oracle
 
@@ -625,6 +646,46 @@ _DEFECT_RECORDS = [
 @pytest.mark.parametrize("records", _DEFECT_RECORDS)
 def test_defects_json_is_the_indented_json_byte_for_byte(records):
     assert defects_json(records) == json.dumps(records, indent=1)
+
+
+def _signed_zero_padded_kernel() -> TransitionKernel:
+    # rows 0 and 1 differ only in the sign of their zero padding
+    grid = LeafGrid(m=4, leaves=((1.0, 0.0),))
+    matrix = [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, -0.0, 0.0], [0.25, 0.25, 0.5, 0.0], [0.2, 0.3, 0.5, 0.0]]
+    return from_dense(grid, 0.5, matrix)
+
+
+_DUMPED_KERNELS = {
+    "cylinder": lambda: build_cylinder_kernel(LeafGrid(m=8, leaves=TWO_LEAVES), math.pi / 4.0),
+    "coalesce": lambda: coalesce_two_point(cyclic_walk_kernel(6, 0.3)),
+    "from-dense": _signed_zero_padded_kernel,
+    "flow": lambda: product_kernel_flow(build_cylinder_kernel(LeafGrid(m=4, leaves=TWO_LEAVES), 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DUMPED_KERNELS))
+def test_kernel_dump_is_the_compact_json_byte_for_byte(name, tmp_path):
+    # rows that all carry one pair (cylinder, flow, whose weights are a read-only
+    # broadcast), distinct and zero-padded rows (coalesce), and rows whose text
+    # differs only in the sign of a zero (from-dense)
+    k = _DUMPED_KERNELS[name]()
+    write_kernel_json(k, tmp_path / "k.json")
+    assert (tmp_path / "k.json").read_bytes() == json.dumps(kernel_to_json(k), separators=(",", ":")).encode()
+
+
+_KERNEL_CHECK_RUN = """
+import sys
+from foliated_flows.cli import main
+assert main(["kernel-check", "--config", sys.argv[1], "--quiet"]) == 0
+for name in ("numpy.random", "numpy.ma"):
+    assert name not in sys.modules, f"a kernel-check run imported {name}"
+"""
+
+
+def test_kernel_check_run_imports_neither_numpy_random_nor_numpy_ma(tmp_path):
+    proc = run_snippet(_KERNEL_CHECK_RUN, str(CONFIGS / "kernel-check.yaml"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "kernel-check" / "report.json").is_file()
 
 
 def test_kernel_json_round_trip():
