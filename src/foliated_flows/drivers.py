@@ -10,21 +10,19 @@ n-point motion, consume one and the same path.
 A key becomes a Philox key through numpy's ``SeedSequence`` hash of the entropy
 (seed) and spawn key (replica, point, role, domain).  That hash is 32-bit
 integer arithmetic, so ``philox_keys`` runs it over a whole array of replica
-ids at once.  A stream whose only draw is one uniform needs no generator:
-``first_uniforms`` runs the ten Philox rounds over every key at once, and
-``coalescence_batch`` draws its exit uniforms that way without importing
-``numpy.random``.  Normals and exponentials come from numpy's ziggurat, so
-streams that draw them get a generator: ``KeyedGenerators`` resets a reused
-one to a key, which puts it in the very state a fresh seeding gives, and the
-scan ``coalescence_times`` and ``replica_poisson_jumps`` pay one array hash
-plus a state reset per stream instead of building a ``SeedSequence``, a
-``Philox`` and a ``Generator`` each time.  Both ways give the bits of
-``StreamKey.generator``.
+ids at once.  ``philox_uniforms`` runs the ten Philox rounds over many keys
+and blocks at once, with the bits of ``Generator(Philox(key)).random``, so
+the exit uniforms of ``coalescence_batch`` and the Poisson clocks, whose gaps
+are inverted uniforms, need no ``numpy.random``.  Normals come from numpy's
+ziggurat, so the scan ``coalescence_times`` draws them from a generator that
+``KeyedGenerators`` resets to each key: one array hash plus a state reset
+per stream, not a ``SeedSequence``, a ``Philox`` and a ``Generator`` each.
+Both ways give the bits of ``StreamKey.generator``.
 The seed's part of the hash is cached, so opening one stream costs only its
 spawn key's part.
 
 A Poisson stream is one running sum: its arrival times are the left-to-right
-sums of the stream's exponential gaps, however many gaps are drawn at a time.
+sums of the stream's gaps -log1p(-U) / rate, however many are drawn at a time.
 So the jumps drawn up to a horizon h are, bit for bit, the part <= h of the
 jumps drawn up to any H >= h, and an averaging run draws each replica's clock
 once, at its longest horizon (``replica_poisson_jumps``), for all its eps.
@@ -53,12 +51,13 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MAX_ID = (1 << 64) - 1
+_MAX_ID = _M64 = (1 << 64) - 1
 
 # Philox-4x64-10 (Salmon et al., SC'11): the round multipliers and the key's Weyl bumps
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_PHILOX_PASS = 1 << 14  # blocks per array pass of Philox: about 2 MB of uint64 temporaries
 
 _GRID_TOL = 1e-9
 
@@ -185,33 +184,64 @@ def philox_keys(key: StreamKey, replica_ids, domain: int) -> np.ndarray:
     return out
 
 
-def _mulhilo(mult: int, x: np.ndarray) -> tuple:
-    """The high and low 64-bit words of the 128-bit product mult * x, from the 32-bit halves of both."""
+def _mulhilo(mult: int, x) -> tuple:
+    """The high and low 64-bit words of mult * x, for a Python int x or a uint64 array.
+
+    An array's high word sums products of 32-bit halves: a * b + c < 2^64 for a carry c < 2^32.
+    """
+    if isinstance(x, int):
+        p = mult * x
+        return p >> 64, p & _M64
     m_lo, m_hi = np.uint64(mult & _M32), np.uint64(mult >> 32)
     x_lo, x_hi = x & _M32, x >> 32
-    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
-    return m_hi * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), mid << 32 | ll & _M32
+    mid_a = m_hi * x_lo + (m_lo * x_lo >> 32)
+    mid_b = m_lo * x_hi + (mid_a & _M32)
+    return m_hi * x_hi + (mid_a >> 32) + (mid_b >> 32), x * np.uint64(mult)
 
 
-def first_uniforms(keys) -> np.ndarray:
-    """(R,) float64: ``Generator(Philox(key=k)).random()``, bit for bit, for each row k of the (R, 2) uint64 keys.
+def _philox_block(k0, k1, counter) -> tuple:
+    """The four words of the Philox-4x64-10 block at counter (counter, 0, 0, 0) under key (k0, k1).
 
-    A fresh stream's first draw is word 0 of the Philox-4x64-10 block at
-    counter (1, 0, 0, 0), shifted right by 11 and scaled by 2^-53.  The ten
-    rounds run over every key at once, each operation on whole uint64 arrays,
-    whose products and sums wrap mod 2^64; so no ``numpy.random`` is needed.
+    Python ints, or uint64 arrays that broadcast, such as (R, 1) keys and (1, m) counters.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    k0, k1 = keys[:, 0], keys[:, 1]
-    c0, c1, c2, c3 = np.ones_like(k0), np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
+    c0, c1, c2, c3 = counter, 0, 0, 0
     for r in range(_PHILOX_ROUNDS):
         if r:
-            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+            k0, k1 = (k0 + _PHILOX_BUMP[0]) & _M64, (k1 + _PHILOX_BUMP[1]) & _M64
         hi0, lo0 = _mulhilo(_PHILOX_MULT[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_MULT[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> 11) * 2.0**-53
+    return c0, c1, c2, c3
+
+
+def _uniforms(words) -> np.ndarray:
+    """Philox words as ``Generator.random`` reads them: shifted right by 11 and scaled by 2^-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def philox_uniforms(keys, n: int, first_block: int = 1) -> np.ndarray:
+    """(R, n) float64: n uniforms of each row k of the (R, 2) uint64 keys, from Philox block ``first_block`` on.
+
+    A fresh stream reads the blocks at counters 1, 2, ..., four words each,
+    so from block 1 a row is ``Generator(Philox(key=k)).random(n)`` bit for
+    bit.  The rounds run on uint64 arrays, which wrap mod 2^64, so no
+    ``numpy.random`` is needed, in passes of at most ``_PHILOX_PASS`` blocks.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    blocks = -(-n // 4)
+    counters = np.arange(first_block, first_block + blocks, dtype=np.uint64)[None, :]
+    out = np.empty((keys.shape[0], 4 * blocks))
+    step = max(1, _PHILOX_PASS // max(blocks, 1))
+    for lo in range(0, keys.shape[0], step):
+        k = keys[lo : lo + step]
+        words = np.stack(_philox_block(k[:, :1], k[:, 1:], counters), axis=-1)
+        out[lo : lo + step] = _uniforms(words.reshape(k.shape[0], -1))
+    return out[:, :n]
+
+
+def first_uniforms(keys) -> np.ndarray:
+    """(R,) float64: ``Generator(Philox(key=k)).random()``, bit for bit, for each row k of the (R, 2) uint64 keys."""
+    return philox_uniforms(keys, 1)[:, 0]
 
 
 def _fresh_generator(key: np.ndarray) -> np.random.Generator:
@@ -221,8 +251,8 @@ def _fresh_generator(key: np.ndarray) -> np.random.Generator:
 class KeyedGenerators:
     """Generators handed out reset to a Philox key; one generator per slot, reused.
 
-    The scan ``coalescence_times`` and ``replica_poisson_jumps`` draw through
-    it; a stream read for one uniform only takes ``first_uniforms`` instead.
+    The scan ``coalescence_times`` draws its normals through it; streams
+    read for uniforms only take ``philox_uniforms`` instead.
 
     Slots are numbered from 0 and first used in that order.  A reset sets
     counter 0, the key, an empty buffer (``buffer_pos`` 4) and no cached
@@ -376,65 +406,73 @@ def _validate_rate_horizon(rate: float, horizon: float) -> None:
 
 
 def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndarray:
-    """Exact rate-``rate`` Poisson arrival times in [0, horizon]."""
+    """Exact rate-``rate`` Poisson arrival times in [0, horizon].
+
+    The law of ``replica_poisson_jumps`` for one key, with Philox on Python
+    ints, which beats arrays by far on one short stream.  A pass costs more
+    in numpy calls than a block does, so it holds the mean count and one sd.
+    """
     _validate_rate_horizon(rate, horizon)
     if horizon == 0.0:
         return np.empty(0)
-    return poisson_arrivals(key.generator(_DOMAIN_POISSON), rate, horizon)
+    k0, k1 = key._philox_key(_uint32_words(int(key.replica_id)), _DOMAIN_POISSON)
+    blocks = _arrival_block(rate, horizon, 1.0) // 4
+    passes, total, first = [], np.zeros(1), 1
+    while total[0] <= horizon:
+        words = np.array([w for c in range(first, first + blocks) for w in _philox_block(k0, k1, c)], dtype=np.uint64)
+        sums = _arrival_sums(_uniforms(words)[None, :], rate, total)
+        passes.append(sums[0])
+        total, first = sums[:, -1], first + blocks
+    times = np.concatenate(passes)
+    return times[times <= horizon]
 
 
-def _arrival_block(rate: float, horizon: float) -> int:
-    """How many gaps ``poisson_arrivals`` draws at a time for this horizon."""
-    return max(8, int(2 * rate * horizon) + 8)
+def _arrival_block(rate: float, horizon: float, spread: float) -> int:
+    """Gaps per pass: whole Philox blocks of 4 that hold more than the mean count plus ``spread`` deviations."""
+    mean = rate * horizon
+    return 4 * (1 + int(mean + spread * math.sqrt(mean)) // 4)
+
+
+def _arrival_sums(u: np.ndarray, rate: float, total: np.ndarray) -> np.ndarray:
+    """In place: the uniforms u (R, k) become each row's arrival times after its running sum ``total``.
+
+    A gap is -log1p(-U) / rate, numpy's exponential by inversion; each row's
+    first gap carries its total so far, so one cumsum per pass continues a
+    single running sum and no pass length changes a bit.
+    """
+    np.log1p(np.negative(u, out=u), out=u)
+    u /= -rate
+    u[:, 0] += total
+    return np.cumsum(u, axis=1, out=u)
 
 
 def replica_poisson_jumps(key: StreamKey, n: int, rate: float, horizon: float) -> np.ndarray:
     """(n, width), NaN-padded: row i is ``sample_poisson_jumps(key.replica(i), rate, horizon)``, bit for bit.
 
-    One generator is reset to each replica's Philox key and fills that row
-    with the stream's first block of standard exponentials; one multiply
-    (``exponential(scale)`` is scale * ``standard_exponential``) and one
-    cumsum give the block's arrival times.  A row whose block ends at or
-    before the horizon is drawn whole from its own stream.
+    A pass of Philox over all rows draws the mean count and three sd; the
+    rows (about 0.1 %) whose arrivals end at or before the horizon continue
+    their sums from the next block, all at once.  That draws fewer gaps than
+    one pass long enough for every row.  The result is contiguous, since a
+    view would be copied again by each search of its jumps.
     """
     _validate_rate_horizon(rate, horizon)
     keys = philox_keys(key, np.arange(n), _DOMAIN_POISSON)
-    pool = KeyedGenerators()
-    block = _arrival_block(rate, horizon)
-    sums = np.empty((n, block))
-    for i in range(n):
-        pool.reset(0, keys[i]).standard_exponential(out=sums[i])
-    sums *= 1.0 / rate
-    np.cumsum(sums, axis=1, out=sums)
-    counts = np.count_nonzero(sums <= horizon, axis=1)
-    long_rows = {
-        i: poisson_arrivals(pool.reset(0, keys[i]), rate, horizon) for i in np.flatnonzero(counts == block)
-    }
-    width = max([int(counts.max(initial=0))] + [r.size for r in long_rows.values()])
+    block = _arrival_block(rate, horizon, 3.0)
+    parts, rows, total = [], np.arange(n), np.zeros(n)
+    while rows.size:
+        sums = _arrival_sums(philox_uniforms(keys[rows], block, 1 + len(parts) * block // 4), rate, total)
+        parts.append((rows, sums))
+        live = sums[:, -1] <= horizon
+        rows, total = rows[live], sums[live, -1]
+    # each row increases, so the columns where some row is <= horizon come first
+    width = max((j * block + int(np.count_nonzero(np.fmin.reduce(sums, axis=0) <= horizon))
+                 for j, (_, sums) in enumerate(parts)), default=0)
     out = np.full((n, width), np.nan)
-    k = min(width, block)
-    np.copyto(out[:, :k], sums[:, :k], where=np.arange(k) < counts[:, None])
-    for i, r in long_rows.items():
-        out[i, : r.size] = r
+    for j, (rows, sums) in enumerate(parts):
+        sums = sums[:, : width - j * block]
+        sums[sums > horizon] = np.nan
+        out[rows, j * block : j * block + sums.shape[1]] = sums
     return out
-
-
-def poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """The arrival times in [0, horizon] that ``sample_poisson_jumps`` draws from rng.
-
-    Each block's first gap carries the total so far, so one cumsum per block
-    continues a single running sum and no block size changes a bit.
-    """
-    block = _arrival_block(rate, horizon)
-    arrivals: list[np.ndarray] = []
-    total = 0.0
-    while total <= horizon:
-        gaps = rng.exponential(1.0 / rate, size=block)
-        gaps[0] += total
-        arrivals.append(np.cumsum(gaps, out=gaps))
-        total = gaps[-1]
-    times = np.concatenate(arrivals)
-    return times[times <= horizon]
 
 
 def sample_jump_driver(key: StreamKey, horizon: float, dt: float, rate: float = 1.0) -> DriverPath:

@@ -2,9 +2,9 @@
 
 Replicas run serially, so every reduction downstream sees its operands in
 index order and reports are reproducible bit-for-bit.  Only ``simulate``'s
-replica loop goes through ``map_indexed``: ``coalescence_times``,
-``coalescence_batch`` and ``replica_poisson_jumps`` loop without it.  It
-stays while the bench tracer times the fan-out by this name.
+replica loop goes through ``map_indexed``: ``coalescence_times`` loops
+without it, and ``replica_poisson_jumps`` and ``coalescence_batch`` draw in
+array passes.  It stays while the bench tracer times the fan-out by name.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foliated_flows import averaging
+from foliated_flows import averaging, drivers
 from foliated_flows.averaging import (
     InvariantMeasureSpec,
     _replica_clocks,
@@ -26,7 +26,6 @@ from foliated_flows.averaging import (
 from foliated_flows.drivers import (
     _DOMAIN_POISSON,
     StreamKey,
-    _arrival_block,
     replica_poisson_jumps,
     sample_jump_driver,
     sample_poisson_jumps,
@@ -648,18 +647,20 @@ def test_replica_clocks_rows_are_each_replicas_poisson_jumps(rate):
 @pytest.mark.parametrize(
     "rate, horizons, h",
     [
-        (1.0, [3.9, 20.0], 3.9),  # a short horizon, whose own first block is 15 gaps
+        (1.0, [3.9, 20.0], 3.9),  # a horizon below the one the run draws at
         (2.0, [1.95, 10.0], 1.95),
-        (1.0, [1.0, 4.9], 4.9),  # the longest horizon, whose block of 17 gaps the run draws
+        (1.0, [1.0, 4.9], 4.9),  # the longest horizon, the one the run draws at
         (2.0, [0.5, 2.0], 2.0),
     ],
 )
-def test_replica_clocks_redraw_a_row_that_runs_past_its_first_block(rate, horizons, h):
-    # replica 0 of seed 101770 (found by a search over seeds) draws 17 unit
-    # gaps that sum to 3.84, so poisson_arrivals at h draws a second block
-    # after its first; the run's clock at h still holds that replica's jumps
+def test_replica_clocks_redraw_a_row_that_runs_past_its_first_block(monkeypatch, rate, horizons, h):
+    # replica 0 of seed 101770 has 8 or 9 arrivals at h, so with passes of
+    # one Philox block (4 gaps), which change no bit, its arrivals run past
+    # the first pass; the run's clock at h still holds that replica's jumps
     key, theta0 = StreamKey(101770), 0.3
-    block = key.generator(_DOMAIN_POISSON).exponential(1.0 / rate, size=_arrival_block(rate, h))
+    monkeypatch.setattr(drivers, "_arrival_block", lambda *args: 4)
+    u = key.generator(_DOMAIN_POISSON).random(drivers._arrival_block(rate, h, 3.0))
+    block = -np.log1p(-u) / rate
     assert np.cumsum(block)[-1] <= h
     rows = [sample_poisson_jumps(key.replica(i), rate, h) for i in range(3)]
     assert rows[0].size > block.size

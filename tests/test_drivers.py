@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from foliated_flows import drivers
 from foliated_flows.drivers import (
     _DOMAIN_BROWNIAN,
     _DOMAIN_EXIT,
@@ -12,9 +14,12 @@ from foliated_flows.drivers import (
     DriverPath,
     KeyedGenerators,
     StreamKey,
-    _arrival_block,
+    _arrival_sums,
+    _philox_block,
+    _uniforms,
     first_uniforms,
     philox_keys,
+    philox_uniforms,
     replica_poisson_jumps,
     sample_brownian,
     sample_jump_driver,
@@ -322,6 +327,71 @@ def test_first_uniforms_of_no_key_and_of_one_key():
         assert u.shape == (1,) and u.tobytes() == _first_random(np.array(key, dtype=np.uint64)).tobytes()
 
 
+def _one_key_uniforms(key, n, first_block=1):
+    # the one-key path: Philox on Python ints, block by block
+    k0, k1 = (int(w) for w in key)
+    words = [w for c in range(first_block, first_block - (-n // 4)) for w in _philox_block(k0, k1, c)]
+    return _uniforms(np.array(words, dtype=np.uint64))[:n]
+
+
+_EDGE_KEYS = np.concatenate((
+    np.array([[0, 0], [2**64 - 1, 2**64 - 1], [2**53, 2**53 + 1]], dtype=np.uint64),
+    philox_keys(StreamKey(SEED, point_id=2), np.array([2**32, 2**40 + 3, 2**64 - 1], dtype=np.uint64), _DOMAIN_POISSON),
+))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 169])
+def test_philox_uniforms_are_a_fresh_philox_generators_random_bit_for_bit(n):
+    # both paths, on edge words and on the keys of ids past 32 bits; a
+    # later first block continues the stream as one long draw does
+    expected = np.array([np.random.Generator(np.random.Philox(key=k)).random(n + 24) for k in _EDGE_KEYS])
+    assert philox_uniforms(_EDGE_KEYS, n).tobytes() == np.ascontiguousarray(expected[:, :n]).tobytes()
+    assert philox_uniforms(_EDGE_KEYS, n, 7).tobytes() == np.ascontiguousarray(expected[:, 24:]).tobytes()
+    for k, row in zip(_EDGE_KEYS, expected):
+        assert _one_key_uniforms(k, n).tobytes() == row[:n].tobytes()
+        assert _one_key_uniforms(k, n, 7).tobytes() == row[24:].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_philox_uniforms_run_in_passes_that_change_no_bit(monkeypatch):
+    keys = philox_keys(StreamKey(SEED), np.arange(50), _DOMAIN_POISSON)
+    whole = philox_uniforms(keys, 37)
+    monkeypatch.setattr(drivers, "_PHILOX_PASS", 23)  # two rows of 10 blocks per pass
+    assert philox_uniforms(keys, 37).tobytes() == whole.tobytes()
+    assert philox_uniforms(keys[:0], 37).shape == (0, 37)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [1.0, 0.7, 3.0])
+def test_gaps_are_inverted_uniforms(rate):
+    # each row holds one uniform, so its arrival time is its gap: -log1p(-u)
+    # / rate bit for bit (numpy's log1p, which may differ from libm in the
+    # last bit), and at rate 1 within 1 ulp of numpy's exponential by inversion
+    key = np.array([SEED, 7], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(20_000)
+    gaps = _arrival_sums(u[:, None].copy(), rate, np.zeros(u.size))[:, 0]
+    assert gaps.tobytes() == (-np.log1p(-u) / rate).tobytes()
+    if rate == 1.0:
+        inv = np.random.Generator(np.random.Philox(key=key)).standard_exponential(u.size, method="inv")
+        assert (np.abs(gaps - inv) <= np.spacing(inv)).all()
+
+
+def test_replica_poisson_jumps_peak_memory_is_bounded_above_its_output():
+    # Philox runs in passes of _PHILOX_PASS blocks, so at 2 * 10^4 rows the
+    # peak holds the result, the first pass's gaps (here narrower than the
+    # result) and 0.5 MiB more; one unchunked pass would hold 12 MiB more
+    key = StreamKey(SEED)
+    replica_poisson_jumps(key, 10, 1.0, 20.0)
+    tracemalloc.start()
+    try:
+        rows = replica_poisson_jumps(key, 20_000, 1.0, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * rows.nbytes <= 4 * 2**20
+
+
 def test_exit_domain_is_a_fourth_spawn_word_apart_from_brownian_and_poisson():
     key = StreamKey(SEED, 3, 1, "independent")
     rows = [philox_keys(key, [3], domain)[0].tolist() for domain in (_DOMAIN_BROWNIAN, _DOMAIN_POISSON, _DOMAIN_EXIT)]
@@ -379,20 +449,33 @@ def test_first_block_arrivals_rows_start_each_replicas_poisson_jumps(rate, horiz
     _assert_rows_are_each_replicas_jumps(replica_poisson_jumps(key, 300, rate, horizon), key, rate, horizon)
 
 
-# replica 0 of seed 101770 (found by a search over seeds) draws 17 unit gaps
-# that sum to 3.84, so at these horizons its arrivals run past the first
-# block poisson_arrivals draws
+# replica 0 of seed 101770 has 8 or 9 arrivals at these horizons, so with
+# passes of one Philox block (4 gaps) its arrivals run past the first pass
 _LONG_ROWS = [(1.0, 3.9), (2.0, 1.95), (1.0, 4.9), (2.0, 2.0)]
 
 
+def _one_block_passes(monkeypatch):
+    # no pass length changes a bit, so a pass as short as one Philox block
+    # makes the continuation run on rows that the default pass would hold
+    monkeypatch.setattr(drivers, "_arrival_block", lambda *args: 4)
+
+
+def _gaps(key, rate, size):
+    # the law drawn through numpy: the stream's uniforms, inverted
+    return -np.log1p(-key.generator(_DOMAIN_POISSON).random(size)) / rate
+
+
 @pytest.mark.parametrize("rate, horizon", _LONG_ROWS)
-def test_replica_poisson_jumps_completes_a_row_past_its_first_block(rate, horizon):
+def test_replica_poisson_jumps_completes_a_row_past_its_first_block(monkeypatch, rate, horizon):
     key = StreamKey(101770)
-    block = key.generator(_DOMAIN_POISSON).exponential(1.0 / rate, size=_arrival_block(rate, horizon))
+    default = replica_poisson_jumps(key, 3, rate, horizon)
+    _one_block_passes(monkeypatch)
+    block = _gaps(key, rate, drivers._arrival_block(rate, horizon, 3.0))
     assert np.cumsum(block)[-1] <= horizon
     rows = replica_poisson_jumps(key, 3, rate, horizon)
     assert np.count_nonzero(rows[0] <= horizon) > block.size
     _assert_rows_are_each_replicas_jumps(rows, key, rate, horizon)
+    assert rows.tobytes() == default.tobytes()
 
 
 def test_replica_poisson_jumps_of_no_time_or_no_replicas_are_empty():
@@ -414,13 +497,19 @@ def test_replica_poisson_jumps_of_no_time_or_no_replicas_are_empty():
 @example(seed=101770, replica=0, rate=2.0, h=1.95, longer=8.05)
 @example(seed=101770, replica=0, rate=1.0, h=3.9, longer=0.0)
 def test_jumps_at_a_horizon_are_the_part_below_it_of_any_longer_draw(seed, replica, rate, h, longer):
-    # a stream is one running sum of its gaps, whatever block poisson_arrivals
-    # draws at each horizon
+    # a stream is one running sum of its gaps, whatever pass each horizon's
+    # draw takes: at h the passes are one Philox block, so a stream of 4 or
+    # more arrivals continues its sum (each example has 8 at h, so 3 passes)
     key = StreamKey(seed, replica)
-    at_h = sample_poisson_jumps(key, rate, h)
+    passes = []
+    with pytest.MonkeyPatch.context() as mp:
+        _one_block_passes(mp)
+        mp.setattr(drivers, "_arrival_sums", lambda *a: passes.append(a) or _arrival_sums(*a))
+        at_h = sample_poisson_jumps(key, rate, h)
+    assert len(passes) == (at_h.size // 4 + 1 if h > 0.0 else 0)
     at_long = sample_poisson_jumps(key, rate, h + longer)
     assert at_h.tobytes() == at_long[at_long <= h].tobytes()
-    gaps = key.generator(_DOMAIN_POISSON).exponential(1.0 / rate, size=at_long.size + 1)
+    gaps = _gaps(key, rate, at_long.size + 1)
     sums = np.cumsum(gaps)
     assert at_long.tobytes() == sums[:-1].tobytes()
     assert sums[-1] > h + longer

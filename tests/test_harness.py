@@ -300,7 +300,9 @@ def test_simulate_perturbed_cylinder_repeated_start_shares_class(tmp_path):
 # One simulate run for each way n_point_motion moves its points, and the
 # sha256 of its payload, trajectory.csv and leaf_defects.csv, computed while
 # the harness still ran the coalescing circle through evolve_coalescing_circle
-# itself and cylinder_trajectory still built the eps = 0 path by hand.
+# itself and cylinder_trajectory still built the eps = 0 path by hand.  The two
+# cylinder runs, which draw jump clocks, were re-pinned when the jump gaps
+# became inverted Philox uniforms.
 _SIMULATE_RUNS = {
     "coalescing-circle": {
         "model": {"name": "coalescing-circle", "sigma": 0.7},
@@ -332,13 +334,13 @@ _SIMULATE_SHA256 = {
     },
     "cylinder-eps0": {
         "payload": "bf2784a51dc50180d9ce5ac530b47c20bdb008677db4d5a279c9388f36dbc2aa",
-        "trajectory.csv": "8549d6bc28756aa4fb44bc1832a7ea9138fb724d89d395b7cfa529c29aca120d",
+        "trajectory.csv": "7606df907f1b40b597be234efe02499d834475d07cc22790be67def263490a5f",
         "leaf_defects.csv": "06f649bffb265cd99289a1bace665a3b169d1fea6a1e207ec5cb568b91726c3e",
     },
     "perturbed-cylinder": {
-        "payload": "927569ec17b88912185a801097334d447c8d1ffe1e7275702d365cfe43917eb8",
-        "trajectory.csv": "b995e36e80c673b7d980e59d4ded79e7dacdef5d8d04c2b7a6f67c58d57f159e",
-        "leaf_defects.csv": "76350efc10b07fc04a21cac3e1c12402ef9ecfc914541cf47cfcf343aec475dc",
+        "payload": "ecbb3f00bea3e8b72356ccc26ae58aee5c9eb463cfbfc6161e13a87d95b0e1bf",
+        "trajectory.csv": "9b2d394c62dec9814df6bb2cbfefa86a4a7d7e24059d681e4448681bd26ebf1b",
+        "leaf_defects.csv": "955b0e1ec2fa2119a7475ae19d44d5e8a569b5b502940fb8d60ef79f15882dfc",
     },
     "torus-v": {
         "payload": "4b0545514bc9d615eca7a08c9db486b283c907c69ff5141e947ccbde2b9d04f2",
@@ -637,7 +639,7 @@ def _without_averaged_ode(payload: dict) -> dict:
 
 # the same payloads under schema v2, less what follows from v(t)
 _AVERAGING_V2 = {
-    "rates-cosine": "8249098182dad8671304f211ad723369e7943458317b48825d84af1e65b71fe1",
+    "rates-cosine": "a166f187159a2d26ffc747d2c7112d086d62499500fba7822eb6132ccedb5149",
     "average-commuting": "524576b12f83a618cf83f7e5acaedb83391a3f16330f2c3349ced617cf710c89",
 }
 
@@ -645,14 +647,15 @@ _AVERAGING_V2 = {
 @pytest.mark.parametrize(
     "name, replicas, sha256",
     [
-        ("rates-cosine", 200, "aefcc8d287a24dc30bf5ff2c733bb5ac4b4fc689776e0a290863a8368412f638"),
+        ("rates-cosine", 200, "a9bc8ac664bd4c1bacbeaf1f9754873dfa5390d9f250e23c28d3568b782e07f1"),
         ("average-commuting", 40, "ffab0ed36b0652befdba0d564799f426042cad2f882d615df9731903415232f9"),
     ],
 )
 def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
     # sha256 of the v1 payload, less what follows from v(t), that the
     # per-replica implementation (a record grid, one decomposition per replica
-    # and an RK4 averaged ODE) gave on this config
+    # and an RK4 averaged ODE) gave on this config; rates-cosine's were
+    # re-pinned when the jump gaps became inverted Philox uniforms
     cfg = load_config(CONFIGS / f"{name}.yaml")
     cfg = dataclasses.replace(cfg, averaging=dataclasses.replace(cfg.averaging, replicas=replicas))
     report = run(cfg, write_artifacts=False)
@@ -663,7 +666,8 @@ def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
 def test_empirical_averaging_payload_is_pinned():
     # sha256 of the whole v1 payload (errors, v_final and the measured
     # Lipschitz constant included) of an empirical-measure rates run where k3
-    # moves z, as the code gave before the averaged field became one float
+    # moves z, as the code gave before the averaged field became one float,
+    # re-pinned when the jump gaps became inverted Philox uniforms
     cfg = load_config(CONFIGS / "rates-cosine.yaml")
     cfg = dataclasses.replace(
         cfg, output_dir="",
@@ -675,29 +679,31 @@ def test_empirical_averaging_payload_is_pinned():
     )
     report = run(cfg, write_artifacts=False)
     assert _sha256_json(_v1_payload(report)) == (
-        "2569772c84950a85d26123703c6bd2ac8d2dd1a143d846a7abd6ef0edc94283b"
+        "497e68f61151e263c1bb362b3541382cd6d3ccccd870d6d0521f10b09cbf88e9"
     )
     assert _sha256_json(report.payload()) == (
-        "c9857e9162f3ba1ae333d1682eb199302665c2d02d68d63e8a443bd7a135b5ec"
+        "3ff704cdf29a072f3134ffee36aa0d5e9211dd5ae21299e20b91459663af7961"
     )
 
 
 def test_average_exits_payload_is_pinned():
     # sha256 of the payload computed while every exiting replica's exit was
-    # searched on its own; about 38 % of the replicas leave the manifold
+    # searched on its own, re-pinned when the jump gaps became inverted
+    # Philox uniforms; about 38 % of the replicas leave the manifold
     report = run(load_config(CONFIGS / "average-exits.yaml"), write_artifacts=False)
-    assert [row["n_exited"] for row in report.results["per_eps"]] == [386, 378, 385]
+    assert [row["n_exited"] for row in report.results["per_eps"]] == [379, 405, 370]
     assert _sha256_json(report.payload()) == (
-        "cfef8204bd91babdd2f5ca4108221acb39d18c930bdd788acd346836965c701e"
+        "09e3caf51dfa3c4942a5dacf80e75008643708818fde2e3d5f85dc9aa47cd755"
     )
 
 
 # the payload sha256 of each averaging sample config at a replica count,
-# computed before averaging runs reported their diagnostics
+# computed before averaging runs reported their diagnostics (the two with a
+# cos term re-pinned when the jump gaps became inverted Philox uniforms)
 _AVERAGING_PAYLOAD_SHA256 = {
-    "rates-cosine": (200, "7c65e123b5e2f4aaaf8128271b4cd5365f3feb0f922480ebd1ee0acdb8d08503"),
+    "rates-cosine": (200, "a3ba2141c2299b5f8c1396147e22f8868cd55bb0298e77d820f1e082365ea43e"),
     "average-commuting": (40, "0ab8e1e7ecaafe2fd52e3b2675c6d453cadcec40630b2f27f295919c191a742b"),
-    "average-exits": (1000, "cfef8204bd91babdd2f5ca4108221acb39d18c930bdd788acd346836965c701e"),
+    "average-exits": (1000, "09e3caf51dfa3c4942a5dacf80e75008643708818fde2e3d5f85dc9aa47cd755"),
 }
 
 
@@ -1239,12 +1245,13 @@ _ARTIFACT_SIZES = {
     "kernel-check": (None, None),
 }
 _ARTIFACT_SHA256 = {
+    # re-pinned when the jump gaps became inverted Philox uniforms
     "rates-cosine": {
-        "decomposition.csv": "a292ae77b44e10f67b6ec050253754b981c48a2d4538adc33d093eb0cd2a82c7",
-        "rate_report.json": "6146b61c7b2bd92aaed4b1ef82e299bfdd872d45ecaad2e3ea2eab866ba75b43",
-        "rates_bounds.csv": "2bf79f222c8b84ed058cf44687496bba27284ebf9c01631ab796f579c53f576b",
-        "rates_error.csv": "9aee796b060facb1622070a3f6498e9aeb72a96eb98d41ffe48a060df3e9c699",
-        "report.json": "e5c761dcb3b591096db19751ddc4689f350c22cd3cd90487d269362a9f74b1f6",
+        "decomposition.csv": "b20a5dbe37a0114adb445c0ac9a90624f126cbbb7a33e9b48125eac88c9a557c",
+        "rate_report.json": "07ef51280df91d2908239690eb8c879ce608df4dfecf48b7cb57c0a31f99b317",
+        "rates_bounds.csv": "3eadae9e949ef21af7b697ee6068c9fe34b8fef02729fd5ce4d34cc32c9e84a0",
+        "rates_error.csv": "66f414a2120252bcbd378989b0a5b2db0bb91d4135ab2e0d28d8928b708fa292",
+        "report.json": "70c66f5a264f88ea13873594072b830fa965d99bc7d95ec5d0c0aa441ad352b5",
     },
     "average-commuting": {
         "decomposition.csv": "8e8908ed896b87c531e6d8114b535c3af7529b026f3493af4e52b3c82afafba6",
@@ -1278,8 +1285,8 @@ _ARTIFACT_SHA256 = {
 # the row-sparse kernel dumps
 _ARTIFACT_SHA256_V2 = {
     "rates-cosine": {
-        "decomposition.npy": "052b48e27af2ad9ac4cd972e6294252eaf66ab3cfb7a8426b7cb1f1751395f37",
-        "report.json": "a06a089da5c003ad55993adde14e51cc40ebb4dd4ec874e153187042dc23d4f9",
+        "decomposition.npy": "f655e6e035b94708da6d7c0d64afed4a6e58e05b6a9e9e90dfb10ce2b1b6ac98",
+        "report.json": "e13d8d610e0efa00ec780ae7d9e6fd1fe02d45471f93a4ce5977d4216b52b609",
     },
     "average-commuting": {
         "decomposition.npy": "4ed43a22ae8eefdf9494647ab469cd68a7f45c2d214dc73bc8cfaabeba152748",
@@ -1293,6 +1300,22 @@ _ARTIFACT_SHA256_V2 = {
         "report.json": "93ff2449e17ce69bd10c9d7c900674473cf5eb713a644500b9343b064843c549",
     },
 }
+
+
+_AVERAGING_RUN = """
+import sys
+from foliated_flows.cli import main
+assert main([sys.argv[1], "--config", sys.argv[2], "--replicas", "20", "--quiet"]) == 0
+assert "numpy.random" not in sys.modules, f"a {sys.argv[1]} run imported numpy.random"
+"""
+
+
+@pytest.mark.parametrize("experiment, name", [("rates", "rates-cosine"), ("average", "average-exits")])
+def test_averaging_run_does_not_import_numpy_random(tmp_path, experiment, name):
+    # the jump clocks are inverted Philox uniforms computed in array arithmetic
+    proc = run_snippet(_AVERAGING_RUN, experiment, str(CONFIGS / f"{name}.yaml"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / name / "report.json").is_file()
 
 
 @pytest.mark.parametrize("name", sorted(_ARTIFACT_SHA256))
