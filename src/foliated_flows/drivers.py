@@ -1,25 +1,23 @@
 """Seeded driving noise: Brownian increments and Poisson jump clocks.
 
-Streams are counter-based (Philox) and keyed by
-(experiment_seed, replica_id, point_id, role), so distinct replicas and points
-get statistically independent noise while equal keys reproduce the exact same
-path, independent of execution order.  The ``common`` role realizes a shared
-probability space: perturbed and unperturbed flows, or all points of an
-n-point motion, consume one and the same path.
+Streams are addressed in the counter of Philox-4x64-10 (Salmon et al.,
+SC'11): under the key (experiment_seed, 0), the stream of (replica_id,
+point_id, role, domain) is the blocks at counters (block, replica_id,
+point_id, role_code << 32 | domain), block = 1, 2, ....  Each id fills a
+64-bit word, so distinct replicas and points get disjoint streams by
+construction, while equal keys reproduce the exact same path, independent
+of execution order.  The ``common`` role realizes a shared probability
+space: perturbed and unperturbed flows, or all points of an n-point motion,
+consume one and the same path.
 
-A key becomes a Philox key through numpy's ``SeedSequence`` hash of the entropy
-(seed) and spawn key (replica, point, role, domain).  That hash is 32-bit
-integer arithmetic, so ``philox_keys`` runs it over a whole array of replica
-ids at once.  ``philox_uniforms`` runs the ten Philox rounds over many keys
-and blocks at once, with the bits of ``Generator(Philox(key)).random``, so
-the exit uniforms of ``coalescence_batch`` and the Poisson clocks, whose gaps
-are inverted uniforms, need no ``numpy.random``.  Normals come from numpy's
-ziggurat, so the scan ``coalescence_times`` draws them from a generator that
-``KeyedGenerators`` resets to each key: one array hash plus a state reset
-per stream, not a ``SeedSequence``, a ``Philox`` and a ``Generator`` each.
-Both ways give the bits of ``StreamKey.generator``.
-The seed's part of the hash is cached, so opening one stream costs only its
-spawn key's part.
+``stream_words`` stacks the words (seed, replica, point, code) of many
+replicas' streams.  ``philox_uniforms`` runs the ten Philox rounds over
+them and many blocks at once, with the bits of ``StreamKey.generator``'s
+``random``, so the exit uniforms of ``coalescence_batch`` and the Poisson
+clocks, whose gaps are inverted uniforms, need no ``numpy.random``.
+Normals come from numpy's ziggurat, so the scan ``coalescence_times``
+draws them from a generator that ``KeyedGenerators`` resets to each stream:
+one state reset per stream, not a ``Philox`` and a ``Generator`` each.
 
 A Poisson stream is one running sum: its arrival times are the left-to-right
 sums of the stream's gaps -log1p(-U) / rate, however many are drawn at a time.
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +43,7 @@ _DOMAIN_BROWNIAN = 0
 _DOMAIN_POISSON = 1
 _DOMAIN_EXIT = 2
 
-# numpy's SeedSequence hash: a pool of 4 32-bit words and its multipliers
 _M32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MAX_ID = _M64 = (1 << 64) - 1
 
 # Philox-4x64-10 (Salmon et al., SC'11): the round multipliers and the key's Weyl bumps
@@ -62,70 +55,17 @@ _PHILOX_PASS = 1 << 14  # blocks per array pass of Philox: about 2 MB of uint64 
 _GRID_TOL = 1e-9
 
 
-def _uint32_words(n: int) -> list[int]:
-    """n as little-endian 32-bit words, the way SeedSequence reads an int (0 is one word)."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
-def _hashmix(value, hash_const):
-    """numpy's SeedSequence hashmix: the mixed value and the next hash constant."""
-    next_const = hash_const * _MULT_A & _M32
-    value = (value ^ hash_const) * next_const & _M32
-    return value ^ value >> 16, next_const
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return r ^ r >> 16
-
-
-@lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """The hash pool after mixing in the seed's words (zero-padded to 4), and the hash constant reached."""
-    words = _uint32_words(seed)
-    pool, hash_const = [], _INIT_A
-    for w in words + [0] * (_POOL_SIZE - len(words)):
-        value, hash_const = _hashmix(w, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), hash_const
-
-
-def _seed_sequence_key(seed: int, spawn_words: list) -> tuple:
-    """``SeedSequence(seed, spawn_key).generate_state(2, np.uint64)`` from the spawn key's words.
-
-    Each spawn word is an int or a uint64 array of 32-bit values, one key
-    per element.  All arithmetic is mod 2^32, kept in the low bits of ints or
-    uint64s by masking after each product.  Returns the two 64-bit key words.
-    """
-    words, hash_const = _seed_pool(seed)
-    pool = list(words)
-    for w in spawn_words:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(w, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    hash_const, out = _INIT_B, []
-    for value in pool:
-        next_const = hash_const * _MULT_B & _M32
-        value = (value ^ hash_const) * next_const & _M32
-        out.append(value ^ value >> 16)
-        hash_const = next_const
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
-
-
 @dataclass(frozen=True)
 class StreamKey:
     """Address of one independent noise stream.
 
-    ``experiment_seed`` and the ids lie in [0, 2^64), so distinct keys never
-    share a stream and every key hashes as one lane of ``philox_keys``.
+    ``experiment_seed`` and the ids lie in [0, 2^64).  In a domain, the
+    stream is Philox-4x64-10 under key (experiment_seed, 0), read at the
+    counters (block, replica_id, point_id, role_code << 32 | domain) for
+    block = 1, 2, ...; ``words`` gives (seed, replica, point, code).  Each
+    id fills a 64-bit word of its own, so distinct keys, roles and domains
+    never share a stream.  A stream could only run into the next replica's
+    after 2^64 blocks, when the block word wraps and carries.
     """
 
     experiment_seed: int
@@ -143,14 +83,14 @@ class StreamKey:
             if not 0 <= v <= _MAX_ID:
                 raise ValueError(f"{name} must lie in [0, 2^64): {v}")
 
-    def _philox_key(self, replica_words: list, domain: int) -> tuple:
-        spawn = replica_words + _uint32_words(int(self.point_id)) + [_ROLE_CODES[self.role], domain]
-        return _seed_sequence_key(int(self.experiment_seed), spawn)
+    def words(self, domain: int) -> tuple:
+        """The stream's words (seed, replica, point, role_code << 32 | domain), as Python ints."""
+        code = _ROLE_CODES[self.role] << 32 | domain
+        return int(self.experiment_seed), int(self.replica_id), int(self.point_id), code
 
     def generator(self, domain: int) -> np.random.Generator:
         """A fresh generator on this key's stream in ``domain``."""
-        key = self._philox_key(_uint32_words(int(self.replica_id)), domain)
-        return _fresh_generator(np.array(key, dtype=np.uint64))
+        return KeyedGenerators().reset(0, self.words(domain))
 
     def replica(self, replica_id: int) -> "StreamKey":
         return replace(self, replica_id=replica_id)
@@ -162,25 +102,17 @@ class StreamKey:
         return replace(self, role=role)
 
 
-def philox_keys(key: StreamKey, replica_ids, domain: int) -> np.ndarray:
-    """(R, 2) uint64: the Philox key of ``key.replica(i).generator(domain)`` for each id i.
+def stream_words(key: StreamKey, replica_ids, domain: int) -> np.ndarray:
+    """(R, 4) uint64: the words of ``key.replica(i)``'s stream in ``domain`` for each id i.
 
-    One array pass of the SeedSequence hash; the seed, point and role come
-    from ``key``, whose own replica id is not used.  An id of 2^32 or more
-    is two entropy words, so those ids are hashed as their own group.
+    The seed, point and role come from ``key``, whose own replica id is not used.
     """
     ids = np.asarray(replica_ids)
     if ids.ndim != 1 or (ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0)):
         raise ValueError("replica ids must be a 1-D array of nonnegative integers")
-    ids = ids.astype(np.uint64)
-    out = np.empty((ids.size, 2), dtype=np.uint64)
-    wide = ids > _M32
-    for group, replica_words in (
-        (~wide, lambda r: [r]),
-        (wide, lambda r: [r & _M32, r >> 32]),
-    ):
-        if group.any():
-            out[group] = np.stack(key._philox_key(replica_words(ids[group]), domain), axis=1)
+    out = np.empty((ids.size, 4), dtype=np.uint64)
+    out[:] = np.array(key.words(domain), dtype=np.uint64)
+    out[:, 1] = ids
     return out
 
 
@@ -199,12 +131,14 @@ def _mulhilo(mult: int, x) -> tuple:
     return m_hi * x_hi + (mid_a >> 32) + (mid_b >> 32), x * np.uint64(mult)
 
 
-def _philox_block(k0, k1, counter) -> tuple:
-    """The four words of the Philox-4x64-10 block at counter (counter, 0, 0, 0) under key (k0, k1).
+def _philox_block(words, block) -> tuple:
+    """The four words of a stream's Philox-4x64-10 block: counter (block, replica, point, code), key (seed, 0).
 
-    Python ints, or uint64 arrays that broadcast, such as (R, 1) keys and (1, m) counters.
+    ``words`` is (seed, replica, point, code): Python ints, or uint64 arrays
+    that broadcast with ``block``, such as (R, 1) columns and (1, m) blocks.
     """
-    c0, c1, c2, c3 = counter, 0, 0, 0
+    k0, c1, c2, c3 = words
+    c0, k1 = block, 0
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0, k1 = (k0 + _PHILOX_BUMP[0]) & _M64, (k1 + _PHILOX_BUMP[1]) & _M64
@@ -219,65 +153,60 @@ def _uniforms(words) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def philox_uniforms(keys, n: int, first_block: int = 1) -> np.ndarray:
-    """(R, n) float64: n uniforms of each row k of the (R, 2) uint64 keys, from Philox block ``first_block`` on.
+def philox_uniforms(words, n: int, first_block: int = 1) -> np.ndarray:
+    """(R, n) float64: n uniforms of the stream of each row of the (R, 4) uint64 words, from block ``first_block`` on.
 
-    A fresh stream reads the blocks at counters 1, 2, ..., four words each,
-    so from block 1 a row is ``Generator(Philox(key=k)).random(n)`` bit for
-    bit.  The rounds run on uint64 arrays, which wrap mod 2^64, so no
+    A fresh stream reads the blocks 1, 2, ..., four words each, so from
+    block 1 a row is ``StreamKey.generator(domain).random(n)`` bit for bit.
+    The rounds run on uint64 arrays, which wrap mod 2^64, so no
     ``numpy.random`` is needed, in passes of at most ``_PHILOX_PASS`` blocks.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
+    words = np.asarray(words, dtype=np.uint64)
     blocks = -(-n // 4)
     counters = np.arange(first_block, first_block + blocks, dtype=np.uint64)[None, :]
-    out = np.empty((keys.shape[0], 4 * blocks))
+    out = np.empty((words.shape[0], 4 * blocks))
     step = max(1, _PHILOX_PASS // max(blocks, 1))
-    for lo in range(0, keys.shape[0], step):
-        k = keys[lo : lo + step]
-        words = np.stack(_philox_block(k[:, :1], k[:, 1:], counters), axis=-1)
-        out[lo : lo + step] = _uniforms(words.reshape(k.shape[0], -1))
+    for lo in range(0, words.shape[0], step):
+        w = words[lo : lo + step]
+        block = np.stack(_philox_block(w.T[:, :, None], counters), axis=-1)
+        out[lo : lo + step] = _uniforms(block.reshape(w.shape[0], -1))
     return out[:, :n]
 
 
-def first_uniforms(keys) -> np.ndarray:
-    """(R,) float64: ``Generator(Philox(key=k)).random()``, bit for bit, for each row k of the (R, 2) uint64 keys."""
-    return philox_uniforms(keys, 1)[:, 0]
-
-
-def _fresh_generator(key: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key))
+def first_uniforms(words) -> np.ndarray:
+    """(R,) float64: the first uniform of the stream of each row of the (R, 4) uint64 words."""
+    return philox_uniforms(words, 1)[:, 0]
 
 
 class KeyedGenerators:
-    """Generators handed out reset to a Philox key; one generator per slot, reused.
+    """Generators handed out reset to a stream; one generator per slot, reused.
 
     The scan ``coalescence_times`` draws its normals through it; streams
     read for uniforms only take ``philox_uniforms`` instead.
 
-    Slots are numbered from 0 and first used in that order.  A reset sets
-    counter 0, the key, an empty buffer (``buffer_pos`` 4) and no cached
-    32-bit half (``has_uint32`` 0), which is the state a fresh seeding gives,
-    so no draw of a slot's previous key leaks into the next.  A key is two
-    64-bit words, such as a row of ``philox_keys``; it is made a uint64
-    array first, since ``Philox(key=...)`` reads a list of ints through
-    float64 and would round words of 2^53 or more on a fresh slot.
+    Slots are numbered from 0 and first used in that order.  A reset takes
+    a stream's words (seed, replica, point, code), such as a row of
+    ``stream_words``, and gives numpy's own ``Philox(key=[seed, 0],
+    counter=[0, replica, point, code])``: that key and counter, an empty
+    buffer (``buffer_pos`` 4) and no cached 32-bit half (``has_uint32`` 0),
+    so no draw of a slot's previous stream leaks into the next.  Key and
+    counter are uint64 arrays, since ``Philox`` reads a list of ints through
+    float64 and would round words of 2^53 or more.
     """
 
     def __init__(self):
         self._slots: list[np.random.Generator] = []
-        zeros = [0, 0, 0, 0]
-        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None}, "buffer": zeros,
-                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._key, self._counter = np.zeros(2, dtype=np.uint64), np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def reset(self, slot: int, key) -> np.random.Generator:
-        key = np.asarray(key, dtype=np.uint64)
+    def reset(self, slot: int, words) -> np.random.Generator:
+        self._key[0], self._counter[1:] = words[0], words[1:]
         if slot == len(self._slots):
-            self._slots.append(_fresh_generator(key))
-            return self._slots[slot]
-        gen = self._slots[slot]
-        self._state["state"]["key"] = key
-        gen.bit_generator.state = self._state
-        return gen
+            self._slots.append(np.random.Generator(np.random.Philox(key=self._key, counter=self._counter)))
+        else:
+            self._slots[slot].bit_generator.state = self._state
+        return self._slots[slot]
 
 
 def _grid_steps(t: float, step: float) -> int:
@@ -415,11 +344,11 @@ def sample_poisson_jumps(key: StreamKey, rate: float, horizon: float) -> np.ndar
     _validate_rate_horizon(rate, horizon)
     if horizon == 0.0:
         return np.empty(0)
-    k0, k1 = key._philox_key(_uint32_words(int(key.replica_id)), _DOMAIN_POISSON)
+    stream = key.words(_DOMAIN_POISSON)
     blocks = _arrival_block(rate, horizon, 1.0) // 4
     passes, total, first = [], np.zeros(1), 1
     while total[0] <= horizon:
-        words = np.array([w for c in range(first, first + blocks) for w in _philox_block(k0, k1, c)], dtype=np.uint64)
+        words = np.array([w for c in range(first, first + blocks) for w in _philox_block(stream, c)], dtype=np.uint64)
         sums = _arrival_sums(_uniforms(words)[None, :], rate, total)
         passes.append(sums[0])
         total, first = sums[:, -1], first + blocks
@@ -456,11 +385,11 @@ def replica_poisson_jumps(key: StreamKey, n: int, rate: float, horizon: float) -
     view would be copied again by each search of its jumps.
     """
     _validate_rate_horizon(rate, horizon)
-    keys = philox_keys(key, np.arange(n), _DOMAIN_POISSON)
+    words = stream_words(key, np.arange(n), _DOMAIN_POISSON)
     block = _arrival_block(rate, horizon, 3.0)
     parts, rows, total = [], np.arange(n), np.zeros(n)
     while rows.size:
-        sums = _arrival_sums(philox_uniforms(keys[rows], block, 1 + len(parts) * block // 4), rate, total)
+        sums = _arrival_sums(philox_uniforms(words[rows], block, 1 + len(parts) * block // 4), rate, total)
         parts.append((rows, sums))
         live = sums[:, -1] <= horizon
         rows, total = rows[live], sums[live, -1]

@@ -12,10 +12,10 @@
   engine.  When every leaf holds at most two classes, a leaf's pair merges
   at the exit time of its gap from (0, 2 pi), drawn with no grid from one
   uniform per replica (``_gap_exit_times``), so dt does not enter it; those
-  uniforms are Philox rounds over an array of keys, not generator draws.
+  uniforms are Philox rounds over an array of streams, not generator draws.
   Otherwise the scan ``coalescence_times`` finds every merge on the dt
   grid: one replica at a time, it draws the paths in blocks from pooled
-  generators reset to keys hashed in one pass, finds each block's pair
+  generators reset to each replica's streams, finds each block's pair
   meetings in one array pass and stops once every leaf is one class; a
   point alone on its leaf draws nothing.  ``evolve_coalescing_circle`` is the
   scan's one-key case, whatever the starts, so the paths it draws agree
@@ -60,7 +60,7 @@ from .drivers import (
     _n_steps,
     _validate_horizon_dt,
     first_uniforms,
-    philox_keys,
+    stream_words,
     sample_brownian,
     sample_jump_driver,
 )
@@ -639,7 +639,7 @@ def coalescence_times(
         return CoalescenceBatch(pairs, hit_times, 0, 0, 0)
     drawers = sorted({i for pq in live0 for i in pq})
     keys = np.stack(
-        [philox_keys(key.point(i).with_role(ROLE_INDEPENDENT), replica_ids, _DOMAIN_BROWNIAN) for i in drawers],
+        [stream_words(key.point(i).with_role(ROLE_INDEPENDENT), replica_ids, _DOMAIN_BROWNIAN) for i in drawers],
         axis=1,
     )
     sd = math.sqrt(dt)
@@ -691,7 +691,7 @@ def coalescence_batch(
     variance 2 sigma^2 per unit time, first leaves (0, 2 pi), and that time
     is drawn with no grid: the first uniform of the stream keyed by (replica,
     the pair's lower point, independent role) in the exit domain, computed
-    for a chunk of keys at once by ``first_uniforms`` with no generator and no
+    for a chunk of streams at once by ``first_uniforms`` with no generator and no
     ``numpy.random``, and inverted through the gap's exit-time CDF
     (``_gap_exit_times``).  Hit times past the
     horizon are inf, and dt is validated but not used.  Otherwise a leaf
@@ -709,7 +709,7 @@ def coalescence_batch(
         stream = key.point(a).with_role(ROLE_INDEPENDENT)
         column = hit_times[:, pairs.index((a, b))]
         for lo in range(0, replica_ids.size, _EXIT_CHUNK):
-            u = first_uniforms(philox_keys(stream, replica_ids[lo : lo + _EXIT_CHUNK], _DOMAIN_EXIT))
+            u = first_uniforms(stream_words(stream, replica_ids[lo : lo + _EXIT_CHUNK], _DOMAIN_EXIT))
             column[lo : lo + u.size] = _gap_exit_times(u, gap, 2.0 * sig * sig)
         column[column > horizon] = np.inf
         merges += int(np.isfinite(column).sum())

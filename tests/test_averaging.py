@@ -654,16 +654,18 @@ def test_replica_clocks_rows_are_each_replicas_poisson_jumps(rate):
     ],
 )
 def test_replica_clocks_redraw_a_row_that_runs_past_its_first_block(monkeypatch, rate, horizons, h):
-    # replica 0 of seed 101770 has 8 or 9 arrivals at h, so with passes of
-    # one Philox block (4 gaps), which change no bit, its arrivals run past
-    # the first pass; the run's clock at h still holds that replica's jumps
+    # the replica of seed 101770 with the most arrivals at h among the
+    # three (8 or 10), with passes of one Philox block (4 gaps), which
+    # change no bit, runs past the first pass; the run's clock at h still
+    # holds that replica's jumps
     key, theta0 = StreamKey(101770), 0.3
     monkeypatch.setattr(drivers, "_arrival_block", lambda *args: 4)
-    u = key.generator(_DOMAIN_POISSON).random(drivers._arrival_block(rate, h, 3.0))
+    rows = [sample_poisson_jumps(key.replica(i), rate, h) for i in range(3)]
+    longest = max(range(3), key=lambda i: rows[i].size)
+    u = key.replica(longest).generator(_DOMAIN_POISSON).random(drivers._arrival_block(rate, h, 3.0))
     block = -np.log1p(-u) / rate
     assert np.cumsum(block)[-1] <= h
-    rows = [sample_poisson_jumps(key.replica(i), rate, h) for i in range(3)]
-    assert rows[0].size > block.size
+    assert rows[longest].size > block.size
     clocks = dict(zip(horizons, _replica_clocks(key, 3, theta0, horizons, True, rate)))
     _assert_rows_are(clocks[h], theta0, h, rows)
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from foliated_flows import flows
-from foliated_flows.drivers import KeyedGenerators, StreamKey, philox_keys, sample_brownian
+from foliated_flows.drivers import KeyedGenerators, StreamKey, sample_brownian, stream_words
 from foliated_flows.config import load_config
 from foliated_flows.flows import _DRAW_BLOCK, coalescence_batch, coalescence_times, evolve_coalescing_circle
 from foliated_flows.geometry import CylPoint
@@ -164,7 +164,8 @@ def test_merge_scan_applies_same_step_meetings_in_order():
 def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
     # each block reaches the meeting scan as a (drawing points, steps)
     # array, the drawing points being 0 and 1, which share a leaf; scan
-    # number k is the block from step k * _DRAW_BLOCK
+    # number k is the block from step k * _DRAW_BLOCK, here 64 steps, so
+    # that each replica, the earliest merging at step 219, scans 2 or more
     scans = []
     original = flows._meetings
 
@@ -173,6 +174,7 @@ def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
         return original(theta, a, b, delta_c)
 
     monkeypatch.setattr(flows, "_meetings", recording)
+    monkeypatch.setattr(flows, "_DRAW_BLOCK", 64)
     starts = [CylPoint(0.3, 1.0, 0.0), CylPoint(2.0, 1.0, 0.0), CylPoint(0.0, 2.0, 0.0)]
     horizon, dt, sigma = 30.0, 0.01, 0.3
     for rep in range(5):
@@ -181,7 +183,7 @@ def test_scanned_blocks_are_the_full_path_bits(monkeypatch):
         coalescence_times(starts, key, horizon, dt, sigma=sigma)
         assert len(scans) >= 2
         for block, (theta, a, b) in enumerate(scans):
-            k0 = block * _DRAW_BLOCK
+            k0 = block * flows._DRAW_BLOCK
             assert theta.shape[0] == 2
             for i in set(a) | set(b):
                 path = sample_brownian(key.point(i).with_role("independent"), horizon, dt)
@@ -198,7 +200,7 @@ def test_identical_starts_hit_at_zero():
 
 def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypatch):
     # each drawing point's generator comes from one reset of the pool, which
-    # names the point by its Philox key
+    # names the point by its stream words
     opened: dict[int, int] = {}
     original = KeyedGenerators.reset
 
@@ -211,17 +213,17 @@ def test_lone_leaf_point_opens_no_stream_and_drawing_stops_at_the_merge(monkeypa
             opened[self.point_id] += out.size
             return out
 
-    def reset(pool, slot, philox_key):
-        point_id = point_of[tuple(philox_key)]
+    def reset(pool, slot, words):
+        point_id = point_of[tuple(words)]
         opened[point_id] = 0
-        return Counting(original(pool, slot, philox_key), point_id)
+        return Counting(original(pool, slot, words), point_id)
 
     horizon, dt = 50.0, 0.01
     n_steps = 5000
     for rep in range(30):
         key = StreamKey(SEED, rep)
         point_of = {
-            tuple(philox_keys(key.point(i).with_role("independent"), [rep], 0)[0]): i
+            tuple(stream_words(key.point(i).with_role("independent"), [rep], 0)[0]): i
             for i in range(len(CIRCLE_STARTS))
         }
         ref, _ = _reference(CIRCLE_STARTS, key, horizon, dt, 1.0)
@@ -515,13 +517,19 @@ def test_exact_hit_time_of_a_replica_is_the_same_in_any_batch():
     assert 0 < finite[:, 0].sum() < ids.size and 0 < finite[:, 5].sum() < ids.size
 
 
+def _numpy_philox(words):
+    seed, replica, point, code = words
+    key, counter = np.array([seed, 0], dtype=np.uint64), np.array([0, replica, point, code], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 def test_exact_hit_times_invert_each_streams_first_random():
-    # the uniform of replica r is Generator(Philox(key)).random() on its exit-domain key
+    # the uniform of replica r is the first random() of numpy's Philox at its exit stream's key and counter
     starts = CIRCLE_STARTS
     ids = np.arange(40) + 2**32 - 20
     batch = _exact(starts, 50.0, 1.0, ids)
-    keys = philox_keys(StreamKey(SEED).with_role("independent"), ids, flows._DOMAIN_EXIT)
-    u = np.array([np.random.Generator(np.random.Philox(key=k)).random() for k in keys])
+    keys = stream_words(StreamKey(SEED).with_role("independent"), ids, flows._DOMAIN_EXIT)
+    u = np.array([_numpy_philox(k).random() for k in keys])
     expected = flows._gap_exit_times(u, math.pi, 2.0)
     expected[expected > 50.0] = np.inf
     assert batch.hit_times[:, 0].tobytes() == expected.tobytes()

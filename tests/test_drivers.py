@@ -18,12 +18,12 @@ from foliated_flows.drivers import (
     _philox_block,
     _uniforms,
     first_uniforms,
-    philox_keys,
     philox_uniforms,
     replica_poisson_jumps,
     sample_brownian,
     sample_jump_driver,
     sample_poisson_jumps,
+    stream_words,
 )
 
 SEED = 20250811
@@ -210,43 +210,61 @@ def test_poisson_jumps_sorted_property(seed, horizon, rate):
     assert jumps.size == 0 or jumps[-1] <= horizon
 
 
-def _seed_sequence_key(seed, replica, point, role, domain):
-    spawn_key = (replica, point, {"common": 0, "independent": 1}[role], domain)
-    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+_ROLES = ("common", "independent")
+_DOMAINS = (_DOMAIN_BROWNIAN, _DOMAIN_POISSON, _DOMAIN_EXIT)
+# 0, both sides of 32 bits, the first odd integer float64 rounds, the top word
+_EDGE_IDS = (0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**64 - 1)
 
 
-def test_philox_keys_equal_the_seed_sequence_hash():
-    rng = np.random.default_rng(7)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [int(s) for s in rng.integers(0, 2**63, 3)]
-    replicas = np.array([0, 2**32 - 1, 2**32, 2**40, 5, 2**32 + 1], dtype=np.uint64)
-    replicas = np.concatenate((replicas, rng.integers(0, 2**50, 4).astype(np.uint64)))
-    for seed in seeds:
-        for role in ("common", "independent"):
-            for domain in (_DOMAIN_BROWNIAN, _DOMAIN_POISSON):
-                point = int(rng.integers(0, 9))
-                keys = philox_keys(StreamKey(seed, 99, point, role), replicas, domain)
-                assert keys.shape == (replicas.size, 2) and keys.dtype == np.uint64
-                for r, key in zip(replicas, keys):
-                    expected = _seed_sequence_key(seed, int(r), point, role, domain)
-                    assert key.tobytes() == expected.tobytes()
-                r = int(replicas[3])
-                state = StreamKey(seed, r, point, role).generator(domain).bit_generator.state
-                assert state["state"]["key"].tobytes() == keys[3].tobytes()
+def _numpy_philox(words):
+    # numpy's own Philox at the stream's key (seed, 0) and counter (0, replica, point, code)
+    seed, replica, point, code = (int(w) for w in words)
+    key, counter = np.array([seed, 0], dtype=np.uint64), np.array([0, replica, point, code], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def test_generator_draws_equal_a_seed_sequence_seeded_philox():
-    for key in (StreamKey(SEED, 2**33, 4, "independent"), StreamKey(2**64 - 1)):
-        spawn_key = (key.replica_id, key.point_id, {"common": 0, "independent": 1}[key.role], 1)
-        seq = np.random.SeedSequence(key.experiment_seed, spawn_key=spawn_key)
-        fresh = np.random.Generator(np.random.Philox(seq))
-        assert key.generator(1).exponential(size=50).tobytes() == fresh.exponential(size=50).tobytes()
+def test_stream_words_are_the_seed_the_ids_and_the_role_and_domain_code():
+    replicas = np.array(_EDGE_IDS, dtype=np.uint64)
+    for seed in _EDGE_IDS:
+        for role, role_code in zip(_ROLES, (0, 1)):
+            for domain in _DOMAINS:
+                words = stream_words(StreamKey(seed, 99, 2**53 + 1, role), replicas, domain)
+                assert words.shape == (replicas.size, 4) and words.dtype == np.uint64
+                assert words.tolist() == [[seed, r, 2**53 + 1, role_code << 32 | domain] for r in _EDGE_IDS]
+                state = StreamKey(seed, 2**32, 2**53 + 1, role).generator(domain).bit_generator.state["state"]
+                assert state["key"].tolist() == [seed, 0]
+                assert state["counter"].tolist() == [0, 2**32, 2**53 + 1, role_code << 32 | domain]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 5, 169])
+def test_stream_addresses_are_distinct_states_drawn_bit_for_bit(n):
+    # every (seed, replica, point, role, domain) at the edge ids is its own
+    # Philox (key, counter) state, and every path draws that state's stream
+    keys = [StreamKey(s, r, p, role) for s in _EDGE_IDS for r in _EDGE_IDS for p in _EDGE_IDS for role in _ROLES]
+    addresses = [(key, domain) for key in keys for domain in _DOMAINS]
+    states = set()
+    for key, domain in addresses:
+        state = key.generator(domain).bit_generator.state["state"]
+        states.add((tuple(state["key"].tolist()), tuple(state["counter"].tolist())))
+    assert len(states) == len(addresses)
+    words = [list(key.words(domain)) for key, domain in addresses]  # Python ints, many >= 2^53
+    expected = np.array([_numpy_philox(w).random(n) for w in words])
+    assert philox_uniforms(words, n).tobytes() == expected.tobytes()
+    pool = KeyedGenerators()
+    for (key, domain), w, row in zip(addresses, words, expected):
+        assert _one_key_uniforms(w, n).tobytes() == row.tobytes()
+        assert KeyedGenerators().reset(0, w).random(n).tobytes() == row.tobytes()  # fresh slot
+        pool.reset(0, [SEED, 1, 2, 3]).random(3)
+        assert pool.reset(0, w).random(n).tobytes() == row.tobytes()  # reused slot
+        assert key.generator(domain).random(n).tobytes() == row.tobytes()
 
 
 def test_philox_keys_reject_negative_or_fractional_ids():
     for ids in ([-1], np.array([0.5]), np.array([[1]])):
         with pytest.raises(ValueError):
-            philox_keys(StreamKey(SEED), ids, _DOMAIN_BROWNIAN)
-    assert philox_keys(StreamKey(SEED), [], _DOMAIN_BROWNIAN).shape == (0, 2)
+            stream_words(StreamKey(SEED), ids, _DOMAIN_BROWNIAN)
+    assert stream_words(StreamKey(SEED), [], _DOMAIN_BROWNIAN).shape == (0, 4)
 
 
 @pytest.mark.parametrize(
@@ -259,9 +277,9 @@ def test_philox_keys_reject_negative_or_fractional_ids():
     ],
 )
 def test_reset_draws_equal_a_fresh_generator(draw):
-    keys = philox_keys(StreamKey(SEED, role="independent"), np.arange(4), _DOMAIN_BROWNIAN)
+    keys = stream_words(StreamKey(SEED, role="independent"), np.arange(4), _DOMAIN_BROWNIAN)
     pool = KeyedGenerators()
-    for i, key in enumerate(keys[1:]):
+    for key in keys[1:]:
         # leave a partly used buffer and, after an odd number of 32-bit draws,
         # a cached half word behind
         used = pool.reset(0, keys[0])
@@ -274,92 +292,92 @@ def test_reset_draws_equal_a_fresh_generator(draw):
         assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
         reset = pool.reset(0, key)
         assert reset is used
-        fresh = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(SEED, spawn_key=(i + 1, 0, 1, _DOMAIN_BROWNIAN)))
-        )
+        fresh = _numpy_philox(key)
         assert reset.bit_generator.state["has_uint32"] == 0
         assert draw(reset).tobytes() == draw(fresh).tobytes()
 
 
 def test_a_list_key_draws_its_uint64_stream_on_a_fresh_and_a_reused_slot():
     # Philox(key=[...]) reads Python ints through float64, which rounds
-    # 12345678901234567890 to 12345678901234567168; the pool makes the list
-    # a uint64 array first, as the state setter of a reused slot keeps it
-    words = [12345678901234567890, 987654321987654321]
+    # 12345678901234567890 to 12345678901234567168; the pool sets the key
+    # and counter from uint64 arrays, as the state setter of a reused slot keeps them
+    words = [12345678901234567890, 987654321987654321, 2**53 + 1, 1 << 32 | 2]
     assert [int(w) for w in np.array(words, dtype=float)] != words
-    exact = np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64))).standard_normal(9)
+    exact = _numpy_philox(words).standard_normal(9)
     pool = KeyedGenerators()
     assert pool.reset(0, words).standard_normal(9).tobytes() == exact.tobytes()  # fresh slot
-    pool.reset(1, [1, 2]).standard_normal(3)
+    pool.reset(1, [1, 2, 3, 4]).standard_normal(3)
     assert pool.reset(1, words).standard_normal(9).tobytes() == exact.tobytes()  # reused slot
 
 
-def _first_random(keys):
-    return np.array([np.random.Generator(np.random.Philox(key=k)).random() for k in keys])
+def _first_random(words):
+    return np.array([_numpy_philox(w).random() for w in words])
 
 
 @pytest.mark.filterwarnings("error")
 def test_first_uniforms_are_a_fresh_philox_generators_first_random_bit_for_bit():
     # edge words (0, 2^64 - 1, at and past 2^53 where float64 would round),
-    # random words, and the hash's keys for ids past 32 bits; a uint64
-    # overflow warning would fail the test
+    # random words, and the streams of ids past 32 bits; a uint64 overflow
+    # warning would fail the test
     top = 2**64 - 1
-    edge = np.array([[0, 0], [top, top], [0, top], [top, 0], [2**53, 2**53 + 1], [2**63, 2**63 - 1]],
-                    dtype=np.uint64)
+    edge = np.array([[0, 0, 0, 0], [top, top, top, top], [0, top, 0, top], [top, 0, top, 0],
+                     [2**53, 2**53 + 1, 2**53, 2**53 + 1], [2**63, 2**63 - 1, 2**63, 2**63 - 1]], dtype=np.uint64)
     rng = np.random.default_rng(SEED)
-    random_keys = rng.integers(0, 2**64, size=(3000, 2), dtype=np.uint64, endpoint=False)
+    random_words = rng.integers(0, 2**64, size=(3000, 4), dtype=np.uint64, endpoint=False)
     ids = np.array([2**32, 2**32 + 1, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
-    wide = philox_keys(StreamKey(SEED, point_id=2, role="independent"), ids, _DOMAIN_EXIT)
-    for keys in (edge, random_keys, wide):
-        u = first_uniforms(keys)
-        assert u.dtype == np.float64 and u.shape == (len(keys),)
-        assert u.tobytes() == _first_random(keys).tobytes()
+    wide = stream_words(StreamKey(SEED, point_id=2, role="independent"), ids, _DOMAIN_EXIT)
+    for words in (edge, random_words, wide):
+        u = first_uniforms(words)
+        assert u.dtype == np.float64 and u.shape == (len(words),)
+        assert u.tobytes() == _first_random(words).tobytes()
     key = StreamKey(SEED, 2**33, 1, "independent")
-    assert first_uniforms(philox_keys(key, [2**33], _DOMAIN_EXIT))[0] == key.generator(_DOMAIN_EXIT).random()
+    assert first_uniforms(stream_words(key, [2**33], _DOMAIN_EXIT))[0] == key.generator(_DOMAIN_EXIT).random()
 
 
 @pytest.mark.filterwarnings("error")
 def test_first_uniforms_of_no_key_and_of_one_key():
-    assert first_uniforms(np.empty((0, 2), dtype=np.uint64)).shape == (0,)
-    assert first_uniforms(philox_keys(StreamKey(SEED), [], _DOMAIN_EXIT)).shape == (0,)
-    for key in ([[0, 0]], [[2**64 - 1, 2**64 - 1]], [[12345678901234567890, 987654321987654321]]):
-        u = first_uniforms(np.array(key, dtype=np.uint64))
-        assert u.shape == (1,) and u.tobytes() == _first_random(np.array(key, dtype=np.uint64)).tobytes()
+    assert first_uniforms(np.empty((0, 4), dtype=np.uint64)).shape == (0,)
+    assert first_uniforms(stream_words(StreamKey(SEED), [], _DOMAIN_EXIT)).shape == (0,)
+    top = 2**64 - 1
+    for words in ([[0, 0, 0, 0]], [[top, top, top, top]], [[12345678901234567890, 987654321987654321, 5, 2]]):
+        u = first_uniforms(np.array(words, dtype=np.uint64))
+        assert u.shape == (1,) and u.tobytes() == _first_random(words).tobytes()
 
 
-def _one_key_uniforms(key, n, first_block=1):
+def _one_key_uniforms(words, n, first_block=1):
     # the one-key path: Philox on Python ints, block by block
-    k0, k1 = (int(w) for w in key)
-    words = [w for c in range(first_block, first_block - (-n // 4)) for w in _philox_block(k0, k1, c)]
-    return _uniforms(np.array(words, dtype=np.uint64))[:n]
+    words = tuple(int(w) for w in words)
+    out = [w for c in range(first_block, first_block - (-n // 4)) for w in _philox_block(words, c)]
+    return _uniforms(np.array(out, dtype=np.uint64))[:n]
 
 
-_EDGE_KEYS = np.concatenate((
-    np.array([[0, 0], [2**64 - 1, 2**64 - 1], [2**53, 2**53 + 1]], dtype=np.uint64),
-    philox_keys(StreamKey(SEED, point_id=2), np.array([2**32, 2**40 + 3, 2**64 - 1], dtype=np.uint64), _DOMAIN_POISSON),
+_EDGE_WORDS = np.concatenate((
+    np.array([[0, 0, 0, 0], [2**64 - 1] * 4, [2**53, 2**53 + 1, 2**53, 2**53 + 1]], dtype=np.uint64),
+    stream_words(StreamKey(SEED, point_id=2), np.array([2**32, 2**40 + 3, 2**64 - 1], dtype=np.uint64),
+                 _DOMAIN_POISSON),
 ))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 169])
 def test_philox_uniforms_are_a_fresh_philox_generators_random_bit_for_bit(n):
-    # both paths, on edge words and on the keys of ids past 32 bits; a
+    # both paths, on edge words and on the streams of ids past 32 bits; a
     # later first block continues the stream as one long draw does
-    expected = np.array([np.random.Generator(np.random.Philox(key=k)).random(n + 24) for k in _EDGE_KEYS])
-    assert philox_uniforms(_EDGE_KEYS, n).tobytes() == np.ascontiguousarray(expected[:, :n]).tobytes()
-    assert philox_uniforms(_EDGE_KEYS, n, 7).tobytes() == np.ascontiguousarray(expected[:, 24:]).tobytes()
-    for k, row in zip(_EDGE_KEYS, expected):
-        assert _one_key_uniforms(k, n).tobytes() == row[:n].tobytes()
-        assert _one_key_uniforms(k, n, 7).tobytes() == row[24:].tobytes()
+    expected = np.array([_numpy_philox(w).random(n + 24) for w in _EDGE_WORDS])
+    assert philox_uniforms(_EDGE_WORDS, n).tobytes() == np.ascontiguousarray(expected[:, :n]).tobytes()
+    assert philox_uniforms(_EDGE_WORDS, n, 7).tobytes() == np.ascontiguousarray(expected[:, 24:]).tobytes()
+    for w, row in zip(_EDGE_WORDS, expected):
+        assert _one_key_uniforms(w, n).tobytes() == row[:n].tobytes()
+        assert _one_key_uniforms(w, n, 7).tobytes() == row[24:].tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 def test_philox_uniforms_run_in_passes_that_change_no_bit(monkeypatch):
-    keys = philox_keys(StreamKey(SEED), np.arange(50), _DOMAIN_POISSON)
-    whole = philox_uniforms(keys, 37)
+    words = stream_words(StreamKey(SEED), np.arange(50), _DOMAIN_POISSON)
+    whole = philox_uniforms(words, 37)
     monkeypatch.setattr(drivers, "_PHILOX_PASS", 23)  # two rows of 10 blocks per pass
-    assert philox_uniforms(keys, 37).tobytes() == whole.tobytes()
-    assert philox_uniforms(keys[:0], 37).shape == (0, 37)
+    assert philox_uniforms(words, 37).tobytes() == whole.tobytes()
+    assert philox_uniforms(words[:0], 37).shape == (0, 37)
 
 
 @pytest.mark.filterwarnings("error")
@@ -392,14 +410,6 @@ def test_replica_poisson_jumps_peak_memory_is_bounded_above_its_output():
     assert peak - 2 * rows.nbytes <= 4 * 2**20
 
 
-def test_exit_domain_is_a_fourth_spawn_word_apart_from_brownian_and_poisson():
-    key = StreamKey(SEED, 3, 1, "independent")
-    rows = [philox_keys(key, [3], domain)[0].tolist() for domain in (_DOMAIN_BROWNIAN, _DOMAIN_POISSON, _DOMAIN_EXIT)]
-    assert len({tuple(r) for r in rows}) == 3
-    seq = np.random.SeedSequence(SEED, spawn_key=(3, 1, 1, _DOMAIN_EXIT))
-    assert rows[2] == seq.generate_state(2, np.uint64).tolist()
-
-
 @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 7])
 def test_seed_outside_64_bits_is_rejected(seed):
     # these used to be masked to 64 bits, aliasing the streams of other seeds
@@ -410,27 +420,15 @@ def test_seed_outside_64_bits_is_rejected(seed):
 
 @pytest.mark.parametrize("field", ["replica_id", "point_id"])
 def test_id_outside_64_bits_is_rejected(field):
-    # philox_keys hashes at most two 32-bit words per id, so a key it cannot
-    # take is refused when made, not when a batch draws from it
+    # an id fills one 64-bit word of the Philox counter, so a key that does
+    # not fit is refused when made, not when a batch draws from it
     for bad in (-1, 2**64, 2**64 + 3):
         with pytest.raises(ValueError):
             StreamKey(SEED, **{field: bad})
     key = StreamKey(SEED, **{field: 2**64 - 1})
-    expected = np.random.SeedSequence(
-        SEED, spawn_key=(key.replica_id, key.point_id, 0, _DOMAIN_BROWNIAN)
-    ).generate_state(2, np.uint64)
-    assert key.generator(_DOMAIN_BROWNIAN).bit_generator.state["state"]["key"].tolist() == expected.tolist()
-    assert philox_keys(key, [key.replica_id], _DOMAIN_BROWNIAN)[0].tolist() == expected.tolist()
-
-
-@pytest.mark.parametrize("scale", [1.0, 0.5, 1.0 / 0.7, 1.0 / 3.0, 2.5, 1e-3])
-def test_exponential_is_scale_times_standard_exponential(scale):
-    # replica_poisson_jumps fills standard exponentials in place and scales them once
-    drawn = StreamKey(SEED, 3).generator(_DOMAIN_POISSON).exponential(scale, size=5000)
-    filled = np.empty(5000)
-    StreamKey(SEED, 3).generator(_DOMAIN_POISSON).standard_exponential(out=filled)
-    filled *= scale
-    assert drawn.tobytes() == filled.tobytes()
+    counter = [0, key.replica_id, key.point_id, _DOMAIN_BROWNIAN]
+    assert key.generator(_DOMAIN_BROWNIAN).bit_generator.state["state"]["counter"].tolist() == counter
+    assert stream_words(key, [key.replica_id], _DOMAIN_BROWNIAN)[0].tolist() == [SEED] + counter[1:]
 
 
 def _assert_rows_are_each_replicas_jumps(rows, key, rate, horizon):
@@ -449,7 +447,7 @@ def test_first_block_arrivals_rows_start_each_replicas_poisson_jumps(rate, horiz
     _assert_rows_are_each_replicas_jumps(replica_poisson_jumps(key, 300, rate, horizon), key, rate, horizon)
 
 
-# replica 0 of seed 101770 has 8 or 9 arrivals at these horizons, so with
+# replica 1 of seed 101770 has 8 or 10 arrivals at these horizons, so with
 # passes of one Philox block (4 gaps) its arrivals run past the first pass
 _LONG_ROWS = [(1.0, 3.9), (2.0, 1.95), (1.0, 4.9), (2.0, 2.0)]
 
@@ -470,10 +468,11 @@ def test_replica_poisson_jumps_completes_a_row_past_its_first_block(monkeypatch,
     key = StreamKey(101770)
     default = replica_poisson_jumps(key, 3, rate, horizon)
     _one_block_passes(monkeypatch)
-    block = _gaps(key, rate, drivers._arrival_block(rate, horizon, 3.0))
-    assert np.cumsum(block)[-1] <= horizon
     rows = replica_poisson_jumps(key, 3, rate, horizon)
-    assert np.count_nonzero(rows[0] <= horizon) > block.size
+    longest = int(np.argmax(np.count_nonzero(rows <= horizon, axis=1)))
+    block = _gaps(key.replica(longest), rate, drivers._arrival_block(rate, horizon, 3.0))
+    assert np.cumsum(block)[-1] <= horizon
+    assert np.count_nonzero(rows[longest] <= horizon) > block.size
     _assert_rows_are_each_replicas_jumps(rows, key, rate, horizon)
     assert rows.tobytes() == default.tobytes()
 
@@ -493,9 +492,9 @@ def test_replica_poisson_jumps_of_no_time_or_no_replicas_are_empty():
     h=st.floats(0.0, 30.0),
     longer=st.floats(0.0, 200.0),
 )
-@example(seed=101770, replica=0, rate=1.0, h=3.9, longer=16.1)
-@example(seed=101770, replica=0, rate=2.0, h=1.95, longer=8.05)
-@example(seed=101770, replica=0, rate=1.0, h=3.9, longer=0.0)
+@example(seed=101770, replica=1, rate=1.0, h=3.9, longer=16.1)
+@example(seed=101770, replica=1, rate=2.0, h=1.95, longer=8.05)
+@example(seed=101770, replica=1, rate=1.0, h=3.9, longer=0.0)
 def test_jumps_at_a_horizon_are_the_part_below_it_of_any_longer_draw(seed, replica, rate, h, longer):
     # a stream is one running sum of its gaps, whatever pass each horizon's
     # draw takes: at h the passes are one Philox block, so a stream of 4 or

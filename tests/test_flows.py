@@ -310,13 +310,13 @@ def test_manifold_exit_times_match_a_dense_grid():
 # sha256 of manifold_exit_times' output on 200 replicas' clocks drawn to twice
 # the horizon, computed while every exiting row was searched on its own:
 # field, r0 and the number of rows that exit (the two cos rows re-pinned when
-# the jump gaps became inverted Philox uniforms, and checked against a search
-# of each row on its own)
+# the streams became addresses in the Philox counter, and checked against a
+# search of each row on its own)
 _EXIT_SHA256 = {
-    "cos, |lambda0| < 1": (PerturbationField(lambda0=-0.4, k3="zero", angular="cosine"), 1.1, 116,
-                           "6150a0b6a31dbac62b6058fe445dd0944df463d89589d21e1c2d6b7d12a034af"),
+    "cos, |lambda0| < 1": (PerturbationField(lambda0=-0.4, k3="zero", angular="cosine"), 1.1, 130,
+                           "a79b85e27be8a813d3758e06ee6583025b8b54638abb6342e5acce1af91f8724"),
     "cos, lambda0 <= -1": (PerturbationField(lambda0=-1.0, k3="zero", angular="cosine"), 2.6, 142,
-                           "8ecd8c147d1f19e93034b0ed6f9c39a910f8274c26a2ddba11852ceb93ef67ee"),
+                           "ccafa1e6e020d1468657abb63913aebd4156ab9b77abb143681f0e3a8d65d83c"),
     "no cos, lambda0 < 0": (PerturbationField(lambda0=-0.3, k3="zero", angular="none"), 0.5, 200,
                             "9afd941f6218cef290d8a96aa7dfce234e59f71ef1c05a7ab6202243e49be55a"),
     "cos, lambda0 >= 1": (PerturbationField(lambda0=1.0, k3="zero", angular="cosine"), 0.05, 0,

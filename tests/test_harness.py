@@ -302,7 +302,8 @@ def test_simulate_perturbed_cylinder_repeated_start_shares_class(tmp_path):
 # the harness still ran the coalescing circle through evolve_coalescing_circle
 # itself and cylinder_trajectory still built the eps = 0 path by hand.  The two
 # cylinder runs, which draw jump clocks, were re-pinned when the jump gaps
-# became inverted Philox uniforms.
+# became inverted Philox uniforms, and every noise-driven file when
+# the streams became addresses in the Philox counter.
 _SIMULATE_RUNS = {
     "coalescing-circle": {
         "model": {"name": "coalescing-circle", "sigma": 0.7},
@@ -329,23 +330,23 @@ _SIMULATE_RUNS = {
 _SIMULATE_SHA256 = {
     "coalescing-circle": {
         "payload": "f8820821913160489ae502de020c077e14769668b79a098c497679af1e1f7e6e",
-        "trajectory.csv": "7958e5527e2376f415a6ab6a7c0831c211d9a26cd23a04697038023dc248ac15",
+        "trajectory.csv": "33f798afd15f47029bdd809496b75ea917b20dd1900eaea8e994b139580dbf6a",
         "leaf_defects.csv": "32b7c0a48674cc8900ade7a02a71e2ade22f0ebb661a2bac603e64bb479c3697",
     },
     "cylinder-eps0": {
         "payload": "bf2784a51dc50180d9ce5ac530b47c20bdb008677db4d5a279c9388f36dbc2aa",
-        "trajectory.csv": "7606df907f1b40b597be234efe02499d834475d07cc22790be67def263490a5f",
+        "trajectory.csv": "11a45fa4e62b66f9192217e758ff526f59265e63739cb070355db4c2c9af24dd",
         "leaf_defects.csv": "06f649bffb265cd99289a1bace665a3b169d1fea6a1e207ec5cb568b91726c3e",
     },
     "perturbed-cylinder": {
-        "payload": "ecbb3f00bea3e8b72356ccc26ae58aee5c9eb463cfbfc6161e13a87d95b0e1bf",
-        "trajectory.csv": "9b2d394c62dec9814df6bb2cbfefa86a4a7d7e24059d681e4448681bd26ebf1b",
-        "leaf_defects.csv": "955b0e1ec2fa2119a7475ae19d44d5e8a569b5b502940fb8d60ef79f15882dfc",
+        "payload": "9c5f339b01800cbf7c15139506e6ac41dd1479372718a6dd1d440a41e98e679e",
+        "trajectory.csv": "b995e36e80c673b7d980e59d4ded79e7dacdef5d8d04c2b7a6f67c58d57f159e",
+        "leaf_defects.csv": "91d474ac2adea3fd8dc6e7086f3eba796df586c2951aae7fefb89e01b0c0aa1d",
     },
     "torus-v": {
-        "payload": "4b0545514bc9d615eca7a08c9db486b283c907c69ff5141e947ccbde2b9d04f2",
-        "trajectory.csv": "2b0171f3cd0027849388cd72b40b2fcb4f9885f1fb5b7d697b2764670f669d16",
-        "leaf_defects.csv": "ce2f4fc47353e281558aa100caee4da96c9e3ac3e16f042739a2a3d6da3d7403",
+        "payload": "d95d2af3e945c6faa9511aa4108135ad68c34f11ba4be246cd3dd47a9f840a94",
+        "trajectory.csv": "c08dd9ee55f1efa520144df26287024f5b17750eb23a96fab2f16c8c7342f349",
+        "leaf_defects.csv": "6115cd4c6d7e4eb3b50f73c48b2591992a49f6d84bd00fce879df89396ec3daf",
     },
 }
 
@@ -639,7 +640,7 @@ def _without_averaged_ode(payload: dict) -> dict:
 
 # the same payloads under schema v2, less what follows from v(t)
 _AVERAGING_V2 = {
-    "rates-cosine": "a166f187159a2d26ffc747d2c7112d086d62499500fba7822eb6132ccedb5149",
+    "rates-cosine": "63c908e0529ce4834ac27258297e4593bcbc6b0e493d5cff5a3490b8f361c188",
     "average-commuting": "524576b12f83a618cf83f7e5acaedb83391a3f16330f2c3349ced617cf710c89",
 }
 
@@ -647,7 +648,7 @@ _AVERAGING_V2 = {
 @pytest.mark.parametrize(
     "name, replicas, sha256",
     [
-        ("rates-cosine", 200, "a9bc8ac664bd4c1bacbeaf1f9754873dfa5390d9f250e23c28d3568b782e07f1"),
+        ("rates-cosine", 200, "3a896d4d42d29265c63da1736278e0bb3b1376161a779bc763463829595993c8"),
         ("average-commuting", 40, "ffab0ed36b0652befdba0d564799f426042cad2f882d615df9731903415232f9"),
     ],
 )
@@ -655,7 +656,8 @@ def test_averaging_payload_equals_per_replica_reference(name, replicas, sha256):
     # sha256 of the v1 payload, less what follows from v(t), that the
     # per-replica implementation (a record grid, one decomposition per replica
     # and an RK4 averaged ODE) gave on this config; rates-cosine's were
-    # re-pinned when the jump gaps became inverted Philox uniforms
+    # re-pinned when the jump gaps became inverted Philox uniforms and when
+    # the streams became addresses in the Philox counter
     cfg = load_config(CONFIGS / f"{name}.yaml")
     cfg = dataclasses.replace(cfg, averaging=dataclasses.replace(cfg.averaging, replicas=replicas))
     report = run(cfg, write_artifacts=False)
@@ -667,7 +669,8 @@ def test_empirical_averaging_payload_is_pinned():
     # sha256 of the whole v1 payload (errors, v_final and the measured
     # Lipschitz constant included) of an empirical-measure rates run where k3
     # moves z, as the code gave before the averaged field became one float,
-    # re-pinned when the jump gaps became inverted Philox uniforms
+    # re-pinned when the jump gaps became inverted Philox uniforms and when
+    # the streams became addresses in the Philox counter
     cfg = load_config(CONFIGS / "rates-cosine.yaml")
     cfg = dataclasses.replace(
         cfg, output_dir="",
@@ -679,31 +682,33 @@ def test_empirical_averaging_payload_is_pinned():
     )
     report = run(cfg, write_artifacts=False)
     assert _sha256_json(_v1_payload(report)) == (
-        "497e68f61151e263c1bb362b3541382cd6d3ccccd870d6d0521f10b09cbf88e9"
+        "6b5021fa1c809faf2fa6e98bf8248e4bc58575963a67678e574a61da2af73219"
     )
     assert _sha256_json(report.payload()) == (
-        "3ff704cdf29a072f3134ffee36aa0d5e9211dd5ae21299e20b91459663af7961"
+        "0b001d203c63d4163cebef123a8185a31c72fb6547fee163ef3161130f19edb7"
     )
 
 
 def test_average_exits_payload_is_pinned():
     # sha256 of the payload computed while every exiting replica's exit was
     # searched on its own, re-pinned when the jump gaps became inverted
-    # Philox uniforms; about 38 % of the replicas leave the manifold
+    # Philox uniforms and when the streams became addresses in the Philox counter;
+    # about 37 % of the replicas leave the manifold
     report = run(load_config(CONFIGS / "average-exits.yaml"), write_artifacts=False)
-    assert [row["n_exited"] for row in report.results["per_eps"]] == [379, 405, 370]
+    assert [row["n_exited"] for row in report.results["per_eps"]] == [380, 376, 341]
     assert _sha256_json(report.payload()) == (
-        "09e3caf51dfa3c4942a5dacf80e75008643708818fde2e3d5f85dc9aa47cd755"
+        "5245246376eb631da33bab1e1f60ea5bace3afc0f328f10aeee0b1725a63f63a"
     )
 
 
 # the payload sha256 of each averaging sample config at a replica count,
 # computed before averaging runs reported their diagnostics (the two with a
-# cos term re-pinned when the jump gaps became inverted Philox uniforms)
+# cos term re-pinned when the jump gaps became inverted Philox uniforms and
+# when the streams became addresses in the Philox counter)
 _AVERAGING_PAYLOAD_SHA256 = {
-    "rates-cosine": (200, "a3ba2141c2299b5f8c1396147e22f8868cd55bb0298e77d820f1e082365ea43e"),
+    "rates-cosine": (200, "cf2e91555bfb62a52306bf8b6931fc996bd75fbb833f1569d555281d087cbeec"),
     "average-commuting": (40, "0ab8e1e7ecaafe2fd52e3b2675c6d453cadcec40630b2f27f295919c191a742b"),
-    "average-exits": (1000, "09e3caf51dfa3c4942a5dacf80e75008643708818fde2e3d5f85dc9aa47cd755"),
+    "average-exits": (1000, "5245246376eb631da33bab1e1f60ea5bace3afc0f328f10aeee0b1725a63f63a"),
 }
 
 
@@ -1040,15 +1045,16 @@ _SCAN_STARTS = [{"theta": 0.0, "r": 1.0, "z": 0.0}, {"theta": 2.0, "r": 1.0, "z"
 def test_coalesce_payload_equals_per_replica_reference():
     # sha256 of the v1 and v2 payloads of the sample config with these starts
     # at 2000 replicas, as the scan gave them when harness called
-    # coalescence_times directly, whose rows were then one call per replica's
+    # coalescence_times directly, whose rows were then one call per replica's;
+    # re-pinned when the streams became addresses in the Philox counter
     cfg = load_config(CONFIGS / "coalesce-circle.yaml")
     co = dataclasses.replace(cfg.coalesce, replicas=2000, starts=tuple(_SCAN_STARTS))
     report = run(dataclasses.replace(cfg, coalesce=co), write_artifacts=False)
     assert _sha256_json(_v1_payload(report)) == (
-        "ae27ced39e33a53d201cf12b60b5c4a9e50435f902a1553fa65dfc44f67d4642"
+        "8fe6f03ec406551ed9f975e840f174520ce7885cd4b65a52693ec1d4f3ab9b9a"
     )
     assert _sha256_json(report.payload()) == (
-        "5e4bf21951e9f9bd66ba6504ddcdb1d506bacebc44c34c298e18ff39e72f44a6"
+        "8488a3f834724415b33fd30b1e9baba1cdb55567de3392ce8b668f6f8f49be69"
     )
     points = [CylPoint.from_angle(**s) for s in _SCAN_STARTS]
     replicas = np.arange(0, 2000, 97)
@@ -1096,7 +1102,9 @@ def test_coalesce_diagnostics_count_the_draws_outside_the_payload(tmp_path, caps
     report = run(parse_config(data), write_artifacts=False)
     points = [CylPoint.from_angle(**s) for s in _SCAN_STARTS]
     expected_normals, merged = _scan_recount(points, 15.0, 0.01, 0.5, 30)
-    assert (expected_normals, merged) == (112_672, 40)  # as the scan counted them before the exact path
+    # as the scan counted them before the exact path, re-pinned when the
+    # streams became addresses in the Philox counter
+    assert (expected_normals, merged) == (110_588, 41)
     assert report.diagnostics == {
         "streams_opened": 90, "normals_drawn": expected_normals, "uniforms_drawn": 0, "merges": merged,
     }
@@ -1165,7 +1173,8 @@ def test_coalesce_exact_path_counts_one_uniform_per_pair_and_replica(tmp_path, c
 def test_coalesce_config_with_three_classes_on_a_leaf_keeps_the_scan_bit_for_bit():
     # one leaf holds three classes (points 0 and 1 start equal), so every
     # leaf runs the scan, the pair alone on the second leaf too: the payload
-    # sha256 and the diagnostics are those the scan gave before the exact path
+    # sha256 and the diagnostics are those the scan gave before the exact
+    # path, re-pinned when the streams became addresses in the Philox counter
     starts = [{"theta": 0.5, "r": 1.0, "z": 0.0}, {"theta": 0.5, "r": 1.0, "z": 0.0},
               {"theta": 2.5, "r": 1.0, "z": 0.0}, {"theta": 4.5, "r": 1.0, "z": 0.0},
               {"theta": 1.0, "r": 2.0, "z": 0.0}, {"theta": 4.0, "r": 2.0, "z": 0.0}]
@@ -1175,9 +1184,9 @@ def test_coalesce_config_with_three_classes_on_a_leaf_keeps_the_scan_bit_for_bit
         "coalesce": {"horizon": 20.0, "dt": 0.01, "replicas": 300, "starts": starts, "curve_points": 50},
     }
     report = run(parse_config(data), write_artifacts=False)
-    assert _sha256_json(report.payload()) == "0183dcf823f4341ae9ff54154a9c2bf9400871ce0cfd6862dd15eb2c9deaa7d1"
+    assert _sha256_json(report.payload()) == "a45128dfc044c4ca7cd80f5df352519adbf0a6cf6848fb626a1e3f84ec6b7242"
     assert report.diagnostics == {
-        "streams_opened": 1500, "normals_drawn": 838_656, "uniforms_drawn": 0, "merges": 900,
+        "streams_opened": 1500, "normals_drawn": 846_752, "uniforms_drawn": 0, "merges": 900,
     }
 
 
@@ -1245,13 +1254,14 @@ _ARTIFACT_SIZES = {
     "kernel-check": (None, None),
 }
 _ARTIFACT_SHA256 = {
-    # re-pinned when the jump gaps became inverted Philox uniforms
+    # re-pinned when the jump gaps became inverted Philox uniforms, and this
+    # one, coalesce-circle and simulate-torus when the streams became addresses in the Philox counter
     "rates-cosine": {
-        "decomposition.csv": "b20a5dbe37a0114adb445c0ac9a90624f126cbbb7a33e9b48125eac88c9a557c",
-        "rate_report.json": "07ef51280df91d2908239690eb8c879ce608df4dfecf48b7cb57c0a31f99b317",
-        "rates_bounds.csv": "3eadae9e949ef21af7b697ee6068c9fe34b8fef02729fd5ce4d34cc32c9e84a0",
-        "rates_error.csv": "66f414a2120252bcbd378989b0a5b2db0bb91d4135ab2e0d28d8928b708fa292",
-        "report.json": "70c66f5a264f88ea13873594072b830fa965d99bc7d95ec5d0c0aa441ad352b5",
+        "decomposition.csv": "76ae6851d69ab9071d14c58cc138e3ba8d01f3a7200f7623a1f6dde4f6cee68c",
+        "rate_report.json": "d5c5c230d7934be5cb75138cb87c973a25b5a079341aede1bb48dba81e7031b0",
+        "rates_bounds.csv": "93f713372578a709e72459192a1b43e10e70bdcf6e0e460f6ffd4352582b68b0",
+        "rates_error.csv": "44f9a22a224cd84c6c3f49b70cfeae8b6d8faf67c5a764f5b538d905646280c2",
+        "report.json": "626b52c098c1f010bd23ab042387a4f439a5b4813e9dfdd5152ac5523e6b85b4",
     },
     "average-commuting": {
         "decomposition.csv": "8e8908ed896b87c531e6d8114b535c3af7529b026f3493af4e52b3c82afafba6",
@@ -1261,14 +1271,14 @@ _ARTIFACT_SHA256 = {
     },
     # the pair alone on its leaf merges at its exact exit time, with no grid
     "coalesce-circle": {
-        "coalescence_fraction.csv": "2ce784b4b4b25e1a396963a630c1c48f8b9b7da419ec6f0aa83c1a120812aef8",
-        "report.json": "94c1b9f852c1cd7c1a3fec65d2b792807d30b982c3d9b5ce35ca53b8fe3db00a",
+        "coalescence_fraction.csv": "5102a500c1ff48f21638419b0aa507184ea420aae593164fd27bca13ca1f713b",
+        "report.json": "d00b2c1eaeab4a59fb4878304e80d3d3f9d6bc72b5b2f58051935eaed24bc8b6",
     },
     "simulate-torus": {
-        "leaf_defects.csv": "72549829ff6077cf6214a990e1a13d1ae19a8724271691b7991ff5adf98102f3",
-        "report.json": "94d7f3b0e2bf9f26256db66facf01598e1c9cbc14998502b201f14ef267270fc",
+        "leaf_defects.csv": "4b5cf20b769506939582501c1883ff686a110cca70386c2c473412933bf62f72",
+        "report.json": "22be217593478576b8a77d9f49d10b955925c1aadfa1809f6f6f091df146cf09",
         # its leaf_defect column holds the report's per-time defects
-        "trajectory.csv": "3e17ce79327b6aec2863223591db4a4df43f9a8d817b0ec5fd1100447751e03a",
+        "trajectory.csv": "362253315b16309e5030891026b020eb1e0152508564448b2b1b1fc1674435ea",
     },
     "kernel-check": {
         "kernel_defects.csv": "38a02da1ab8a7ff4acdad3d167f5f5edbdc5c4cefe7632cd194587e18e1b0a7d",
@@ -1285,15 +1295,15 @@ _ARTIFACT_SHA256 = {
 # the row-sparse kernel dumps
 _ARTIFACT_SHA256_V2 = {
     "rates-cosine": {
-        "decomposition.npy": "f655e6e035b94708da6d7c0d64afed4a6e58e05b6a9e9e90dfb10ce2b1b6ac98",
-        "report.json": "e13d8d610e0efa00ec780ae7d9e6fd1fe02d45471f93a4ce5977d4216b52b609",
+        "decomposition.npy": "94eb5aa68dea0689194c1f8ad1f92fb08f225ce62df5d0a4472d19921fca793e",
+        "report.json": "5e2d542d8baa9525201d3c3ed6c8f3dd338e7e20e2539564152e2edf7d80e11f",
     },
     "average-commuting": {
         "decomposition.npy": "4ed43a22ae8eefdf9494647ab469cd68a7f45c2d214dc73bc8cfaabeba152748",
         "report.json": "e623876d6e34ed8ee87c90b54dbde8fec217b0c5de70eb4b184eb0ce4f49c15b",
     },
-    "coalesce-circle": {"report.json": "d71a51a696be09825fdc160e0ad703ec4586159f0c2ef018a72eea738e6d31f5"},
-    "simulate-torus": {"report.json": "fc393db8479cf477a774081b25ade9e42c8b57ffcac03e3b7318b7fc58bebc85"},
+    "coalesce-circle": {"report.json": "0db49dd191d3e66840b12a78bd924947997b44af26057fbdd37543d16163450f"},
+    "simulate-torus": {"report.json": "b32623412a6ce911b033bfecd0ae51ea760f21ad350ce1843a9c87b254dfacc2"},
     "kernel-check": {
         "kernel_t0.785398.json": "5c53987de6ccf6cec20938824056a82a656aebb69196ed22e647253f3a67420e",
         "kernel_t1.570796.json": "3c2b68bc306245f4060aa85740c35704f492f42a389feb556859713abf7eb388",
