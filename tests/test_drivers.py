@@ -236,6 +236,16 @@ def test_stream_words_are_the_seed_the_ids_and_the_role_and_domain_code():
                 assert state["counter"].tolist() == [0, 2**32, 2**53 + 1, role_code << 32 | domain]
 
 
+def test_exit_domain_is_a_fourth_code_apart_from_brownian_and_poisson():
+    # one key's three domains share seed and ids and differ only in the code word
+    key = StreamKey(SEED, 3, 1, "independent")
+    rows = [stream_words(key, [3], domain)[0].tolist() for domain in _DOMAINS]
+    assert [row[:3] for row in rows] == [[SEED, 3, 1]] * 3
+    assert [row[3] for row in rows] == [1 << 32 | domain for domain in _DOMAINS]
+    assert len(set(_DOMAINS)) == 3
+    assert len({key.generator(domain).random(4).tobytes() for domain in _DOMAINS}) == 3
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [1, 5, 169])
 def test_stream_addresses_are_distinct_states_drawn_bit_for_bit(n):
